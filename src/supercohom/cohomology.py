@@ -1,12 +1,20 @@
 """The equivariant cochain complex and its coboundary.
 
-Cochains are stored by their coordinates on canonical index tuples only; the
-coboundary is likewise computed on canonical tuples, with all hat-omission
-signs derived incrementally from prefix parity sums.
+Cochains are stored by their coordinates on canonical index tuples only.
+The coboundary is assembled by one sweep over the canonical (n+1)-tuples
+(_delta_rows): each bracket and module-action term goes straight into a
+sparse row of delta^n, with its sign read off from prefix parity sums and
+from inserting one index into a canonical tuple.  The sweep multiplies by
+the matrix of a chosen family of n-cochains on the fly, so the equivariant
+complex delta . B comes out sparse as well; with B one cochain's coordinates
+it is coboundary(f).  Ranks, kernels and pivot columns then come from the
+sparse Gauss-Jordan kernel of linalg.  The per-cochain coboundary this sweep
+replaced is kept in tests/util.py as a test oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import BasisMismatch, ValidationError
@@ -18,8 +26,8 @@ from .graded import (
     superalt_basis,
 )
 from .group_action import ActionRep, apply_rep, equivariant_subspace, induced_action_on_cochains
-from .linalg import column_space_basis, mat_rank, nullspace
-from .scalars import FieldSpec, Scalar, one, zero
+from .linalg import Row, nullspace_from_rref, pivot_columns, rref_rows
+from .scalars import Scalar, one, zero
 from .superalgebra import LieSuperalgebra, LModule, module_act
 
 
@@ -156,50 +164,95 @@ def coboundary(f: Cochain, L: LieSuperalgebra, M: LModule, rep=None) -> Cochain:
     reps = _resolve_reps(rep, L, M)
     if reps is not None and not is_equivariant(f, reps[0], reps[1], L, M):
         raise ValidationError("cochain is not equivariant under the given action")
-    return _coboundary_raw(f, L, M)
-
-
-def _coboundary_raw(f: Cochain, L: LieSuperalgebra, M: LModule) -> Cochain:
     n = f.arity
-    par = L.basis.parities
-    out: dict[tuple[tuple[int, ...], int], Scalar] = {}
-    for S in superalt_basis(L.basis, n + 1):
-        pars = [par[s] for s in S]
-        pre = [0] * (n + 2)
-        for t, p in enumerate(pars):
-            pre[t + 1] = pre[t] + p
-        acc = Vector()
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                br = L.bracket.at((S[i], S[j]))
+    pos = _positions(n, L, M)
+    rows = _delta_rows(n, L, M, {pos[key]: {0: c} for key, c in f.coords.items()})
+    cod = cochain_coords(L.basis, n + 1, M.space)
+    return Cochain(n + 1, f.parity, L.basis, M.space, {cod[r]: row[0] for r, row in rows.items()})
+
+
+def _positions(n: int, L: LieSuperalgebra, M: LModule) -> dict:
+    """Raw index of each coordinate (T, j) of C^n in cochain_coords order."""
+    return {key: t for t, key in enumerate(cochain_coords(L.basis, n, M.space))}
+
+
+def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, B: dict[int, Row]) -> dict[int, Row]:
+    """delta^n . B as sparse rows, in one sweep over the canonical (n+1)-tuples.
+
+    B holds a family of n-cochains by rows: raw index of a coordinate of C^n
+    -> {member: coefficient}.  Row r of the result is coordinate r of
+    cochain_coords(L.basis, n + 1, M.space); zero rows are left out.
+
+    Every bracket term f([x_a, x_b], rest) and every action term
+    x_i . f(S without i) of delta f(S) is emitted once per tuple S.  The sign
+    of f at (t,) + rest comes from inserting t into the canonical tuple rest:
+    an even t passes the k entries below it, an odd t passes every even entry
+    (odd past odd is a Koszul swap that cancels the transposition).
+    """
+    par, parM = L.basis.parities, M.space.parities
+    dimM = len(parM)
+    tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
+    out: dict[int, Row] = {}
+    for s, S in enumerate(superalt_basis(L.basis, n + 1)):
+        pars = [par[x] for x in S]
+        pre = [0]
+        for q in pars:
+            pre.append(pre[-1] + q)
+        on_tuple: dict[int, Scalar] = {}  # bracket terms: index of T -> coefficient of f(T)
+        for a in range(n + 1):
+            for b in range(a + 1, n + 1):
+                br = L.bracket.at((S[a], S[b]))
                 if br.is_zero():
                     continue
-                exp = (
-                    (i + 1)
-                    + (j + 1)
-                    + (pars[i] + pars[j]) * pre[i]
-                    + pars[j] * (pre[j] - pre[i + 1])
-                )
-                rest = S[:i] + S[i + 1 : j] + S[j + 1 :]
-                term = Vector()
+                rest = S[:a] + S[a + 1 : b] + S[b + 1 :]
+                exp = a + b + (pars[a] + pars[b]) * pre[a] + pars[b] * (pre[b] - pre[a + 1])
+                evens = n - 1 - (pre[n + 1] - pars[a] - pars[b])
                 for t, c in br.coords.items():
-                    val = f.value_at((t,) + rest)
-                    if not val.is_zero():
-                        term = term + val.scale(c)
-                if not term.is_zero():
-                    acc = acc + (term if exp % 2 == 0 else -term)
+                    k = bisect_left(rest, t)
+                    if par[t]:
+                        e = exp + evens
+                    elif k < len(rest) and rest[k] == t:
+                        continue
+                    else:
+                        e = exp + k
+                    T = tpos[rest[:k] + (t,) + rest[k:]]
+                    term = -c if e % 2 else c
+                    prev = on_tuple.get(T)
+                    on_tuple[T] = term if prev is None else prev + term
+        raw: dict[int, Row] = {}  # module index j -> {raw column of C^n: coefficient}
+        for T, c in on_tuple.items():
+            if c.is_zero():
+                continue
+            for j in range(dimM):
+                col = T * dimM + j
+                if col in B:
+                    raw.setdefault(j, {})[col] = c
         for i in range(n + 1):
-            val = f.value_at(S[:i] + S[i + 1 :])
-            if val.is_zero():
-                continue
-            term = module_act(M, Vector.basis(S[i], L.spec), val)
-            if term.is_zero():
-                continue
-            exp = i + pars[i] * (f.parity + pre[i])
-            acc = acc + (term if exp % 2 == 0 else -term)
-        for j, c in acc.coords.items():
-            out[(S, j)] = c
-    return Cochain(n + 1, f.parity, L.basis, M.space, out)
+            T = tpos[S[:i] + S[i + 1 :]]
+            par_T = pre[n + 1] - pars[i]
+            for jp in range(dimM):
+                act = M.act.get((S[i], jp))
+                col = T * dimM + jp
+                if act is None or col not in B:
+                    continue
+                odd = (i + pars[i] * (par_T + parM[jp] + pre[i])) % 2
+                for j, x in act.coords.items():
+                    term = -x if odd else x
+                    entries = raw.setdefault(j, {})
+                    prev = entries.get(col)
+                    entries[col] = term if prev is None else prev + term
+        for j in sorted(raw):
+            row: Row = {}
+            for col, c in raw[j].items():
+                if c.is_zero():
+                    continue
+                for k, x in B[col].items():
+                    prev = row.get(k)
+                    row[k] = c * x if prev is None else prev + c * x
+            row = {k: x for k, x in row.items() if not x.is_zero()}
+            if row:
+                out[s * dimM + j] = row
+    return out
 
 
 def cochain_basis(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> list[Cochain]:
@@ -235,16 +288,24 @@ def cochain_basis(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> list[Coch
     return out
 
 
+def _basis_rows(basis_cochains: list[Cochain], pos: dict) -> dict[int, Row]:
+    """The matrix B of a family of cochains by rows: raw index -> {member: c}."""
+    B: dict[int, Row] = {}
+    for k, f in enumerate(basis_cochains):
+        for key, c in f.coords.items():
+            B.setdefault(pos[key], {})[k] = c
+    return B
+
+
 def _matrix_from_basis(basis_cochains: list[Cochain], n: int, L, M):
     """Columns: coboundaries of the basis cochains, in raw (n+1)-coordinates."""
-    cod = cochain_coords(L.basis, n + 1, M.space)
-    pos = {c: t for t, c in enumerate(cod)}
+    rows = _delta_rows(n, L, M, _basis_rows(basis_cochains, _positions(n, L, M)))
     z = zero(L.spec)
-    mat = [[z] * len(basis_cochains) for _ in range(len(cod))]
-    for k, f in enumerate(basis_cochains):
-        df = _coboundary_raw(f, L, M)
-        for key, c in df.coords.items():
-            mat[pos[key]][k] = c
+    width = len(basis_cochains)
+    mat = []
+    for r in range(len(cochain_coords(L.basis, n + 1, M.space))):
+        row = rows.get(r)
+        mat.append([z] * width if row is None else [row.get(k, z) for k in range(width)])
     return mat
 
 
@@ -263,59 +324,55 @@ class CohomologyReport:
 
 
 def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyReport:
+    """Dimensions of C, Z, B and H in degree n per parity, and representatives.
+
+    delta^n and delta^(n-1) are each assembled by one sweep on the chosen basis
+    (standard, or the fixed-space basis under a group) and reduced once; the
+    two parities are the two diagonal blocks of that one reduced form.  The
+    representatives of H^n are the kernel vectors, in free-column order, that
+    extend the pivot columns of delta^(n-1) to a basis of the cocycles.
+    """
+    spec = L.spec
     dom = cochain_basis(n, L, M, rep)
-    mat = _matrix_from_basis(dom, n, L, M)
-    prev = cochain_basis(n - 1, L, M, rep) if n > 0 else []
-    prev_mat = _matrix_from_basis(prev, n - 1, L, M) if n > 0 else []
+    coords = cochain_coords(L.basis, n, M.space)
+    pos = {key: t for t, key in enumerate(coords)}
+    reduced, pivots = rref_rows(_delta_rows(n, L, M, _basis_rows(dom, pos)).values())
+    kernel = nullspace_from_rref(reduced, pivots, len(dom), spec)
+
+    images: dict[int, Row] = {}  # pivot columns of delta^(n-1), in raw n-coordinates
+    prev: list[Cochain] = []
+    if n > 0:
+        prev = cochain_basis(n - 1, L, M, rep)
+        prev_rows = _delta_rows(n - 1, L, M, _basis_rows(prev, _positions(n - 1, L, M)))
+        images = {k: {} for k in rref_rows(prev_rows.values())[1]}
+        for r, row in prev_rows.items():
+            for k, x in row.items():
+                if k in images:
+                    images[k][r] = x
+
+    def to_raw(v: Row) -> Row:
+        col: Row = {}
+        for k, c in v.items():
+            for key, x in dom[k].coords.items():
+                t = pos[key]
+                prev_x = col.get(t)
+                col[t] = c * x if prev_x is None else prev_x + c * x
+        return col
 
     c_dims, z_dims, b_dims, h_dims = [0, 0], [0, 0], [0, 0], [0, 0]
     reps_out: dict[int, list[Cochain]] = {}
     for p in (0, 1):
-        cols = [k for k, f in enumerate(dom) if f.parity == p]
-        sub = [[row[k] for k in cols] for row in mat]
-        rank = mat_rank(sub, L.spec) if cols else 0
-        c_dims[p] = len(cols)
-        z_dims[p] = len(cols) - rank
-
-        img_cols = []
-        if n > 0:
-            pcols = [k for k, f in enumerate(prev) if f.parity == p]
-            pm = [[row[k] for k in pcols] for row in prev_mat]
-            img_cols = column_space_basis(pm, L.spec) if pcols else []
-        b_dims[p] = len(img_cols)
+        c_dims[p] = sum(1 for f in dom if f.parity == p)
+        z_dims[p] = c_dims[p] - sum(1 for k in pivots if dom[k].parity == p)
+        img = [col for k, col in images.items() if prev[k].parity == p]
+        b_dims[p] = len(img)
         h_dims[p] = z_dims[p] - b_dims[p]
-
-        kernel = nullspace(sub, len(cols), L.spec) if cols else []
-        raw_len = len(cochain_coords(L.basis, n, M.space))
-        coords = cochain_coords(L.basis, n, M.space)
-        pos = {c: t for t, c in enumerate(coords)}
-
-        def to_raw(coeffs):
-            col = [zero(L.spec)] * raw_len
-            for k, c in zip(cols, coeffs):
-                if c.is_zero():
-                    continue
-                for key, v in dom[k].coords.items():
-                    t = pos[key]
-                    col[t] = col[t] + c * v
-            return col
-
-        stacked = [list(c) for c in img_cols] + [to_raw(kv) for kv in kernel]
-        chosen: list[Cochain] = []
-        if stacked:
-            colmat = [
-                [stacked[c][r] for c in range(len(stacked))] for r in range(raw_len)
-            ]
-            pivots = _pivot_columns(colmat, L.spec)
-            for piv in pivots:
-                if piv >= len(img_cols):
-                    coeffs = kernel[piv - len(img_cols)]
-                    f = zero_cochain(n, p, L, M)
-                    for k, c in zip(cols, coeffs):
-                        if not c.is_zero():
-                            f = f.add(dom[k].scale(c))
-                    chosen.append(f)
-        reps_out[p] = chosen
+        ker = [to_raw(v) for fc, v in kernel.items() if dom[fc].parity == p]
+        reps_out[p] = [
+            Cochain(n, p, L.basis, M.space, {coords[t]: x for t, x in sorted(ker[q - len(img)].items())})
+            for q in pivot_columns(img + ker)
+            if q >= len(img)
+        ]
     return CohomologyReport(
         n,
         tuple(c_dims),
@@ -326,15 +383,6 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
     )
 
 
-def _pivot_columns(mat, spec):
-    from .linalg import _bareiss_echelon
-
-    if not mat or not mat[0]:
-        return []
-    work = [list(row) for row in mat]
-    return _bareiss_echelon(work, spec)
-
-
 def annihilator(L: LieSuperalgebra, M: LModule, rep=None) -> list[Vector]:
     """Basis of {m in M_0 : [x, m] = 0 for all x}, fixed by G when given.
 
@@ -342,69 +390,31 @@ def annihilator(L: LieSuperalgebra, M: LModule, rep=None) -> list[Vector]:
     coboundary machinery.
     """
     reps = _resolve_reps(rep, L, M)
-    spec = L.spec
+    return _fixed_even_vectors(M, reps[1] if reps else None, L.spec, range(len(L.basis)))
+
+
+def _fixed_even_vectors(M: LModule, rep_M: ActionRep | None, spec, acting=()) -> list[Vector]:
+    """Basis of the even m with g.m = m for every g, and x_i.m = 0 for i in acting."""
     evens = [j for j, p in enumerate(M.space.parities) if p == 0]
-    rows = []
-    for i in range(len(L.basis)):
+    rows: list[Row] = []
+    for i in acting:
+        acts = [(k, M.act.get((i, j))) for k, j in enumerate(evens)]
         for r in range(len(M.space)):
-            row = []
-            for j in evens:
-                v = M.act.get((i, j))
-                row.append(v.get(r, spec) if v is not None else zero(spec))
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    if reps is not None:
-        rep_M = reps[1]
-        for g in range(rep_M.group.order):
-            mat = rep_M.matrices[g]
+            rows.append({k: v.coords[r] for k, v in acts if v is not None and r in v.coords})
+    if rep_M is not None:
+        o = one(spec)
+        for mat in rep_M.matrices:
             for r in range(len(M.space)):
-                row = []
-                for j in evens:
-                    x = mat[r][j]
-                    if r == j:
-                        x = x - one(spec)
-                    row.append(x)
-                if any(not x.is_zero() for x in row):
-                    rows.append(row)
-    if not rows:
-        return [Vector.basis(j, spec) for j in evens]
-    sols = nullspace(rows, len(evens), spec)
-    return [
-        Vector({evens[k]: c for k, c in enumerate(sol) if not c.is_zero()})
-        for sol in sols
-    ]
-
-
-def _fixed_even_vectors(M: LModule, rep_M: ActionRep | None, spec) -> list[Vector]:
-    evens = [j for j, p in enumerate(M.space.parities) if p == 0]
-    if rep_M is None:
-        return [Vector.basis(j, spec) for j in evens]
-    rows = []
-    for g in range(rep_M.group.order):
-        mat = rep_M.matrices[g]
-        for r in range(len(M.space)):
-            row = []
-            for j in evens:
-                x = mat[r][j]
-                if r == j:
-                    x = x - one(spec)
-                row.append(x)
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    if not rows:
-        return [Vector.basis(j, spec) for j in evens]
-    sols = nullspace(rows, len(evens), spec)
-    return [
-        Vector({evens[k]: c for k, c in enumerate(sol) if not c.is_zero()})
-        for sol in sols
-    ]
+                rows.append({k: mat[r][j] - o if r == j else mat[r][j] for k, j in enumerate(evens)})
+    kernel = nullspace_from_rref(*rref_rows(rows), len(evens), spec)
+    return [Vector({evens[k]: c for k, c in sorted(v.items())}) for v in kernel.values()]
 
 
 def derivations(L: LieSuperalgebra, M: LModule, rep=None):
     """(basis of Der^G, basis of Der^G_Inn) as degree-0 1-cochains.
 
     The derivation constraints are assembled from scratch here; only the
-    nullspace routine is shared with the coboundary path.
+    elimination kernel is shared with the coboundary path.
     """
     reps = _resolve_reps(rep, L, M)
     spec = L.spec
@@ -416,91 +426,61 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
         if parL[i] == parM[j]
     ]
     vpos = {v: k for k, v in enumerate(variables)}
-    rows = []
+
+    def add(row: Row, k: int, c: Scalar):
+        row[k] = row[k] + c if k in row else c
+
+    rows: list[Row] = []
     for a in range(len(parL)):
         for b in range(len(parL)):
-            sign_ab = 1 if (parL[a] * parL[b]) % 2 == 0 else -1
+            odd_ab = parL[a] * parL[b]
             br = L.bracket.at((a, b))
             for r in range(len(parM)):
-                row = [zero(spec)] * len(variables)
-                hit = False
+                row: Row = {}
                 for t, c in br.coords.items():
                     k = vpos.get((t, r))
                     if k is not None:
-                        row[k] = row[k] + c
-                        hit = True
+                        add(row, k, c)
                 for j in range(len(parM)):
                     act_a = M.act.get((a, j))
-                    if act_a is not None and (b, j) in vpos:
-                        x = act_a.get(r, spec)
-                        if not x.is_zero():
-                            row[vpos[(b, j)]] = row[vpos[(b, j)]] - x
-                            hit = True
+                    if act_a is not None and (b, j) in vpos and r in act_a.coords:
+                        add(row, vpos[(b, j)], -act_a.coords[r])
                     act_b = M.act.get((b, j))
-                    if act_b is not None and (a, j) in vpos:
-                        x = act_b.get(r, spec)
-                        if not x.is_zero():
-                            k = vpos[(a, j)]
-                            row[k] = row[k] + x if sign_ab == 1 else row[k] - x
-                            hit = True
-                if hit:
-                    rows.append(row)
+                    if act_b is not None and (a, j) in vpos and r in act_b.coords:
+                        x = act_b.coords[r]
+                        add(row, vpos[(a, j)], -x if odd_ab else x)
+                rows.append(row)
     if reps is not None:
         rep_L, rep_M = reps
-        for g in range(rep_L.group.order):
-            A, B = rep_L.matrices[g], rep_M.matrices[g]
+        for A, B in zip(rep_L.matrices, rep_M.matrices):
             for i in range(len(parL)):
                 for r in range(len(parM)):
-                    row = [zero(spec)] * len(variables)
-                    hit = False
+                    row = {}
                     for t in range(len(parL)):
                         if (t, r) in vpos and not A[t][i].is_zero():
-                            k = vpos[(t, r)]
-                            row[k] = row[k] + A[t][i]
-                            hit = True
+                            add(row, vpos[(t, r)], A[t][i])
                     for j in range(len(parM)):
                         if (i, j) in vpos and not B[r][j].is_zero():
-                            k = vpos[(i, j)]
-                            row[k] = row[k] - B[r][j]
-                            hit = True
-                    if hit:
-                        rows.append(row)
-    sols = nullspace(rows, len(variables), spec) if rows else [
-        [one(spec) if t == k else zero(spec) for t in range(len(variables))]
-        for k in range(len(variables))
-    ]
+                            add(row, vpos[(i, j)], -B[r][j])
+                    rows.append(row)
     der = []
-    for sol in sols:
+    for sol in nullspace_from_rref(*rref_rows(rows), len(variables), spec).values():
         cs = {}
-        for k, c in enumerate(sol):
-            if not c.is_zero():
-                i, j = variables[k]
-                cs[((i,), j)] = c
+        for k, c in sorted(sol.items()):
+            i, j = variables[k]
+            cs[((i,), j)] = c
         der.append(Cochain(1, 0, L.basis, M.space, cs))
 
-    fixed = _fixed_even_vectors(M, reps[1] if reps else None, spec)
-    inner_cols = []
-    raw = cochain_coords(L.basis, 1, M.space)
-    pos = {c: t for t, c in enumerate(raw)}
-    inner_cochains = []
-    for m in fixed:
+    pos = _positions(1, L, M)
+    inner_cochains, inner_cols = [], []
+    for m in _fixed_even_vectors(M, reps[1] if reps else None, spec):
         cs = {}
         for i in range(len(parL)):
             val = module_act(M, Vector.basis(i, spec), m)
             for j, c in val.coords.items():
                 cs[((i,), j)] = c
         f = Cochain(1, 0, L.basis, M.space, cs)
-        col = [zero(spec)] * len(raw)
-        for key, c in f.coords.items():
-            col[pos[key]] = c
-        inner_cols.append(col)
         inner_cochains.append(f)
-    inn = []
-    if inner_cols:
-        colmat = [
-            [inner_cols[c][r] for c in range(len(inner_cols))]
-            for r in range(len(raw))
-        ]
-        for piv in _pivot_columns(colmat, spec):
-            inn.append(inner_cochains[piv])
+        inner_cols.append({pos[key]: c for key, c in f.coords.items()})
+    inn = [inner_cochains[q] for q in pivot_columns(inner_cols)]
     return der, inn

@@ -220,7 +220,7 @@ def obstruction(d: Deformation) -> ObstructionReport:
     cod = cochain_coords(L.basis, 3, L.basis)
     z = zero(spec)
     rhs = [-coords.get(key, z) for key in cod]
-    sol = solve(mat, rhs, spec) if mat and mat[0] else ([] if all(x.is_zero() for x in rhs) else None)
+    sol = solve(mat, rhs, spec)
     if sol is None:
         return ObstructionReport(obs, False, None, closed)
     nxt = zero_cochain(2, 0, L, M)
@@ -341,10 +341,7 @@ def infinitesimals_cohomologous(
     cod = cochain_coords(L.basis, 2, L.basis)
     z = zero(L.spec)
     rhs = [diff.coords.get(key, z) for key in cod]
-    if not mat or not mat[0]:
-        verdict = all(x.is_zero() for x in rhs)
-    else:
-        verdict = solve(mat, rhs, L.spec) is not None
+    verdict = solve(mat, rhs, L.spec) is not None
     if g is not None:
         psi1 = g.map_at(1)
         certificate = coboundary(psi1, L, M)

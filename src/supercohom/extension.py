@@ -178,10 +178,7 @@ def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | N
     cod = cochain_coords(L.basis, 2, M.space)
     z = zero(spec)
     rhs = [diff.coords.get(key, z) for key in cod]
-    if not mat or not mat[0]:
-        sol = [] if all(c.is_zero() for c in rhs) else None
-    else:
-        sol = solve(mat, rhs, spec)
+    sol = solve(mat, rhs, spec)
     if sol is None:
         return None
     f = Cochain(1, 0, L.basis, M.space, {})

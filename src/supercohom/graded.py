@@ -257,10 +257,6 @@ def cochain_coords(basis: GradedBasis, n: int, target: GradedBasis):
     return [(T, j) for T in superalt_basis(basis, n) for j in range(len(target))]
 
 
-def coord_parity(basis: GradedBasis, target: GradedBasis, T, j) -> int:
-    return (sum(basis.parities[i] for i in T) + target.parities[j]) % 2
-
-
 def act_permutation(sigma, F: MultilinearMap) -> MultilinearMap:
     """The twisted action (sigma.F)(X) = eps(sigma, X) F(X_{sigma(1)}, ...)."""
     if len(sigma) != F.arity:

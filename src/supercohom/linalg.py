@@ -1,19 +1,30 @@
-"""Exact dense linear algebra over a Scalar field.
+"""Exact linear algebra over a Scalar field: one sparse Gauss-Jordan kernel.
 
-Forward elimination is fraction-free (Bareiss): each update is
-(a*p - b*c)/prev_pivot with an exact division, which keeps intermediate
-entries as minors of the input instead of letting numerators and
-denominators grow multiplicatively.  Everything downstream (rank, nullspace,
-solve, column space) reads off the echelon form.
+A sparse matrix is a sequence of rows, and a row is a dict {column: Scalar}.
+rref_rows brings such rows to reduced row echelon form.  Each incoming row is
+reduced against the pivot rows found so far, scaled to a leading 1, and then
+cleared out of the earlier pivot rows.  The reduced row echelon form of a
+matrix is unique, so the rank, the pivot columns, the nullspace basis read
+off the free columns and the solution picked by solve do not depend on the
+row order or on how the elimination runs inside.  The layout follows sympy's
+polys/matrices/sdm.py (sdm_irref, sdm_nullspace_from_rref).
+
+The dense entry points (rref, mat_rank, nullspace, solve, column_space_basis,
+span_equal) take lists of rows of Scalars and are thin wrappers around the
+kernel; mat_mul and mat_vec stay dense.  The dense fraction-free (Bareiss)
+elimination the kernel replaced is kept in tests/util.py as a test oracle.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from .errors import LengthMismatch
 from .scalars import FieldSpec, Scalar, one, zero
 
 
 Matrix = list[list[Scalar]]
+Row = dict[int, Scalar]
 
 
 def mat_zero(rows: int, cols: int, spec: FieldSpec) -> Matrix:
@@ -54,116 +65,131 @@ def mat_vec(a: Matrix, v: list[Scalar], spec: FieldSpec) -> list[Scalar]:
     return out
 
 
-def _bareiss_echelon(m: Matrix, spec: FieldSpec):
-    """In-place fraction-free row echelon; returns list of pivot columns."""
-    if not m:
-        return []
-    rows, cols = len(m), len(m[0])
-    # The exact division by the previous pivot happens once per updated
-    # entry, so hoist its (possibly costly) field inverse out of the loops.
-    prev_inv = None
-    r = 0
-    pivots = []
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
+# -- the sparse kernel ----------------------------------------------------------
+
+
+def _sub_scaled(target: Row, f: Scalar, src: Row):
+    """target -= f * src, dropping the entries that cancel."""
+    for c, x in src.items():
+        y = target.get(c)
+        y = -(f * x) if y is None else y - f * x
+        if y.is_zero():
+            del target[c]
+        else:
+            target[c] = y
+
+
+def rref_rows(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse rows: (pivot rows, pivot columns).
+
+    One row per pivot, in increasing pivot order; each has a 1 at its pivot
+    and no entry in any other pivot column.  Zero entries of the input are
+    ignored and the input rows are left unchanged.
+    """
+    reduced: dict[int, Row] = {}  # pivot column -> its row, pivot entry left out
+    unit = None
+    for row in rows:
+        r = {c: x for c, x in row.items() if not x.is_zero()}
+        for p in [c for c in r if c in reduced]:
+            _sub_scaled(r, r.pop(p), reduced[p])
+        if not r:
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        scale = piv if prev_inv is None else piv * prev_inv
-        for i in range(r + 1, rows):
-            mic = m[i][c]
-            row_i, row_r = m[i], m[r]
-            if mic.is_zero():
-                for j in range(c, cols):
-                    x = row_i[j]
-                    if not x.is_zero():
-                        row_i[j] = x * scale
-                continue
-            for j in range(c, cols):
-                x, y = row_i[j], row_r[j]
-                if y.is_zero():
-                    if not x.is_zero():
-                        row_i[j] = x * scale
-                    continue
-                v = x * piv - mic * y if not x.is_zero() else -(mic * y)
-                row_i[j] = v if prev_inv is None else v * prev_inv
-        prev_inv = piv.inverse()
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+        p = min(r)
+        piv = r.pop(p)
+        inv = piv.inverse()
+        if unit is None:
+            unit = piv * inv
+        r = {c: x * inv for c, x in r.items()}
+        for qrow in reduced.values():
+            if p in qrow:
+                _sub_scaled(qrow, qrow.pop(p), r)
+        reduced[p] = r
+    pivots = sorted(reduced)
+    return [{p: unit, **reduced[p]} for p in pivots], pivots
+
+
+def nullspace_from_rref(reduced: list[Row], pivots: list[int], cols: int, spec: FieldSpec) -> dict[int, Row]:
+    """Nullspace basis read off an RREF: free column -> its kernel vector.
+
+    The vector of free column f has a 1 at f and minus the pivot rows'
+    entries in column f at their pivots; free columns come in increasing order.
+    """
+    o = one(spec)
+    pivot_set = set(pivots)
+    basis = {c: {c: o} for c in range(cols) if c not in pivot_set}
+    for row, p in zip(reduced, pivots):
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return basis
+
+
+def pivot_columns(columns: list[Row]) -> list[int]:
+    """Indices of the columns that start a basis of their span, left to right."""
+    rows: dict[int, Row] = {}
+    for k, col in enumerate(columns):
+        for i, x in col.items():
+            rows.setdefault(i, {})[k] = x
+    return rref_rows(rows.values())[1]
+
+
+# -- dense wrappers ---------------------------------------------------------------
+
+
+def _sparse(mat: Matrix) -> list[Row]:
+    return [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in mat]
 
 
 def rref(mat: Matrix, spec: FieldSpec):
     """Reduced row echelon form (fresh matrix) plus pivot column list."""
-    m = [list(row) for row in mat]
-    pivots = _bareiss_echelon(m, spec)
-    cols = len(m[0]) if m else 0
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        inv = m[r][c].inverse()
-        m[r] = [x if x.is_zero() else x * inv for x in m[r]]
-        for i in range(r):
-            f = m[i][c]
-            if not f.is_zero():
-                m[i] = [
-                    a if b.is_zero() else a - f * b for a, b in zip(m[i], m[r])
-                ]
-    return m, pivots
+    reduced, pivots = rref_rows(_sparse(mat))
+    cols = len(mat[0]) if mat else 0
+    z = zero(spec)
+    out = [[row.get(c, z) for c in range(cols)] for row in reduced]
+    out.extend([z] * cols for _ in range(len(mat) - len(reduced)))
+    return out, pivots
 
 
 def mat_rank(mat: Matrix, spec: FieldSpec) -> int:
-    m = [list(row) for row in mat]
-    return len(_bareiss_echelon(m, spec))
+    return len(rref_rows(_sparse(mat))[1])
 
 
 def nullspace(mat: Matrix, cols: int, spec: FieldSpec) -> list[list[Scalar]]:
     """Basis of {x : mat @ x = 0}; one vector per free column."""
-    if not mat:
-        return [
-            [one(spec) if i == j else zero(spec) for i in range(cols)]
-            for j in range(cols)
-        ]
-    m, pivots = rref(mat, spec)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero(spec)] * cols
-        v[fc] = one(spec)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    reduced, pivots = rref_rows(_sparse(mat))
+    z = zero(spec)
+    return [
+        [v.get(c, z) for c in range(cols)]
+        for v in nullspace_from_rref(reduced, pivots, cols, spec).values()
+    ]
 
 
 def solve(mat: Matrix, rhs: list[Scalar], spec: FieldSpec):
-    """One exact solution of mat @ x = rhs, or None when inconsistent."""
-    if not mat:
-        return [] if all(b.is_zero() for b in rhs) else None
-    cols = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    m, pivots = rref(aug, spec)
-    if cols in pivots:
+    """One exact solution of mat @ x = rhs, or None when inconsistent.
+
+    Free variables are set to zero.  Any shape is accepted, 0 rows or 0
+    columns included: with no columns the answer is [] exactly when rhs is 0.
+    """
+    if len(rhs) != len(mat):
+        raise LengthMismatch("right-hand side length differs from the row count")
+    cols = len(mat[0]) if mat else 0
+    aug = _sparse(mat)
+    for row, b in zip(aug, rhs):
+        if not b.is_zero():
+            row[cols] = b
+    reduced, pivots = rref_rows(aug)
+    if pivots and pivots[-1] == cols:
         return None
-    x = [zero(spec)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][cols]
+    z = zero(spec)
+    x = [z] * cols
+    for row, p in zip(reduced, pivots):
+        x[p] = row.get(cols, z)
     return x
 
 
 def column_space_basis(mat: Matrix, spec: FieldSpec) -> list[list[Scalar]]:
     """The pivot columns of mat, as column vectors."""
-    if not mat or not mat[0]:
-        return []
-    m = [list(row) for row in mat]
-    pivots = _bareiss_echelon(m, spec)
+    pivots = rref_rows(_sparse(mat))[1]
     return [[row[c] for row in mat] for c in pivots]
 
 
@@ -174,12 +200,12 @@ def span_equal(a_cols: list[list[Scalar]], b_cols: list[list[Scalar]], spec: Fie
     dim = len(a_cols[0]) if a_cols else len(b_cols[0])
     if any(len(col) != dim for col in a_cols) or any(len(col) != dim for col in b_cols):
         raise LengthMismatch("columns must all live in the same space")
-    rows_a = [[col[i] for col in a_cols] for i in range(dim)]
-    rows_b = [[col[i] for col in b_cols] for i in range(dim)]
-    rows_ab = [ra + rb for ra, rb in zip(rows_a, rows_b)]
-    ra = mat_rank(rows_a, spec)
-    rb = mat_rank(rows_b, spec)
-    return ra == rb == mat_rank(rows_ab, spec)
+
+    def rank(cols):  # a family's rank is that of the matrix with it as rows
+        return len(rref_rows(_sparse(cols))[1])
+
+    ra, rb = rank(a_cols), rank(b_cols)
+    return ra == rb == rank(a_cols + b_cols)
 
 
 def is_zero_matrix(mat: Matrix) -> bool:

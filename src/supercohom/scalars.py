@@ -163,7 +163,7 @@ class Scalar:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -9,9 +9,12 @@ spaces.
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supercohom.cohomology import (
     Cochain,
+    _matrix_from_basis,
     annihilator,
     coboundary,
     coboundary_matrix,
@@ -36,6 +39,8 @@ from supercohom.superalgebra import (
 
 from util import (
     abelian_algebra,
+    coboundary_matrix_raw,
+    coboundary_raw,
     gl11_mu1,
     gl11_swap_rep,
     rand_cochain,
@@ -455,3 +460,23 @@ def test_induced_action_commutes_with_coboundary_matrixwise():
         lhs = mat_mul(high.matrices[g], full, L.spec)
         rhs = mat_mul(full, low.matrices[g], L.spec)
         assert lhs == rhs
+
+
+# -- the one-sweep assembly against the cochain-by-cochain oracle -----------------
+
+
+@pytest.mark.parametrize("with_action", [False, True], ids=["plain", "equivariant"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_sweep_matches_per_cochain_oracle(n, with_action):
+    @given(st.integers(0, 2**32 - 1))
+    def prop(seed):
+        rng = random.Random(seed)
+        L, rep = rand_instance(rng, with_action=with_action)
+        M, reps = rand_module(rng, L, rep)
+        basis = cochain_basis(n, L, M, reps)
+        assert _matrix_from_basis(basis, n, L, M) == coboundary_matrix_raw(basis, n, L, M)
+        for parity in (0, 1):
+            f = rand_cochain(rng, L, M, n, parity)
+            assert coboundary(f, L, M) == coboundary_raw(f, L, M)
+
+    prop()

@@ -1,6 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from supercohom.errors import LengthMismatch
 from supercohom.linalg import (
     column_space_basis,
     is_zero_matrix,
@@ -8,14 +13,24 @@ from supercohom.linalg import (
     mat_mul,
     mat_rank,
     mat_vec,
+    mat_zero,
     nullspace,
+    pivot_columns,
     rref,
     solve,
     span_equal,
 )
 from supercohom.scalars import RATIONAL, Scalar, cyclo, one, root_of_unity, scalar, zero
 
-from util import rand_scalar
+from util import (
+    bareiss_column_space,
+    bareiss_nullspace,
+    bareiss_rank,
+    bareiss_rref,
+    bareiss_solve,
+    bareiss_span_equal,
+    rand_scalar,
+)
 
 
 def m_of(rows, spec=RATIONAL):
@@ -129,3 +144,94 @@ def test_mat_mul_and_identity():
 def test_is_zero_matrix():
     assert is_zero_matrix(m_of([[0, 0]]))
     assert not is_zero_matrix(m_of([[0, 1]]))
+
+
+def test_solve_handles_empty_systems():
+    spec = RATIONAL
+    o, z = one(spec), zero(spec)
+    assert solve([], [], spec) == []
+    assert solve([[], []], [z, z], spec) == []
+    assert solve([[], []], [z, o], spec) is None
+    assert solve([[z, z]], [z], spec) == [z, z]
+    assert solve([[z, z]], [o], spec) is None
+    with pytest.raises(LengthMismatch):
+        solve([[o]], [o, o], spec)
+
+
+# -- the sparse kernel against the dense Bareiss oracle ---------------------------
+
+SPECS = [RATIONAL, cyclo(4)]
+COEFFS = [0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+def entries(spec):
+    return st.lists(st.sampled_from(COEFFS), min_size=spec.degree, max_size=spec.degree).map(
+        lambda cs: Scalar(spec, cs)
+    )
+
+
+@st.composite
+def systems(draw, spec, max_dim=5):
+    """(matrix, column count): random, all-zero, or a product of thin factors."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["random", "random", "zero", "low rank"]))
+    if kind == "zero":
+        return mat_zero(rows, cols, spec), cols
+    if kind == "low rank":
+        k = draw(st.integers(1, 2))
+        left = [[draw(entries(spec)) for _ in range(k)] for _ in range(rows)]
+        right = [[draw(entries(spec)) for _ in range(cols)] for _ in range(k)]
+        return mat_mul(left, right, spec), cols
+    return [[draw(entries(spec)) for _ in range(cols)] for _ in range(rows)], cols
+
+
+def columns(mat, cols):
+    return [[row[c] for row in mat] for c in range(cols)]
+
+
+def check_kernel_against_bareiss(mat, cols, spec, x0, b, other):
+    """Every dense entry point against the Bareiss oracle on one system.
+
+    x0 gives a consistent right-hand side mat @ x0; b is an arbitrary one;
+    other is a column family to compare spans with.
+    """
+    assert mat_rank(mat, spec) == bareiss_rank(mat, spec)
+    assert rref(mat, spec) == bareiss_rref(mat, spec)
+    assert nullspace(mat, cols, spec) == bareiss_nullspace(mat, cols, spec)
+    assert column_space_basis(mat, spec) == bareiss_column_space(mat, spec)
+    sparse_cols = [{r: x for r, x in enumerate(col) if not x.is_zero()} for col in columns(mat, cols)]
+    assert pivot_columns(sparse_cols) == bareiss_rref(mat, spec)[1]
+
+    image = mat_vec(mat, x0, spec)
+    x = solve(mat, image, spec)
+    assert x == bareiss_solve(mat, image, spec)
+    assert x is not None and mat_vec(mat, x, spec) == image
+    assert solve(mat, b, spec) == bareiss_solve(mat, b, spec)
+
+    a = columns(mat, cols)
+    assert span_equal(a, other, spec) == bareiss_span_equal(a, other, spec)
+    sub = column_space_basis(mat, spec)
+    assert span_equal(a, sub, spec) and bareiss_span_equal(a, sub, spec)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["Q", "Q(zeta4)"])
+def test_kernel_matches_bareiss(spec):
+    @given(st.data())
+    def prop(data):
+        mat, cols = data.draw(systems(spec))
+        rows = len(mat)
+        x0 = data.draw(st.lists(entries(spec), min_size=cols, max_size=cols))
+        b = data.draw(st.lists(entries(spec), min_size=rows, max_size=rows))
+        other = data.draw(st.lists(st.lists(entries(spec), min_size=rows, max_size=rows), max_size=3))
+        check_kernel_against_bareiss(mat, cols, spec, x0, b, other)
+
+    prop()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["Q", "Q(zeta4)"])
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3), (3, 2)])
+def test_kernel_matches_bareiss_on_empty_and_zero_matrices(spec, rows, cols):
+    o = one(spec)
+    mat = mat_zero(rows, cols, spec)
+    check_kernel_against_bareiss(mat, cols, spec, [o] * cols, [o] * rows, [[o] * rows])
+    assert nullspace(mat, cols, spec) == [[o if i == j else zero(spec) for i in range(cols)] for j in range(cols)]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
-from supercohom.graded import GradedBasis, MultilinearMap, Vector, cochain_coords
+from supercohom.graded import GradedBasis, MultilinearMap, Vector, cochain_coords, superalt_basis
 from supercohom.group_action import ActionRep, cyclic_group
 from supercohom.linalg import mat_identity, mat_mul
 from supercohom.scalars import RATIONAL, Scalar, one, scalar, zero
@@ -13,6 +13,7 @@ from supercohom.superalgebra import (
     bracket_eval,
     make_gl,
     make_sl,
+    module_act,
     zero_module,
 )
 
@@ -305,3 +306,183 @@ def rand_module(rng, L, rep):
             mats.append(mat_mul(gen, mats[-1], spec))
         return M, (rep, ActionRep(rep.group, spec, space.parities, mats))
     return adjoint_module(L), rep
+
+
+# -- dense oracles --------------------------------------------------------------
+#
+# The library eliminates on sparse rows with one Gauss-Jordan kernel and
+# assembles the coboundary in one sweep.  The dense fraction-free (Bareiss)
+# elimination and the cochain-by-cochain coboundary they replaced are kept
+# here, unchanged, as independent references for the property tests.
+
+
+def bareiss_echelon(m, spec):
+    """In-place fraction-free row echelon; returns list of pivot columns."""
+    if not m:
+        return []
+    rows, cols = len(m), len(m[0])
+    # The exact division by the previous pivot happens once per updated
+    # entry, so hoist its (possibly costly) field inverse out of the loops.
+    prev_inv = None
+    r = 0
+    pivots = []
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if not m[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        scale = piv if prev_inv is None else piv * prev_inv
+        for i in range(r + 1, rows):
+            mic = m[i][c]
+            row_i, row_r = m[i], m[r]
+            if mic.is_zero():
+                for j in range(c, cols):
+                    x = row_i[j]
+                    if not x.is_zero():
+                        row_i[j] = x * scale
+                continue
+            for j in range(c, cols):
+                x, y = row_i[j], row_r[j]
+                if y.is_zero():
+                    if not x.is_zero():
+                        row_i[j] = x * scale
+                    continue
+                v = x * piv - mic * y if not x.is_zero() else -(mic * y)
+                row_i[j] = v if prev_inv is None else v * prev_inv
+        prev_inv = piv.inverse()
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def bareiss_rref(mat, spec):
+    """Reduced row echelon form (fresh matrix) plus pivot column list."""
+    m = [list(row) for row in mat]
+    pivots = bareiss_echelon(m, spec)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        inv = m[r][c].inverse()
+        m[r] = [x if x.is_zero() else x * inv for x in m[r]]
+        for i in range(r):
+            f = m[i][c]
+            if not f.is_zero():
+                m[i] = [a if b.is_zero() else a - f * b for a, b in zip(m[i], m[r])]
+    return m, pivots
+
+
+def bareiss_rank(mat, spec):
+    return len(bareiss_echelon([list(row) for row in mat], spec))
+
+
+def bareiss_nullspace(mat, cols, spec):
+    """Basis of {x : mat @ x = 0}; one vector per free column."""
+    if not mat:
+        return [[one(spec) if i == j else zero(spec) for i in range(cols)] for j in range(cols)]
+    m, pivots = bareiss_rref(mat, spec)
+    basis = []
+    for fc in [c for c in range(cols) if c not in pivots]:
+        v = [zero(spec)] * cols
+        v[fc] = one(spec)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def bareiss_solve(mat, rhs, spec):
+    """One solution of mat @ x = rhs with the free variables at zero, or None."""
+    if not mat:
+        return [] if all(b.is_zero() for b in rhs) else None
+    cols = len(mat[0])
+    m, pivots = bareiss_rref([list(row) + [b] for row, b in zip(mat, rhs)], spec)
+    if cols in pivots:
+        return None
+    x = [zero(spec)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][cols]
+    return x
+
+
+def bareiss_column_space(mat, spec):
+    """The pivot columns of mat, as column vectors."""
+    if not mat or not mat[0]:
+        return []
+    pivots = bareiss_echelon([list(row) for row in mat], spec)
+    return [[row[c] for row in mat] for c in pivots]
+
+
+def bareiss_span_equal(a_cols, b_cols, spec):
+    if not a_cols and not b_cols:
+        return True
+    dim = len(a_cols[0]) if a_cols else len(b_cols[0])
+    rows_a = [[col[i] for col in a_cols] for i in range(dim)]
+    rows_b = [[col[i] for col in b_cols] for i in range(dim)]
+    rows_ab = [ra + rb for ra, rb in zip(rows_a, rows_b)]
+    ra, rb = bareiss_rank(rows_a, spec), bareiss_rank(rows_b, spec)
+    return ra == rb == bareiss_rank(rows_ab, spec)
+
+
+def coboundary_raw(f, L, M):
+    """delta f, one canonical (n+1)-tuple at a time, through f.value_at."""
+    from supercohom.cohomology import Cochain
+
+    n = f.arity
+    par = L.basis.parities
+    out = {}
+    for S in superalt_basis(L.basis, n + 1):
+        pars = [par[s] for s in S]
+        pre = [0] * (n + 2)
+        for t, p in enumerate(pars):
+            pre[t + 1] = pre[t] + p
+        acc = Vector()
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                br = L.bracket.at((S[i], S[j]))
+                if br.is_zero():
+                    continue
+                exp = (
+                    (i + 1)
+                    + (j + 1)
+                    + (pars[i] + pars[j]) * pre[i]
+                    + pars[j] * (pre[j] - pre[i + 1])
+                )
+                rest = S[:i] + S[i + 1 : j] + S[j + 1 :]
+                term = Vector()
+                for t, c in br.coords.items():
+                    val = f.value_at((t,) + rest)
+                    if not val.is_zero():
+                        term = term + val.scale(c)
+                if not term.is_zero():
+                    acc = acc + (term if exp % 2 == 0 else -term)
+        for i in range(n + 1):
+            val = f.value_at(S[:i] + S[i + 1 :])
+            if val.is_zero():
+                continue
+            term = module_act(M, Vector.basis(S[i], L.spec), val)
+            if term.is_zero():
+                continue
+            exp = i + pars[i] * (f.parity + pre[i])
+            acc = acc + (term if exp % 2 == 0 else -term)
+        for j, c in acc.coords.items():
+            out[(S, j)] = c
+    return Cochain(n + 1, f.parity, L.basis, M.space, out)
+
+
+def coboundary_matrix_raw(basis_cochains, n, L, M):
+    """Columns: coboundary_raw of each basis cochain, in raw (n+1)-coordinates."""
+    cod = cochain_coords(L.basis, n + 1, M.space)
+    pos = {c: t for t, c in enumerate(cod)}
+    z = zero(L.spec)
+    mat = [[z] * len(basis_cochains) for _ in range(len(cod))]
+    for k, f in enumerate(basis_cochains):
+        for key, c in coboundary_raw(f, L, M).coords.items():
+            mat[pos[key]][k] = c
+    return mat
