@@ -1,9 +1,14 @@
 """Finite groups as Cayley tables and their degree-0 linear actions.
 
-The fixed-subspace computation deliberately runs two independent methods
-(Reynolds averaging and a stacked nullspace) and insists that they agree:
-a sign slip in an induced action shows up here as an OracleDisagreement
-rather than as a silently wrong cohomology dimension.
+The fixed subspace is spanned by the pivot columns of the Reynolds operator
+R = (1/|G|) sum_g g, built in one pass over sparse columns.  Every vector
+that all of G fixes satisfies R v = v, so it lies in the image of R.  The
+result therefore comes with a certificate: each returned column is checked
+to be fixed by every group element, which proves that the span is exactly
+the fixed space, and the character formula (1/|G|) sum_g tr g must give its
+dimension.  A sign slip in an induced action, or matrices that do not form
+a representation, show up here as an OracleDisagreement rather than as a
+silently wrong cohomology dimension.
 """
 
 from __future__ import annotations
@@ -26,14 +31,7 @@ from .graded import (
     cochain_coords,
     superalt_basis,
 )
-from .linalg import (
-    Matrix,
-    column_space_basis,
-    mat_identity,
-    mat_mul,
-    nullspace,
-    span_equal,
-)
+from .linalg import Matrix, Row, mat_identity, mat_mul, pivot_columns
 from .scalars import FieldSpec, Scalar, one, scalar, zero
 from .superalgebra import LieSuperalgebra, LModule, bracket_eval, module_act
 
@@ -214,10 +212,9 @@ def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
     report = ActionReport()
     _rep_structure_checks(rep, report)
     for g in range(rep.group.order):
-        for i in range(len(L.basis)):
-            gi = apply_rep(rep, g, Vector.basis(i, L.spec))
-            for j in range(len(L.basis)):
-                gj = apply_rep(rep, g, Vector.basis(j, L.spec))
+        images = [apply_rep(rep, g, Vector.basis(i, L.spec)) for i in range(len(L.basis))]
+        for i, gi in enumerate(images):
+            for j, gj in enumerate(images):
                 lhs = apply_rep(rep, g, L.bracket.at((i, j)))
                 rhs = bracket_eval(L, gi, gj)
                 if lhs != rhs:
@@ -241,10 +238,10 @@ def validate_module_action(
     report = ActionReport()
     _rep_structure_checks(rep_M, report)
     for g in range(rep_L.group.order):
+        module_images = [apply_rep(rep_M, g, Vector.basis(k, L.spec)) for k in range(len(M.space))]
         for i in range(len(L.basis)):
             gx = apply_rep(rep_L, g, Vector.basis(i, L.spec))
-            for k in range(len(M.space)):
-                gm = apply_rep(rep_M, g, Vector.basis(k, L.spec))
+            for k, gm in enumerate(module_images):
                 lhs = apply_rep(rep_M, g, module_act(M, Vector.basis(i, L.spec), Vector.basis(k, L.spec)))
                 rhs = module_act(M, gx, gm)
                 if lhs != rhs:
@@ -319,46 +316,53 @@ def induced_action_on_cochains(
 def equivariant_subspace(rep: ActionRep) -> list[list[Scalar]]:
     """Basis (as columns) of the vectors fixed by every group element.
 
-    Computed twice: by Reynolds averaging and by a stacked nullspace; the two
-    spans must coincide, and the dimension must match the character formula.
+    The basis is the pivot columns of the Reynolds operator
+    R = (1/|G|) sum_g g, read left to right.  Certificate: each returned
+    column v has g v = v for every g, so the columns, independent by
+    construction, span exactly the fixed space (any fixed v has R v = v);
+    and their count must equal the character formula (1/|G|) sum_g tr g.
+    Either failure raises OracleDisagreement.
     """
     spec = rep.spec
     dim = rep.dim
     group = rep.group
-    inv_order = scalar(spec, Fraction(1, group.order))
-    reynolds = [[zero(spec) for _ in range(dim)] for _ in range(dim)]
-    for g in range(group.order):
-        mat = rep.matrices[g]
-        for i in range(dim):
-            for j in range(dim):
-                reynolds[i][j] = reynolds[i][j] + mat[i][j]
-    reynolds = [[x * inv_order for x in row] for row in reynolds]
-
-    if mat_mul(reynolds, reynolds, spec) != reynolds:
-        raise OracleDisagreement("Reynolds operator is not idempotent")
-
-    fixed = column_space_basis(reynolds, spec)
-
-    stacked = []
-    ident = mat_identity(dim, spec)
-    for g in range(group.order):
-        mat = rep.matrices[g]
-        for i in range(dim):
-            stacked.append([mat[i][j] - ident[i][j] for j in range(dim)])
-    kernel = nullspace(stacked, dim, spec)
-
-    if not span_equal(fixed, kernel, spec):
-        raise OracleDisagreement(
-            "Reynolds image and stacked fixed-point kernel span different subspaces"
-        )
-
+    actions: list[list[Row]] = []  # per group element: its sparse columns
+    reynolds: list[Row] = [{} for _ in range(dim)]
     trace_sum = zero(spec)
-    for g in range(group.order):
-        for i in range(dim):
-            trace_sum = trace_sum + rep.matrices[g][i][i]
+    for mat in rep.matrices:
+        cols: list[Row] = [{} for _ in range(dim)]
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if not x.is_zero():
+                    cols[j][i] = x
+        for j, col in enumerate(cols):
+            acc = reynolds[j]
+            for i, x in col.items():
+                prev = acc.get(i)
+                acc[i] = x if prev is None else prev + x
+            if j in col:
+                trace_sum = trace_sum + col[j]
+        actions.append(cols)
+    inv_order = scalar(spec, Fraction(1, group.order))
+    reynolds = [{i: x * inv_order for i, x in col.items() if not x.is_zero()} for col in reynolds]
+    fixed = [reynolds[c] for c in pivot_columns(reynolds)]
+
+    for g, cols in enumerate(actions):
+        for v in fixed:
+            image: Row = {}
+            for j, c in v.items():
+                for i, x in cols[j].items():
+                    prev = image.get(i)
+                    image[i] = x * c if prev is None else prev + x * c
+            if {i: x for i, x in image.items() if not x.is_zero()} != v:
+                raise OracleDisagreement(
+                    f"group element {g} moves a column of the Reynolds operator"
+                )
+
     if trace_sum != scalar(spec, group.order * len(fixed)):
         raise OracleDisagreement(
             f"character formula gives {trace_sum}, but the fixed space has "
             f"dimension {len(fixed)}"
         )
-    return fixed
+    z = zero(spec)
+    return [[v.get(i, z) for i in range(dim)] for v in fixed]

@@ -9,10 +9,10 @@ off the free columns and the solution picked by solve do not depend on the
 row order or on how the elimination runs inside.  The layout follows sympy's
 polys/matrices/sdm.py (sdm_irref, sdm_nullspace_from_rref).
 
-The dense entry points (rref, mat_rank, nullspace, solve, column_space_basis,
-span_equal) take lists of rows of Scalars and are thin wrappers around the
-kernel; mat_mul and mat_vec stay dense.  The dense fraction-free (Bareiss)
-elimination the kernel replaced is kept in tests/util.py as a test oracle.
+The dense entry points (rref, mat_rank, nullspace, solve) take lists of rows
+of Scalars and are thin wrappers around the kernel; mat_mul and mat_vec stay
+dense.  The dense fraction-free (Bareiss) elimination the kernel replaced is
+kept in tests/util.py as a test oracle.
 """
 
 from __future__ import annotations
@@ -185,27 +185,6 @@ def solve(mat: Matrix, rhs: list[Scalar], spec: FieldSpec):
     for row, p in zip(reduced, pivots):
         x[p] = row.get(cols, z)
     return x
-
-
-def column_space_basis(mat: Matrix, spec: FieldSpec) -> list[list[Scalar]]:
-    """The pivot columns of mat, as column vectors."""
-    pivots = rref_rows(_sparse(mat))[1]
-    return [[row[c] for row in mat] for c in pivots]
-
-
-def span_equal(a_cols: list[list[Scalar]], b_cols: list[list[Scalar]], spec: FieldSpec) -> bool:
-    """Do two column families span the same subspace?"""
-    if not a_cols and not b_cols:
-        return True
-    dim = len(a_cols[0]) if a_cols else len(b_cols[0])
-    if any(len(col) != dim for col in a_cols) or any(len(col) != dim for col in b_cols):
-        raise LengthMismatch("columns must all live in the same space")
-
-    def rank(cols):  # a family's rank is that of the matrix with it as rows
-        return len(rref_rows(_sparse(cols))[1])
-
-    ra, rb = rank(a_cols), rank(b_cols)
-    return ra == rb == rank(a_cols + b_cols)
 
 
 def is_zero_matrix(mat: Matrix) -> bool:

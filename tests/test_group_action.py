@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supercohom.errors import BasisMismatch, OracleDisagreement, ValidationError
 from supercohom.graded import Vector, eval_map, superalt_basis, superalt_expand
@@ -28,7 +30,7 @@ from supercohom.superalgebra import (
     make_super_poincare,
 )
 
-from util import rand_vector
+from util import dense_equivariant_subspace, rand_instance, rand_module, rand_vector
 
 
 def z2_swap_rep(L):
@@ -262,6 +264,30 @@ def test_equivariant_subspace_rejects_non_representation():
     rep = diagonal_rep(G, RATIONAL, (0,), [[one(RATIONAL)], [two]])
     with pytest.raises(OracleDisagreement):
         equivariant_subspace(rep)
+
+
+def test_equivariant_subspace_certificate_catches_what_the_character_misses():
+    # g = [[1, 1], [0, 1]] has g^2 != 1, yet tr 1 + tr g = 4 = 2 * 2: the
+    # character formula holds.  The Reynolds column (1/2, 1) is not fixed by g.
+    G = cyclic_group(2)
+    o, z = one(RATIONAL), zero(RATIONAL)
+    rep = ActionRep(G, RATIONAL, (0, 0), [mat_identity(2, RATIONAL), [[o, o], [z, o]]])
+    with pytest.raises(OracleDisagreement):
+        equivariant_subspace(rep)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_equivariant_subspace_matches_dense_oracle(n):
+    @given(st.integers(0, 2**32 - 1))
+    def prop(seed):
+        rng = random.Random(seed)
+        L, rep = rand_instance(rng, with_action=True)
+        M, reps = rand_module(rng, L, rep)
+        rep_L, rep_M = reps if isinstance(reps, tuple) else (reps, reps)
+        induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
+        assert equivariant_subspace(induced) == dense_equivariant_subspace(induced)
+
+    prop()
 
 
 def test_equivariant_cochains_gl11_z2_dimension_and_probes():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from supercohom.errors import LengthMismatch
 from supercohom.linalg import (
-    column_space_basis,
     is_zero_matrix,
     mat_identity,
     mat_mul,
@@ -18,7 +17,6 @@ from supercohom.linalg import (
     pivot_columns,
     rref,
     solve,
-    span_equal,
 )
 from supercohom.scalars import RATIONAL, Scalar, cyclo, one, root_of_unity, scalar, zero
 
@@ -29,7 +27,9 @@ from util import (
     bareiss_rref,
     bareiss_solve,
     bareiss_span_equal,
+    column_space_basis,
     rand_scalar,
+    span_equal,
 )
 
 

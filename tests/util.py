@@ -3,9 +3,10 @@
 from fractions import Fraction
 from itertools import product
 
+from supercohom.errors import LengthMismatch, OracleDisagreement
 from supercohom.graded import GradedBasis, MultilinearMap, Vector, cochain_coords, superalt_basis
 from supercohom.group_action import ActionRep, cyclic_group
-from supercohom.linalg import mat_identity, mat_mul
+from supercohom.linalg import _sparse, mat_identity, mat_mul, nullspace, rref_rows
 from supercohom.scalars import RATIONAL, Scalar, one, scalar, zero
 from supercohom.superalgebra import (
     LieSuperalgebra,
@@ -428,6 +429,82 @@ def bareiss_span_equal(a_cols, b_cols, spec):
     rows_ab = [ra + rb for ra, rb in zip(rows_a, rows_b)]
     ra, rb = bareiss_rank(rows_a, spec), bareiss_rank(rows_b, spec)
     return ra == rb == bareiss_rank(rows_ab, spec)
+
+
+# Column-family helpers over the library's sparse kernel; only tests use them.
+
+
+def column_space_basis(mat, spec):
+    """The pivot columns of mat, as column vectors, through the sparse kernel."""
+    pivots = rref_rows(_sparse(mat))[1]
+    return [[row[c] for row in mat] for c in pivots]
+
+
+def span_equal(a_cols, b_cols, spec):
+    """Do two column families span the same subspace? Through the sparse kernel."""
+    if not a_cols and not b_cols:
+        return True
+    dim = len(a_cols[0]) if a_cols else len(b_cols[0])
+    if any(len(col) != dim for col in a_cols) or any(len(col) != dim for col in b_cols):
+        raise LengthMismatch("columns must all live in the same space")
+
+    def rank(cols):  # a family's rank is that of the matrix with it as rows
+        return len(rref_rows(_sparse(cols))[1])
+
+    ra, rb = rank(a_cols), rank(b_cols)
+    return ra == rb == rank(a_cols + b_cols)
+
+
+# The library takes the fixed subspace as the pivot columns of a sparse
+# Reynolds operator, certified by a fixed-vector check and the character
+# formula.  The dense route it replaced is kept here as the reference: the
+# Reynolds operator must be idempotent, its column space must span the same
+# subspace as a stacked fixed-point nullspace, and the character formula must
+# give the dimension.
+
+
+def dense_equivariant_subspace(rep):
+    """Basis (as columns) of the vectors fixed by every group element."""
+    spec = rep.spec
+    dim = rep.dim
+    group = rep.group
+    inv_order = scalar(spec, Fraction(1, group.order))
+    reynolds = [[zero(spec) for _ in range(dim)] for _ in range(dim)]
+    for g in range(group.order):
+        mat = rep.matrices[g]
+        for i in range(dim):
+            for j in range(dim):
+                reynolds[i][j] = reynolds[i][j] + mat[i][j]
+    reynolds = [[x * inv_order for x in row] for row in reynolds]
+
+    if mat_mul(reynolds, reynolds, spec) != reynolds:
+        raise OracleDisagreement("Reynolds operator is not idempotent")
+
+    fixed = column_space_basis(reynolds, spec)
+
+    stacked = []
+    ident = mat_identity(dim, spec)
+    for g in range(group.order):
+        mat = rep.matrices[g]
+        for i in range(dim):
+            stacked.append([mat[i][j] - ident[i][j] for j in range(dim)])
+    kernel = nullspace(stacked, dim, spec)
+
+    if not span_equal(fixed, kernel, spec):
+        raise OracleDisagreement(
+            "Reynolds image and stacked fixed-point kernel span different subspaces"
+        )
+
+    trace_sum = zero(spec)
+    for g in range(group.order):
+        for i in range(dim):
+            trace_sum = trace_sum + rep.matrices[g][i][i]
+    if trace_sum != scalar(spec, group.order * len(fixed)):
+        raise OracleDisagreement(
+            f"character formula gives {trace_sum}, but the fixed space has "
+            f"dimension {len(fixed)}"
+        )
+    return fixed
 
 
 def coboundary_raw(f, L, M):
