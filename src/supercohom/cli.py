@@ -14,8 +14,11 @@ for the format):
 
 Exit status is 0 when every check passes, 1 when a mathematical check
 fails, and 2 for unusable input (malformed file, unknown name, bad
-flags).  Output is deterministic: rows are sorted, scalars use their
-canonical text form, and ``--emit json`` prints the same information as
+flags).  Two independent computations that disagree point to a bug, not
+to bad input; that also exits 1, but its message starts with
+"internal error (oracle disagreement):" instead of "error:".  Output is
+deterministic: rows are sorted, scalars use their canonical text form, and
+``--emit json`` prints the same information as
 a JSON object with sorted keys.  If SUPERCOHOM_THREADS is set it caps
 the number of worker threads; all computations here are exact and run
 on one thread, which satisfies any positive cap.
@@ -30,13 +33,11 @@ import sys
 
 from . import deformation as dfm
 from .cohomology import Cochain, cohomology, derivations
-from .errors import ParseError, SupercohomError, ValidationError
+from .errors import OracleDisagreement, ParseError, SupercohomError, ValidationError
 from .extension import ExtensionDatum, build_extension, classify_extensions, jacobi_iff_cocycle
 from .graded import GradedBasis, Vector
-from .group_action import validate_action, validate_module_action
 from .nr_bracket import NRElement, bracket_to_element, mc_check
 from .scalars import serialize_scalar
-from .superalgebra import validate_module, validate_superalgebra
 from .workspace import ADJOINT, Workspace, load
 
 
@@ -118,10 +119,10 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _cmd_validate(args) -> int:
-    ws = load(args.file)
+    ws = load(args.file)  # parse has run every check and raised on a failure
     out = _Emitter(args.emit)
     L = ws.algebra
-    alg = validate_superalgebra(L)
+    alg = ws.algebra_report
     d0, d1 = L.basis.dims
     out.text(f"field: {_field_str(L.spec)}")
     out.text(f"algebra: dimension {d0}|{d1}")
@@ -134,16 +135,15 @@ def _cmd_validate(args) -> int:
         "homogeneity": alg.homogeneity_ok,
     }
     if ws.group is not None:
-        act = validate_action(ws.rep, L)
+        act = ws.action_report
         out.text(f"group: order {ws.group.order}")
         out.text(f"  action: {'ok' if act.ok else 'FAIL'}")
         checks["action"] = act.ok
     for name in sorted(ws.modules):
         entry = ws.modules[name]
-        rpt = validate_module(L, entry.module)
-        ok = rpt.ok
+        ok = entry.report.ok
         if entry.rep is not None:
-            ok = ok and validate_module_action(ws.rep, entry.rep, L, entry.module).ok
+            ok = ok and entry.action_report.ok
         m0, m1 = entry.module.space.dims
         out.text(f"module {name}: dimension {m0}|{m1}, {'ok' if ok else 'FAIL'}")
         checks[f"module {name}"] = ok
@@ -473,6 +473,9 @@ def run_command(argv: list[str]) -> int:
         return 2
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
+        return 1
+    except OracleDisagreement as exc:
+        print(f"internal error (oracle disagreement): {exc}", file=sys.stderr)
         return 1
     except SupercohomError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import BasisMismatch, ValidationError
 from .graded import (
@@ -25,8 +26,8 @@ from .graded import (
     cochain_coords,
     superalt_basis,
 )
-from .group_action import ActionRep, apply_rep, equivariant_subspace, induced_action_on_cochains
-from .linalg import Row, nullspace_from_rref, pivot_columns, rref_rows
+from .group_action import ActionRep, equivariant_subspace, induced_action_on_cochains, pull_back
+from .linalg import Row, lin_comb, nullspace_from_rref, pivot_columns, rref_rows
 from .scalars import Scalar, one, zero
 from .superalgebra import LieSuperalgebra, LModule, module_act
 
@@ -104,8 +105,6 @@ class Cochain:
 
 
 def cochain_eval(f: Cochain, args: list[Vector]) -> Vector:
-    from itertools import product
-
     if len(args) != f.arity:
         raise ValueError("argument count must equal cochain arity")
     if f.arity == 0:
@@ -143,17 +142,25 @@ def _resolve_reps(rep, L: LieSuperalgebra, M: LModule):
 
 
 def is_equivariant(f: Cochain, rep_L: ActionRep, rep_M: ActionRep, L, M) -> bool:
-    from itertools import product
+    """Whether g.f = f for every g, with (g.f)(x_1..x_n) = g f(g^-1 x_1, ..., g^-1 x_n).
 
-    spec = L.spec
+    f's coordinates are grouped by canonical tuple.  For each canonical T,
+    f(g^-1 e_T) is read off through the sparse columns of g^-1 (pull_back),
+    pushed through the sparse columns of g, and compared once with f(T).
+    """
+    by_tuple: dict[tuple[int, ...], Row] = {}
+    for (T, j), c in f.coords.items():
+        by_tuple.setdefault(T, {})[j] = c
+    o = one(L.spec)
+    memo: dict = {}
     group = rep_L.group
     for g in range(group.order):
-        ginv = group.inverse(g)
+        A = rep_L.columns[group.inverse(g)]
+        B = rep_M.columns[g]
         for T in superalt_basis(L.basis, f.arity):
-            args = [apply_rep(rep_L, ginv, Vector.basis(t, spec)) for t in T]
-            lhs = apply_rep(rep_M, g, cochain_eval(f, args))
-            rhs = f.value_at(T)
-            if lhs != rhs:
+            terms = pull_back(A, T, L.basis.parities, o, memo).items()
+            value = lin_comb((c, by_tuple[S]) for S, c in terms if S in by_tuple)
+            if lin_comb((c, B[j]) for j, c in value.items()) != by_tuple.get(T, {}):
                 return False
     return True
 
@@ -403,9 +410,13 @@ def _fixed_even_vectors(M: LModule, rep_M: ActionRep | None, spec, acting=()) ->
             rows.append({k: v.coords[r] for k, v in acts if v is not None and r in v.coords})
     if rep_M is not None:
         o = one(spec)
-        for mat in rep_M.matrices:
-            for r in range(len(M.space)):
-                rows.append({k: mat[r][j] - o if r == j else mat[r][j] for k, j in enumerate(evens)})
+        for cols in rep_M.columns:  # the rows of g - 1 on the even columns
+            g_rows: list[Row] = [{} for _ in M.space.names]
+            for k, j in enumerate(evens):
+                for r, x in cols[j].items():
+                    g_rows[r][k] = x
+                g_rows[j][k] = g_rows[j][k] - o if k in g_rows[j] else -o
+            rows.extend(g_rows)
     kernel = nullspace_from_rref(*rref_rows(rows), len(evens), spec)
     return [Vector({evens[k]: c for k, c in sorted(v.items())}) for v in kernel.values()]
 
@@ -452,16 +463,16 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
                 rows.append(row)
     if reps is not None:
         rep_L, rep_M = reps
-        for A, B in zip(rep_L.matrices, rep_M.matrices):
-            for i in range(len(parL)):
+        for cols_L, cols_M in zip(rep_L.columns, rep_M.columns):
+            for i, gi in enumerate(cols_L):
                 for r in range(len(parM)):
                     row = {}
-                    for t in range(len(parL)):
-                        if (t, r) in vpos and not A[t][i].is_zero():
-                            add(row, vpos[(t, r)], A[t][i])
-                    for j in range(len(parM)):
-                        if (i, j) in vpos and not B[r][j].is_zero():
-                            add(row, vpos[(i, j)], -B[r][j])
+                    for t, x in gi.items():
+                        if (t, r) in vpos:
+                            add(row, vpos[(t, r)], x)
+                    for j, col in enumerate(cols_M):
+                        if (i, j) in vpos and r in col:
+                            add(row, vpos[(i, j)], -col[r])
                     rows.append(row)
     der = []
     for sol in nullspace_from_rref(*rref_rows(rows), len(variables), spec).values():

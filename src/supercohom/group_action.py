@@ -1,5 +1,14 @@
 """Finite groups as Cayley tables and their degree-0 linear actions.
 
+An action keeps, for each group element, the sparse columns of its matrix
+(the image of each basis vector as a {row: Scalar} dict), computed once.
+Applying g, the identity / homomorphism / degree-0 checks, the
+bracket-equivariance sweeps of validate_action and validate_module_action,
+the induced action on cochains and the fixed subspace all read these
+columns; the sweeps form both sides of each identity as one sparse sum over
+the bracket or action table.  The element-wise checks they replaced are kept
+in tests/util.py as test oracles.
+
 The fixed subspace is spanned by the pivot columns of the Reynolds operator
 R = (1/|G|) sum_g g, built in one pass over sparse columns.  Every vector
 that all of G fixes satisfies R v = v, so it lies in the image of R.  The
@@ -25,15 +34,14 @@ from .errors import (
     ValidationError,
 )
 from .graded import (
-    GradedBasis,
     Vector,
     canonicalize_tuple,
     cochain_coords,
     superalt_basis,
 )
-from .linalg import Matrix, Row, mat_identity, mat_mul, pivot_columns
+from .linalg import Matrix, Row, add_scaled, lin_comb, mat_identity, pivot_columns
 from .scalars import FieldSpec, Scalar, one, scalar, zero
-from .superalgebra import LieSuperalgebra, LModule, bracket_eval, module_act
+from .superalgebra import LieSuperalgebra, LModule
 
 
 @dataclass(frozen=True)
@@ -89,39 +97,63 @@ def cyclic_group(m: int) -> FiniteGroup:
     return FiniteGroup(m, table, 0)
 
 
-@dataclass
 class ActionRep:
-    """One square matrix per group element, columns = images of basis vectors."""
+    """One linear map per group element on a graded space.
 
-    group: FiniteGroup
-    spec: FieldSpec
-    parities: tuple[int, ...]
-    matrices: list[Matrix]
+    columns[g][j] is the image of basis vector j under g, a sparse
+    {row: Scalar} dict without zeros; apply_rep, the action checks, the
+    induced action and the fixed subspace all read these.  The action is
+    given by its dense matrices (parsed or constructed actions) or by its
+    columns (the induced action on cochains); either way only the columns are
+    kept, and matrices[g], the dense matrix whose columns are those images,
+    is built on first use.
+    """
 
-    def __post_init__(self):
-        self.parities = tuple(self.parities)
-        if len(self.matrices) != self.group.order:
-            raise LengthMismatch("need one matrix per group element")
-        d = len(self.parities)
-        for mat in self.matrices:
-            if len(mat) != d or any(len(row) != d for row in mat):
+    def __init__(self, group: FiniteGroup, spec: FieldSpec, parities, matrices=None, columns=None):
+        self.group, self.spec, self.parities = group, spec, tuple(parities)
+        if (matrices is None) == (columns is None):
+            raise TypeError("give the action by its matrices or by its columns")
+        self._matrices = None
+        if columns is None:
+            d = len(self.parities)
+            if len(matrices) != group.order:
+                raise LengthMismatch("need one matrix per group element")
+            if any(len(mat) != d or any(len(row) != d for row in mat) for mat in matrices):
                 raise LengthMismatch("representation matrices must match the space")
+            columns = [
+                [{i: row[j] for i, row in enumerate(mat) if not row[j].is_zero()} for j in range(d)]
+                for mat in matrices
+            ]
+        self.columns: list[list[Row]] = columns
 
     @property
     def dim(self) -> int:
         return len(self.parities)
 
+    @property
+    def matrices(self) -> list[Matrix]:
+        if self._matrices is None:
+            z, d = zero(self.spec), self.dim
+            self._matrices = []
+            for cols in self.columns:
+                mat = [[z] * d for _ in range(d)]
+                for j, col in enumerate(cols):
+                    for i, x in col.items():
+                        mat[i][j] = x
+                self._matrices.append(mat)
+        return self._matrices
+
+    def __eq__(self, other):
+        return isinstance(other, ActionRep) and (
+            self.group, self.spec, self.parities, self.columns
+        ) == (other.group, other.spec, other.parities, other.columns)
+
 
 def apply_rep(rep: ActionRep, g: int, v: Vector) -> Vector:
-    mat = rep.matrices[g]
-    out: dict[int, Scalar] = {}
+    cols = rep.columns[g]
+    out: Row = {}
     for j, c in v.coords.items():
-        for i in range(rep.dim):
-            a = mat[i][j]
-            if a.is_zero():
-                continue
-            s = out.get(i)
-            out[i] = a * c if s is None else s + a * c
+        add_scaled(out, c, cols[j])
     return Vector(out)
 
 
@@ -184,26 +216,41 @@ class ActionReport:
 
 
 def _rep_structure_checks(rep: ActionRep, report: ActionReport) -> None:
-    spec, group = rep.spec, rep.group
-    if rep.matrices[group.identity] != mat_identity(rep.dim, spec):
+    group, o = rep.group, one(rep.spec)
+    if rep.columns[group.identity] != [{j: o} for j in range(rep.dim)]:
         report.identity_ok = False
         report.counterexamples.append({"kind": "identity", "where": "identity element"})
-    for g in range(group.order):
-        for h in range(group.order):
-            if mat_mul(rep.matrices[g], rep.matrices[h], spec) != rep.matrices[group.mul(g, h)]:
+    for g, cols_g in enumerate(rep.columns):
+        for h, cols_h in enumerate(rep.columns):
+            composed = [lin_comb((c, cols_g[t]) for t, c in col.items()) for col in cols_h]
+            if composed != rep.columns[group.mul(g, h)]:
                 report.homomorphism_ok = False
                 report.counterexamples.append(
                     {"kind": "homomorphism", "where": f"pair ({g}, {h})"}
                 )
-    for g in range(group.order):
-        mat = rep.matrices[g]
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                if rep.parities[i] != rep.parities[j] and not mat[i][j].is_zero():
-                    report.degree0_ok = False
-                    report.counterexamples.append(
-                        {"kind": "degree", "where": f"g={g}, entry ({i}, {j})"}
-                    )
+    par = rep.parities
+    for g, cols in enumerate(rep.columns):
+        mixed = sorted((i, j) for j, col in enumerate(cols) for i in col if par[i] != par[j])
+        for i, j in mixed:
+            report.degree0_ok = False
+            report.counterexamples.append({"kind": "degree", "where": f"g={g}, entry ({i}, {j})"})
+
+
+def _equivariance_sweep(report, kind, g, table, cols_x, cols_y, names_x, names_y) -> None:
+    """g t(x_i, y_k) = t(g x_i, g y_k) for a bilinear table t (the bracket, or
+    the module action), both sides one sparse sum over the table and the
+    sparse columns of g on the two factors; one comparison per pair."""
+    for i, gx in enumerate(cols_x):
+        for k, gy in enumerate(cols_y):
+            lhs = lin_comb((c, cols_y[t]) for t, c in table.get((i, k), {}).items())
+            rhs = lin_comb(
+                (x * y, table[(a, b)]) for a, x in gx.items() for b, y in gy.items() if (a, b) in table
+            )
+            if lhs != rhs:
+                report.bracket_ok = False
+                report.counterexamples.append(
+                    {"kind": kind, "where": f"g={g}, pair ({names_x[i]}, {names_y[k]})"}
+                )
 
 
 def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
@@ -211,20 +258,10 @@ def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
         raise BasisMismatch("representation space does not match the algebra basis")
     report = ActionReport()
     _rep_structure_checks(rep, report)
-    for g in range(rep.group.order):
-        images = [apply_rep(rep, g, Vector.basis(i, L.spec)) for i in range(len(L.basis))]
-        for i, gi in enumerate(images):
-            for j, gj in enumerate(images):
-                lhs = apply_rep(rep, g, L.bracket.at((i, j)))
-                rhs = bracket_eval(L, gi, gj)
-                if lhs != rhs:
-                    report.bracket_ok = False
-                    report.counterexamples.append(
-                        {
-                            "kind": "bracket equivariance",
-                            "where": f"g={g}, pair ({L.basis.names[i]}, {L.basis.names[j]})",
-                        }
-                    )
+    br = {key: vec.coords for key, vec in L.bracket.components.items()}
+    names = L.basis.names
+    for g, cols in enumerate(rep.columns):
+        _equivariance_sweep(report, "bracket equivariance", g, br, cols, cols, names, names)
     return report
 
 
@@ -237,80 +274,80 @@ def validate_module_action(
         raise ValidationError("algebra and module actions must share the group")
     report = ActionReport()
     _rep_structure_checks(rep_M, report)
-    for g in range(rep_L.group.order):
-        module_images = [apply_rep(rep_M, g, Vector.basis(k, L.spec)) for k in range(len(M.space))]
-        for i in range(len(L.basis)):
-            gx = apply_rep(rep_L, g, Vector.basis(i, L.spec))
-            for k, gm in enumerate(module_images):
-                lhs = apply_rep(rep_M, g, module_act(M, Vector.basis(i, L.spec), Vector.basis(k, L.spec)))
-                rhs = module_act(M, gx, gm)
-                if lhs != rhs:
-                    report.bracket_ok = False
-                    report.counterexamples.append(
-                        {
-                            "kind": "action equivariance",
-                            "where": f"g={g}, pair ({L.basis.names[i]}, {M.space.names[k]})",
-                        }
-                    )
+    act = {key: vec.coords for key, vec in M.act.items()}
+    for g, (cols_L, cols_M) in enumerate(zip(rep_L.columns, rep_M.columns)):
+        _equivariance_sweep(
+            report, "action equivariance", g, act, cols_L, cols_M, L.basis.names, M.space.names
+        )
     return report
+
+
+def pull_back(
+    A: list[Row], S: tuple[int, ...], parities, o: Scalar, memo: dict
+) -> dict[tuple[int, ...], Scalar]:
+    """f(h e_{s_1}, ..., h e_{s_n}) as sum_T coeff[T] f(e_T), for any
+    super-alternating f, with A the sparse columns of h and o the field's 1.
+
+    Each index tuple picked from the columns is canonicalized with its Koszul
+    sign (memo caches that across calls); coefficients that cancel stay in
+    the result as zeros.
+    """
+    acc: dict[tuple[int, ...], Scalar] = {}
+    for picks in product(*[A[s].items() for s in S]):
+        K = tuple(i for i, _ in picks)
+        if K not in memo:
+            memo[K] = canonicalize_tuple(K, parities)
+        if memo[K] is None:
+            continue
+        T, sign = memo[K]
+        c = o if sign == 1 else -o
+        for _, a in picks:
+            c = c * a
+        prev = acc.get(T)
+        acc[T] = c if prev is None else prev + c
+    return acc
 
 
 def induced_action_on_cochains(
     rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
 ) -> ActionRep:
-    """Action (g.f)(x_1..x_n) = g f(g^{-1}x_1, ..., g^{-1}x_n) on coordinates."""
+    """Action (g.f)(x_1..x_n) = g f(g^{-1}x_1, ..., g^{-1}x_n) on coordinates.
+
+    Built column by column from the sparse columns of g^{-1} on L and of g on
+    M; the result is handed over as columns, so no dense matrix is filled.
+    """
     if rep_L.spec != rep_M.spec:
         raise FieldMismatch("algebra and module actions live over different fields")
     if rep_L.parities != L.basis.parities or rep_M.parities != M.space.parities:
         raise BasisMismatch("representation spaces do not match algebra/module bases")
     spec = rep_L.spec
     group = rep_L.group
-    coords = cochain_coords(L.basis, n, M.space)
-    pos = {c: t for t, c in enumerate(coords)}
+    canon = superalt_basis(L.basis, n)
+    where = {T: k for k, T in enumerate(canon)}
+    dimM = len(M.space)
+    # cochain_coords order is tuple-major: (T, j) sits at where[T] * dimM + j.
     parities = tuple(
         (sum(L.basis.parities[i] for i in T) + M.space.parities[j]) % 2
-        for T, j in coords
+        for T, j in cochain_coords(L.basis, n, M.space)
     )
-    dim = len(coords)
-    dimM = len(M.space)
-    canon = superalt_basis(L.basis, n)
-    mats = []
+    memo: dict = {}
+    columns = []
     for g in range(group.order):
-        ginv = group.inverse(g)
-        A = rep_L.matrices[ginv]
-        B = rep_M.matrices[g]
-        cols_of = [
-            [(i, A[i][s]) for i in range(len(L.basis)) if not A[i][s].is_zero()]
-            for s in range(len(L.basis))
-        ]
-        z = zero(spec)
-        mat = [[z] * dim for _ in range(dim)]
-        for S in canon:
-            acc: dict[tuple[int, ...], Scalar] = {}
-            for picks in product(*[cols_of[s] for s in S]):
-                K = tuple(i for i, _ in picks)
-                res = canonicalize_tuple(K, L.basis.parities)
-                if res is None:
-                    continue
-                T, sign = res
-                c = one(spec) if sign == 1 else -one(spec)
-                for _, a in picks:
-                    c = c * a
-                prev = acc.get(T)
-                acc[T] = c if prev is None else prev + c
-            for T, c in acc.items():
+        A = rep_L.columns[group.inverse(g)]
+        B = rep_M.columns[g]
+        cols: list[Row] = [{} for _ in parities]
+        for k, S in enumerate(canon):
+            for T, c in pull_back(A, S, L.basis.parities, one(spec), memo).items():
                 if c.is_zero():
                     continue
-                for j in range(dimM):
-                    src = pos[(T, j)]
-                    for r in range(dimM):
-                        b = B[r][j]
-                        if b.is_zero():
-                            continue
-                        dst = pos[(S, r)]
-                        mat[dst][src] = mat[dst][src] + c * b
-        mats.append(mat)
-    return ActionRep(group, spec, parities, mats)
+                for j, image in enumerate(B):
+                    col = cols[where[T] * dimM + j]
+                    for r, b in image.items():
+                        dst = k * dimM + r
+                        prev = col.get(dst)
+                        col[dst] = c * b if prev is None else prev + c * b
+        columns.append([{i: x for i, x in col.items() if not x.is_zero()} for col in cols])
+    return ActionRep(group, spec, parities, columns=columns)
 
 
 def equivariant_subspace(rep: ActionRep) -> list[list[Scalar]]:
@@ -326,15 +363,9 @@ def equivariant_subspace(rep: ActionRep) -> list[list[Scalar]]:
     spec = rep.spec
     dim = rep.dim
     group = rep.group
-    actions: list[list[Row]] = []  # per group element: its sparse columns
     reynolds: list[Row] = [{} for _ in range(dim)]
     trace_sum = zero(spec)
-    for mat in rep.matrices:
-        cols: list[Row] = [{} for _ in range(dim)]
-        for i, row in enumerate(mat):
-            for j, x in enumerate(row):
-                if not x.is_zero():
-                    cols[j][i] = x
+    for cols in rep.columns:
         for j, col in enumerate(cols):
             acc = reynolds[j]
             for i, x in col.items():
@@ -342,19 +373,13 @@ def equivariant_subspace(rep: ActionRep) -> list[list[Scalar]]:
                 acc[i] = x if prev is None else prev + x
             if j in col:
                 trace_sum = trace_sum + col[j]
-        actions.append(cols)
     inv_order = scalar(spec, Fraction(1, group.order))
     reynolds = [{i: x * inv_order for i, x in col.items() if not x.is_zero()} for col in reynolds]
     fixed = [reynolds[c] for c in pivot_columns(reynolds)]
 
-    for g, cols in enumerate(actions):
+    for g, cols in enumerate(rep.columns):
         for v in fixed:
-            image: Row = {}
-            for j, c in v.items():
-                for i, x in cols[j].items():
-                    prev = image.get(i)
-                    image[i] = x * c if prev is None else prev + x * c
-            if {i: x for i, x in image.items() if not x.is_zero()} != v:
+            if lin_comb((c, cols[j]) for j, c in v.items()) != v:
                 raise OracleDisagreement(
                     f"group element {g} moves a column of the Reynolds operator"
                 )

@@ -68,15 +68,23 @@ def mat_vec(a: Matrix, v: list[Scalar], spec: FieldSpec) -> list[Scalar]:
 # -- the sparse kernel ----------------------------------------------------------
 
 
-def _sub_scaled(target: Row, f: Scalar, src: Row):
-    """target -= f * src, dropping the entries that cancel."""
+def add_scaled(target: Row, f: Scalar, src: Row):
+    """target += f * src, dropping the entries that cancel."""
     for c, x in src.items():
         y = target.get(c)
-        y = -(f * x) if y is None else y - f * x
+        y = f * x if y is None else y + f * x
         if y.is_zero():
-            del target[c]
+            target.pop(c, None)
         else:
             target[c] = y
+
+
+def lin_comb(terms: Iterable[tuple[Scalar, Row]]) -> Row:
+    """The sum of f * row over the (f, row) pairs, without zero entries."""
+    acc: Row = {}
+    for f, row in terms:
+        add_scaled(acc, f, row)
+    return acc
 
 
 def rref_rows(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
@@ -91,7 +99,7 @@ def rref_rows(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
     for row in rows:
         r = {c: x for c, x in row.items() if not x.is_zero()}
         for p in [c for c in r if c in reduced]:
-            _sub_scaled(r, r.pop(p), reduced[p])
+            add_scaled(r, -r.pop(p), reduced[p])
         if not r:
             continue
         p = min(r)
@@ -102,7 +110,7 @@ def rref_rows(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
         r = {c: x * inv for c, x in r.items()}
         for qrow in reduced.values():
             if p in qrow:
-                _sub_scaled(qrow, qrow.pop(p), r)
+                add_scaled(qrow, -qrow.pop(p), r)
         reduced[p] = r
     pivots = sorted(reduced)
     return [{p: unit, **reduced[p]} for p in pivots], pivots

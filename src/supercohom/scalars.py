@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DivisionByZero, FieldMismatch, NotCyclotomic, ParseError
 
@@ -40,6 +41,7 @@ class FieldSpec:
 RATIONAL = FieldSpec("rational")
 
 
+@lru_cache(maxsize=None)
 def cyclo(m: int) -> FieldSpec:
     return FieldSpec("cyclotomic", m)
 
@@ -159,7 +161,7 @@ class Scalar:
     def _check(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
 
     def is_zero(self) -> bool:
@@ -169,27 +171,46 @@ class Scalar:
 
     def __add__(self, other):
         self._check(other)
-        return Scalar(self.spec, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _raw(self.spec, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         self._check(other)
-        return Scalar(self.spec, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _raw(self.spec, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
-        return Scalar(self.spec, [-a for a in self.coeffs])
+        return _raw(self.spec, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         self._check(other)
         a, b = self.coeffs, other.coeffs
         if len(a) == 1:
-            return Scalar(self.spec, (a[0] * b[0],))
-        prod = [Fraction(0)] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
+            return _raw(self.spec, (a[0] * b[0],))
+        if not any(a[1:]):  # a rational factor scales the other one
+            return _raw(self.spec, tuple([a[0] * c if c else c for c in b]))
+        if not any(b[1:]):
+            return _raw(self.spec, tuple([b[0] * c if c else c for c in a]))
+        # Integer numerators over a common denominator, then one reduction
+        # by the cached powers z^k mod Phi_m.
+        da, db = lcm(*[c.denominator for c in a]), lcm(*[c.denominator for c in b])
+        na = [c.numerator * (da // c.denominator) for c in a]
+        nb = [c.numerator * (db // c.denominator) for c in b]
+        deg = len(a)
+        prod = [0] * (2 * deg - 1)
+        for i, ai in enumerate(na):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(nb):
                     if bj:
                         prod[i + j] += ai * bj
-        return Scalar(self.spec, _poly_mod(prod, self.spec.conductor))
+        out = prod[:deg]
+        for k, row in enumerate(_high_powers(self.spec.conductor), deg):
+            c = prod[k]
+            if c:
+                for t, e in row:
+                    out[t] += c * e
+        den = da * db
+        if den == 1:
+            return _raw(self.spec, tuple([Fraction(n) for n in out]))
+        return _raw(self.spec, tuple([Fraction(n, den) if n else Fraction(0) for n in out]))
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -213,8 +234,8 @@ class Scalar:
     def __eq__(self, other):
         return (
             isinstance(other, Scalar)
-            and self.spec == other.spec
             and self.coeffs == other.coeffs
+            and (self.spec is other.spec or self.spec == other.spec)
         )
 
     def __hash__(self):
@@ -227,10 +248,32 @@ class Scalar:
         return serialize_scalar(self)
 
 
+def _raw(spec: FieldSpec, coeffs: tuple) -> Scalar:
+    # A Scalar from coefficients that are already Fractions in reduced form.
+    x = object.__new__(Scalar)
+    object.__setattr__(x, "spec", spec)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
+
+
+@lru_cache(maxsize=None)
+def _high_powers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """z^k mod Phi_m for deg <= k <= 2 deg - 2, as sparse (index, int) rows.
+
+    These are the powers a product of two reduced scalars reaches; Phi_m is
+    monic with integer coefficients, so every row is integral.
+    """
+    deg = len(cyclotomic_poly(m)) - 1
+    rows = (_poly_mod([0] * k + [1], m) for k in range(deg, 2 * deg - 1))
+    return tuple(tuple((t, int(c)) for t, c in enumerate(row) if c) for row in rows)
+
+
+@lru_cache(maxsize=None)
 def zero(spec: FieldSpec) -> Scalar:
     return Scalar(spec, [Fraction(0)])
 
 
+@lru_cache(maxsize=None)
 def one(spec: FieldSpec) -> Scalar:
     return Scalar(spec, [Fraction(1)] + [Fraction(0)] * (spec.degree - 1))
 

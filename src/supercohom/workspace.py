@@ -43,6 +43,7 @@ from .deformation import Deformation, _bracket_cochain
 from .errors import ParseError, ValidationError
 from .graded import GradedBasis, MultilinearMap, Vector
 from .group_action import (
+    ActionReport,
     ActionRep,
     FiniteGroup,
     cyclic_group,
@@ -51,7 +52,15 @@ from .group_action import (
     validate_module_action,
 )
 from .scalars import RATIONAL, FieldSpec, Scalar, cyclo, parse_scalar, serialize_scalar
-from .superalgebra import LieSuperalgebra, LModule, adjoint_module, validate_module
+from .superalgebra import (
+    AlgebraReport,
+    LieSuperalgebra,
+    LModule,
+    ModuleReport,
+    adjoint_module,
+    require_superalgebra,
+    validate_module,
+)
 
 ADJOINT = "adjoint"
 BRACKET_TERM = "bracket"
@@ -63,6 +72,9 @@ _TOP_KEYS = {"field", "algebra", "group", "action", "modules", "cochains", "defo
 class ModuleEntry:
     module: LModule
     rep: ActionRep | None
+    # What parse found; None on an entry built by hand.
+    report: ModuleReport | None = field(default=None, compare=False, repr=False)
+    action_report: ActionReport | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -83,6 +95,10 @@ class Workspace:
     _deformation_cache: dict[str, Deformation] = field(
         default_factory=dict, compare=False, repr=False
     )
+    # The reports of the checks parse ran (all ok, or parse raised); None on
+    # a workspace built by hand.
+    algebra_report: AlgebraReport | None = field(default=None, compare=False, repr=False)
+    action_report: ActionReport | None = field(default=None, compare=False, repr=False)
 
     def module_names(self) -> list[str]:
         return [ADJOINT] + sorted(self.modules)
@@ -299,8 +315,9 @@ def _parse_module(ws: Workspace, name: str, raw) -> ModuleEntry:
         if not pair.ok:
             raise ValidationError(f"{path}: {pair.describe()}")
     else:
+        pair = None
         _expect("matrices" not in body, path, '"matrices" given but the workspace has no group')
-    return ModuleEntry(module, rep_m)
+    return ModuleEntry(module, rep_m, report, pair)
 
 
 def _parse_cochain(ws: Workspace, name: str, raw) -> CochainEntry:
@@ -371,20 +388,21 @@ def parse(text: str) -> Workspace:
     _expect("basis" in alg and "brackets" in alg, "algebra", 'needs "basis" and "brackets"')
     basis = _parse_basis(alg["basis"], "algebra.basis")
     bracket = _parse_brackets(spec, basis, alg["brackets"], "algebra.brackets")
+    algebra = LieSuperalgebra(basis, spec, bracket, check=False)
     try:
-        algebra = LieSuperalgebra(basis, spec, bracket)
+        algebra_report = require_superalgebra(algebra)
     except ValidationError as exc:
         raise ValidationError(f"algebra: {exc}") from exc
 
-    ws = Workspace(spec, algebra)
+    ws = Workspace(spec, algebra, algebra_report=algebra_report)
 
     if "group" in body:
         ws.group = _parse_group(body["group"])
         _expect("action" in body, "top level", 'a workspace with a "group" needs an "action"')
         ws.rep = _parse_action(spec, ws.group, basis, body["action"], "action")
-        report = validate_action(ws.rep, algebra)
-        if not report.ok:
-            raise ValidationError(f"action: {report.describe()}")
+        ws.action_report = validate_action(ws.rep, algebra)
+        if not ws.action_report.ok:
+            raise ValidationError(f"action: {ws.action_report.describe()}")
     else:
         _expect("action" not in body, "top level", '"action" given but no "group"')
 

@@ -229,6 +229,21 @@ def test_extend_classify_finds_the_gl11_class(capsys):
     assert doc["count"] == 0
 
 
+def test_oracle_disagreement_has_its_own_prefix(capsys, monkeypatch):
+    # Drop one pivot column of the Reynolds operator: the remaining columns
+    # are still fixed, but the character formula now disagrees.
+    import supercohom.group_action as ga
+
+    real = ga.pivot_columns
+    monkeypatch.setattr(ga, "pivot_columns", lambda cols: real(cols)[:-1])
+    rc = run_command(["cohomology", fx("fixture_gl11_z2"), "--n", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("internal error (oracle disagreement): character formula gives")
+    assert err.count("\n") == 1
+
+
 # -- environment and determinism ------------------------------------------------
 
 

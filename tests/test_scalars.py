@@ -20,6 +20,8 @@ from supercohom.scalars import (
     zero,
 )
 
+from util import scalar_mul_oracle
+
 
 # Independent oracle: schoolbook polynomial long division over Fractions,
 # written here so the frozen cyclotomic values do not depend on the library.
@@ -139,6 +141,20 @@ def test_field_axioms(m):
             assert (b / a) * a == b
 
     axioms()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12])
+def test_product_matches_long_division_oracle(m):
+    # The product reduces through a cached table of z^k mod Phi_m; the
+    # schoolbook product reduced by long division is the reference.
+    @given(scalars_in(m), scalars_in(m))
+    def prop(a, b):
+        got = a * b
+        assert got == scalar_mul_oracle(a, b)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert len(got.coeffs) == a.spec.degree
+
+    prop()
 
 
 def test_division_by_zero():

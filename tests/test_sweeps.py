@@ -1,0 +1,330 @@
+"""The sparse validation sweeps against the element-wise oracles in util.py.
+
+Each property draws a random algebra (over Q or Q(zeta_4)), optionally an
+action and a module, and then either leaves it valid or breaks it in one
+place: one structure constant, one action-table entry, one matrix entry
+(which breaks the homomorphism property, degree 0 or equivariance), or one
+cochain coordinate.  The sweep and its oracle must return identical reports,
+counterexample lists and their order included, and identical verdicts.
+"""
+
+import random
+from itertools import permutations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from supercohom.cohomology import Cochain, cochain_basis, is_equivariant
+from supercohom.deformation import _bracket_cochain
+from supercohom.graded import MultilinearMap, Vector
+from supercohom.group_action import (
+    ActionRep,
+    FiniteGroup,
+    apply_rep,
+    cyclic_group,
+    diagonal_rep,
+    induced_action_on_cochains,
+    validate_action,
+    validate_module_action,
+)
+from supercohom.linalg import mat_identity
+from supercohom.scalars import RATIONAL, cyclo, one, root_of_unity, zero
+from supercohom.superalgebra import (
+    LieSuperalgebra,
+    LModule,
+    adjoint_module,
+    make_gl,
+    make_super_poincare,
+    validate_module,
+    validate_superalgebra,
+)
+
+from util import (
+    abelian_algebra,
+    dense_apply_rep,
+    dense_induced_matrices,
+    elementwise_is_equivariant,
+    elementwise_validate_action,
+    elementwise_validate_module,
+    elementwise_validate_module_action,
+    elementwise_validate_superalgebra,
+    rand_cochain,
+    rand_instance,
+    rand_module,
+    rand_scalar,
+    rand_vector,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _nonzero(spec, rng):
+    while True:
+        c = rand_scalar(spec, rng)
+        if not c.is_zero():
+            return c
+
+
+def _instance(rng, with_action):
+    spec = rng.choice([RATIONAL, cyclo(4)])
+    return rand_instance(rng, spec=spec, with_action=with_action)
+
+
+def _reps(rng, L, rep):
+    M, reps = rand_module(rng, L, rep)
+    rep_L, rep_M = reps if isinstance(reps, tuple) else (reps, reps)
+    return M, rep_L, rep_M
+
+
+def _broken_bracket(L, rng):
+    """L with one structure constant moved; sometimes its mirror too, so that
+    antisymmetry survives, and sometimes to a coordinate of the wrong parity."""
+    n, par = len(L.basis), L.basis.parities
+    i, j = rng.randrange(n), rng.randrange(n)
+    want = (par[i] + par[j]) % 2
+    keep = rng.random() < 0.8
+    t = rng.choice([t for t in range(n) if (par[t] == want) == keep] or list(range(n)))
+    homogeneous = par[t] == want
+    delta = Vector({t: _nonzero(L.spec, rng)})
+    comp = dict(L.bracket.components)
+    comp[(i, j)] = comp.get((i, j), Vector()) + delta
+    if rng.random() < 0.6 and i != j:
+        mirror = delta if par[i] * par[j] else -delta
+        comp[(j, i)] = comp.get((j, i), Vector()) + mirror
+    if homogeneous:
+        bracket = MultilinearMap(2, 0, L.basis, L.basis, comp)
+    else:  # the constructor refuses an inhomogeneous table, so plant it
+        bracket = MultilinearMap(2, 0, L.basis, L.basis, dict(L.bracket.components))
+        bracket.components.update({k: v for k, v in comp.items() if not v.is_zero()})
+    return LieSuperalgebra(L.basis, L.spec, bracket, check=False)
+
+
+def _broken_module(M, L, rng):
+    """M with one action entry moved, sometimes to the wrong parity."""
+    parL, parM = L.basis.parities, M.space.parities
+    i, k = rng.randrange(len(parL)), rng.randrange(len(parM))
+    want = (parL[i] + parM[k]) % 2
+    homogeneous = rng.random() < 0.8
+    targets = [t for t in range(len(parM)) if (parM[t] == want) == homogeneous]
+    targets = targets or list(range(len(parM)))
+    act = dict(M.act)
+    act[(i, k)] = act.get((i, k), Vector()) + Vector({rng.choice(targets): _nonzero(L.spec, rng)})
+    return LModule(M.algebra, M.space, act)
+
+
+def _broken_rep(rep, rng):
+    """rep with one to three entries of one matrix moved: the homomorphism
+    property, the identity, degree 0 or equivariance then fail, alone or
+    together (several degree failures test the counterexample order)."""
+    mats = [[list(row) for row in mat] for mat in rep.matrices]
+    g = rng.randrange(rep.group.order)
+    d = rep.dim
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        i, j = rng.randrange(d), rng.randrange(d)
+        if rng.random() < 0.5:  # stay inside the parity blocks
+            same = [r for r in range(d) if rep.parities[r] == rep.parities[j]]
+            i = rng.choice(same)
+        mats[g][i][j] = mats[g][i][j] + _nonzero(rep.spec, rng)
+    return ActionRep(rep.group, rep.spec, rep.parities, mats)
+
+
+@given(seeds)
+def test_superalgebra_sweep_matches_oracle(seed):
+    rng = random.Random(seed)
+    L, _ = _instance(rng, with_action=False)
+    if rng.random() < 0.7:
+        L = _broken_bracket(L, rng)
+    assert validate_superalgebra(L) == elementwise_validate_superalgebra(L)
+
+
+@given(seeds)
+def test_module_sweep_matches_oracle(seed):
+    rng = random.Random(seed)
+    L, _ = _instance(rng, with_action=False)
+    M, _ = rand_module(rng, L, None)
+    if rng.random() < 0.7:
+        M = _broken_module(M, L, rng)
+    assert validate_module(L, M) == elementwise_validate_module(L, M)
+
+
+@given(seeds)
+def test_action_sweep_matches_oracle(seed):
+    rng = random.Random(seed)
+    L, rep = _instance(rng, with_action=True)
+    if rng.random() < 0.5:
+        rep = _broken_rep(rep, rng)
+    elif rng.random() < 0.5:
+        L = _broken_bracket(L, rng)
+    assert validate_action(rep, L) == elementwise_validate_action(rep, L)
+
+
+@given(seeds)
+def test_module_action_sweep_matches_oracle(seed):
+    rng = random.Random(seed)
+    L, rep = _instance(rng, with_action=True)
+    M, rep_L, rep_M = _reps(rng, L, rep)
+    roll = rng.random()
+    if roll < 0.35:
+        rep_M = _broken_rep(rep_M, rng)
+    elif roll < 0.7:
+        M = _broken_module(M, L, rng)
+    assert validate_module_action(rep_L, rep_M, L, M) == elementwise_validate_module_action(
+        rep_L, rep_M, L, M
+    )
+    assert validate_module(L, M) == elementwise_validate_module(L, M)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_is_equivariant_matches_oracle(n):
+    @given(seeds)
+    def prop(seed):
+        rng = random.Random(seed)
+        L, rep = _instance(rng, with_action=True)
+        M, rep_L, rep_M = _reps(rng, L, rep)
+        parity = rng.randrange(2)
+        roll = rng.random()
+        if roll < 0.6:  # an invariant cochain, perhaps with one coordinate moved
+            basis = cochain_basis(n, L, M, (rep_L, rep_M))
+            basis = [f for f in basis if f.parity == parity]
+            f = Cochain(n, parity, L.basis, M.space, {})
+            for b in basis:
+                f = f.add(b.scale(rand_scalar(L.spec, rng)))
+            if roll < 0.3:
+                g = rand_cochain(rng, L, M, n, parity, zero_bias=0.9)
+                if g.coords:
+                    key = rng.choice(sorted(g.coords))
+                    f = f.add(Cochain(n, parity, L.basis, M.space, {key: g.coords[key]}))
+        else:
+            f = rand_cochain(rng, L, M, n, parity)
+        want = elementwise_is_equivariant(f, rep_L, rep_M, L, M)
+        assert is_equivariant(f, rep_L, rep_M, L, M) == want
+        if rep_M is rep_L and rng.random() < 0.5:
+            bad = _broken_rep(rep_L, rng)
+            verdict = elementwise_is_equivariant(f, bad, bad, L, M)
+            assert is_equivariant(f, bad, bad, L, M) == verdict
+
+    prop()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_induced_columns_match_dense_oracle(n):
+    @given(seeds)
+    def prop(seed):
+        rng = random.Random(seed)
+        L, rep = _instance(rng, with_action=True)
+        M, rep_L, rep_M = _reps(rng, L, rep)
+        induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
+        assert induced.matrices == dense_induced_matrices(rep_L, rep_M, L, M, n)
+        rebuilt = ActionRep(induced.group, induced.spec, induced.parities, induced.matrices)
+        assert rebuilt.columns == induced.columns and rebuilt == induced
+        for g in range(rep_L.group.order):
+            v = rand_vector(L.basis, L.spec, rng)
+            assert apply_rep(rep_L, g, v) == dense_apply_rep(rep_L, g, v)
+
+    prop()
+
+
+def test_degree_counterexamples_in_row_major_order():
+    # Entries (2, 1) and (3, 0) mix parities; a column-major scan would list
+    # (3, 0) first.
+    L = make_gl(1, 1)
+    o = one(RATIONAL)
+    mats = [[list(row) for row in mat_identity(4, RATIONAL)] for _ in range(2)]
+    mats[1][2][1] = o
+    mats[1][3][0] = o
+    rep = ActionRep(cyclic_group(2), RATIONAL, L.basis.parities, mats)
+    report = validate_action(rep, L)
+    assert report == elementwise_validate_action(rep, L)
+    degree = [ce["where"] for ce in report.counterexamples if ce["kind"] == "degree"]
+    assert degree == ["g=1, entry (2, 1)", "g=1, entry (3, 0)"]
+
+
+def _s3():
+    """S3 as permutations of {0, 1, 2}, with its Cayley table."""
+    perms = list(permutations(range(3)))
+    index = {p: k for k, p in enumerate(perms)}
+    table = [[index[tuple(p[q[x]] for x in range(3))] for q in perms] for p in perms]
+    return FiniteGroup(6, table, index[(0, 1, 2)]), perms
+
+
+def test_nonabelian_sweeps_match_oracles():
+    # S3 permutes the three even vectors of an abelian (3|2) algebra and acts
+    # on the odd ones by the sign character.  In a nonabelian group g h and
+    # h g differ, and the 3-cycles are not their own inverses.
+    G, perms = _s3()
+    L = abelian_algebra(3, 2)
+    spec = L.spec
+    o, z = one(spec), zero(spec)
+
+    def sign(p):
+        return 1 if sum(p[a] > p[b] for a in range(3) for b in range(a + 1, 3)) % 2 == 0 else -1
+
+    mats = []
+    for p in perms:
+        mat = [[z] * 5 for _ in range(5)]
+        for j in range(3):
+            mat[p[j]][j] = o
+        for j in (3, 4):
+            mat[j][j] = o if sign(p) == 1 else -o
+        mats.append(mat)
+    rep = ActionRep(G, spec, L.basis.parities, mats)
+    M = adjoint_module(L)
+    assert validate_action(rep, L) == elementwise_validate_action(rep, L)
+    assert validate_action(rep, L).ok
+    rng = random.Random(11)
+    for _ in range(10):
+        bad = _broken_rep(rep, rng)
+        assert validate_action(bad, L) == elementwise_validate_action(bad, L)
+        assert validate_module_action(rep, bad, L, M) == elementwise_validate_module_action(
+            rep, bad, L, M
+        )
+    for n in (1, 2):
+        for f in cochain_basis(n, L, M, rep)[:6]:
+            assert is_equivariant(f, rep, rep, L, M)
+            assert elementwise_is_equivariant(f, rep, rep, L, M)
+        for _ in range(5):
+            f = rand_cochain(rng, L, M, n, rng.randrange(2), zero_bias=0.8)
+            assert is_equivariant(f, rep, rep, L, M) == elementwise_is_equivariant(f, rep, rep, L, M)
+        induced = induced_action_on_cochains(rep, rep, L, M, n)
+        assert induced.matrices == dense_induced_matrices(rep, rep, L, M, n)
+
+
+def test_super_poincare_sweeps_match_oracles_broken_and_whole():
+    L = make_super_poincare()
+    spec = L.spec
+    rep = diagonal_rep(
+        cyclic_group(4),
+        spec,
+        L.basis.parities,
+        [[one(spec)] * 10 + [root_of_unity(spec, g)] * 2 + [root_of_unity(spec, -g)] * 2 for g in range(4)],
+    )
+    assert validate_superalgebra(L) == elementwise_validate_superalgebra(L)
+    assert validate_action(rep, L) == elementwise_validate_action(rep, L)
+    rng = random.Random(5)
+    for _ in range(3):
+        bad = _broken_bracket(L, rng)
+        report = validate_superalgebra(bad)
+        assert not report.ok
+        assert report == elementwise_validate_superalgebra(bad)
+        assert report.describe() == elementwise_validate_superalgebra(bad).describe()
+        bad_rep = _broken_rep(rep, rng)
+        report = validate_action(bad_rep, L)
+        assert not report.ok
+        assert report == elementwise_validate_action(bad_rep, L)
+    # Z/4 acts by zeta on Q and zeta^-1 on Qbar: g and g^-1 differ.
+    M = adjoint_module(L)
+    f = _bracket_cochain(L)
+    assert is_equivariant(f, rep, rep, L, M) and elementwise_is_equivariant(f, rep, rep, L, M)
+    for n in (1, 2):
+        for _ in range(3):
+            f = rand_cochain(rng, L, M, n, 0, zero_bias=0.97)
+            assert is_equivariant(f, rep, rep, L, M) == elementwise_is_equivariant(f, rep, rep, L, M)
+    twisted = diagonal_rep(
+        cyclic_group(4),
+        spec,
+        L.basis.parities,
+        [[one(spec)] * 10 + [root_of_unity(spec, -g)] * 2 + [root_of_unity(spec, g)] * 2 for g in range(4)],
+    )
+    assert is_equivariant(f, rep, twisted, L, M) == elementwise_is_equivariant(f, rep, twisted, L, M)
+    assert not is_equivariant(_bracket_cochain(L), rep, twisted, L, M)

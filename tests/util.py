@@ -563,3 +563,295 @@ def coboundary_matrix_raw(basis_cochains, n, L, M):
         for key, c in coboundary_raw(f, L, M).coords.items():
             mat[pos[key]][k] = c
     return mat
+
+
+# -- element-wise oracles for the sparse sweeps ---------------------------------
+#
+# The library checks the axioms, the actions and equivariance by sweeps over
+# the sparse bracket/action tables and the cached sparse columns of each group
+# element.  The element-wise versions they replaced are kept here unchanged:
+# one Vector per basis element through bracket_eval / module_act, dense matrix
+# columns scanned with is_zero, and cochains evaluated through cochain_eval.
+# The reports must agree exactly, counterexample lists included.
+
+
+def scalar_mul_oracle(x, y):
+    """The schoolbook product reduced by long division modulo Phi_m."""
+    from supercohom.scalars import _poly_mod
+
+    a, b = x.coeffs, y.coeffs
+    if len(a) == 1:
+        return Scalar(x.spec, (a[0] * b[0],))
+    prod = [Fraction(0)] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    return Scalar(x.spec, _poly_mod(prod, x.spec.conductor))
+
+
+def elementwise_validate_superalgebra(L):
+    from supercohom.graded import vec_str
+    from supercohom.superalgebra import AlgebraReport
+
+    report = AlgebraReport()
+    basis, spec = L.basis, L.spec
+    par = basis.parities
+
+    for tup, vec in L.bracket.components.items():
+        want = (par[tup[0]] + par[tup[1]]) % 2
+        if vec.parity_support(basis) - {want}:
+            report.homogeneity_ok = False
+            report.counterexamples.append(
+                {
+                    "kind": "homogeneity",
+                    "where": (basis.names[tup[0]], basis.names[tup[1]]),
+                    "lhs": vec_str(vec, basis),
+                    "rhs": f"parity {want} expected",
+                }
+            )
+
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            v = L.bracket.at((i, j))
+            w = L.bracket.at((j, i))
+            diff = v + w if (par[i] * par[j]) % 2 == 0 else v - w
+            if not diff.is_zero():
+                report.antisymmetry_ok = False
+                report.counterexamples.append(
+                    {
+                        "kind": "antisymmetry",
+                        "where": (basis.names[i], basis.names[j]),
+                        "lhs": vec_str(v, basis),
+                        "rhs": vec_str(w, basis),
+                    }
+                )
+
+    for i, j, k in superalt_basis(basis, 3):
+        ea, eb, ec = (Vector.basis(t, spec) for t in (i, j, k))
+        lhs = bracket_eval(L, ea, bracket_eval(L, eb, ec))
+        rhs = bracket_eval(L, bracket_eval(L, ea, eb), ec)
+        inner = bracket_eval(L, eb, bracket_eval(L, ea, ec))
+        rhs = rhs + (inner if (par[i] * par[j]) % 2 == 0 else -inner)
+        if lhs != rhs:
+            report.jacobi_ok = False
+            report.counterexamples.append(
+                {
+                    "kind": "jacobi",
+                    "where": (basis.names[i], basis.names[j], basis.names[k]),
+                    "lhs": vec_str(lhs, basis),
+                    "rhs": vec_str(rhs, basis),
+                }
+            )
+    return report
+
+
+def elementwise_validate_module(L, M):
+    from supercohom.errors import BasisMismatch
+    from supercohom.graded import vec_str
+    from supercohom.superalgebra import ModuleReport
+
+    report = ModuleReport()
+    if M.algebra != L.basis:
+        raise BasisMismatch("module is declared over a different algebra basis")
+    parL, parM = L.basis.parities, M.space.parities
+
+    for (i, j), vec in M.act.items():
+        if not (0 <= i < len(parL) and 0 <= j < len(parM)):
+            raise BasisMismatch(f"action key ({i}, {j}) out of range")
+        want = (parL[i] + parM[j]) % 2
+        if vec.parity_support(M.space) - {want}:
+            report.homogeneity_ok = False
+            report.counterexamples.append(
+                {
+                    "kind": "homogeneity",
+                    "where": (L.basis.names[i], M.space.names[j]),
+                    "lhs": vec_str(vec, M.space),
+                    "rhs": f"parity {want} expected",
+                }
+            )
+
+    for i in range(len(parL)):
+        ea = Vector.basis(i, L.spec)
+        for j in range(len(parL)):
+            eb = Vector.basis(j, L.spec)
+            ab = bracket_eval(L, ea, eb)
+            sign = 1 if (parL[i] * parL[j]) % 2 == 0 else -1
+            for k in range(len(parM)):
+                em = Vector.basis(k, L.spec)
+                lhs = module_act(M, ea, module_act(M, eb, em))
+                rhs = module_act(M, ab, em)
+                swapped = module_act(M, eb, module_act(M, ea, em))
+                rhs = rhs + (swapped if sign == 1 else -swapped)
+                if lhs != rhs:
+                    report.axiom_ok = False
+                    report.counterexamples.append(
+                        {
+                            "kind": "module axiom",
+                            "where": (
+                                L.basis.names[i],
+                                L.basis.names[j],
+                                M.space.names[k],
+                            ),
+                            "lhs": vec_str(lhs, M.space),
+                            "rhs": vec_str(rhs, M.space),
+                        }
+                    )
+    return report
+
+
+def dense_apply_rep(rep, g, v):
+    mat = rep.matrices[g]
+    out = {}
+    for j, c in v.coords.items():
+        for i in range(rep.dim):
+            a = mat[i][j]
+            if a.is_zero():
+                continue
+            s = out.get(i)
+            out[i] = a * c if s is None else s + a * c
+    return Vector(out)
+
+
+def _dense_rep_structure_checks(rep, report):
+    spec, group = rep.spec, rep.group
+    if rep.matrices[group.identity] != mat_identity(rep.dim, spec):
+        report.identity_ok = False
+        report.counterexamples.append({"kind": "identity", "where": "identity element"})
+    for g in range(group.order):
+        for h in range(group.order):
+            if mat_mul(rep.matrices[g], rep.matrices[h], spec) != rep.matrices[group.mul(g, h)]:
+                report.homomorphism_ok = False
+                report.counterexamples.append(
+                    {"kind": "homomorphism", "where": f"pair ({g}, {h})"}
+                )
+    for g in range(group.order):
+        mat = rep.matrices[g]
+        for i in range(rep.dim):
+            for j in range(rep.dim):
+                if rep.parities[i] != rep.parities[j] and not mat[i][j].is_zero():
+                    report.degree0_ok = False
+                    report.counterexamples.append(
+                        {"kind": "degree", "where": f"g={g}, entry ({i}, {j})"}
+                    )
+
+
+def elementwise_validate_action(rep, L):
+    from supercohom.errors import BasisMismatch
+    from supercohom.group_action import ActionReport
+
+    if rep.parities != L.basis.parities:
+        raise BasisMismatch("representation space does not match the algebra basis")
+    report = ActionReport()
+    _dense_rep_structure_checks(rep, report)
+    for g in range(rep.group.order):
+        images = [dense_apply_rep(rep, g, Vector.basis(i, L.spec)) for i in range(len(L.basis))]
+        for i, gi in enumerate(images):
+            for j, gj in enumerate(images):
+                lhs = dense_apply_rep(rep, g, L.bracket.at((i, j)))
+                rhs = bracket_eval(L, gi, gj)
+                if lhs != rhs:
+                    report.bracket_ok = False
+                    report.counterexamples.append(
+                        {
+                            "kind": "bracket equivariance",
+                            "where": f"g={g}, pair ({L.basis.names[i]}, {L.basis.names[j]})",
+                        }
+                    )
+    return report
+
+
+def elementwise_validate_module_action(rep_L, rep_M, L, M):
+    from supercohom.errors import BasisMismatch, ValidationError
+    from supercohom.group_action import ActionReport
+
+    if rep_L.parities != L.basis.parities or rep_M.parities != M.space.parities:
+        raise BasisMismatch("representation spaces do not match algebra/module bases")
+    if rep_L.group is not rep_M.group and rep_L.group != rep_M.group:
+        raise ValidationError("algebra and module actions must share the group")
+    report = ActionReport()
+    _dense_rep_structure_checks(rep_M, report)
+    for g in range(rep_L.group.order):
+        module_images = [
+            dense_apply_rep(rep_M, g, Vector.basis(k, L.spec)) for k in range(len(M.space))
+        ]
+        for i in range(len(L.basis)):
+            gx = dense_apply_rep(rep_L, g, Vector.basis(i, L.spec))
+            for k, gm in enumerate(module_images):
+                lhs = dense_apply_rep(
+                    rep_M, g, module_act(M, Vector.basis(i, L.spec), Vector.basis(k, L.spec))
+                )
+                rhs = module_act(M, gx, gm)
+                if lhs != rhs:
+                    report.bracket_ok = False
+                    report.counterexamples.append(
+                        {
+                            "kind": "action equivariance",
+                            "where": f"g={g}, pair ({L.basis.names[i]}, {M.space.names[k]})",
+                        }
+                    )
+    return report
+
+
+def elementwise_is_equivariant(f, rep_L, rep_M, L, M):
+    from supercohom.cohomology import cochain_eval
+
+    spec = L.spec
+    group = rep_L.group
+    for g in range(group.order):
+        ginv = group.inverse(g)
+        for T in superalt_basis(L.basis, f.arity):
+            args = [dense_apply_rep(rep_L, ginv, Vector.basis(t, spec)) for t in T]
+            lhs = dense_apply_rep(rep_M, g, cochain_eval(f, args))
+            rhs = f.value_at(T)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def dense_induced_matrices(rep_L, rep_M, L, M, n):
+    """The induced action on C^n as dense matrices, filled cell by cell."""
+    from supercohom.graded import canonicalize_tuple
+
+    spec = rep_L.spec
+    group = rep_L.group
+    coords = cochain_coords(L.basis, n, M.space)
+    pos = {c: t for t, c in enumerate(coords)}
+    dim = len(coords)
+    dimM = len(M.space)
+    mats = []
+    for g in range(group.order):
+        A = rep_L.matrices[group.inverse(g)]
+        B = rep_M.matrices[g]
+        cols_of = [
+            [(i, A[i][s]) for i in range(len(L.basis)) if not A[i][s].is_zero()]
+            for s in range(len(L.basis))
+        ]
+        z = zero(spec)
+        mat = [[z] * dim for _ in range(dim)]
+        for S in superalt_basis(L.basis, n):
+            acc = {}
+            for picks in product(*[cols_of[s] for s in S]):
+                res = canonicalize_tuple(tuple(i for i, _ in picks), L.basis.parities)
+                if res is None:
+                    continue
+                T, sign = res
+                c = one(spec) if sign == 1 else -one(spec)
+                for _, a in picks:
+                    c = c * a
+                prev = acc.get(T)
+                acc[T] = c if prev is None else prev + c
+            for T, c in acc.items():
+                if c.is_zero():
+                    continue
+                for j in range(dimM):
+                    src = pos[(T, j)]
+                    for r in range(dimM):
+                        b = B[r][j]
+                        if b.is_zero():
+                            continue
+                        dst = pos[(S, r)]
+                        mat[dst][src] = mat[dst][src] + c * b
+        mats.append(mat)
+    return mats
