@@ -33,7 +33,7 @@ import sys
 
 from . import deformation as dfm
 from .cohomology import Cochain, cohomology, derivations
-from .errors import OracleDisagreement, ParseError, SupercohomError, ValidationError
+from .errors import NotValidated, OracleDisagreement, ParseError, SupercohomError, ValidationError
 from .extension import ExtensionDatum, build_extension, classify_extensions, jacobi_iff_cocycle
 from .graded import GradedBasis, Vector
 from .nr_bracket import NRElement, bracket_to_element, mc_check
@@ -272,16 +272,16 @@ def _cmd_deform_obstruct(args) -> int:
     ws = load(args.file)
     d = ws.deformation(args.deformation)
     out = _Emitter(args.emit)
-    pre = dfm.validate(d, "truncated")
-    if not pre.ok:
-        first = pre.first_failure()
+    try:
+        rpt = dfm.obstruction(d)
+    except NotValidated as exc:
+        first = exc.report.first_failure()
         at = f"order {first.r}" if first is not None else "term checks"
         out.text(f"deformation {args.deformation} is not valid through order {d.order} ({at} fails)")
         out.text("obstruction undefined")
         out.data = {"deformation": args.deformation, "valid": False, "failing": at}
         out.flush()
         return 1
-    rpt = dfm.obstruction(d)
     names = ws.algebra.basis.names
     out.text(f"obstruction at order {d.order + 1}:")
     if rpt.cochain.is_zero():

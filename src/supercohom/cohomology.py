@@ -8,8 +8,10 @@ from inserting one index into a canonical tuple.  The sweep multiplies by
 the matrix of a chosen family of n-cochains on the fly, so the equivariant
 complex delta . B comes out sparse as well; with B one cochain's coordinates
 it is coboundary(f).  Ranks, kernels and pivot columns then come from the
-sparse Gauss-Jordan kernel of linalg.  The per-cochain coboundary this sweep
-replaced is kept in tests/util.py as a test oracle.
+sparse Gauss-Jordan kernel of linalg, and "is this cochain a coboundary?" is
+one row-form solve on the rows of the sweep (coboundary_preimage).  The
+per-cochain coboundary this sweep replaced is kept in tests/util.py as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .graded import (
     superalt_basis,
 )
 from .group_action import ActionRep, equivariant_subspace, induced_action_on_cochains, pull_back
-from .linalg import Row, lin_comb, nullspace_from_rref, pivot_columns, rref_rows
+from .linalg import Row, lin_comb, nullspace_from_rref, pivot_columns, rref_rows, solve_rows
 from .scalars import Scalar, one, zero
 from .superalgebra import LieSuperalgebra, LModule, module_act
 
@@ -302,6 +304,27 @@ def _basis_rows(basis_cochains: list[Cochain], pos: dict) -> dict[int, Row]:
         for key, c in f.coords.items():
             B.setdefault(pos[key], {})[k] = c
     return B
+
+
+def coboundary_preimage(
+    n: int, L: LieSuperalgebra, M: LModule, basis: list[Cochain], target: Cochain
+) -> Cochain | None:
+    """A combination f of the basis n-cochains with delta f = target, or None.
+
+    One row-form solve (linalg.solve_rows) of delta^n . B x = target over the
+    rows of the sweep, with an empty row for each coordinate of the target
+    that delta . B does not reach.  Free variables are zero, so f is unique.
+    """
+    rows = _delta_rows(n, L, M, _basis_rows(basis, _positions(n, L, M)))
+    pos = _positions(n + 1, L, M)
+    rhs = dict.fromkeys(rows, zero(L.spec))
+    for key, c in target.coords.items():
+        rhs[pos[key]] = c
+    sol = solve_rows([rows.get(r, {}) for r in rhs], list(rhs.values()), len(basis))
+    if sol is None:
+        return None
+    coords = lin_comb((c, basis[k].coords) for k, c in sol.items())
+    return Cochain(n, target.parity, L.basis, M.space, coords)
 
 
 def _matrix_from_basis(basis_cochains: list[Cochain], n: int, L, M):

@@ -49,7 +49,11 @@ class AllZero(SupercohomError):
 
 
 class NotValidated(SupercohomError):
-    pass
+    """A computation needs an input that failed validation; report says how."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
 
 
 class NotCocycle(SupercohomError):

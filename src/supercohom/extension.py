@@ -10,9 +10,9 @@ from dataclasses import InitVar, dataclass
 
 from .cohomology import (
     Cochain,
-    _matrix_from_basis,
     _resolve_reps,
     coboundary,
+    coboundary_preimage,
     cochain_basis,
     cohomology,
     is_equivariant,
@@ -24,12 +24,12 @@ from .errors import (
     ValidationError,
     WrongBidegree,
 )
-from .graded import GradedBasis, MultilinearMap, Vector, cochain_coords
-from .linalg import solve
-from .scalars import one, scalar, zero
+from .graded import GradedBasis, MultilinearMap, Vector
+from .scalars import one, scalar
 from .superalgebra import (
     LieSuperalgebra,
     LModule,
+    bracket_eval,
     module_act,
     validate_module,
     validate_superalgebra,
@@ -171,20 +171,11 @@ def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | N
     for label, x in (("first", x1), ("second", x2)):
         if not coboundary(x.h, L, M).is_zero():
             raise NotCocycle(f"{label} glue term is not a cocycle")
-    spec = L.spec
     basis1 = _equivariant_parity0_basis(1, L, M, x1.rep)
-    mat = _matrix_from_basis(basis1, 1, L, M)
-    diff = x1.h.add(x2.h.scale(scalar(spec, -1)))
-    cod = cochain_coords(L.basis, 2, M.space)
-    z = zero(spec)
-    rhs = [diff.coords.get(key, z) for key in cod]
-    sol = solve(mat, rhs, spec)
-    if sol is None:
+    diff = x1.h.add(x2.h.scale(scalar(L.spec, -1)))
+    f = coboundary_preimage(1, L, M, basis1, diff)
+    if f is None:
         return None
-    f = Cochain(1, 0, L.basis, M.space, {})
-    for c, u in zip(sol, basis1):
-        if not c.is_zero():
-            f = f.add(u.scale(c))
     _verify_certificate(x1, x2, f)
     return f
 
@@ -218,7 +209,7 @@ def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> N
     for u in range(size):
         for v in range(size):
             lhs = apply(e1.bracket.at((u, v)))
-            rhs_vec = _bracket_of(e2, apply(Vector({u: one(e1.spec)})), apply(Vector({v: one(e1.spec)})))
+            rhs_vec = bracket_eval(e2, apply(Vector({u: one(e1.spec)})), apply(Vector({v: one(e1.spec)})))
             if lhs != rhs_vec:
                 raise OracleDisagreement(
                     "solved certificate does not intertwine the extension brackets"
@@ -233,14 +224,6 @@ def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> N
             gu = _combined_apply(rep_L, rep_M, l2e, m2e, g, Vector({u: one(e1.spec)}))
             if apply(gu) != _combined_apply(rep_L, rep_M, l2e, m2e, g, apply(Vector({u: one(e1.spec)}))):
                 raise OracleDisagreement("solved certificate is not equivariant")
-
-
-def _bracket_of(E: LieSuperalgebra, a: Vector, b: Vector) -> Vector:
-    out = Vector()
-    for i, c in a.coords.items():
-        for j, d in b.coords.items():
-            out = out + E.bracket.at((i, j)).scale(c * d)
-    return out
 
 
 def _combined_apply(rep_L, rep_M, l2e, m2e, g: int, v: Vector) -> Vector:

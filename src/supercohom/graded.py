@@ -9,10 +9,10 @@ eps(sigma, X) = sign(sigma) * (-1)^{# inverted odd-odd pairs}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .errors import DegreeMismatch, LengthMismatch
+from .errors import LengthMismatch
 from .scalars import FieldSpec, Scalar, one, zero
 
 
@@ -147,25 +147,6 @@ def koszul_sign(sigma, parities) -> int:
     return perm_sign(sigma) * (-1 if k % 2 else 1)
 
 
-@dataclass(frozen=True)
-class PermSigns:
-    sigma: tuple[int, ...]
-    k_count: int
-    eps: int
-
-    @staticmethod
-    def of(sigma, parities) -> "PermSigns":
-        k = koszul_count(sigma, parities)
-        return PermSigns(tuple(sigma), k, perm_sign(sigma) * (-1 if k % 2 else 1))
-
-
-def invert_perm(sigma):
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)
-
-
 # -- multilinear maps --------------------------------------------------------
 
 
@@ -229,25 +210,6 @@ class MultilinearMap:
         )
 
 
-def eval_map(F: MultilinearMap, args: list[Vector]) -> Vector:
-    """Multilinear evaluation of F on coordinate vectors."""
-    if len(args) != F.arity:
-        raise LengthMismatch("argument count must equal map arity")
-    if F.arity == 0:
-        return F.at(())
-    out = Vector()
-    for picks in product(*[list(a.coords.items()) for a in args]):
-        idx = tuple(i for i, _ in picks)
-        comp = F.at(idx)
-        if comp.is_zero():
-            continue
-        c = picks[0][1]
-        for _, extra in picks[1:]:
-            c = c * extra
-        out = out + comp.scale(c)
-    return out
-
-
 def cochain_coords(basis: GradedBasis, n: int, target: GradedBasis):
     """Coordinates of super-alternating n-maps into the target space.
 
@@ -255,26 +217,6 @@ def cochain_coords(basis: GradedBasis, n: int, target: GradedBasis):
     target basis index in turn.
     """
     return [(T, j) for T in superalt_basis(basis, n) for j in range(len(target))]
-
-
-def act_permutation(sigma, F: MultilinearMap) -> MultilinearMap:
-    """The twisted action (sigma.F)(X) = eps(sigma, X) F(X_{sigma(1)}, ...)."""
-    if len(sigma) != F.arity:
-        raise DegreeMismatch("permutation degree must equal map arity")
-    out: dict[tuple[int, ...], Vector] = {}
-    for S, vec in F.components.items():
-        # The component of sigma.F at T is eps(sigma, T) * F(T o sigma); here
-        # we enumerate T by scattering S back through sigma.
-        T = [0] * F.arity
-        for k, s in enumerate(sigma):
-            T[s] = S[k]
-        T = tuple(T)
-        parities = tuple(F.source.parities[i] for i in T)
-        eps = koszul_sign(sigma, parities)
-        contrib = vec if eps == 1 else -vec
-        prev = out.get(T)
-        out[T] = contrib if prev is None else prev + contrib
-    return MultilinearMap(F.arity, F.parity, F.source, F.target, out)
 
 
 # -- canonical super-alternating basis ---------------------------------------
@@ -337,37 +279,3 @@ def canonicalize_tuple(tup, parities_by_index):
     sigma = tuple(order)
     parities = tuple(parities_by_index[i] for i in tup)
     return tuple(tup[k] for k in order), koszul_sign(sigma, parities)
-
-
-def superalt_expand(
-    basis: GradedBasis,
-    n: int,
-    coords: list[Vector],
-    target: GradedBasis,
-    parity: int,
-) -> MultilinearMap:
-    """Expand canonical coordinates to the full component table."""
-    canon = superalt_basis(basis, n)
-    if len(coords) != len(canon):
-        raise LengthMismatch(
-            f"expected {len(canon)} coordinate vectors, got {len(coords)}"
-        )
-    table = dict(zip(canon, coords))
-    spec = None
-    for v in coords:
-        for c in v.coords.values():
-            spec = c.spec
-            break
-        if spec:
-            break
-    out: dict[tuple[int, ...], Vector] = {}
-    for tup in product(range(len(basis)), repeat=n):
-        res = canonicalize_tuple(tup, basis.parities)
-        if res is None:
-            continue
-        sorted_tup, sign = res
-        vec = table.get(sorted_tup)
-        if vec is None or vec.is_zero():
-            continue
-        out[tup] = vec if sign == 1 else -vec
-    return MultilinearMap(n, parity, basis, target, out)

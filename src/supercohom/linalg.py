@@ -5,19 +5,19 @@ rref_rows brings such rows to reduced row echelon form.  Each incoming row is
 reduced against the pivot rows found so far, scaled to a leading 1, and then
 cleared out of the earlier pivot rows.  The reduced row echelon form of a
 matrix is unique, so the rank, the pivot columns, the nullspace basis read
-off the free columns and the solution picked by solve do not depend on the
-row order or on how the elimination runs inside.  The layout follows sympy's
-polys/matrices/sdm.py (sdm_irref, sdm_nullspace_from_rref).
+off the free columns and the solution picked by solve_rows (the one linear
+solve of the package) do not depend on the row order or on how the
+elimination runs inside.  The layout follows sympy's polys/matrices/sdm.py
+(sdm_irref, sdm_nullspace_from_rref).
 
-The dense entry points (rref, mat_rank, nullspace, solve) take lists of rows
-of Scalars and are thin wrappers around the kernel; mat_mul and mat_vec stay
-dense.  The dense fraction-free (Bareiss) elimination the kernel replaced is
-kept in tests/util.py as a test oracle.
+mat_mul stays dense for the matrix superalgebra constructors.  The dense
+fraction-free (Bareiss) elimination the kernel replaced and the dense
+wrappers around the kernel are kept in tests/util.py for the tests.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import LengthMismatch
 from .scalars import FieldSpec, Scalar, one, zero
@@ -51,17 +51,6 @@ def mat_mul(a: Matrix, b: Matrix, spec: FieldSpec) -> Matrix:
                 continue
             for j, bkj in support[k]:
                 row[j] = row[j] + aik * bkj
-    return out
-
-
-def mat_vec(a: Matrix, v: list[Scalar], spec: FieldSpec) -> list[Scalar]:
-    out = []
-    for row in a:
-        acc = zero(spec)
-        for x, y in zip(row, v):
-            if not x.is_zero() and not y.is_zero():
-                acc = acc + x * y
-        out.append(acc)
     return out
 
 
@@ -141,59 +130,18 @@ def pivot_columns(columns: list[Row]) -> list[int]:
     return rref_rows(rows.values())[1]
 
 
-# -- dense wrappers ---------------------------------------------------------------
+def solve_rows(rows: Sequence[Row], rhs: Sequence[Scalar], cols: int) -> Row | None:
+    """One exact solution x of rows . x = rhs, or None when inconsistent.
 
-
-def _sparse(mat: Matrix) -> list[Row]:
-    return [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in mat]
-
-
-def rref(mat: Matrix, spec: FieldSpec):
-    """Reduced row echelon form (fresh matrix) plus pivot column list."""
-    reduced, pivots = rref_rows(_sparse(mat))
-    cols = len(mat[0]) if mat else 0
-    z = zero(spec)
-    out = [[row.get(c, z) for c in range(cols)] for row in reduced]
-    out.extend([z] * cols for _ in range(len(mat) - len(reduced)))
-    return out, pivots
-
-
-def mat_rank(mat: Matrix, spec: FieldSpec) -> int:
-    return len(rref_rows(_sparse(mat))[1])
-
-
-def nullspace(mat: Matrix, cols: int, spec: FieldSpec) -> list[list[Scalar]]:
-    """Basis of {x : mat @ x = 0}; one vector per free column."""
-    reduced, pivots = rref_rows(_sparse(mat))
-    z = zero(spec)
-    return [
-        [v.get(c, z) for c in range(cols)]
-        for v in nullspace_from_rref(reduced, pivots, cols, spec).values()
-    ]
-
-
-def solve(mat: Matrix, rhs: list[Scalar], spec: FieldSpec):
-    """One exact solution of mat @ x = rhs, or None when inconsistent.
-
-    Free variables are set to zero.  Any shape is accepted, 0 rows or 0
-    columns included: with no columns the answer is [] exactly when rhs is 0.
+    The right-hand side becomes column cols of the augmented rows, which
+    rref_rows reduces once; the system is inconsistent exactly when that
+    column is a pivot.  Free variables are set to zero, so the solution is
+    {pivot column: value} without zero entries, and unique.
     """
-    if len(rhs) != len(mat):
+    if len(rhs) != len(rows):
         raise LengthMismatch("right-hand side length differs from the row count")
-    cols = len(mat[0]) if mat else 0
-    aug = _sparse(mat)
-    for row, b in zip(aug, rhs):
-        if not b.is_zero():
-            row[cols] = b
+    aug = [row if b.is_zero() else {**row, cols: b} for row, b in zip(rows, rhs)]
     reduced, pivots = rref_rows(aug)
     if pivots and pivots[-1] == cols:
         return None
-    z = zero(spec)
-    x = [z] * cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row.get(cols, z)
-    return x
-
-
-def is_zero_matrix(mat: Matrix) -> bool:
-    return all(x.is_zero() for row in mat for x in row)
+    return {p: row[cols] for row, p in zip(reduced, pivots) if cols in row}

@@ -1,13 +1,19 @@
 """The Z x Z2-graded Lie algebra of super-alternating multilinear maps on a
-graded space, in the Nijenhuis-Richardson style: the * and o (circle)
-products, the graded bracket, and the Maurer-Cartan test that recognizes
-Lie superalgebra structures among bilinear elements.
+graded space, in the Nijenhuis-Richardson style: the o (circle) product, the
+graded bracket, and the Maurer-Cartan test that recognizes Lie superalgebra
+structures among bilinear elements.
+
+circ is the one Nijenhuis-Richardson composition of the package: the
+Maurer-Cartan residual here and the deformation identity and obstruction of
+deformation.py are sums of it.  The element-wise composition it replaced,
+through the raw * product on every shuffle, is kept in tests/util.py as a
+test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from math import comb
 
 from .cohomology import Cochain
 from .errors import (
@@ -20,10 +26,10 @@ from .graded import (
     GradedBasis,
     MultilinearMap,
     Vector,
-    koszul_sign,
+    canonicalize_tuple,
     superalt_basis,
 )
-from .scalars import FieldSpec, scalar
+from .scalars import FieldSpec, Scalar, scalar
 from .superalgebra import LieSuperalgebra, validate_superalgebra
 
 
@@ -100,55 +106,18 @@ def zero_element(spec: FieldSpec, space: GradedBasis, z_degree: int, parity: int
     )
 
 
-def shuffles(p: int, q: int) -> list[tuple[int, ...]]:
-    """0-based (p,q)-shuffles: permutations increasing on the first p and the
-    last q positions, each generated once by choosing the first block's image."""
-    m = p + q
-    out = []
-    for first in combinations(range(m), p):
-        chosen = set(first)
-        out.append(tuple(first) + tuple(k for k in range(m) if k not in chosen))
-    return out
-
-
-def _star_value(F: NRElement, Fp: NRElement, T: tuple[int, ...]) -> Vector:
-    """Value of F*F' on basis arguments indexed by T."""
-    if F.z_degree == -1:
-        # no slot of F receives the second factor; the product collapses
-        return Vector()
-    n = F.z_degree
-    head, tail = T[:n], T[n:]
-    if Fp.z_degree == -1:
-        inner = Fp.payload
-    else:
-        inner = Fp.payload.value_at(tail)
-    if inner.is_zero():
-        return Vector()
-    acc = Vector()
-    for k, c in inner.coords.items():
-        acc = acc + F.payload.value_at(head + (k,)).scale(c)
-    if Fp.parity and sum(F.space.parities[t] for t in head) % 2:
-        return -acc
-    return acc
-
-
-def star(F: NRElement, Fp: NRElement) -> MultilinearMap:
-    """The raw (not yet symmetrized) composition, as a full multilinear map."""
-    m = F.z_degree + Fp.z_degree + 1
-    if m < 0:
-        raise DegreeOutOfRange("both factors lie in the vector stratum")
-    parity = (F.parity + Fp.parity) % 2
-    comps = {}
-    dim = len(F.space)
-    for T in product(range(dim), repeat=m):
-        v = _star_value(F, Fp, T)
-        if not v.is_zero():
-            comps[T] = v
-    return MultilinearMap(m, parity, F.space, F.space, comps)
-
-
 def circ(F: NRElement, Fp: NRElement) -> NRElement:
-    """Shuffle symmetrization of F*F'; lands in bidegree (n+n', f+f')."""
+    """F o F' in bidegree (n+n', f+f'): at a canonical tuple S, the sum over
+    the (n, n'+1)-shuffles of S into (head, tail) of the Koszul sign times
+    F(head, F'(tail)), negated when F' and the head are both odd.
+
+    One sweep over the nonzero coordinates: a coordinate (V, j) of F and an
+    entry k of V give the head V minus one k, which pairs with every
+    coordinate (W, k) of F' (W = () for a vector F') and lands on S, the
+    canonical merge of head and W (none when an even index repeats).  When
+    an odd index occurs a times in the head and b times in W, C(a+b, a)
+    shuffles of S give this head and tail, all with the same sign.
+    """
     if F.space != Fp.space:
         raise BasisMismatch("factors live on different spaces")
     z = F.z_degree + Fp.z_degree
@@ -157,27 +126,43 @@ def circ(F: NRElement, Fp: NRElement) -> NRElement:
         raise DegreeOutOfRange("composition drops below the vector stratum")
     if F.z_degree == -1:
         return zero_element(F.spec, F.space, z, parity)
-    sigmas = shuffles(F.z_degree, Fp.z_degree + 1)
-    m = z + 1
-    space = F.space
-    if z == -1:
-        # unary F applied to a vector payload: the single shuffle is trivial
-        return NRElement(F.spec, space, -1, parity, _star_value(F, Fp, ()))
-    coords = {}
-    for S in superalt_basis(space, m):
-        pars = tuple(space.parities[i] for i in S)
-        acc = Vector()
-        for sigma in sigmas:
-            eps = koszul_sign(sigma, pars)
-            val = _star_value(F, Fp, tuple(S[sigma[k]] for k in range(m)))
-            if val.is_zero():
+    space, spec = F.space, F.spec
+    par = space.parities
+    tails: dict[int, list] = {}  # output index k of F' -> [(W, coefficient)]
+    if Fp.z_degree == -1:
+        for k, c in Fp.payload.coords.items():
+            tails[k] = [((), c)]
+    else:
+        for (W, k), c in Fp.payload.coords.items():
+            tails.setdefault(k, []).append((W, c))
+    out: dict[tuple, Scalar] = {}
+    for (V, j), c in F.payload.coords.items():
+        for k in dict.fromkeys(V):
+            if k not in tails:
                 continue
-            acc = acc + (val if eps == 1 else -val)
-        for j, c in acc.coords.items():
-            coords[(S, j)] = c
-    return NRElement(
-        F.spec, space, z, parity, Cochain(m, parity, space, space, coords)
-    )
+            i = V.index(k)
+            head = V[:i] + V[i + 1 :]
+            sign = canonicalize_tuple(head + (k,), par)[1]
+            if Fp.parity and sum(par[h] for h in head) % 2:
+                sign = -sign
+            for W, cp in tails[k]:
+                if any(not par[w] and w in head for w in W):
+                    continue
+                # the shuffle passes each tail entry w over the head entries
+                # above it; an odd-odd crossing is a Koszul swap with no sign
+                crossings = sum(1 for h in head for w in W if w < h and not (par[h] and par[w]))
+                f = -sign if crossings % 2 else sign
+                for x in set(head).intersection(W):  # both odd
+                    f *= comb(head.count(x) + W.count(x), head.count(x))
+                term = c * cp
+                if f != 1:
+                    term = -term if f == -1 else term * scalar(spec, f)
+                key = (tuple(sorted(head + W)), j)
+                prev = out.get(key)
+                out[key] = term if prev is None else prev + term
+    if z == -1:
+        return NRElement(spec, space, -1, parity, Vector({j: x for (_, j), x in out.items()}))
+    return NRElement(spec, space, z, parity, Cochain(z + 1, parity, space, space, out))
 
 
 def nr_bracket(F: NRElement, Fp: NRElement) -> NRElement:

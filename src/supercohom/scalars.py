@@ -290,18 +290,6 @@ def scalar(spec: FieldSpec, value) -> Scalar:
     return Scalar(spec, [q] + [Fraction(0)] * (spec.degree - 1))
 
 
-def arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    ops = {
-        "add": Scalar.__add__,
-        "sub": Scalar.__sub__,
-        "mul": Scalar.__mul__,
-        "div": Scalar.__truediv__,
-    }
-    if op not in ops:
-        raise ValueError(f"unknown op {op!r}")
-    return ops[op](a, b)
-
-
 def root_of_unity(spec: FieldSpec, k: int) -> Scalar:
     """zeta_m^k in canonical form; the rational field only contains zeta_1 = 1."""
     if not isinstance(k, int):

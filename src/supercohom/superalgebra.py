@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import BasisMismatch, ValidationError
 from .graded import GradedBasis, MultilinearMap, Vector, superalt_basis, vec_str
-from .linalg import lin_comb, mat_mul, solve
+from .linalg import lin_comb, mat_mul, solve_rows
 from .scalars import RATIONAL, FieldSpec, Scalar, cyclo, one, root_of_unity, scalar, zero
 
 
@@ -378,7 +378,10 @@ def make_sl(m: int, n: int, spec: FieldSpec = RATIONAL) -> LieSuperalgebra:
         mats.append(_matrix_of({(i, j): o}, N, spec))
     basis = GradedBasis(tuple(names), tuple(parities))
 
-    h_cols = [[mats[t][d][d] for t in range(N - 1)] for d in range(N)]
+    h_rows = [
+        {t: mats[t][d][d] for t in range(N - 1) if not mats[t][d][d].is_zero()}
+        for d in range(N)
+    ]
 
     def decompose(mat) -> Vector:
         coords: dict[int, Scalar] = {}
@@ -387,12 +390,10 @@ def make_sl(m: int, n: int, spec: FieldSpec = RATIONAL) -> LieSuperalgebra:
             if not c.is_zero():
                 coords[N - 1 + t] = c
         diag = [mat[d][d] for d in range(N)]
-        sol = solve([row[:] for row in h_cols], diag, spec)
+        sol = solve_rows(h_rows, diag, N - 1)
         if sol is None:
             raise ValidationError("bracket left the supertraceless subspace")
-        for t, c in enumerate(sol):
-            if not c.is_zero():
-                coords[t] = c
+        coords.update(sol)
         return Vector(coords)
 
     comp: dict[tuple[int, int], Vector] = {}

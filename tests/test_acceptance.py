@@ -43,7 +43,7 @@ from supercohom.extension import (
 )
 from supercohom.graded import Vector, cochain_coords
 from supercohom.group_action import apply_rep, cyclic_group, permutation_rep, validate_action
-from supercohom.linalg import is_zero_matrix, mat_mul, nullspace
+from supercohom.linalg import mat_mul
 from supercohom.nr_bracket import (
     NRElement,
     bracket_to_element,
@@ -66,6 +66,8 @@ from util import (
     abelian_algebra,
     gl11_mu1,
     gl11_swap_rep,
+    is_zero_matrix,
+    nullspace,
     rand_cochain,
     rand_instance,
     rand_module,

@@ -28,7 +28,7 @@ from supercohom.cohomology import (
 from supercohom.errors import BasisMismatch, ValidationError
 from supercohom.graded import Vector, cochain_coords, superalt_basis
 from supercohom.group_action import induced_action_on_cochains
-from supercohom.linalg import is_zero_matrix, mat_mul, mat_vec
+from supercohom.linalg import mat_mul
 from supercohom.scalars import RATIONAL, one, scalar, zero
 from supercohom.superalgebra import (
     adjoint_module,
@@ -43,6 +43,8 @@ from util import (
     coboundary_raw,
     gl11_mu1,
     gl11_swap_rep,
+    is_zero_matrix,
+    mat_vec,
     rand_cochain,
     rand_instance,
     rand_module,
@@ -233,7 +235,7 @@ def test_parity_blocks_vanish():
 
 def test_rank_nullity_per_parity():
     rng = random.Random(606)
-    from supercohom.linalg import mat_rank
+    from util import mat_rank
 
     for _ in range(5):
         L, _ = rand_instance(rng)

@@ -26,7 +26,6 @@ from supercohom.extension import (
     jacobi_iff_cocycle,
 )
 from supercohom.graded import GradedBasis, Vector
-from supercohom.linalg import nullspace
 from supercohom.scalars import RATIONAL, one, scalar
 from supercohom.superalgebra import (
     adjoint_module,
@@ -35,7 +34,7 @@ from supercohom.superalgebra import (
     zero_module,
 )
 
-from util import abelian_algebra, gl11_mu1, gl11_swap_rep, heisenberg_algebra
+from util import abelian_algebra, gl11_mu1, gl11_swap_rep, heisenberg_algebra, nullspace
 
 ONE = one(RATIONAL)
 

@@ -7,21 +7,25 @@ from supercohom.errors import DegreeMismatch, LengthMismatch
 from supercohom.graded import (
     GradedBasis,
     MultilinearMap,
-    PermSigns,
     Vector,
-    act_permutation,
     canonicalize_tuple,
-    invert_perm,
     koszul_count,
     koszul_sign,
     perm_sign,
     superalt_basis,
     superalt_count,
-    superalt_expand,
 )
 from supercohom.scalars import RATIONAL, one, scalar
 
-from util import BASIS_22, rand_multilinear, rand_vector
+from util import (
+    BASIS_22,
+    PermSigns,
+    act_permutation,
+    invert_perm,
+    rand_multilinear,
+    rand_vector,
+    superalt_expand,
+)
 
 
 def compose(s, sp):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supercohom.errors import BasisMismatch, OracleDisagreement, ValidationError
-from supercohom.graded import Vector, eval_map, superalt_basis, superalt_expand
+from supercohom.graded import Vector, superalt_basis
 from supercohom.group_action import (
     ActionRep,
     FiniteGroup,
@@ -30,7 +30,14 @@ from supercohom.superalgebra import (
     make_super_poincare,
 )
 
-from util import dense_equivariant_subspace, rand_instance, rand_module, rand_vector
+from util import (
+    dense_equivariant_subspace,
+    eval_map,
+    rand_instance,
+    rand_module,
+    rand_vector,
+    superalt_expand,
+)
 
 
 def z2_swap_rep(L):

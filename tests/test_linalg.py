@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 from supercohom.errors import LengthMismatch
 from supercohom.linalg import (
-    is_zero_matrix,
     mat_identity,
     mat_mul,
-    mat_rank,
-    mat_vec,
     mat_zero,
-    nullspace,
     pivot_columns,
-    rref,
-    solve,
 )
 from supercohom.scalars import RATIONAL, Scalar, cyclo, one, root_of_unity, scalar, zero
 
@@ -28,7 +22,13 @@ from util import (
     bareiss_solve,
     bareiss_span_equal,
     column_space_basis,
+    is_zero_matrix,
+    mat_rank,
+    mat_vec,
+    nullspace,
     rand_scalar,
+    rref,
+    solve,
     span_equal,
 )
 

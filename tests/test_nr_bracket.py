@@ -12,7 +12,7 @@ from supercohom.errors import (
     DegreeOutOfRange,
     WrongBidegree,
 )
-from supercohom.graded import Vector, act_permutation, superalt_basis
+from supercohom.graded import Vector, superalt_basis
 from supercohom.nr_bracket import (
     NRElement,
     bracket_to_element,
@@ -20,8 +20,6 @@ from supercohom.nr_bracket import (
     element_to_bracket,
     mc_check,
     nr_bracket,
-    shuffles,
-    star,
     zero_element,
 )
 from supercohom.scalars import RATIONAL, scalar
@@ -34,10 +32,13 @@ from supercohom.superalgebra import (
 
 from util import (
     abelian_algebra,
+    act_permutation,
     gl11_mu1,
     gl11_swap_rep,
     heisenberg_algebra,
     rand_cochain,
+    shuffles,
+    star,
 )
 
 ONE = scalar(RATIONAL, 1)

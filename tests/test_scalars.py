@@ -9,7 +9,6 @@ from supercohom.scalars import (
     RATIONAL,
     FieldSpec,
     Scalar,
-    arith,
     cyclo,
     cyclotomic_poly,
     one,
@@ -20,7 +19,7 @@ from supercohom.scalars import (
     zero,
 )
 
-from util import scalar_mul_oracle
+from util import arith, scalar_mul_oracle
 
 
 # Independent oracle: schoolbook polynomial long division over Fractions,

@@ -1,12 +1,23 @@
 """Shared helpers for randomized exact tests (seeded, deterministic)."""
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from supercohom.errors import LengthMismatch, OracleDisagreement
-from supercohom.graded import GradedBasis, MultilinearMap, Vector, cochain_coords, superalt_basis
+from supercohom.errors import DegreeMismatch, LengthMismatch, OracleDisagreement
+from supercohom.graded import (
+    GradedBasis,
+    MultilinearMap,
+    Vector,
+    canonicalize_tuple,
+    cochain_coords,
+    koszul_count,
+    koszul_sign,
+    perm_sign,
+    superalt_basis,
+)
 from supercohom.group_action import ActionRep, cyclic_group
-from supercohom.linalg import _sparse, mat_identity, mat_mul, nullspace, rref_rows
+from supercohom.linalg import mat_identity, mat_mul, rref_rows, solve_rows
 from supercohom.scalars import RATIONAL, Scalar, one, scalar, zero
 from supercohom.superalgebra import (
     LieSuperalgebra,
@@ -855,3 +866,318 @@ def dense_induced_matrices(rep_L, rep_M, L, M, n):
                         mat[dst][src] = mat[dst][src] + c * b
         mats.append(mat)
     return mats
+
+
+# -- dense wrappers and test-only helpers ---------------------------------------
+#
+# The library works on sparse rows and canonical coordinates.  These dense
+# entry points around its kernel, and the helpers on full component tables,
+# have no caller in the library; the tests use them.
+
+
+def _sparse(mat):
+    return [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in mat]
+
+
+def rref(mat, spec):
+    """Reduced row echelon form (fresh matrix) plus pivot column list."""
+    reduced, pivots = rref_rows(_sparse(mat))
+    cols = len(mat[0]) if mat else 0
+    z = zero(spec)
+    out = [[row.get(c, z) for c in range(cols)] for row in reduced]
+    out.extend([z] * cols for _ in range(len(mat) - len(reduced)))
+    return out, pivots
+
+
+def mat_rank(mat, spec):
+    return len(rref_rows(_sparse(mat))[1])
+
+
+def nullspace(mat, cols, spec):
+    """Basis of {x : mat @ x = 0}; one vector per free column."""
+    from supercohom.linalg import nullspace_from_rref
+
+    reduced, pivots = rref_rows(_sparse(mat))
+    z = zero(spec)
+    return [
+        [v.get(c, z) for c in range(cols)]
+        for v in nullspace_from_rref(reduced, pivots, cols, spec).values()
+    ]
+
+
+def solve(mat, rhs, spec):
+    """One exact solution of mat @ x = rhs through solve_rows, or None.
+
+    Free variables are set to zero.  Any shape is accepted, 0 rows or 0
+    columns included: with no columns the answer is [] exactly when rhs is 0.
+    """
+    if len(rhs) != len(mat):
+        raise LengthMismatch("right-hand side length differs from the row count")
+    cols = len(mat[0]) if mat else 0
+    sol = solve_rows(_sparse(mat), rhs, cols)
+    if sol is None:
+        return None
+    z = zero(spec)
+    return [sol.get(c, z) for c in range(cols)]
+
+
+def mat_vec(a, v, spec):
+    out = []
+    for row in a:
+        acc = zero(spec)
+        for x, y in zip(row, v):
+            if not x.is_zero() and not y.is_zero():
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def is_zero_matrix(mat):
+    return all(x.is_zero() for row in mat for x in row)
+
+
+def arith(a, b, op):
+    ops = {
+        "add": Scalar.__add__,
+        "sub": Scalar.__sub__,
+        "mul": Scalar.__mul__,
+        "div": Scalar.__truediv__,
+    }
+    if op not in ops:
+        raise ValueError(f"unknown op {op!r}")
+    return ops[op](a, b)
+
+
+@dataclass(frozen=True)
+class PermSigns:
+    sigma: tuple
+    k_count: int
+    eps: int
+
+    @staticmethod
+    def of(sigma, parities):
+        k = koszul_count(sigma, parities)
+        return PermSigns(tuple(sigma), k, perm_sign(sigma) * (-1 if k % 2 else 1))
+
+
+def invert_perm(sigma):
+    inv = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return tuple(inv)
+
+
+def eval_map(F, args):
+    """Multilinear evaluation of F on coordinate vectors."""
+    if len(args) != F.arity:
+        raise LengthMismatch("argument count must equal map arity")
+    if F.arity == 0:
+        return F.at(())
+    out = Vector()
+    for picks in product(*[list(a.coords.items()) for a in args]):
+        idx = tuple(i for i, _ in picks)
+        comp = F.at(idx)
+        if comp.is_zero():
+            continue
+        c = picks[0][1]
+        for _, extra in picks[1:]:
+            c = c * extra
+        out = out + comp.scale(c)
+    return out
+
+
+def act_permutation(sigma, F):
+    """The twisted action (sigma.F)(X) = eps(sigma, X) F(X_{sigma(1)}, ...)."""
+    if len(sigma) != F.arity:
+        raise DegreeMismatch("permutation degree must equal map arity")
+    out = {}
+    for S, vec in F.components.items():
+        # The component of sigma.F at T is eps(sigma, T) * F(T o sigma); here
+        # we enumerate T by scattering S back through sigma.
+        T = [0] * F.arity
+        for k, s in enumerate(sigma):
+            T[s] = S[k]
+        T = tuple(T)
+        parities = tuple(F.source.parities[i] for i in T)
+        eps = koszul_sign(sigma, parities)
+        contrib = vec if eps == 1 else -vec
+        prev = out.get(T)
+        out[T] = contrib if prev is None else prev + contrib
+    return MultilinearMap(F.arity, F.parity, F.source, F.target, out)
+
+
+def superalt_expand(basis, n, coords, target, parity):
+    """Expand canonical coordinates to the full component table."""
+    canon = superalt_basis(basis, n)
+    if len(coords) != len(canon):
+        raise LengthMismatch(
+            f"expected {len(canon)} coordinate vectors, got {len(coords)}"
+        )
+    table = dict(zip(canon, coords))
+    out = {}
+    for tup in product(range(len(basis)), repeat=n):
+        res = canonicalize_tuple(tup, basis.parities)
+        if res is None:
+            continue
+        sorted_tup, sign = res
+        vec = table.get(sorted_tup)
+        if vec is None or vec.is_zero():
+            continue
+        out[tup] = vec if sign == 1 else -vec
+    return MultilinearMap(n, parity, basis, target, out)
+
+
+# -- element-wise oracles for the Nijenhuis-Richardson composition --------------
+#
+# The library computes F o F' by one sweep over the two coordinate tables,
+# and the deformation identity, the obstruction and the Maurer-Cartan residual
+# as sums of it; the coboundary preimage is one row-form solve.  The versions
+# they replaced are kept here: the raw product F * F' evaluated on every
+# shuffle of every canonical tuple, the triple loops through cochain_eval, and
+# a dense coboundary matrix solved by Bareiss elimination.
+
+
+def shuffles(p, q):
+    """0-based (p,q)-shuffles: permutations increasing on the first p and the
+    last q positions, each generated once by choosing the first block's image."""
+    m = p + q
+    out = []
+    for first in combinations(range(m), p):
+        chosen = set(first)
+        out.append(tuple(first) + tuple(k for k in range(m) if k not in chosen))
+    return out
+
+
+def star_value(F, Fp, T):
+    """Value of F*F' on basis arguments indexed by T."""
+    if F.z_degree == -1:
+        # no slot of F receives the second factor; the product collapses
+        return Vector()
+    n = F.z_degree
+    head, tail = T[:n], T[n:]
+    if Fp.z_degree == -1:
+        inner = Fp.payload
+    else:
+        inner = Fp.payload.value_at(tail)
+    if inner.is_zero():
+        return Vector()
+    acc = Vector()
+    for k, c in inner.coords.items():
+        acc = acc + F.payload.value_at(head + (k,)).scale(c)
+    if Fp.parity and sum(F.space.parities[t] for t in head) % 2:
+        return -acc
+    return acc
+
+
+def star(F, Fp):
+    """The raw (not yet symmetrized) composition, as a full multilinear map."""
+    from supercohom.errors import DegreeOutOfRange
+
+    m = F.z_degree + Fp.z_degree + 1
+    if m < 0:
+        raise DegreeOutOfRange("both factors lie in the vector stratum")
+    parity = (F.parity + Fp.parity) % 2
+    comps = {}
+    dim = len(F.space)
+    for T in product(range(dim), repeat=m):
+        v = star_value(F, Fp, T)
+        if not v.is_zero():
+            comps[T] = v
+    return MultilinearMap(m, parity, F.space, F.space, comps)
+
+
+def elementwise_circ(F, Fp):
+    """Shuffle symmetrization of F*F', one canonical tuple and shuffle at a time."""
+    from supercohom.cohomology import Cochain
+    from supercohom.errors import BasisMismatch, DegreeOutOfRange
+    from supercohom.nr_bracket import NRElement, zero_element
+
+    if F.space != Fp.space:
+        raise BasisMismatch("factors live on different spaces")
+    z = F.z_degree + Fp.z_degree
+    parity = (F.parity + Fp.parity) % 2
+    if z < -1:
+        raise DegreeOutOfRange("composition drops below the vector stratum")
+    if F.z_degree == -1:
+        return zero_element(F.spec, F.space, z, parity)
+    sigmas = shuffles(F.z_degree, Fp.z_degree + 1)
+    m = z + 1
+    space = F.space
+    if z == -1:
+        # unary F applied to a vector payload: the single shuffle is trivial
+        return NRElement(F.spec, space, -1, parity, star_value(F, Fp, ()))
+    coords = {}
+    for S in superalt_basis(space, m):
+        pars = tuple(space.parities[i] for i in S)
+        acc = Vector()
+        for sigma in sigmas:
+            eps = koszul_sign(sigma, pars)
+            val = star_value(F, Fp, tuple(S[sigma[k]] for k in range(m)))
+            if val.is_zero():
+                continue
+            acc = acc + (val if eps == 1 else -val)
+        for j, c in acc.coords.items():
+            coords[(S, j)] = c
+    return NRElement(F.spec, space, z, parity, Cochain(m, parity, space, space, coords))
+
+
+def _identity_triples(d, pairs):
+    """sum over (i, j) in pairs of the deformation identity terms, by triple."""
+    from supercohom.cohomology import cochain_eval
+
+    L = d.base
+    par = L.basis.parities
+    out = {}
+    for T in superalt_basis(L.basis, 3):
+        a, b, c = T
+        ea, eb, ec = (Vector.basis(i, L.spec) for i in T)
+        sign_ab = (par[a] * par[b]) % 2
+        acc = Vector()
+        for i, j in pairs:
+            mi, mj = d.terms[i], d.terms[j]
+            t1 = cochain_eval(mi, [ea, mj.value_at((b, c))])
+            t2 = cochain_eval(mi, [mj.value_at((a, b)), ec])
+            t3 = cochain_eval(mi, [eb, mj.value_at((a, c))])
+            acc = acc + t1 + (-t2) + (t3 if sign_ab else -t3)
+        if not acc.is_zero():
+            out[T] = acc
+    return out
+
+
+def elementwise_check_order(d, r):
+    """Coefficient of t^r in the deformation identity, triple by triple."""
+    from supercohom.deformation import OrderReport
+
+    pairs = [(i, r - i) for i in range(r + 1) if i <= d.order and r - i <= d.order]
+    residual = _identity_triples(d, pairs)
+    return OrderReport(r, not residual, residual)
+
+
+def elementwise_obstruction(d):
+    """The order-(N+1) obstruction of a valid truncation, triple by triple,
+    solved by Bareiss elimination against the cochain-by-cochain coboundary
+    matrix."""
+    from supercohom.cohomology import Cochain, coboundary, cochain_basis, zero_cochain
+    from supercohom.deformation import ObstructionReport
+
+    L = d.base
+    r = d.order + 1
+    pairs = [(i, r - i) for i in range(1, r) if i <= d.order and r - i <= d.order]
+    coords = {(T, j): c for T, v in _identity_triples(d, pairs).items() for j, c in v.coords.items()}
+    M = adjoint_module(L)
+    obs = Cochain(3, 0, L.basis, L.basis, coords)
+    if obs.is_zero():
+        return ObstructionReport(obs, True, zero_cochain(2, 0, L, M), True)
+    closed = coboundary(obs, L, M).is_zero()
+    basis2 = cochain_basis(2, L, M, rep=d.rep)
+    mat = coboundary_matrix_raw(basis2, 2, L, M)
+    z = zero(L.spec)
+    rhs = [-coords.get(key, z) for key in cochain_coords(L.basis, 3, L.basis)]
+    sol = bareiss_solve(mat, rhs, L.spec)
+    if sol is None:
+        return ObstructionReport(obs, False, None, closed)
+    nxt = zero_cochain(2, 0, L, M)
+    for c, f in zip(sol, basis2):
+        if not c.is_zero():
+            nxt = nxt.add(f.scale(c))
+    return ObstructionReport(obs, True, nxt, closed)
