@@ -38,20 +38,13 @@ from .extension import ExtensionDatum, build_extension, classify_extensions, jac
 from .graded import GradedBasis, Vector
 from .nr_bracket import NRElement, bracket_to_element, mc_check
 from .scalars import serialize_scalar
-from .workspace import ADJOINT, Workspace, load
+from .workspace import ADJOINT, Workspace, _vector_doc, load
 
 
 def _field_str(spec) -> str:
     if spec.kind == "rational":
         return "rational"
     return f"cyclotomic({spec.conductor})"
-
-
-def _by_tuple(f: Cochain) -> dict[tuple, Vector]:
-    out: dict[tuple, dict] = {}
-    for (T, j), c in f.coords.items():
-        out.setdefault(T, {})[j] = c
-    return {T: Vector(coords) for T, coords in out.items()}
 
 
 def _vec_str(space: GradedBasis, vec: Vector) -> str:
@@ -72,10 +65,6 @@ def _vec_str(space: GradedBasis, vec: Vector) -> str:
     return " + ".join(parts)
 
 
-def _vec_doc(space: GradedBasis, vec: Vector) -> dict:
-    return {space.names[j]: serialize_scalar(c) for j, c in sorted(vec.coords.items())}
-
-
 def _tuple_str(names, T) -> str:
     return "(" + ", ".join(names[i] for i in T) + ")"
 
@@ -84,7 +73,7 @@ def _cochain_text(ws: Workspace, f: Cochain, space: GradedBasis) -> list[str]:
     names = ws.algebra.basis.names
     return [
         f"  {_tuple_str(names, T)} -> {_vec_str(space, vec)}"
-        for T, vec in sorted(_by_tuple(f).items())
+        for T, vec in f.by_tuple().items()
     ]
 
 
@@ -119,53 +108,41 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _cmd_validate(args) -> int:
-    ws = load(args.file)  # parse has run every check and raised on a failure
+    ws = load(args.file)  # parse runs every check and raises on the first failure
     out = _Emitter(args.emit)
     L = ws.algebra
-    alg = ws.algebra_report
     d0, d1 = L.basis.dims
     out.text(f"field: {_field_str(L.spec)}")
     out.text(f"algebra: dimension {d0}|{d1}")
-    out.text(f"  antisymmetry: {'ok' if alg.antisymmetry_ok else 'FAIL'}")
-    out.text(f"  jacobi: {'ok' if alg.jacobi_ok else 'FAIL'}")
-    out.text(f"  homogeneity: {'ok' if alg.homogeneity_ok else 'FAIL'}")
-    checks = {
-        "antisymmetry": alg.antisymmetry_ok,
-        "jacobi": alg.jacobi_ok,
-        "homogeneity": alg.homogeneity_ok,
-    }
+    checks = ["antisymmetry", "jacobi", "homogeneity"]
+    for check in checks:
+        out.text(f"  {check}: ok")
     if ws.group is not None:
-        act = ws.action_report
         out.text(f"group: order {ws.group.order}")
-        out.text(f"  action: {'ok' if act.ok else 'FAIL'}")
-        checks["action"] = act.ok
+        out.text("  action: ok")
+        checks.append("action")
     for name in sorted(ws.modules):
-        entry = ws.modules[name]
-        ok = entry.report.ok
-        if entry.rep is not None:
-            ok = ok and entry.action_report.ok
-        m0, m1 = entry.module.space.dims
-        out.text(f"module {name}: dimension {m0}|{m1}, {'ok' if ok else 'FAIL'}")
-        checks[f"module {name}"] = ok
+        m0, m1 = ws.modules[name].module.space.dims
+        out.text(f"module {name}: dimension {m0}|{m1}, ok")
+        checks.append(f"module {name}")
     for name in sorted(ws.cochains):
         f = ws.cochains[name].cochain
         out.text(f"cochain {name}: arity {f.arity}, parity {f.parity}, module {ws.cochains[name].module}")
     for name in sorted(ws.deformations):
         out.text(f"deformation {name}: order {len(ws.deformations[name]) - 1}")
-    ok = all(checks.values())
-    out.text("all checks passed" if ok else "some checks FAILED")
+    out.text("all checks passed")
     out.data = {
-        "ok": ok,
+        "ok": True,
         "field": _field_str(L.spec),
         "algebra": {"dims": list(L.basis.dims)},
         "group": None if ws.group is None else {"order": ws.group.order},
-        "checks": checks,
+        "checks": dict.fromkeys(checks, True),
         "cochains": sorted(ws.cochains),
         "deformations": sorted(ws.deformations),
         "modules": sorted(ws.modules),
     }
     out.flush()
-    return 0 if ok else 1
+    return 0
 
 
 def _cmd_cohomology(args) -> int:
@@ -220,10 +197,10 @@ def _cmd_mc_check(args) -> int:
     names = ws.algebra.basis.names
     residual = []
     if not rpt.is_mc:
-        for T, vec in sorted(_by_tuple(rpt.residual.payload).items()):
+        for T, vec in rpt.residual.payload.by_tuple().items():
             out.text(f"  residual at {_tuple_str(names, T)}: {_vec_str(ws.algebra.basis, vec)}")
             residual.append(
-                {"at": [names[i] for i in T], "value": _vec_doc(ws.algebra.basis, vec)}
+                {"at": [names[i] for i in T], "value": _vector_doc(ws.algebra.basis, vec)}
             )
     out.data = {
         "candidate": label,
@@ -360,7 +337,7 @@ def _cmd_extend(args) -> int:
             if i > j or vec.is_zero():
                 continue
             out.text(f"  [{names[i]}, {names[j]}] = {_vec_str(E.basis, vec)}")
-            doc_brackets[f"{names[i]},{names[j]}"] = _vec_doc(E.basis, vec)
+            doc_brackets[f"{names[i]},{names[j]}"] = _vector_doc(E.basis, vec)
     out.data = {
         "cocycle": args.cocycle,
         "is_cocycle": rpt.is_cocycle,

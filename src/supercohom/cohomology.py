@@ -1,17 +1,25 @@
 """The equivariant cochain complex and its coboundary.
 
-Cochains are stored by their coordinates on canonical index tuples only.
+Cochains are stored by their coordinates on canonical index tuples only.  A
+basis of C^n, or of its G-fixed subspace under a group, has one form: the
+_family, sparse columns over the raw cochain_coords indices with one parity
+per column (the unit coordinates, or the certified Reynolds columns of
+group_action.equivariant_subspace).  Only _family builds it; cochain_basis
+wraps its columns as Cochains, and cohomology builds Cochains only for the
+representatives.
+
 The coboundary is assembled by one sweep over the canonical (n+1)-tuples
 (_delta_rows): each bracket and module-action term goes straight into a
 sparse row of delta^n, with its sign read off from prefix parity sums and
-from inserting one index into a canonical tuple.  The sweep multiplies by
-the matrix of a chosen family of n-cochains on the fly, so the equivariant
-complex delta . B comes out sparse as well; with B one cochain's coordinates
-it is coboundary(f).  Ranks, kernels and pivot columns then come from the
-sparse Gauss-Jordan kernel of linalg, and "is this cochain a coboundary?" is
-one row-form solve on the rows of the sweep (coboundary_preimage).  The
-per-cochain coboundary this sweep replaced is kept in tests/util.py as a test
-oracle.
+from inserting one index into a canonical tuple.  The sweep takes the
+columns of a family and multiplies by its matrix on the fly, so the
+equivariant complex delta . B comes out sparse as well; with one cochain's
+coordinates as the only column it is coboundary(f).  Ranks, kernels and
+pivot columns then come from the sparse Gauss-Jordan kernel of linalg, and
+"is this cochain a coboundary of an (equivariant) one?" is one row-form
+solve on the rows of the sweep, coboundary_preimage(n, L, M, rep, target).
+The per-cochain coboundary this sweep replaced is kept in tests/util.py as
+a test oracle.
 """
 
 from __future__ import annotations
@@ -64,6 +72,13 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return not self.coords
+
+    def by_tuple(self) -> dict[tuple[int, ...], Vector]:
+        """The nonzero values f(e_T) at canonical tuples T, in tuple order."""
+        out: dict[tuple[int, ...], Row] = {}
+        for (T, j), c in sorted(self.coords.items()):
+            out.setdefault(T, {})[j] = c
+        return {T: Vector(coords) for T, coords in out.items()}
 
     def value_at(self, T) -> Vector:
         """f(e_{t_1}, ..., e_{t_n}) for an arbitrary index tuple."""
@@ -175,7 +190,7 @@ def coboundary(f: Cochain, L: LieSuperalgebra, M: LModule, rep=None) -> Cochain:
         raise ValidationError("cochain is not equivariant under the given action")
     n = f.arity
     pos = _positions(n, L, M)
-    rows = _delta_rows(n, L, M, {pos[key]: {0: c} for key, c in f.coords.items()})
+    rows = _delta_rows(n, L, M, [{pos[key]: c for key, c in f.coords.items()}])
     cod = cochain_coords(L.basis, n + 1, M.space)
     return Cochain(n + 1, f.parity, L.basis, M.space, {cod[r]: row[0] for r, row in rows.items()})
 
@@ -185,11 +200,13 @@ def _positions(n: int, L: LieSuperalgebra, M: LModule) -> dict:
     return {key: t for t, key in enumerate(cochain_coords(L.basis, n, M.space))}
 
 
-def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, B: dict[int, Row]) -> dict[int, Row]:
+def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row]) -> dict[int, Row]:
     """delta^n . B as sparse rows, in one sweep over the canonical (n+1)-tuples.
 
-    B holds a family of n-cochains by rows: raw index of a coordinate of C^n
-    -> {member: coefficient}.  Row r of the result is coordinate r of
+    cols is a family of n-cochains as sparse columns over the raw indices of
+    cochain_coords(L.basis, n, M.space): a _family, or one cochain's
+    coordinates.  B is their matrix, transposed here to rows (raw index ->
+    {member: coefficient}).  Row r of the result is coordinate r of
     cochain_coords(L.basis, n + 1, M.space); zero rows are left out.
 
     Every bracket term f([x_a, x_b], rest) and every action term
@@ -198,6 +215,10 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, B: dict[int, Row]) -> di
     an even t passes the k entries below it, an odd t passes every even entry
     (odd past odd is a Koszul swap that cancels the transposition).
     """
+    B: dict[int, Row] = {}
+    for k, col in enumerate(cols):
+        for t, c in col.items():
+            B.setdefault(t, {})[k] = c
     par, parM = L.basis.parities, M.space.parities
     dimM = len(parM)
     tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
@@ -264,72 +285,74 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, B: dict[int, Row]) -> di
     return out
 
 
-def cochain_basis(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> list[Cochain]:
-    """Basis cochains of C^n (equivariant basis when a representation is given)."""
-    coords = cochain_coords(L.basis, n, M.space)
+def _family(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> tuple[list[Row], list[int]]:
+    """A basis of C^n, or of its G-fixed subspace when rep is given, as
+    sparse columns over the raw cochain_coords indices, and their parities.
+
+    Without a group the columns are the coordinate unit vectors.  With one
+    they are the certified Reynolds columns of equivariant_subspace; each is
+    homogeneous, since the action is even.
+    """
     reps = _resolve_reps(rep, L, M)
-    spec = L.spec
     if reps is None:
-        out = []
-        for T, j in coords:
-            p = (sum(L.basis.parities[i] for i in T) + M.space.parities[j]) % 2
-            out.append(Cochain(n, p, L.basis, M.space, {(T, j): one(spec)}))
-        return out
+        o, par = one(L.spec), L.basis.parities
+        parities = [
+            (sum(par[i] for i in T) + M.space.parities[j]) % 2
+            for T, j in cochain_coords(L.basis, n, M.space)
+        ]
+        return [{t: o} for t in range(len(parities))], parities
     induced = induced_action_on_cochains(reps[0], reps[1], L, M, n)
-    fixed = equivariant_subspace(induced)
-    out = []
-    for col in fixed:
-        cs = {}
-        parity = None
-        for t, c in enumerate(col):
-            if c.is_zero():
-                continue
-            T, j = coords[t]
-            cs[(T, j)] = c
-            p = (sum(L.basis.parities[i] for i in T) + M.space.parities[j]) % 2
-            if parity is None:
-                parity = p
-            elif parity != p:
-                raise ValidationError("fixed-space basis vector mixes parities")
-        if parity is None:
-            continue
-        out.append(Cochain(n, parity, L.basis, M.space, cs))
-    return out
+    cols = equivariant_subspace(induced)
+    parities = []
+    for col in cols:
+        found = {induced.parities[t] for t in col}
+        if len(found) != 1:
+            raise ValidationError("fixed-space basis vector mixes parities")
+        parities.append(found.pop())
+    return cols, parities
 
 
-def _basis_rows(basis_cochains: list[Cochain], pos: dict) -> dict[int, Row]:
-    """The matrix B of a family of cochains by rows: raw index -> {member: c}."""
-    B: dict[int, Row] = {}
-    for k, f in enumerate(basis_cochains):
-        for key, c in f.coords.items():
-            B.setdefault(pos[key], {})[k] = c
-    return B
+def cochain_basis(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> list[Cochain]:
+    """Basis cochains of C^n (equivariant basis when a representation is given):
+    the columns of _family as Cochains."""
+    coords = cochain_coords(L.basis, n, M.space)
+    cols, parities = _family(n, L, M, rep)
+    return [
+        Cochain(n, p, L.basis, M.space, {coords[t]: c for t, c in sorted(col.items())})
+        for col, p in zip(cols, parities)
+    ]
 
 
 def coboundary_preimage(
-    n: int, L: LieSuperalgebra, M: LModule, basis: list[Cochain], target: Cochain
+    n: int, L: LieSuperalgebra, M: LModule, rep, target: Cochain
 ) -> Cochain | None:
-    """A combination f of the basis n-cochains with delta f = target, or None.
+    """An n-cochain f with delta f = target, equivariant when rep is given,
+    or None.
 
-    One row-form solve (linalg.solve_rows) of delta^n . B x = target over the
-    rows of the sweep, with an empty row for each coordinate of the target
-    that delta . B does not reach.  Free variables are zero, so f is unique.
+    One row-form solve (linalg.solve_rows) of delta^n . B x = target, with B
+    the _family of C^n, over the rows of the sweep and an empty row for each
+    coordinate of the target that delta . B does not reach.  Free variables
+    are zero, so f is unique.  delta preserves parity, so members of the
+    other parity than the target never get a pivot value.
     """
-    rows = _delta_rows(n, L, M, _basis_rows(basis, _positions(n, L, M)))
+    cols = _family(n, L, M, rep)[0]
+    rows = _delta_rows(n, L, M, cols)
     pos = _positions(n + 1, L, M)
     rhs = dict.fromkeys(rows, zero(L.spec))
     for key, c in target.coords.items():
         rhs[pos[key]] = c
-    sol = solve_rows([rows.get(r, {}) for r in rhs], list(rhs.values()), len(basis))
+    sol = solve_rows([rows.get(r, {}) for r in rhs], list(rhs.values()), len(cols))
     if sol is None:
         return None
-    coords = lin_comb((c, basis[k].coords) for k, c in sol.items())
-    return Cochain(n, target.parity, L.basis, M.space, coords)
+    coords = cochain_coords(L.basis, n, M.space)
+    f = lin_comb((c, cols[k]) for k, c in sol.items())
+    return Cochain(n, target.parity, L.basis, M.space, {coords[t]: c for t, c in sorted(f.items())})
 
 
 def _matrix_from_basis(basis_cochains: list[Cochain], n: int, L, M):
     """Columns: coboundaries of the basis cochains, in raw (n+1)-coordinates."""
-    rows = _delta_rows(n, L, M, _basis_rows(basis_cochains, _positions(n, L, M)))
+    pos = _positions(n, L, M)
+    rows = _delta_rows(n, L, M, [{pos[key]: c for key, c in f.coords.items()} for f in basis_cochains])
     z = zero(L.spec)
     width = len(basis_cochains)
     mat = []
@@ -356,48 +379,38 @@ class CohomologyReport:
 def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyReport:
     """Dimensions of C, Z, B and H in degree n per parity, and representatives.
 
-    delta^n and delta^(n-1) are each assembled by one sweep on the chosen basis
-    (standard, or the fixed-space basis under a group) and reduced once; the
-    two parities are the two diagonal blocks of that one reduced form.  The
-    representatives of H^n are the kernel vectors, in free-column order, that
-    extend the pivot columns of delta^(n-1) to a basis of the cocycles.
+    delta^n and delta^(n-1) are each assembled by one sweep on the _family
+    of their domain (the unit coordinates, or the fixed-space columns under a
+    group) and reduced once; the two parities are the two diagonal blocks of
+    that one reduced form.  The representatives of H^n are the kernel
+    vectors, in free-column order, that extend the pivot columns of
+    delta^(n-1) to a basis of the cocycles; only they become Cochains.
     """
-    spec = L.spec
-    dom = cochain_basis(n, L, M, rep)
-    coords = cochain_coords(L.basis, n, M.space)
-    pos = {key: t for t, key in enumerate(coords)}
-    reduced, pivots = rref_rows(_delta_rows(n, L, M, _basis_rows(dom, pos)).values())
-    kernel = nullspace_from_rref(reduced, pivots, len(dom), spec)
+    dom, dom_par = _family(n, L, M, rep)
+    reduced, pivots = rref_rows(_delta_rows(n, L, M, dom).values())
+    kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
 
     images: dict[int, Row] = {}  # pivot columns of delta^(n-1), in raw n-coordinates
-    prev: list[Cochain] = []
+    prev_par: list[int] = []
     if n > 0:
-        prev = cochain_basis(n - 1, L, M, rep)
-        prev_rows = _delta_rows(n - 1, L, M, _basis_rows(prev, _positions(n - 1, L, M)))
+        prev, prev_par = _family(n - 1, L, M, rep)
+        prev_rows = _delta_rows(n - 1, L, M, prev)
         images = {k: {} for k in rref_rows(prev_rows.values())[1]}
         for r, row in prev_rows.items():
             for k, x in row.items():
                 if k in images:
                     images[k][r] = x
 
-    def to_raw(v: Row) -> Row:
-        col: Row = {}
-        for k, c in v.items():
-            for key, x in dom[k].coords.items():
-                t = pos[key]
-                prev_x = col.get(t)
-                col[t] = c * x if prev_x is None else prev_x + c * x
-        return col
-
+    coords = cochain_coords(L.basis, n, M.space)
     c_dims, z_dims, b_dims, h_dims = [0, 0], [0, 0], [0, 0], [0, 0]
     reps_out: dict[int, list[Cochain]] = {}
     for p in (0, 1):
-        c_dims[p] = sum(1 for f in dom if f.parity == p)
-        z_dims[p] = c_dims[p] - sum(1 for k in pivots if dom[k].parity == p)
-        img = [col for k, col in images.items() if prev[k].parity == p]
+        c_dims[p] = dom_par.count(p)
+        z_dims[p] = c_dims[p] - sum(1 for k in pivots if dom_par[k] == p)
+        img = [col for k, col in images.items() if prev_par[k] == p]
         b_dims[p] = len(img)
         h_dims[p] = z_dims[p] - b_dims[p]
-        ker = [to_raw(v) for fc, v in kernel.items() if dom[fc].parity == p]
+        ker = [lin_comb((c, dom[k]) for k, c in v.items()) for fc, v in kernel.items() if dom_par[fc] == p]
         reps_out[p] = [
             Cochain(n, p, L.basis, M.space, {coords[t]: x for t, x in sorted(ker[q - len(img)].items())})
             for q in pivot_columns(img + ker)

@@ -17,7 +17,6 @@ from .cohomology import (
     Cochain,
     coboundary,
     coboundary_preimage,
-    cochain_basis,
     cochain_eval,
     is_equivariant,
     zero_cochain,
@@ -35,10 +34,6 @@ from .group_action import ActionRep
 from .nr_bracket import NRElement, bracket_to_element, circ
 from .scalars import FieldSpec, one, scalar
 from .superalgebra import LieSuperalgebra, adjoint_module
-
-
-def _bracket_cochain(L: LieSuperalgebra) -> Cochain:
-    return bracket_to_element(L).payload
 
 
 @dataclass
@@ -61,7 +56,7 @@ class Deformation:
         if self.rep.parities != self.base.basis.parities:
             raise BasisMismatch("action does not match the base algebra")
         if check:
-            if self.terms[0] != _bracket_cochain(self.base):
+            if self.terms[0] != bracket_to_element(self.base).payload:
                 raise ValidationError("order-0 term must equal the base bracket")
             M = adjoint_module(self.base)
             for k, f in enumerate(self.terms):
@@ -103,10 +98,7 @@ def check_order(d: Deformation, r: int) -> OrderReport:
     """Coefficient of t^r in the deformation identity, by canonical triple."""
     if r < 0:
         raise ValueError("order must be nonnegative")
-    by_triple: dict[tuple, dict] = {}
-    for (T, j), c in sorted(_composition_sum(d, r, 0).coords.items()):
-        by_triple.setdefault(T, {})[j] = c
-    residual = {T: Vector(coords) for T, coords in by_triple.items()}
+    residual = _composition_sum(d, r, 0).by_tuple()
     return OrderReport(r, not residual, residual)
 
 
@@ -197,7 +189,7 @@ def obstruction(d: Deformation) -> ObstructionReport:
         return ObstructionReport(obs, True, zero_cochain(2, 0, L, M), True)
     closed = coboundary(obs, L, M).is_zero()
     minus = scalar(L.spec, -1)
-    nxt = coboundary_preimage(2, L, M, cochain_basis(2, L, M, rep=d.rep), obs.scale(minus))
+    nxt = coboundary_preimage(2, L, M, d.rep, obs.scale(minus))
     return ObstructionReport(obs, nxt is not None, nxt, closed)
 
 
@@ -308,8 +300,7 @@ def infinitesimals_cohomologous(
     minus = scalar(L.spec, -1)
     diff = d1.term(1).add(d2.term(1).scale(minus))
     M = adjoint_module(L)
-    basis1 = cochain_basis(1, L, M, rep=d1.rep)
-    verdict = coboundary_preimage(1, L, M, basis1, diff) is not None
+    verdict = coboundary_preimage(1, L, M, d1.rep, diff) is not None
     if g is not None:
         psi1 = g.map_at(1)
         certificate = coboundary(psi1, L, M)

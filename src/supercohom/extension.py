@@ -13,7 +13,6 @@ from .cohomology import (
     _resolve_reps,
     coboundary,
     coboundary_preimage,
-    cochain_basis,
     cohomology,
     is_equivariant,
 )
@@ -155,10 +154,6 @@ def jacobi_iff_cocycle(x: ExtensionDatum) -> JacobiCocycleReport:
     return JacobiCocycleReport(jacobi, is_cocycle)
 
 
-def _equivariant_parity0_basis(n, L, M, rep):
-    return [f for f in cochain_basis(n, L, M, rep=rep) if f.parity == 0]
-
-
 def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | None:
     """An equivariant parity-0 1-cochain f with delta f = h1 - h2, or None.
 
@@ -171,9 +166,8 @@ def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | N
     for label, x in (("first", x1), ("second", x2)):
         if not coboundary(x.h, L, M).is_zero():
             raise NotCocycle(f"{label} glue term is not a cocycle")
-    basis1 = _equivariant_parity0_basis(1, L, M, x1.rep)
     diff = x1.h.add(x2.h.scale(scalar(L.spec, -1)))
-    f = coboundary_preimage(1, L, M, basis1, diff)
+    f = coboundary_preimage(1, L, M, x1.rep, diff)
     if f is None:
         return None
     _verify_certificate(x1, x2, f)

@@ -1,7 +1,8 @@
 """Finite groups as Cayley tables and their degree-0 linear actions.
 
 An action keeps, for each group element, the sparse columns of its matrix
-(the image of each basis vector as a {row: Scalar} dict), computed once.
+(the image of each basis vector as a {row: Scalar} dict), computed once or
+handed over as columns by the parser and by the induced action.
 Applying g, the identity / homomorphism / degree-0 checks, the
 bracket-equivariance sweeps of validate_action and validate_module_action,
 the induced action on cochains and the fixed subspace all read these
@@ -17,7 +18,8 @@ to be fixed by every group element, which proves that the span is exactly
 the fixed space, and the character formula (1/|G|) sum_g tr g must give its
 dimension.  A sign slip in an induced action, or matrices that do not form
 a representation, show up here as an OracleDisagreement rather than as a
-silently wrong cohomology dimension.
+silently wrong cohomology dimension.  The certified columns are returned as
+they are, sparse, and become the columns of cohomology._family.
 """
 
 from __future__ import annotations
@@ -103,10 +105,10 @@ class ActionRep:
     columns[g][j] is the image of basis vector j under g, a sparse
     {row: Scalar} dict without zeros; apply_rep, the action checks, the
     induced action and the fixed subspace all read these.  The action is
-    given by its dense matrices (parsed or constructed actions) or by its
-    columns (the induced action on cochains); either way only the columns are
-    kept, and matrices[g], the dense matrix whose columns are those images,
-    is built on first use.
+    given by its dense matrices (constructed actions) or by its columns
+    (parsed actions, the induced action on cochains); either way only the
+    columns are kept, and matrices[g], the dense matrix whose columns are
+    those images, is built on first use.
     """
 
     def __init__(self, group: FiniteGroup, spec: FieldSpec, parities, matrices=None, columns=None):
@@ -350,20 +352,19 @@ def induced_action_on_cochains(
     return ActionRep(group, spec, parities, columns=columns)
 
 
-def equivariant_subspace(rep: ActionRep) -> list[list[Scalar]]:
-    """Basis (as columns) of the vectors fixed by every group element.
+def equivariant_subspace(rep: ActionRep) -> list[Row]:
+    """Basis of the vectors fixed by every group element, as sparse columns.
 
     The basis is the pivot columns of the Reynolds operator
-    R = (1/|G|) sum_g g, read left to right.  Certificate: each returned
+    R = (1/|G|) sum_g g, read left to right, each a {row: Scalar} dict
+    without zeros, returned as certified.  Certificate: each returned
     column v has g v = v for every g, so the columns, independent by
     construction, span exactly the fixed space (any fixed v has R v = v);
     and their count must equal the character formula (1/|G|) sum_g tr g.
     Either failure raises OracleDisagreement.
     """
-    spec = rep.spec
-    dim = rep.dim
-    group = rep.group
-    reynolds: list[Row] = [{} for _ in range(dim)]
+    spec, group = rep.spec, rep.group
+    reynolds: list[Row] = [{} for _ in range(rep.dim)]
     trace_sum = zero(spec)
     for cols in rep.columns:
         for j, col in enumerate(cols):
@@ -389,5 +390,4 @@ def equivariant_subspace(rep: ActionRep) -> list[list[Scalar]]:
             f"character formula gives {trace_sum}, but the fixed space has "
             f"dimension {len(fixed)}"
         )
-    z = zero(spec)
-    return [[v.get(i, z) for i in range(dim)] for v in fixed]
+    return fixed

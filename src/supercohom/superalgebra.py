@@ -36,13 +36,14 @@ class AlgebraReport:
         return self.antisymmetry_ok and self.jacobi_ok and self.homogeneity_ok
 
     def describe(self) -> str:
-        if self.ok:
-            return "all axioms hold"
-        lines = []
-        for ce in self.counterexamples:
-            where = ", ".join(ce["where"])
-            lines.append(f"{ce['kind']} fails at ({where}): lhs = {ce['lhs']}, rhs = {ce['rhs']}")
-        return "\n".join(lines)
+        return "all axioms hold" if self.ok else _describe_counterexamples(self.counterexamples)
+
+
+def _describe_counterexamples(counterexamples: list) -> str:
+    return "\n".join(
+        f"{ce['kind']} fails at ({', '.join(ce['where'])}): lhs = {ce['lhs']}, rhs = {ce['rhs']}"
+        for ce in counterexamples
+    )
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ class LieSuperalgebra:
         if self.bracket.arity != 2 or self.bracket.parity != 0:
             raise ValueError("bracket must be a binary map of degree 0")
         if check:
-            require_superalgebra(self)
+            report = validate_superalgebra(self)
+            if not report.ok:
+                raise ValidationError("structure constants violate the axioms:\n" + report.describe())
 
     def __len__(self):
         return len(self.basis)
@@ -141,14 +144,6 @@ def validate_superalgebra(L: LieSuperalgebra) -> AlgebraReport:
     return report
 
 
-def require_superalgebra(L: LieSuperalgebra) -> AlgebraReport:
-    """validate_superalgebra, raising ValidationError when an axiom fails."""
-    report = validate_superalgebra(L)
-    if not report.ok:
-        raise ValidationError("structure constants violate the axioms:\n" + report.describe())
-    return report
-
-
 # -- modules ------------------------------------------------------------------
 
 
@@ -194,13 +189,7 @@ class ModuleReport:
         return self.axiom_ok and self.homogeneity_ok
 
     def describe(self) -> str:
-        if self.ok:
-            return "module axioms hold"
-        lines = []
-        for ce in self.counterexamples:
-            where = ", ".join(ce["where"])
-            lines.append(f"{ce['kind']} fails at ({where}): lhs = {ce['lhs']}, rhs = {ce['rhs']}")
-        return "\n".join(lines)
+        return "module axioms hold" if self.ok else _describe_counterexamples(self.counterexamples)
 
 
 def validate_module(L: LieSuperalgebra, M: LModule) -> ModuleReport:

@@ -39,11 +39,10 @@ import json
 from dataclasses import dataclass, field
 
 from .cohomology import Cochain
-from .deformation import Deformation, _bracket_cochain
+from .deformation import Deformation
 from .errors import ParseError, ValidationError
 from .graded import GradedBasis, MultilinearMap, Vector
 from .group_action import (
-    ActionReport,
     ActionRep,
     FiniteGroup,
     cyclic_group,
@@ -51,16 +50,9 @@ from .group_action import (
     validate_action,
     validate_module_action,
 )
+from .nr_bracket import bracket_to_element
 from .scalars import RATIONAL, FieldSpec, Scalar, cyclo, parse_scalar, serialize_scalar
-from .superalgebra import (
-    AlgebraReport,
-    LieSuperalgebra,
-    LModule,
-    ModuleReport,
-    adjoint_module,
-    require_superalgebra,
-    validate_module,
-)
+from .superalgebra import LieSuperalgebra, LModule, adjoint_module, validate_module
 
 ADJOINT = "adjoint"
 BRACKET_TERM = "bracket"
@@ -72,9 +64,6 @@ _TOP_KEYS = {"field", "algebra", "group", "action", "modules", "cochains", "defo
 class ModuleEntry:
     module: LModule
     rep: ActionRep | None
-    # What parse found; None on an entry built by hand.
-    report: ModuleReport | None = field(default=None, compare=False, repr=False)
-    action_report: ActionReport | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -95,10 +84,6 @@ class Workspace:
     _deformation_cache: dict[str, Deformation] = field(
         default_factory=dict, compare=False, repr=False
     )
-    # The reports of the checks parse ran (all ok, or parse raised); None on
-    # a workspace built by hand.
-    algebra_report: AlgebraReport | None = field(default=None, compare=False, repr=False)
-    action_report: ActionReport | None = field(default=None, compare=False, repr=False)
 
     def module_names(self) -> list[str]:
         return [ADJOINT] + sorted(self.modules)
@@ -140,7 +125,7 @@ class Workspace:
             terms = []
             for term in self.deformations[name]:
                 if term == BRACKET_TERM:
-                    terms.append(_bracket_cochain(self.algebra))
+                    terms.append(bracket_to_element(self.algebra).payload)
                 else:
                     terms.append(self.cochains[term].cochain)
             self._deformation_cache[name] = Deformation(
@@ -246,17 +231,6 @@ def _parse_brackets(spec, basis: GradedBasis, raw, path: str) -> MultilinearMap:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _parse_matrix(spec, raw, dim: int, path: str) -> list[list[Scalar]]:
-    rows = _as_list(raw, path)
-    _expect(len(rows) == dim, path, f"expected a {dim} x {dim} matrix")
-    out = []
-    for r, row in enumerate(rows):
-        cells = _as_list(row, f"{path}[{r}]")
-        _expect(len(cells) == dim, f"{path}[{r}]", f"expected {dim} entries")
-        out.append([_scalar(spec, c, f"{path}[{r}][{k}]") for k, c in enumerate(cells)])
-    return out
-
-
 def _parse_group(raw) -> FiniteGroup:
     body = _as_dict(raw, "group")
     _expect(set(body) <= {"table", "identity"}, "group", f"unknown keys {sorted(set(body) - {'table', 'identity'})}")
@@ -273,12 +247,28 @@ def _parse_group(raw) -> FiniteGroup:
 
 
 def _parse_action(spec, group, basis, raw, path: str) -> ActionRep:
+    """One dim x dim matrix per group element, read straight into the sparse
+    columns ActionRep keeps; a cell that is exactly "0" or 0 adds nothing."""
     mats = _as_list(raw, path)
     _expect(len(mats) == group.order, path, "one matrix per group element")
-    matrices = [
-        _parse_matrix(spec, m, len(basis), f"{path}[{g}]") for g, m in enumerate(mats)
-    ]
-    return ActionRep(group, spec, basis.parities, matrices)
+    dim = len(basis)
+    columns = []
+    for g, mat in enumerate(mats):
+        mpath = f"{path}[{g}]"
+        rows = _as_list(mat, mpath)
+        _expect(len(rows) == dim, mpath, f"expected a {dim} x {dim} matrix")
+        cols: list[dict[int, Scalar]] = [{} for _ in range(dim)]
+        for r, row in enumerate(rows):
+            cells = _as_list(row, f"{mpath}[{r}]")
+            _expect(len(cells) == dim, f"{mpath}[{r}]", f"expected {dim} entries")
+            for k, c in enumerate(cells):
+                if c == "0" or (type(c) is int and c == 0):
+                    continue
+                x = _scalar(spec, c, f"{mpath}[{r}][{k}]")
+                if not x.is_zero():
+                    cols[k][r] = x
+        columns.append(cols)
+    return ActionRep(group, spec, basis.parities, columns=columns)
 
 
 def _parse_module(ws: Workspace, name: str, raw) -> ModuleEntry:
@@ -315,9 +305,8 @@ def _parse_module(ws: Workspace, name: str, raw) -> ModuleEntry:
         if not pair.ok:
             raise ValidationError(f"{path}: {pair.describe()}")
     else:
-        pair = None
         _expect("matrices" not in body, path, '"matrices" given but the workspace has no group')
-    return ModuleEntry(module, rep_m, report, pair)
+    return ModuleEntry(module, rep_m)
 
 
 def _parse_cochain(ws: Workspace, name: str, raw) -> CochainEntry:
@@ -388,21 +377,20 @@ def parse(text: str) -> Workspace:
     _expect("basis" in alg and "brackets" in alg, "algebra", 'needs "basis" and "brackets"')
     basis = _parse_basis(alg["basis"], "algebra.basis")
     bracket = _parse_brackets(spec, basis, alg["brackets"], "algebra.brackets")
-    algebra = LieSuperalgebra(basis, spec, bracket, check=False)
     try:
-        algebra_report = require_superalgebra(algebra)
+        algebra = LieSuperalgebra(basis, spec, bracket)
     except ValidationError as exc:
         raise ValidationError(f"algebra: {exc}") from exc
 
-    ws = Workspace(spec, algebra, algebra_report=algebra_report)
+    ws = Workspace(spec, algebra)
 
     if "group" in body:
         ws.group = _parse_group(body["group"])
         _expect("action" in body, "top level", 'a workspace with a "group" needs an "action"')
         ws.rep = _parse_action(spec, ws.group, basis, body["action"], "action")
-        ws.action_report = validate_action(ws.rep, algebra)
-        if not ws.action_report.ok:
-            raise ValidationError(f"action: {ws.action_report.describe()}")
+        report = validate_action(ws.rep, algebra)
+        if not report.ok:
+            raise ValidationError(f"action: {report.describe()}")
     else:
         _expect("action" not in body, "top level", '"action" given but no "group"')
 

@@ -30,7 +30,6 @@ from supercohom.cohomology import (
 from supercohom.deformation import (
     Deformation,
     GaugeTransform,
-    _bracket_cochain,
     gauge_transform,
     identity_endo,
     infinitesimals_cohomologous,
@@ -567,7 +566,7 @@ def test_criterion_8_gauge_moves_infinitesimal_by_a_coboundary():
     pairs = 0
     for k in range(20):
         mu_1 = combo(term_pool, 0.3)
-        d = Deformation(L, rep, [_bracket_cochain(L), mu_1])
+        d = Deformation(L, rep, [bracket_to_element(L).payload, mu_1])
         maps = [identity_endo(L.basis, L.spec), combo(endo_pool, 0.2)]
         if k % 3 == 0:
             maps.append(combo(endo_pool, 0.4))

@@ -13,7 +13,8 @@ from supercohom.superalgebra import adjoint_module
 from supercohom.workspace import load
 
 HERE = os.path.dirname(__file__)
-FIXDIR = os.path.abspath(os.path.join(HERE, "..", "fixtures"))
+ROOT = os.path.abspath(os.path.join(HERE, ".."))
+FIXDIR = os.path.join(ROOT, "fixtures")
 
 
 def fx(name: str) -> str:
@@ -291,3 +292,27 @@ def test_output_bytes_identical_across_runs_and_thread_caps():
         assert first  # every command prints something
         assert _run_once(argv, seed=1, threads=1) == first
         assert _run_once(argv, seed=2, threads=8) == first
+
+
+# -- the recorded output of the command matrix ------------------------------------
+
+
+def test_cli_output_matches_the_recorded_bytes(monkeypatch, capsys):
+    """Each of the 42 (fixture, command) pairs, run in process, gives the exit
+    code, stdout and stderr recorded in bench/expected_cli.json (read only)."""
+    with open(os.path.join(ROOT, "bench", "expected_cli.json"), encoding="utf-8") as fh:
+        records = json.load(fh)
+    monkeypatch.chdir(ROOT)  # the recorded argvs name fixtures relative to the root
+    monkeypatch.delenv("SUPERCOHOM_THREADS", raising=False)
+    differ = []
+    for rec in records:
+        rc = run_command(rec["argv"])
+        got = capsys.readouterr()
+        if (rc, got.out.encode(), got.err.encode()) != (
+            rec["exit"],
+            rec["stdout"].encode(),
+            rec["stderr"].encode(),
+        ):
+            differ.append(" ".join(rec["argv"]))
+    assert len(records) == 42
+    assert differ == []

@@ -27,9 +27,9 @@ from supercohom.cohomology import (
 )
 from supercohom.errors import BasisMismatch, ValidationError
 from supercohom.graded import Vector, cochain_coords, superalt_basis
-from supercohom.group_action import induced_action_on_cochains
+from supercohom.group_action import cyclic_group, induced_action_on_cochains, trivial_action
 from supercohom.linalg import mat_mul
-from supercohom.scalars import RATIONAL, one, scalar, zero
+from supercohom.scalars import RATIONAL, cyclo, one, scalar, zero
 from supercohom.superalgebra import (
     adjoint_module,
     make_gl,
@@ -41,6 +41,7 @@ from util import (
     abelian_algebra,
     coboundary_matrix_raw,
     coboundary_raw,
+    dense_equivariant_subspace,
     gl11_mu1,
     gl11_swap_rep,
     is_zero_matrix,
@@ -482,3 +483,26 @@ def test_sweep_matches_per_cochain_oracle(n, with_action):
             assert coboundary(f, L, M) == coboundary_raw(f, L, M)
 
     prop()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_cochain_basis_reads_off_the_dense_fixed_subspace(n, seed, with_action, cyclotomic):
+    # Without a group the oracle is the fixed subspace of the trivial group.
+    rng = random.Random(seed)
+    spec = cyclo(4) if cyclotomic else RATIONAL
+    L, rep = rand_instance(rng, spec, with_action=with_action, max_d0=2, max_d1=2)
+    M, reps = rand_module(rng, L, rep)
+    if reps is None:
+        G = cyclic_group(1)
+        rep_L, rep_M = trivial_action(G, spec, L.basis.parities), trivial_action(G, spec, M.space.parities)
+    else:
+        rep_L, rep_M = reps if isinstance(reps, tuple) else (reps, reps)
+    induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
+    coords = cochain_coords(L.basis, n, M.space)
+    want = []
+    for col in dense_equivariant_subspace(induced):
+        support = [t for t, c in enumerate(col) if not c.is_zero()]
+        (parity,) = {induced.parities[t] for t in support}
+        want.append(Cochain(n, parity, L.basis, M.space, {coords[t]: col[t] for t in support}))
+    assert cochain_basis(n, L, M, reps) == want

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from supercohom.cohomology import Cochain, coboundary, coboundary_preimage, cochain_basis
 from supercohom.deformation import (
     Deformation,
-    _bracket_cochain,
     check_order,
     obstruction,
     validate,
@@ -27,7 +26,7 @@ from supercohom.errors import DegreeOutOfRange, NotValidated
 from supercohom.graded import GradedBasis, Vector, cochain_coords
 from supercohom.group_action import cyclic_group, trivial_action
 from supercohom.linalg import solve_rows
-from supercohom.nr_bracket import NRElement, circ
+from supercohom.nr_bracket import NRElement, bracket_to_element, circ
 from supercohom.scalars import RATIONAL, cyclo, one, scalar, zero
 from supercohom.superalgebra import adjoint_module, make_gl
 
@@ -111,7 +110,7 @@ def test_check_order_matches_the_triple_loop(seed, order, cyclotomic):
     rng = random.Random(seed)
     L, rep = _instance(rng, cyclotomic, False)
     M = adjoint_module(L)
-    terms = [_bracket_cochain(L)] + [rand_cochain(rng, L, M, 2, 0, zero_bias=0.7) for _ in range(order)]
+    terms = [bracket_to_element(L).payload] + [rand_cochain(rng, L, M, 2, 0, zero_bias=0.7) for _ in range(order)]
     d = Deformation(L, rep, terms, check=False)
     for r in range(2 * order + 1):
         assert check_order(d, r) == elementwise_check_order(d, r)
@@ -134,7 +133,7 @@ def _rand_cocycle(rng, L, rep):
 def test_obstruction_matches_the_triple_loop_and_dense_solve(seed, cyclotomic, with_action):
     rng = random.Random(seed)
     L, rep = _instance(rng, cyclotomic, with_action)
-    d = Deformation(L, rep, [_bracket_cochain(L), _rand_cocycle(rng, L, rep)])
+    d = Deformation(L, rep, [bracket_to_element(L).payload, _rand_cocycle(rng, L, rep)])
     for _ in range(2):
         rpt, want = obstruction(d), elementwise_obstruction(d)
         assert (rpt.cochain, rpt.solvable, rpt.next_term, rpt.closed) == (
@@ -216,7 +215,7 @@ def test_coboundary_preimage_matches_dense_solve(seed, n, parity, kind, with_act
         ]
         assume(empty)
         target = target.add(Cochain(n + 1, parity, L.basis, M.space, {rng.choice(empty): one(L.spec)}))
-    got = coboundary_preimage(n, L, M, basis, target)
+    got = coboundary_preimage(n, L, M, reps, target)
     assert got == _dense_preimage(n, L, M, basis, target)
     if got is not None:
         assert coboundary(got, L, M) == target
@@ -232,7 +231,8 @@ def test_coboundary_preimage_of_a_target_delta_never_reaches():
     L = abelian_algebra(1, 1)
     M = adjoint_module(L)
     target = Cochain(2, 0, L.basis, L.basis, {((0, 1), 1): one(L.spec)})
-    assert coboundary_preimage(1, L, M, cochain_basis(1, L, M), target) is None
+    assert coboundary_preimage(1, L, M, None, target) is None
+    assert _dense_preimage(1, L, M, cochain_basis(1, L, M), target) is None
 
 
 # -- validation verdicts ------------------------------------------------------------
@@ -242,16 +242,16 @@ def test_unchecked_deformation_with_a_non_equivariant_term_is_reported():
     L = make_gl(1, 1)
     rep = gl11_swap_rep(L)
     skew = Cochain(2, 0, L.basis, L.basis, {((0, 2), 2): one(L.spec)})
-    d = Deformation(L, rep, [_bracket_cochain(L), skew], check=False)
+    d = Deformation(L, rep, [bracket_to_element(L).payload, skew], check=False)
     assert not validate(d).terms_equivariant
-    checked = Deformation(L, rep, [_bracket_cochain(L), gl11_mu1(L)])
+    checked = Deformation(L, rep, [bracket_to_element(L).payload, gl11_mu1(L)])
     assert validate(checked).terms_equivariant
 
 
 def test_not_validated_carries_the_failing_report():
     L = make_gl(1, 1)
     rep = gl11_swap_rep(L)
-    d = Deformation(L, rep, [_bracket_cochain(L), gl11_mu1(L)])
+    d = Deformation(L, rep, [bracket_to_element(L).payload, gl11_mu1(L)])
     with pytest.raises(NotValidated) as info:
         obstruction(d)
     assert info.value.report == validate(d, "truncated")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supercohom.cohomology import (
     Cochain,
@@ -25,8 +27,8 @@ from supercohom.extension import (
     extensions_equivalent,
     jacobi_iff_cocycle,
 )
-from supercohom.graded import GradedBasis, Vector
-from supercohom.scalars import RATIONAL, one, scalar
+from supercohom.graded import GradedBasis, Vector, cochain_coords
+from supercohom.scalars import RATIONAL, cyclo, one, scalar, zero
 from supercohom.superalgebra import (
     adjoint_module,
     make_gl,
@@ -34,7 +36,18 @@ from supercohom.superalgebra import (
     zero_module,
 )
 
-from util import abelian_algebra, gl11_mu1, gl11_swap_rep, heisenberg_algebra, nullspace
+from util import (
+    abelian_algebra,
+    bareiss_solve,
+    coboundary_matrix_raw,
+    gl11_mu1,
+    gl11_swap_rep,
+    heisenberg_algebra,
+    nullspace,
+    rand_instance,
+    rand_module,
+    rand_scalar,
+)
 
 ONE = one(RATIONAL)
 
@@ -311,3 +324,50 @@ def test_nonabelian_base_with_one_class():
     assert validate_superalgebra(build_extension(x)).ok
     split = ExtensionDatum(L, M, None, zero_glue(L, M))
     assert extensions_equivalent(x, split) is None
+
+
+def _sum_of(basis, coeffs, n, L, M):
+    """sum_k coeffs[k] basis[k], a parity-0 n-cochain."""
+    f = Cochain(n, 0, L.basis, M.space, {})
+    for u, c in zip(basis, coeffs):
+        if not c.is_zero():
+            f = f.add(u.scale(c))
+    return f
+
+
+def _rand_in_span(rng, spec, vectors, size):
+    """A random combination of the coefficient vectors."""
+    out = [zero(spec)] * size
+    for v in vectors:
+        c = rand_scalar(spec, rng, zero_bias=0.3)
+        out = [a + c * x for a, x in zip(out, v)]
+    return out
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_extensions_equivalent_matches_a_dense_parity0_solve(seed, with_action, cyclotomic, shifted):
+    # The oracle solves delta f = h1 - h2 by Bareiss elimination over the
+    # parity-0 equivariant 1-cochains only; the library solves over the whole
+    # equivariant family and must return the same certificate.
+    rng = random.Random(seed)
+    spec = cyclo(4) if cyclotomic else RATIONAL
+    L, rep = rand_instance(rng, spec, with_action=with_action, max_d0=2, max_d1=2)
+    M, reps = rand_module(rng, L, rep)
+    basis1 = [u for u in cochain_basis(1, L, M, reps) if u.parity == 0]
+    basis2 = [u for u in cochain_basis(2, L, M, reps) if u.parity == 0]
+    cocycles = nullspace(coboundary_matrix_raw(basis2, 2, L, M), len(basis2), spec)
+    h1 = _sum_of(basis2, _rand_in_span(rng, spec, cocycles, len(basis2)), 2, L, M)
+    if shifted:
+        f0 = _sum_of(basis1, [rand_scalar(spec, rng, zero_bias=0.3) for _ in basis1], 1, L, M)
+        h2 = h1.add(coboundary(f0, L, M))
+    else:
+        h2 = _sum_of(basis2, _rand_in_span(rng, spec, cocycles, len(basis2)), 2, L, M)
+    got = extensions_equivalent(ExtensionDatum(L, M, reps, h1), ExtensionDatum(L, M, reps, h2))
+
+    diff = h1.add(h2.scale(scalar(spec, -1)))
+    rhs = [diff.coords.get(key, zero(spec)) for key in cochain_coords(L.basis, 2, M.space)]
+    sol = bareiss_solve(coboundary_matrix_raw(basis1, 1, L, M), rhs, spec)
+    if sol is None:
+        assert got is None and not shifted
+    else:
+        assert got == _sum_of(basis1, sol, 1, L, M)

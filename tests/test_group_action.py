@@ -32,6 +32,7 @@ from supercohom.superalgebra import (
 
 from util import (
     dense_equivariant_subspace,
+    densify,
     eval_map,
     rand_instance,
     rand_module,
@@ -259,7 +260,7 @@ def test_equivariant_subspace_trivial_and_regular():
 
     G2 = cyclic_group(2)
     regular = permutation_rep(G2, RATIONAL, (0, 0), [(0, 1), (1, 0)])
-    fixed = equivariant_subspace(regular)
+    fixed = densify(equivariant_subspace(regular), 2, RATIONAL)
     assert len(fixed) == 1
     col = fixed[0]
     assert col[0] == col[1] and not col[0].is_zero()
@@ -292,7 +293,8 @@ def test_equivariant_subspace_matches_dense_oracle(n):
         M, reps = rand_module(rng, L, rep)
         rep_L, rep_M = reps if isinstance(reps, tuple) else (reps, reps)
         induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
-        assert equivariant_subspace(induced) == dense_equivariant_subspace(induced)
+        fixed = densify(equivariant_subspace(induced), induced.dim, induced.spec)
+        assert fixed == dense_equivariant_subspace(induced)
 
     prop()
 
@@ -302,7 +304,7 @@ def test_equivariant_cochains_gl11_z2_dimension_and_probes():
     M = adjoint_module(L)
     rep = z2_swap_rep(L)
     induced = induced_action_on_cochains(rep, rep, L, M, 2)
-    fixed = equivariant_subspace(induced)
+    fixed = densify(equivariant_subspace(induced), induced.dim, RATIONAL)
     canon = superalt_basis(L.basis, 2)
     coords = [(T, j) for T in canon for j in range(4)]
     assert 0 < len(fixed) < len(coords)

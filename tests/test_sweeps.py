@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supercohom.cohomology import Cochain, cochain_basis, is_equivariant
-from supercohom.deformation import _bracket_cochain
 from supercohom.graded import MultilinearMap, Vector
 from supercohom.group_action import (
     ActionRep,
@@ -29,6 +28,7 @@ from supercohom.group_action import (
     validate_module_action,
 )
 from supercohom.linalg import mat_identity
+from supercohom.nr_bracket import bracket_to_element
 from supercohom.scalars import RATIONAL, cyclo, one, root_of_unity, zero
 from supercohom.superalgebra import (
     LieSuperalgebra,
@@ -314,7 +314,7 @@ def test_super_poincare_sweeps_match_oracles_broken_and_whole():
         assert report == elementwise_validate_action(bad_rep, L)
     # Z/4 acts by zeta on Q and zeta^-1 on Qbar: g and g^-1 differ.
     M = adjoint_module(L)
-    f = _bracket_cochain(L)
+    f = bracket_to_element(L).payload
     assert is_equivariant(f, rep, rep, L, M) and elementwise_is_equivariant(f, rep, rep, L, M)
     for n in (1, 2):
         for _ in range(3):
@@ -327,4 +327,4 @@ def test_super_poincare_sweeps_match_oracles_broken_and_whole():
         [[one(spec)] * 10 + [root_of_unity(spec, -g)] * 2 + [root_of_unity(spec, g)] * 2 for g in range(4)],
     )
     assert is_equivariant(f, rep, twisted, L, M) == elementwise_is_equivariant(f, rep, twisted, L, M)
-    assert not is_equivariant(_bracket_cochain(L), rep, twisted, L, M)
+    assert not is_equivariant(bracket_to_element(L).payload, rep, twisted, L, M)

@@ -210,6 +210,25 @@ def test_bad_scalar_rejected():
         parse(json.dumps(doc))
 
 
+def test_action_cells_read_into_the_same_action_and_name_their_place():
+    # Zero cells written as 0, "0" or "0/5" add nothing; every other cell goes
+    # through the scalar parser, so a bool is not read as zero.
+    plain = parse(json.dumps(with_z2(gl11_doc()))).rep
+    doc = with_z2(gl11_doc())
+    doc["action"][1][0][2], doc["action"][1][0][3], doc["action"][1][0][1] = 0, "0/5", 1
+    assert parse(json.dumps(doc)).rep == plain
+    for cell in (False, "1/0x", 0.0):
+        doc["action"][1][2][3] = cell
+        with pytest.raises(ParseError, match=r"^action\[1\]\[2\]\[3\]: "):
+            parse(json.dumps(doc))
+    doc["action"][1][2] = ["0", "0", "1"]
+    with pytest.raises(ParseError, match=r"^action\[1\]\[2\]: expected 4 entries"):
+        parse(json.dumps(doc))
+    doc["action"][1] = doc["action"][1][:3]
+    with pytest.raises(ParseError, match=r"^action\[1\]: expected a 4 x 4 matrix"):
+        parse(json.dumps(doc))
+
+
 def test_action_without_group_rejected():
     doc = gl11_doc()
     doc["action"] = []

@@ -474,6 +474,12 @@ def span_equal(a_cols, b_cols, spec):
 # give the dimension.
 
 
+def densify(columns, dim, spec):
+    """Sparse {row: Scalar} columns as dense lists of length dim."""
+    z = zero(spec)
+    return [[col.get(i, z) for i in range(dim)] for col in columns]
+
+
 def dense_equivariant_subspace(rep):
     """Basis (as columns) of the vectors fixed by every group element."""
     spec = rep.spec
