@@ -36,7 +36,7 @@ from .cohomology import Cochain, cohomology, derivations
 from .errors import NotValidated, OracleDisagreement, ParseError, SupercohomError, ValidationError
 from .extension import ExtensionDatum, build_extension, classify_extensions, jacobi_iff_cocycle
 from .graded import GradedBasis, Vector
-from .nr_bracket import NRElement, bracket_to_element, mc_check
+from .nr_bracket import bracket_to_element, mc_check
 from .scalars import serialize_scalar
 from .workspace import ADJOINT, Workspace, _vector_doc, load
 
@@ -170,10 +170,9 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
-def _candidate_element(ws: Workspace, name: str | None) -> NRElement:
-    L = ws.algebra
+def _candidate_element(ws: Workspace, name: str | None) -> Cochain:
     if name is None:
-        return bracket_to_element(L)
+        return bracket_to_element(ws.algebra)
     entry = ws.cochains.get(name)
     if entry is None:
         raise ParseError(f"unknown cochain {name!r}; have {sorted(ws.cochains)}")
@@ -182,13 +181,13 @@ def _candidate_element(ws: Workspace, name: str | None) -> NRElement:
     f = entry.cochain
     if (f.arity, f.parity) != (2, 0):
         raise ParseError("mc-check candidates must have arity 2 and parity 0")
-    return NRElement(L.spec, L.basis, 1, 0, f)
+    return f
 
 
 def _cmd_mc_check(args) -> int:
     ws = load(args.file)
     elt = _candidate_element(ws, args.candidate)
-    rpt = mc_check(elt)
+    rpt = mc_check(elt, ws.algebra.spec)
     out = _Emitter(args.emit)
     label = args.candidate or "bracket"
     out.text(f"candidate: {label}")
@@ -197,7 +196,7 @@ def _cmd_mc_check(args) -> int:
     names = ws.algebra.basis.names
     residual = []
     if not rpt.is_mc:
-        for T, vec in rpt.residual.payload.by_tuple().items():
+        for T, vec in rpt.residual.by_tuple().items():
             out.text(f"  residual at {_tuple_str(names, T)}: {_vec_str(ws.algebra.basis, vec)}")
             residual.append(
                 {"at": [names[i] for i in T], "value": _vector_doc(ws.algebra.basis, vec)}

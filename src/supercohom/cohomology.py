@@ -349,21 +349,27 @@ def coboundary_preimage(
     return Cochain(n, target.parity, L.basis, M.space, {coords[t]: c for t, c in sorted(f.items())})
 
 
-def _matrix_from_basis(basis_cochains: list[Cochain], n: int, L, M):
-    """Columns: coboundaries of the basis cochains, in raw (n+1)-coordinates."""
-    pos = _positions(n, L, M)
-    rows = _delta_rows(n, L, M, [{pos[key]: c for key, c in f.coords.items()} for f in basis_cochains])
+def _dense_delta(n: int, L, M, cols: list[Row]):
+    """delta^n . B as a dense matrix over the raw (n+1)-coordinates, with B
+    the sparse columns cols over the raw n-coordinates."""
+    rows = _delta_rows(n, L, M, cols)
     z = zero(L.spec)
-    width = len(basis_cochains)
     mat = []
     for r in range(len(cochain_coords(L.basis, n + 1, M.space))):
         row = rows.get(r)
-        mat.append([z] * width if row is None else [row.get(k, z) for k in range(width)])
+        mat.append([z] * len(cols) if row is None else [row.get(k, z) for k in range(len(cols))])
     return mat
 
 
+def _matrix_from_basis(basis_cochains: list[Cochain], n: int, L, M):
+    """Columns: coboundaries of the basis cochains, in raw (n+1)-coordinates."""
+    pos = _positions(n, L, M)
+    return _dense_delta(n, L, M, [{pos[key]: c for key, c in f.coords.items()} for f in basis_cochains])
+
+
 def coboundary_matrix(n: int, L: LieSuperalgebra, M: LModule, rep=None):
-    return _matrix_from_basis(cochain_basis(n, L, M, rep), n, L, M)
+    """The dense matrix of delta^n on the _family of C^n."""
+    return _dense_delta(n, L, M, _family(n, L, M, rep)[0])
 
 
 @dataclass

@@ -2,8 +2,10 @@
 at a finite order: order-by-order checking of the deformation identity,
 infinitesimals, the next-order obstruction, and gauge equivalence.
 
-The deformation identity at order r is sum_{i+j=r} mu_i o mu_j = 0 and the
-order-(N+1) obstruction is the same sum over i, j >= 1 (Gerstenhaber), with
+The terms mu_i are even 2-cochains from the algebra to itself, which are
+already elements of the Nijenhuis-Richardson algebra.  The deformation
+identity at order r is sum_{i+j=r} mu_i o mu_j = 0 and the order-(N+1)
+obstruction is the same sum over i, j >= 1 (Gerstenhaber), with
 o = nr_bracket.circ.  Solvability and cohomologous infinitesimals are one
 row-form solve, cohomology.coboundary_preimage.  The element-wise loops
 these replaced are kept in tests/util.py as test oracles.
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .graded import GradedBasis, Vector, superalt_basis
 from .group_action import ActionRep
-from .nr_bracket import NRElement, bracket_to_element, circ
+from .nr_bracket import bracket_to_element, circ
 from .scalars import FieldSpec, one, scalar
 from .superalgebra import LieSuperalgebra, adjoint_module
 
@@ -56,7 +58,7 @@ class Deformation:
         if self.rep.parities != self.base.basis.parities:
             raise BasisMismatch("action does not match the base algebra")
         if check:
-            if self.terms[0] != bracket_to_element(self.base).payload:
+            if self.terms[0] != bracket_to_element(self.base):
                 raise ValidationError("order-0 term must equal the base bracket")
             M = adjoint_module(self.base)
             for k, f in enumerate(self.terms):
@@ -83,15 +85,12 @@ class OrderReport:
 
 def _composition_sum(d: Deformation, r: int, low: int) -> Cochain:
     """The sum of mu_i o mu_j over i + j = r with i, j >= low."""
-    spec, basis = d.base.spec, d.base.basis
     acc: dict = {}
     for i in range(max(low, r - d.order), min(r - low, d.order) + 1):
-        left = NRElement(spec, basis, 1, 0, d.terms[i])
-        right = NRElement(spec, basis, 1, 0, d.terms[r - i])
-        for key, c in circ(left, right).payload.coords.items():
+        for key, c in circ(d.terms[i], d.terms[r - i]).coords.items():
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
-    return Cochain(3, 0, basis, basis, acc)
+    return Cochain(3, 0, d.base.basis, d.base.basis, acc)
 
 
 def check_order(d: Deformation, r: int) -> OrderReport:

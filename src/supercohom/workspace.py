@@ -125,7 +125,7 @@ class Workspace:
             terms = []
             for term in self.deformations[name]:
                 if term == BRACKET_TERM:
-                    terms.append(bracket_to_element(self.algebra).payload)
+                    terms.append(bracket_to_element(self.algebra))
                 else:
                     terms.append(self.cochains[term].cochain)
             self._deformation_cache[name] = Deformation(

@@ -44,7 +44,6 @@ from supercohom.graded import Vector, cochain_coords
 from supercohom.group_action import apply_rep, cyclic_group, permutation_rep, validate_action
 from supercohom.linalg import mat_mul
 from supercohom.nr_bracket import (
-    NRElement,
     bracket_to_element,
     circ,
     element_to_bracket,
@@ -382,7 +381,7 @@ def test_criterion_5_mc_verdict_matches_jacobi_sweep():
     failures = 0
     for name, L, count in bases:
         base = bracket_to_element(L)
-        rpt = mc_check(base)
+        rpt = mc_check(base, L.spec)
         assert rpt.is_mc and rpt.jacobi_ok, f"{name} base bracket failed its own check"
         assert jacobi_sweep(L), f"{name} direct sweep disagrees on the base bracket"
         agreements += 1
@@ -390,9 +389,9 @@ def test_criterion_5_mc_verdict_matches_jacobi_sweep():
         seen_failure = False
         for _ in range(count):
             pert = sparse_perturbation(rng, L)
-            cand = NRElement(L.spec, L.basis, 1, 0, base.payload.add(pert))
-            rpt = mc_check(cand)
-            direct = jacobi_sweep(element_to_bracket(cand, L.basis))
+            cand = base.add(pert)
+            rpt = mc_check(cand, L.spec)
+            direct = jacobi_sweep(element_to_bracket(cand, L.spec))
             assert rpt.is_mc == rpt.jacobi_ok == direct, (
                 f"verdicts disagree on a perturbation of {name}"
             )
@@ -414,10 +413,11 @@ def test_criterion_5_mc_verdict_matches_jacobi_sweep():
 
 
 def equivariant_element(rng, L, z, parity, pool):
-    payload = zero_cochain(z + 1, parity, L, adjoint_module(L))
+    """A random equivariant element of degree z: a (z+1)-cochain."""
+    f = zero_cochain(z + 1, parity, L, adjoint_module(L))
     for c in pool[(z, parity)]:
-        payload = payload.add(c.scale(rand_scalar(L.spec, rng, zero_bias=0.35)))
-    return NRElement(L.spec, L.basis, z, parity, payload)
+        f = f.add(c.scale(rand_scalar(L.spec, rng, zero_bias=0.35)))
+    return f
 
 
 def test_criterion_6_bracket_algebra_identities_on_equivariant_elements():
@@ -566,7 +566,7 @@ def test_criterion_8_gauge_moves_infinitesimal_by_a_coboundary():
     pairs = 0
     for k in range(20):
         mu_1 = combo(term_pool, 0.3)
-        d = Deformation(L, rep, [bracket_to_element(L).payload, mu_1])
+        d = Deformation(L, rep, [bracket_to_element(L), mu_1])
         maps = [identity_endo(L.basis, L.spec), combo(endo_pool, 0.2)]
         if k % 3 == 0:
             maps.append(combo(endo_pool, 0.4))

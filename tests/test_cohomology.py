@@ -477,7 +477,9 @@ def test_sweep_matches_per_cochain_oracle(n, with_action):
         L, rep = rand_instance(rng, with_action=with_action)
         M, reps = rand_module(rng, L, rep)
         basis = cochain_basis(n, L, M, reps)
-        assert _matrix_from_basis(basis, n, L, M) == coboundary_matrix_raw(basis, n, L, M)
+        want = coboundary_matrix_raw(basis, n, L, M)
+        assert _matrix_from_basis(basis, n, L, M) == want
+        assert coboundary_matrix(n, L, M, reps) == want
         for parity in (0, 1):
             f = rand_cochain(rng, L, M, n, parity)
             assert coboundary(f, L, M) == coboundary_raw(f, L, M)

@@ -1,8 +1,8 @@
 """The sparse Nijenhuis-Richardson composition and the row-form coboundary
 solve against the element-wise oracles in util.py.
 
-circ must equal the shuffle-by-shuffle product in every bidegree with
-z, z' in {-1, 0, 1, 2}, over Q and Q(zeta_4).  The deformation identity, the
+circ must equal the shuffle-by-shuffle product on every pair of cochains
+of arities 0 to 3 (vectors are 0-cochains), over Q and Q(zeta_4).  The deformation identity, the
 obstruction and its next term must equal the triple loops solved densely by
 Bareiss elimination, and coboundary_preimage must agree with a Bareiss solve
 against the cochain-by-cochain coboundary matrix, also for targets that are
@@ -23,10 +23,10 @@ from supercohom.deformation import (
     validate,
 )
 from supercohom.errors import DegreeOutOfRange, NotValidated
-from supercohom.graded import GradedBasis, Vector, cochain_coords
+from supercohom.graded import GradedBasis, cochain_coords
 from supercohom.group_action import cyclic_group, trivial_action
 from supercohom.linalg import solve_rows
-from supercohom.nr_bracket import NRElement, bracket_to_element, circ
+from supercohom.nr_bracket import bracket_to_element, circ
 from supercohom.scalars import RATIONAL, cyclo, one, scalar, zero
 from supercohom.superalgebra import adjoint_module, make_gl
 
@@ -44,37 +44,31 @@ from util import (
     rand_instance,
     rand_module,
     rand_scalar,
-    rand_vector,
 )
 
 seeds = st.integers(0, 2**32 - 1)
-z_degrees = st.integers(-1, 2)
+arities = st.integers(0, 3)
 parities = st.integers(0, 1)
-
-
-def rand_element(rng, L, z, parity):
-    if z == -1:
-        return NRElement(L.spec, L.basis, -1, parity, rand_vector(L.basis, L.spec, rng, parity=parity, zero_bias=0.4))
-    f = rand_cochain(rng, L, adjoint_module(L), z + 1, parity, zero_bias=0.6)
-    return NRElement(L.spec, L.basis, z, parity, f)
 
 
 # -- circ ----------------------------------------------------------------------
 
 
-@given(seeds, z_degrees, z_degrees, parities, parities, st.booleans())
-def test_circ_matches_elementwise_oracle(seed, z, zp, p, pp, cyclotomic):
-    assume(z + zp >= -1)
+@given(seeds, arities, arities, parities, parities, st.booleans())
+def test_circ_matches_elementwise_oracle(seed, a, ap, p, pp, cyclotomic):
+    assume(a + ap >= 1)
     rng = random.Random(seed)
     spec = cyclo(4) if cyclotomic else RATIONAL
     L = abelian_algebra(rng.randint(0, 2), rng.randint(1, 2), spec)
-    F, Fp = rand_element(rng, L, z, p), rand_element(rng, L, zp, pp)
+    M = adjoint_module(L)
+    F = rand_cochain(rng, L, M, a, p, zero_bias=0.4 if a == 0 else 0.6)
+    Fp = rand_cochain(rng, L, M, ap, pp, zero_bias=0.4 if ap == 0 else 0.6)
     assert circ(F, Fp) == elementwise_circ(F, Fp)
 
 
 def test_circ_below_the_vector_stratum_raises_like_the_oracle():
     L = abelian_algebra(1, 1)
-    v = NRElement(L.spec, L.basis, -1, 0, Vector.basis(0, L.spec))
+    v = Cochain(0, 0, L.basis, L.basis, {((), 0): one(L.spec)})
     for f in (circ, elementwise_circ):
         with pytest.raises(DegreeOutOfRange):
             f(v, v)
@@ -87,11 +81,11 @@ def test_circ_counts_the_shuffles_that_move_a_repeated_odd_index():
     # (F o F')(q, q, q) = -3 x.
     basis = GradedBasis(("x", "q"), (0, 1))
     o = one(RATIONAL)
-    F = NRElement(RATIONAL, basis, 1, 0, Cochain(2, 0, basis, basis, {((1, 1), 0): o}))
-    Fp = NRElement(RATIONAL, basis, 1, 1, Cochain(2, 1, basis, basis, {((1, 1), 1): o}))
+    F = Cochain(2, 0, basis, basis, {((1, 1), 0): o})
+    Fp = Cochain(2, 1, basis, basis, {((1, 1), 1): o})
     expected = {((1, 1, 1), 0): scalar(RATIONAL, -3)}
-    assert circ(F, Fp).payload.coords == expected
-    assert elementwise_circ(F, Fp).payload.coords == expected
+    assert circ(F, Fp).coords == expected
+    assert elementwise_circ(F, Fp).coords == expected
 
 
 # -- the deformation identity and the obstruction -------------------------------
@@ -110,7 +104,7 @@ def test_check_order_matches_the_triple_loop(seed, order, cyclotomic):
     rng = random.Random(seed)
     L, rep = _instance(rng, cyclotomic, False)
     M = adjoint_module(L)
-    terms = [bracket_to_element(L).payload] + [rand_cochain(rng, L, M, 2, 0, zero_bias=0.7) for _ in range(order)]
+    terms = [bracket_to_element(L)] + [rand_cochain(rng, L, M, 2, 0, zero_bias=0.7) for _ in range(order)]
     d = Deformation(L, rep, terms, check=False)
     for r in range(2 * order + 1):
         assert check_order(d, r) == elementwise_check_order(d, r)
@@ -133,7 +127,7 @@ def _rand_cocycle(rng, L, rep):
 def test_obstruction_matches_the_triple_loop_and_dense_solve(seed, cyclotomic, with_action):
     rng = random.Random(seed)
     L, rep = _instance(rng, cyclotomic, with_action)
-    d = Deformation(L, rep, [bracket_to_element(L).payload, _rand_cocycle(rng, L, rep)])
+    d = Deformation(L, rep, [bracket_to_element(L), _rand_cocycle(rng, L, rep)])
     for _ in range(2):
         rpt, want = obstruction(d), elementwise_obstruction(d)
         assert (rpt.cochain, rpt.solvable, rpt.next_term, rpt.closed) == (
@@ -242,16 +236,16 @@ def test_unchecked_deformation_with_a_non_equivariant_term_is_reported():
     L = make_gl(1, 1)
     rep = gl11_swap_rep(L)
     skew = Cochain(2, 0, L.basis, L.basis, {((0, 2), 2): one(L.spec)})
-    d = Deformation(L, rep, [bracket_to_element(L).payload, skew], check=False)
+    d = Deformation(L, rep, [bracket_to_element(L), skew], check=False)
     assert not validate(d).terms_equivariant
-    checked = Deformation(L, rep, [bracket_to_element(L).payload, gl11_mu1(L)])
+    checked = Deformation(L, rep, [bracket_to_element(L), gl11_mu1(L)])
     assert validate(checked).terms_equivariant
 
 
 def test_not_validated_carries_the_failing_report():
     L = make_gl(1, 1)
     rep = gl11_swap_rep(L)
-    d = Deformation(L, rep, [bracket_to_element(L).payload, gl11_mu1(L)])
+    d = Deformation(L, rep, [bracket_to_element(L), gl11_mu1(L)])
     with pytest.raises(NotValidated) as info:
         obstruction(d)
     assert info.value.report == validate(d, "truncated")

@@ -42,7 +42,7 @@ def gl11():
 
 
 def displayed_deformation(L, rep):
-    return Deformation(L, rep, [bracket_to_element(L).payload, gl11_mu1(L)])
+    return Deformation(L, rep, [bracket_to_element(L), gl11_mu1(L)])
 
 
 def rand_equivariant_endo(rng, L, M, rep, scale_range=2):
@@ -71,11 +71,11 @@ def test_rejects_leading_term_other_than_bracket(gl11):
 def test_rejects_wrong_arity_or_parity_terms(gl11):
     L, rep, M = gl11
     with pytest.raises(WrongBidegree):
-        Deformation(L, rep, [bracket_to_element(L).payload, Cochain(3, 0, L.basis, L.basis, {})])
+        Deformation(L, rep, [bracket_to_element(L), Cochain(3, 0, L.basis, L.basis, {})])
     with pytest.raises(WrongBidegree):
         Deformation(
             L, rep,
-            [bracket_to_element(L).payload, Cochain(2, 1, L.basis, L.basis, {((0, 2), 0): ONE})],
+            [bracket_to_element(L), Cochain(2, 1, L.basis, L.basis, {((0, 2), 0): ONE})],
         )
 
 
@@ -83,15 +83,15 @@ def test_rejects_foreign_basis_terms(gl11):
     L, rep, M = gl11
     A, _ = abelian_fixture(2, 2)
     with pytest.raises(BasisMismatch):
-        Deformation(L, rep, [bracket_to_element(A).payload])
+        Deformation(L, rep, [bracket_to_element(A)])
 
 
 def test_rejects_non_equivariant_term(gl11):
     L, rep, M = gl11
     skew = Cochain(2, 0, L.basis, L.basis, {((0, 2), 2): ONE})
     with pytest.raises(ValidationError, match="equivariant"):
-        Deformation(L, rep, [bracket_to_element(L).payload, skew])
-    unchecked = Deformation(L, rep, [bracket_to_element(L).payload, skew], check=False)
+        Deformation(L, rep, [bracket_to_element(L), skew])
+    unchecked = Deformation(L, rep, [bracket_to_element(L), skew], check=False)
     assert unchecked.order == 1
 
 
@@ -116,7 +116,7 @@ def test_order_one_residual_matches_coboundary_of_mu1(gl11):
     """The r=1 residual must equal delta^2(mu_1) computed by the complex."""
     rng = random.Random(13)
     L, rep, M = gl11
-    mu0 = bracket_to_element(L).payload
+    mu0 = bracket_to_element(L)
     basis2 = [u for u in cochain_basis(2, L, M, rep=(rep, rep)) if u.parity == 0]
     assert basis2
     for _ in range(6):
@@ -139,7 +139,7 @@ def test_order_one_residual_matches_coboundary_without_equivariance(gl11):
     # the identity is algebraic: it needs antisymmetry only, not equivariance
     L, rep, M = gl11
     skew = Cochain(2, 0, L.basis, L.basis, {((0, 2), 2): ONE, ((2, 3), 1): scalar(RATIONAL, 2)})
-    d = Deformation(L, rep, [bracket_to_element(L).payload, skew], check=False)
+    d = Deformation(L, rep, [bracket_to_element(L), skew], check=False)
     rpt = check_order(d, 1)
     want = coboundary(skew, L, M)
     for T in superalt_basis(L.basis, 3):
@@ -167,7 +167,7 @@ def test_displayed_first_order_term_fails_at_order_one(gl11):
 
 def test_validate_trivial_deformation_both_modes(gl11):
     L, rep, M = gl11
-    d = Deformation(L, rep, [bracket_to_element(L).payload])
+    d = Deformation(L, rep, [bracket_to_element(L)])
     assert validate(d, "truncated").ok
     assert validate(d, "strict").ok
 
@@ -188,8 +188,8 @@ def test_strict_valid_order_one_deformation():
     """Deforming the abelian bracket by a genuine Lie bracket passes strictly."""
     A, repA = abelian_fixture(2, 2)
     L = make_gl(1, 1)
-    mu1 = Cochain(2, 0, A.basis, A.basis, dict(bracket_to_element(L).payload.coords))
-    d = Deformation(A, repA, [bracket_to_element(A).payload, mu1])
+    mu1 = Cochain(2, 0, A.basis, A.basis, dict(bracket_to_element(L).coords))
+    d = Deformation(A, repA, [bracket_to_element(A), mu1])
     assert validate(d, "truncated").ok
     assert validate(d, "strict").ok
     rpt = obstruction(d)
@@ -211,7 +211,7 @@ def test_infinitesimal_of_displayed_deformation_is_flagged(gl11):
 def test_infinitesimal_skips_zero_terms(gl11):
     L, rep, M = gl11
     zero2 = Cochain(2, 0, L.basis, L.basis, {})
-    d = Deformation(L, rep, [bracket_to_element(L).payload, zero2, gl11_mu1(L)])
+    d = Deformation(L, rep, [bracket_to_element(L), zero2, gl11_mu1(L)])
     rpt = infinitesimal(d)
     assert rpt.index == 2
 
@@ -219,14 +219,14 @@ def test_infinitesimal_skips_zero_terms(gl11):
 def test_infinitesimal_cocycle_flag_true_case():
     A, repA = abelian_fixture(2, 2)
     L = make_gl(1, 1)
-    mu1 = Cochain(2, 0, A.basis, A.basis, dict(bracket_to_element(L).payload.coords))
-    d = Deformation(A, repA, [bracket_to_element(A).payload, mu1])
+    mu1 = Cochain(2, 0, A.basis, A.basis, dict(bracket_to_element(L).coords))
+    d = Deformation(A, repA, [bracket_to_element(A), mu1])
     assert infinitesimal(d).is_cocycle
 
 
 def test_infinitesimal_all_zero_raises(gl11):
     L, rep, M = gl11
-    d = Deformation(L, rep, [bracket_to_element(L).payload])
+    d = Deformation(L, rep, [bracket_to_element(L)])
     with pytest.raises(AllZero):
         infinitesimal(d)
 
@@ -236,7 +236,7 @@ def test_infinitesimal_all_zero_raises(gl11):
 
 def test_obstruction_of_order_zero_is_zero(gl11):
     L, rep, M = gl11
-    rpt = obstruction(Deformation(L, rep, [bracket_to_element(L).payload]))
+    rpt = obstruction(Deformation(L, rep, [bracket_to_element(L)]))
     assert rpt.cochain.is_zero()
     assert rpt.solvable and rpt.next_term is not None and rpt.next_term.is_zero()
     assert rpt.closed
@@ -251,7 +251,7 @@ def test_obstruction_requires_truncated_validity(gl11):
 def test_unsolvable_obstruction_on_abelian_base():
     B, repB = abelian_fixture(3)
     mu1 = Cochain(2, 0, B.basis, B.basis, {((0, 1), 0): ONE, ((0, 2), 2): ONE})
-    d = Deformation(B, repB, [bracket_to_element(B).payload, mu1])
+    d = Deformation(B, repB, [bracket_to_element(B), mu1])
     assert validate(d, "truncated").ok
     rpt = obstruction(d)
     assert dict(rpt.cochain.coords) == {((0, 1, 2), 2): MINUS}
@@ -262,7 +262,7 @@ def test_unsolvable_obstruction_on_abelian_base():
 def test_nonzero_solvable_obstruction_with_certificate(gl11):
     rng = random.Random(1)
     L, rep, M = gl11
-    mu0 = bracket_to_element(L).payload
+    mu0 = bracket_to_element(L)
     seen_nonzero = 0
     for _ in range(8):
         psi = rand_equivariant_endo(rng, L, M, rep)
@@ -328,7 +328,7 @@ def test_first_order_gauge_identity(gl11):
 def test_gauge_round_trip(gl11):
     rng = random.Random(27)
     L, rep, M = gl11
-    mu0 = bracket_to_element(L).payload
+    mu0 = bracket_to_element(L)
     psi1 = rand_equivariant_endo(rng, L, M, rep)
     psi2 = rand_equivariant_endo(rng, L, M, rep)
     d = Deformation(L, rep, [mu0, gl11_mu1(L), Cochain(2, 0, L.basis, L.basis, {})])
@@ -362,8 +362,8 @@ def test_validity_is_gauge_invariant():
     rng = random.Random(39)
     A, repA = abelian_fixture(2, 2)
     L = make_gl(1, 1)
-    mu1 = Cochain(2, 0, A.basis, A.basis, dict(bracket_to_element(L).payload.coords))
-    d = Deformation(A, repA, [bracket_to_element(A).payload, mu1])
+    mu1 = Cochain(2, 0, A.basis, A.basis, dict(bracket_to_element(L).coords))
+    d = Deformation(A, repA, [bracket_to_element(A), mu1])
     M = adjoint_module(A)
     for _ in range(4):
         psi = rand_equivariant_endo(rng, A, M, repA)
@@ -396,7 +396,7 @@ def test_equal_deformations_are_cohomologous(gl11):
 
 def test_non_cohomologous_infinitesimals_detected():
     B, repB = abelian_fixture(2)
-    mu0 = bracket_to_element(B).payload
+    mu0 = bracket_to_element(B)
     h = Cochain(2, 0, B.basis, B.basis, {((0, 1), 0): ONE})
     d1 = Deformation(B, repB, [mu0, h])
     d2 = Deformation(B, repB, [mu0])
@@ -407,6 +407,6 @@ def test_cohomologous_rejects_foreign_algebras(gl11):
     L, rep, M = gl11
     B, repB = abelian_fixture(2)
     d1 = displayed_deformation(L, rep)
-    d2 = Deformation(B, repB, [bracket_to_element(B).payload])
+    d2 = Deformation(B, repB, [bracket_to_element(B)])
     with pytest.raises(BasisMismatch):
         infinitesimals_cohomologous(d1, d2)

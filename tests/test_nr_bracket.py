@@ -1,10 +1,15 @@
-"""Tests for the graded Lie algebra of super-alternating maps."""
+"""Tests for the graded Lie algebra of super-alternating maps.
+
+An element of degree z is a (z+1)-cochain from the space to itself; a vector
+is a 0-cochain."""
 
 import random
 from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supercohom.cohomology import Cochain, cochain_basis, coboundary, is_equivariant
 from supercohom.errors import (
@@ -14,15 +19,13 @@ from supercohom.errors import (
 )
 from supercohom.graded import Vector, superalt_basis
 from supercohom.nr_bracket import (
-    NRElement,
     bracket_to_element,
     circ,
     element_to_bracket,
     mc_check,
     nr_bracket,
-    zero_element,
 )
-from supercohom.scalars import RATIONAL, scalar
+from supercohom.scalars import RATIONAL, cyclo, scalar
 from supercohom.superalgebra import (
     adjoint_module,
     bracket_eval,
@@ -37,6 +40,7 @@ from util import (
     gl11_swap_rep,
     heisenberg_algebra,
     rand_cochain,
+    rand_instance,
     shuffles,
     star,
 )
@@ -46,16 +50,13 @@ MINUS = scalar(RATIONAL, -1)
 
 
 def rand_element(rng, L, z, parity, zero_bias=0.3):
-    if z == -1:
-        idx = [i for i, p in enumerate(L.basis.parities) if p == parity]
-        coords = {}
-        for i in idx:
-            if rng.random() > zero_bias:
-                coords[i] = scalar(L.spec, rng.randint(-3, 3))
-        return NRElement(L.spec, L.basis, -1, parity, Vector(coords))
-    M = adjoint_module(L)
-    f = rand_cochain(rng, L, M, z + 1, parity, zero_bias=zero_bias)
-    return NRElement(L.spec, L.basis, z, parity, f)
+    """A random element of degree z: a (z+1)-cochain from L to L."""
+    return rand_cochain(rng, L, adjoint_module(L), z + 1, parity, zero_bias=zero_bias)
+
+
+def basis_cochain(L, j):
+    """The basis vector e_j as a 0-cochain."""
+    return Cochain(0, L.basis.parities[j], L.basis, L.basis, {((), j): ONE})
 
 
 def basis_vec(i):
@@ -103,34 +104,28 @@ def test_star_even_second_factor_has_no_prefactor():
     rng = random.Random(11)
     L = abelian_algebra(2, 2)
     M = adjoint_module(L)
-    F = NRElement(RATIONAL, L.basis, 1, 1, rand_cochain(rng, L, M, 2, 1, 0.2))
-    Fp = NRElement(RATIONAL, L.basis, 1, 0, rand_cochain(rng, L, M, 2, 0, 0.2))
+    F = rand_cochain(rng, L, M, 2, 1, 0.2)
+    Fp = rand_cochain(rng, L, M, 2, 0, 0.2)
     raw = star(F, Fp)
     for T in product(range(len(L.basis)), repeat=3):
-        inner = Fp.payload.value_at(T[1:])
+        inner = Fp.value_at(T[1:])
         want = Vector()
         for k, c in inner.coords.items():
-            want = want + F.payload.value_at((T[0], k)).scale(c)
+            want = want + F.value_at((T[0], k)).scale(c)
         assert raw.at(T) == want
 
 
 def test_star_odd_second_factor_sign_flips_with_head_parity():
     L = make_gl(1, 1)
     # F(x, y) projects onto the coefficient of the second slot; F' picks out e12
-    F = NRElement(
-        RATIONAL, L.basis, 1, 0,
-        Cochain(2, 0, L.basis, L.basis, {((2, 3), 0): ONE}),
-    )
-    Fp = NRElement(
-        RATIONAL, L.basis, 0, 1,
-        Cochain(1, 1, L.basis, L.basis, {((0,), 2): ONE}),
-    )
+    F = Cochain(2, 0, L.basis, L.basis, {((2, 3), 0): ONE})
+    Fp = Cochain(1, 1, L.basis, L.basis, {((0,), 2): ONE})
     raw = star(F, Fp)
     # F(e12, e12) vanishes, so only the e21 head survives
     assert raw.at((2, 0)).is_zero()
     got = raw.at((3, 0))
     # F*(e21, e11): inner = F'(e11) = e12, head parity 1 -> -F(e21, e12)
-    want = F.payload.value_at((3, 2)).scale(MINUS)
+    want = F.value_at((3, 2)).scale(MINUS)
     assert got == want
 
 
@@ -159,12 +154,12 @@ def test_circ_with_unary_first_factor_equals_star():
     L = make_gl(1, 1)
     M = adjoint_module(L)
     for parity in (0, 1):
-        F = NRElement(RATIONAL, L.basis, 0, parity, rand_cochain(rng, L, M, 1, parity, 0.2))
+        F = rand_cochain(rng, L, M, 1, parity, 0.2)
         Fp = bracket_to_element(L)
         out = circ(F, Fp)
         raw = star(F, Fp)
         for S in superalt_basis(L.basis, 2):
-            assert out.payload.value_at(S) == raw.at(S)
+            assert out.value_at(S) == raw.at(S)
 
 
 def test_circ_matches_twisted_action_shuffle_sum():
@@ -180,7 +175,7 @@ def test_circ_matches_twisted_action_shuffle_sum():
             total = acted if total is None else total.add(acted)
         out = circ(F, Fp)
         for S in superalt_basis(L.basis, z1 + z2 + 1):
-            assert out.payload.value_at(S) == total.at(S)
+            assert out.value_at(S) == total.at(S)
 
 
 def test_circ_output_is_superalternating():
@@ -196,7 +191,7 @@ def test_circ_output_is_superalternating():
     # adjacent transpositions must fix the shuffle sum
     for sigma in [(1, 0, 2), (0, 2, 1)]:
         assert act_permutation(sigma, full) == full
-    assert out.z_degree == 2 and out.parity == 1
+    assert out.arity == 3 and out.parity == 1
 
 
 def test_circ_vector_second_factor_plugs_in():
@@ -204,26 +199,24 @@ def test_circ_vector_second_factor_plugs_in():
     F0 = bracket_to_element(L)
     for j in range(len(L.basis)):
         pv = L.basis.parities[j]
-        v = NRElement(RATIONAL, L.basis, -1, pv, basis_vec(j))
-        out = circ(F0, v)
-        assert (out.z_degree, out.parity) == (0, pv)
+        out = circ(F0, basis_cochain(L, j))
+        assert (out.arity, out.parity) == (1, pv)
         for i in range(len(L.basis)):
             sign = MINUS if pv and L.basis.parities[i] else ONE
             want = bracket_eval(L, basis_vec(i), basis_vec(j)).scale(sign)
-            assert out.payload.value_at((i,)) == want
+            assert out.value_at((i,)) == want
 
 
 def test_circ_vector_first_factor_collapses_to_zero():
     L = make_gl(1, 1)
-    v = NRElement(RATIONAL, L.basis, -1, 1, basis_vec(2))
     F0 = bracket_to_element(L)
-    out = circ(v, F0)
-    assert out.is_zero() and out.z_degree == 0
+    out = circ(basis_cochain(L, 2), F0)
+    assert out.is_zero() and out.arity == 1
 
 
 def test_circ_of_two_vectors_is_out_of_range():
     L = make_gl(1, 1)
-    v = NRElement(RATIONAL, L.basis, -1, 0, basis_vec(0))
+    v = basis_cochain(L, 0)
     with pytest.raises(DegreeOutOfRange):
         circ(v, v)
 
@@ -299,16 +292,16 @@ def test_equivariant_elements_close_under_circ_and_bracket():
     M = adjoint_module(L)
     rep = gl11_swap_rep(L)
     F0 = bracket_to_element(L)
-    mu1 = NRElement(RATIONAL, L.basis, 1, 0, gl11_mu1(L))
+    mu1 = gl11_mu1(L)
     units = cochain_basis(1, L, M, rep=(rep, rep))
     assert units
-    unary = NRElement(RATIONAL, L.basis, 0, units[0].parity, units[0])
+    unary = units[0]
     for A, B in [(F0, mu1), (mu1, unary), (F0, unary)]:
-        assert is_equivariant(A.payload, rep, rep, L, M)
-        assert is_equivariant(B.payload, rep, rep, L, M)
+        assert is_equivariant(A, rep, rep, L, M)
+        assert is_equivariant(B, rep, rep, L, M)
         for out in (circ(A, B), nr_bracket(A, B)):
             if not out.is_zero():
-                assert is_equivariant(out.payload, rep, rep, L, M)
+                assert is_equivariant(out, rep, rep, L, M)
 
 
 # -- Maurer-Cartan ------------------------------------------------------------
@@ -316,24 +309,24 @@ def test_equivariant_elements_close_under_circ_and_bracket():
 
 def test_mc_check_accepts_gl11_bracket():
     L = make_gl(1, 1)
-    report = mc_check(bracket_to_element(L))
+    report = mc_check(bracket_to_element(L), L.spec)
     assert report.is_mc and report.jacobi_ok and report.residual.is_zero()
 
 
 def test_mc_check_accepts_zero_bracket():
     L = abelian_algebra(2, 1)
-    report = mc_check(zero_element(RATIONAL, L.basis, 1, 0))
+    report = mc_check(Cochain(2, 0, L.basis, L.basis, {}), RATIONAL)
     assert report.is_mc
 
 
 def test_mc_check_rejects_perturbed_bracket():
     L = make_gl(1, 1)
     F0 = bracket_to_element(L)
-    coords = dict(F0.payload.coords)
+    coords = dict(F0.coords)
     key = sorted(coords)[0]
     coords[key] = coords[key] + ONE
-    bad = NRElement(RATIONAL, L.basis, 1, 0, Cochain(2, 0, L.basis, L.basis, coords))
-    report = mc_check(bad)
+    bad = Cochain(2, 0, L.basis, L.basis, coords)
+    report = mc_check(bad, RATIONAL)
     assert not report.is_mc
     assert not report.residual.is_zero()
     assert not report.jacobi_ok
@@ -342,9 +335,9 @@ def test_mc_check_rejects_perturbed_bracket():
 def test_mc_check_rejects_wrong_bidegree():
     L = make_gl(1, 1)
     with pytest.raises(WrongBidegree):
-        mc_check(zero_element(RATIONAL, L.basis, 2, 0))
+        mc_check(Cochain(3, 0, L.basis, L.basis, {}), RATIONAL)
     with pytest.raises(WrongBidegree):
-        mc_check(zero_element(RATIONAL, L.basis, 1, 1))
+        mc_check(Cochain(2, 1, L.basis, L.basis, {}), RATIONAL)
 
 
 # -- conversions --------------------------------------------------------------
@@ -353,14 +346,14 @@ def test_mc_check_rejects_wrong_bidegree():
 def test_round_trip_on_gl21():
     L = make_gl(2, 1)
     F = bracket_to_element(L)
-    back = element_to_bracket(F, L.basis)
+    back = element_to_bracket(F, L.spec)
     assert back.bracket == L.bracket
     assert bracket_to_element(back) == F
 
 
 def test_element_to_bracket_mirrors_antisymmetry():
     L = make_gl(1, 1)
-    back = element_to_bracket(bracket_to_element(L), L.basis)
+    back = element_to_bracket(bracket_to_element(L), L.spec)
     par = L.basis.parities
     n = len(L.basis)
     for i in range(n):
@@ -372,11 +365,11 @@ def test_element_to_bracket_mirrors_antisymmetry():
 def test_element_to_bracket_of_non_mc_candidate_fails_jacobi():
     L = make_gl(1, 1)
     F0 = bracket_to_element(L)
-    coords = dict(F0.payload.coords)
+    coords = dict(F0.coords)
     key = sorted(coords)[-1]
     coords[key] = coords[key] + ONE
-    bad = NRElement(RATIONAL, L.basis, 1, 0, Cochain(2, 0, L.basis, L.basis, coords))
-    candidate = element_to_bracket(bad, L.basis)
+    bad = Cochain(2, 0, L.basis, L.basis, coords)
+    candidate = element_to_bracket(bad, L.spec)
     assert not validate_superalgebra(candidate).jacobi_ok
 
 
@@ -385,44 +378,43 @@ def test_conversion_preserves_equivariance_verdict():
     M = adjoint_module(L)
     rep = gl11_swap_rep(L)
     F0 = bracket_to_element(L)
-    assert is_equivariant(F0.payload, rep, rep, L, M)
+    assert is_equivariant(F0, rep, rep, L, M)
     # skewing one structure constant breaks equivariance under the swap
-    coords = dict(F0.payload.coords)
+    coords = dict(F0.coords)
     coords[((0, 2), 2)] = coords[((0, 2), 2)] + ONE
-    skew = NRElement(RATIONAL, L.basis, 1, 0, Cochain(2, 0, L.basis, L.basis, coords))
-    assert not is_equivariant(skew.payload, rep, rep, L, M)
+    skew = Cochain(2, 0, L.basis, L.basis, coords)
+    assert not is_equivariant(skew, rep, rep, L, M)
 
 
 # -- consistency with the coboundary ------------------------------------------
 
 
-def test_bracket_with_structure_element_is_plus_coboundary():
-    """delta f == +[F0, f] in every bidegree probed, on two fixtures."""
-    rng = random.Random(41)
-    for L in (make_gl(1, 1), heisenberg_algebra()):
-        M = adjoint_module(L)
-        F0 = bracket_to_element(L)
-        for arity in (1, 2, 3):
-            for parity in (0, 1):
-                for _ in range(3):
-                    f = rand_cochain(rng, L, M, arity, parity, zero_bias=0.3)
-                    d = coboundary(f, L, M)
-                    br = nr_bracket(F0, NRElement(L.spec, L.basis, arity - 1, parity, f))
-                    assert d.coords == br.payload.coords
-
-
-def test_bracket_with_vector_is_degree_zero_coboundary():
-    L = make_gl(1, 1)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 1), st.booleans())
+def test_bracket_with_structure_element_is_plus_coboundary(seed, arity, parity, cyclotomic):
+    """delta f == +[mu, f] on the adjoint module, with mu the structure
+    element, for f of arity 0 to 3 (vectors are 0-cochains) and either
+    parity, on random algebras over Q and Q(zeta_4)."""
+    rng = random.Random(seed)
+    L, _ = rand_instance(rng, cyclo(4) if cyclotomic else RATIONAL)
     M = adjoint_module(L)
-    F0 = bracket_to_element(L)
-    for j in range(len(L.basis)):
-        pv = L.basis.parities[j]
-        f = Cochain(0, pv, L.basis, L.basis, {((), j): ONE})
-        d = coboundary(f, L, M)
-        v = NRElement(RATIONAL, L.basis, -1, pv, basis_vec(j))
-        br = nr_bracket(F0, v)
-        assert (br.z_degree, br.parity) == (0, pv)
-        assert d.coords == br.payload.coords
+    f = rand_cochain(rng, L, M, arity, parity, zero_bias=0.3)
+    assert coboundary(f, L, M) == nr_bracket(bracket_to_element(L), f)
+
+
+def test_delta_bracket_sign_table_script_reads_plus_one():
+    """scripts/delta_bracket_sign_table.py runs on the library as it is and
+    finds delta f = +[mu, f] in every bidegree it probes."""
+    import os
+    import subprocess
+    import sys
+
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "delta_bracket_sign_table.py")
+    run = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True)
+    header, *rows = run.stdout.splitlines()
+    assert header.split() == ["fixture", "arity", "z", "parity", "sign"]
+    assert len(rows) == 16  # two fixtures, arities 0-3, both parities
+    for row in rows:
+        assert row.endswith("  +1") or row.endswith("  (all zero)"), row
 
 
 # -- element plumbing ---------------------------------------------------------
@@ -430,21 +422,21 @@ def test_bracket_with_vector_is_degree_zero_coboundary():
 
 def test_element_validation_errors():
     L = make_gl(1, 1)
-    with pytest.raises(DegreeOutOfRange):
-        NRElement(RATIONAL, L.basis, -2, 0, Vector())
-    with pytest.raises(TypeError):
-        NRElement(RATIONAL, L.basis, 0, 0, Vector())
-    with pytest.raises(TypeError):
-        NRElement(RATIONAL, L.basis, -1, 0, Cochain(0, 0, L.basis, L.basis, {}))
     with pytest.raises(ValueError):
-        NRElement(RATIONAL, L.basis, -1, 0, basis_vec(2))  # odd vector, even slot
-    with pytest.raises(WrongBidegree):
-        NRElement(RATIONAL, L.basis, 2, 0, Cochain(2, 0, L.basis, L.basis, {}))
-    with pytest.raises(WrongBidegree):
-        NRElement(RATIONAL, L.basis, 1, 1, Cochain(2, 0, L.basis, L.basis, {}))
+        Cochain(0, 0, L.basis, L.basis, {((), 2): ONE})  # odd vector tagged even
+    F0 = bracket_to_element(L)
     H = heisenberg_algebra()
     with pytest.raises(BasisMismatch):
-        NRElement(RATIONAL, L.basis, 1, 0, Cochain(2, 0, H.basis, H.basis, {}))
+        circ(F0, Cochain(2, 0, H.basis, H.basis, {}))
+    # a map from L to another space is no element of the graded Lie algebra on L
+    with pytest.raises(BasisMismatch):
+        circ(F0, Cochain(1, 0, L.basis, H.basis, {}))
+    with pytest.raises(BasisMismatch):
+        element_to_bracket(Cochain(2, 0, L.basis, H.basis, {}), RATIONAL)
+    with pytest.raises(DegreeOutOfRange):
+        nr_bracket(basis_cochain(L, 0), basis_cochain(L, 1))
+    with pytest.raises(WrongBidegree):
+        element_to_bracket(Cochain(2, 1, L.basis, L.basis, {}), RATIONAL)
 
 
 def test_element_add_and_scale():
@@ -453,5 +445,5 @@ def test_element_add_and_scale():
     doubled = F0.add(F0)
     assert doubled == F0.scale(scalar(RATIONAL, 2))
     assert F0.add(F0.scale(MINUS)).is_zero()
-    with pytest.raises(WrongBidegree):
-        F0.add(zero_element(RATIONAL, L.basis, 0, 0))
+    with pytest.raises(ValueError):
+        F0.add(Cochain(1, 0, L.basis, L.basis, {}))

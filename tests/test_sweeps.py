@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supercohom import group_action
 from supercohom.cohomology import Cochain, cochain_basis, is_equivariant
 from supercohom.graded import MultilinearMap, Vector
 from supercohom.group_action import (
@@ -49,6 +50,7 @@ from util import (
     elementwise_validate_module,
     elementwise_validate_module_action,
     elementwise_validate_superalgebra,
+    gl11_swap_rep,
     rand_cochain,
     rand_instance,
     rand_module,
@@ -225,6 +227,27 @@ def test_induced_columns_match_dense_oracle(n):
     prop()
 
 
+def test_action_sweep_skips_the_identity_only_when_it_acts_as_one(monkeypatch):
+    L = make_gl(1, 1)
+    swept = []
+    real = group_action._equivariance_sweep
+
+    def recording(report, kind, g, *rest):
+        swept.append(g)
+        real(report, kind, g, *rest)
+
+    monkeypatch.setattr(group_action, "_equivariance_sweep", recording)
+    rep = gl11_swap_rep(L)
+    assert validate_action(rep, L).ok and swept == [1]
+    mats = [[list(row) for row in mat] for mat in rep.matrices]
+    mats[rep.group.identity][0][1] = one(RATIONAL)  # the identity now sends e22 to e11 + e22
+    bad = ActionRep(rep.group, RATIONAL, L.basis.parities, mats)
+    swept.clear()
+    report = validate_action(bad, L)
+    assert not report.identity_ok and swept == [rep.group.identity, 1]
+    assert report == elementwise_validate_action(bad, L)
+
+
 def test_degree_counterexamples_in_row_major_order():
     # Entries (2, 1) and (3, 0) mix parities; a column-major scan would list
     # (3, 0) first.
@@ -314,7 +337,7 @@ def test_super_poincare_sweeps_match_oracles_broken_and_whole():
         assert report == elementwise_validate_action(bad_rep, L)
     # Z/4 acts by zeta on Q and zeta^-1 on Qbar: g and g^-1 differ.
     M = adjoint_module(L)
-    f = bracket_to_element(L).payload
+    f = bracket_to_element(L)
     assert is_equivariant(f, rep, rep, L, M) and elementwise_is_equivariant(f, rep, rep, L, M)
     for n in (1, 2):
         for _ in range(3):
@@ -327,4 +350,4 @@ def test_super_poincare_sweeps_match_oracles_broken_and_whole():
         [[one(spec)] * 10 + [root_of_unity(spec, -g)] * 2 + [root_of_unity(spec, g)] * 2 for g in range(4)],
     )
     assert is_equivariant(f, rep, twisted, L, M) == elementwise_is_equivariant(f, rep, twisted, L, M)
-    assert not is_equivariant(bracket_to_element(L).payload, rep, twisted, L, M)
+    assert not is_equivariant(bracket_to_element(L), rep, twisted, L, M)

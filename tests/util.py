@@ -1055,21 +1055,18 @@ def shuffles(p, q):
 
 
 def star_value(F, Fp, T):
-    """Value of F*F' on basis arguments indexed by T."""
-    if F.z_degree == -1:
+    """Value of F*F' on basis arguments indexed by T, for cochains F, F' from
+    a space to itself."""
+    if F.arity == 0:
         # no slot of F receives the second factor; the product collapses
         return Vector()
-    n = F.z_degree
-    head, tail = T[:n], T[n:]
-    if Fp.z_degree == -1:
-        inner = Fp.payload
-    else:
-        inner = Fp.payload.value_at(tail)
+    head, tail = T[: F.arity - 1], T[F.arity - 1 :]
+    inner = Fp.value_at(tail)
     if inner.is_zero():
         return Vector()
     acc = Vector()
     for k, c in inner.coords.items():
-        acc = acc + F.payload.value_at(head + (k,)).scale(c)
+        acc = acc + F.value_at(head + (k,)).scale(c)
     if Fp.parity and sum(F.space.parities[t] for t in head) % 2:
         return -acc
     return acc
@@ -1079,9 +1076,9 @@ def star(F, Fp):
     """The raw (not yet symmetrized) composition, as a full multilinear map."""
     from supercohom.errors import DegreeOutOfRange
 
-    m = F.z_degree + Fp.z_degree + 1
+    m = F.arity + Fp.arity - 1
     if m < 0:
-        raise DegreeOutOfRange("both factors lie in the vector stratum")
+        raise DegreeOutOfRange("both factors are vectors")
     parity = (F.parity + Fp.parity) % 2
     comps = {}
     dim = len(F.space)
@@ -1096,22 +1093,15 @@ def elementwise_circ(F, Fp):
     """Shuffle symmetrization of F*F', one canonical tuple and shuffle at a time."""
     from supercohom.cohomology import Cochain
     from supercohom.errors import BasisMismatch, DegreeOutOfRange
-    from supercohom.nr_bracket import NRElement, zero_element
 
-    if F.space != Fp.space:
-        raise BasisMismatch("factors live on different spaces")
-    z = F.z_degree + Fp.z_degree
-    parity = (F.parity + Fp.parity) % 2
-    if z < -1:
-        raise DegreeOutOfRange("composition drops below the vector stratum")
-    if F.z_degree == -1:
-        return zero_element(F.spec, F.space, z, parity)
-    sigmas = shuffles(F.z_degree, Fp.z_degree + 1)
-    m = z + 1
     space = F.space
-    if z == -1:
-        # unary F applied to a vector payload: the single shuffle is trivial
-        return NRElement(F.spec, space, -1, parity, star_value(F, Fp, ()))
+    if not F.algebra == space == Fp.algebra == Fp.space:
+        raise BasisMismatch("factors must be maps from one space to itself")
+    m = F.arity + Fp.arity - 1
+    if m < 0:
+        raise DegreeOutOfRange("both factors are vectors")
+    parity = (F.parity + Fp.parity) % 2
+    sigmas = shuffles(F.arity - 1, Fp.arity) if F.arity else []  # a vector F has no slot
     coords = {}
     for S in superalt_basis(space, m):
         pars = tuple(space.parities[i] for i in S)
@@ -1124,7 +1114,7 @@ def elementwise_circ(F, Fp):
             acc = acc + (val if eps == 1 else -val)
         for j, c in acc.coords.items():
             coords[(S, j)] = c
-    return NRElement(F.spec, space, z, parity, Cochain(m, parity, space, space, coords))
+    return Cochain(m, parity, space, space, coords)
 
 
 def _identity_triples(d, pairs):
