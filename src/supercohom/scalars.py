@@ -1,10 +1,11 @@
 """Exact scalar arithmetic over Q and the cyclotomic fields Q(zeta_m).
 
-A scalar is stored as a Fraction vector over the power basis
-1, z, ..., z^(phi(m)-1), where z is a primitive m-th root of unity; products
-are reduced modulo the m-th cyclotomic polynomial.  The rational field is the
-m = 1 case but keeps its own FieldSpec so purely rational runs never touch the
-polynomial machinery.
+A scalar is stored as integer numerators over one positive common denominator
+in the power basis 1, z, ..., z^(phi(m)-1), where z is a primitive m-th root
+of unity; products are reduced modulo the m-th cyclotomic polynomial, and
+every result is brought to lowest terms with one gcd.  The rational field is
+the m = 1 case but keeps its own FieldSpec so purely rational runs never touch
+the polynomial machinery.  Floats are refused: every value is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DivisionByZero, FieldMismatch, NotCyclotomic, ParseError
 
@@ -77,7 +78,8 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _poly_mod(coeffs: list[Fraction], m: int) -> list[Fraction]:
+def _poly_mod(coeffs: list, m: int) -> list:
+    # The remainder modulo Phi_m, padded to its degree.
     phi = cyclotomic_poly(m)
     deg = len(phi) - 1
     coeffs = list(coeffs)
@@ -86,10 +88,7 @@ def _poly_mod(coeffs: list[Fraction], m: int) -> list[Fraction]:
         if c:
             for j in range(deg + 1):
                 coeffs[i - deg + j] -= c * phi[j]
-    coeffs = coeffs[:deg]
-    while len(coeffs) < deg:
-        coeffs.append(Fraction(0))
-    return coeffs
+    return coeffs[:deg] + [0] * (deg - len(coeffs))
 
 
 def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
@@ -139,22 +138,41 @@ def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
 
 
 class Scalar:
-    """An element of Q or Q(zeta_m), always in canonical reduced form."""
+    """An element of Q or Q(zeta_m), always in canonical reduced form.
 
-    __slots__ = ("spec", "coeffs")
+    ``num`` holds integer power-basis numerators and ``den`` their one
+    positive common denominator, with gcd(den, *num) == 1; zero is all-zero
+    numerators over 1.  The form is unique, so equality and hashing compare
+    the fields directly.
+    """
+
+    __slots__ = ("spec", "num", "den")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        object.__setattr__(self, "spec", spec)
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        vals = []
+        for c in coeffs:
+            if isinstance(c, float):
+                raise TypeError(f"floats are not exact scalars: {c!r}")
+            vals.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        den = lcm(*[c.denominator for c in vals])
+        num = [c.numerator * (den // c.denominator) for c in vals]
         deg = spec.degree
-        if len(coeffs) > deg:
-            coeffs = _poly_mod(coeffs, spec.conductor)
-        while len(coeffs) < deg:
-            coeffs.append(Fraction(0))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        if len(num) > deg:
+            num = _poly_mod(num, spec.conductor)  # Phi_m is monic: stays integral
+        num += [0] * (deg - len(num))
+        g = gcd(den, *num)
+        _set_spec(self, spec)
+        _set_num(self, tuple([n // g for n in num]))
+        _set_den(self, den // g)
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.num])
 
     # -- helpers -----------------------------------------------------------
 
@@ -165,58 +183,77 @@ class Scalar:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        return _raw(self.spec, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
+        if type(other) is not Scalar or other.spec is not self.spec:
+            self._check(other)
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if len(a) == 1:
+            if da == db:
+                n = a[0] + b[0]
+                return _new(self.spec, (n,), 1) if da == 1 else _reduced1(self.spec, n, da)
+            return _reduced1(self.spec, a[0] * db + b[0] * da, da * db)
+        if da == db:
+            out = [x + y for x, y in zip(a, b)]
+            return _new(self.spec, tuple(out), 1) if da == 1 else _reduced(self.spec, out, da)
+        return _reduced(self.spec, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     def __sub__(self, other):
-        self._check(other)
-        return _raw(self.spec, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
+        if type(other) is not Scalar or other.spec is not self.spec:
+            self._check(other)
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if len(a) == 1:
+            if da == db:
+                n = a[0] - b[0]
+                return _new(self.spec, (n,), 1) if da == 1 else _reduced1(self.spec, n, da)
+            return _reduced1(self.spec, a[0] * db - b[0] * da, da * db)
+        if da == db:
+            out = [x - y for x, y in zip(a, b)]
+            return _new(self.spec, tuple(out), 1) if da == 1 else _reduced(self.spec, out, da)
+        return _reduced(self.spec, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __neg__(self):
-        return _raw(self.spec, tuple([-a for a in self.coeffs]))
+        return _new(self.spec, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        if type(other) is not Scalar or other.spec is not self.spec:
+            self._check(other)
+        a, b, den = self.num, other.num, self.den * other.den
         if len(a) == 1:
-            return _raw(self.spec, (a[0] * b[0],))
+            n = a[0] * b[0]
+            return _new(self.spec, (n,), 1) if den == 1 else _reduced1(self.spec, n, den)
         if not any(a[1:]):  # a rational factor scales the other one
-            return _raw(self.spec, tuple([a[0] * c if c else c for c in b]))
+            c = a[0]
+            return _reduced(self.spec, [c * x for x in b], den)
         if not any(b[1:]):
-            return _raw(self.spec, tuple([b[0] * c if c else c for c in a]))
-        # Integer numerators over a common denominator, then one reduction
-        # by the cached powers z^k mod Phi_m.
-        da, db = lcm(*[c.denominator for c in a]), lcm(*[c.denominator for c in b])
-        na = [c.numerator * (da // c.denominator) for c in a]
-        nb = [c.numerator * (db // c.denominator) for c in b]
+            c = b[0]
+            return _reduced(self.spec, [c * x for x in a], den)
+        # The schoolbook product, then one reduction by the cached powers
+        # z^k mod Phi_m.
         deg = len(a)
         prod = [0] * (2 * deg - 1)
-        for i, ai in enumerate(na):
-            if ai:
-                for j, bj in enumerate(nb):
-                    if bj:
-                        prod[i + j] += ai * bj
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
         out = prod[:deg]
         for k, row in enumerate(_high_powers(self.spec.conductor), deg):
             c = prod[k]
             if c:
                 for t, e in row:
                     out[t] += c * e
-        den = da * db
-        if den == 1:
-            return _raw(self.spec, tuple([Fraction(n) for n in out]))
-        return _raw(self.spec, tuple([Fraction(n, den) if n else Fraction(0) for n in out]))
+        return _reduced(self.spec, out, den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero("scalar inverse of zero")
-        if len(self.coeffs) == 1:
-            return Scalar(self.spec, (1 / self.coeffs[0],))
+        if len(self.num) == 1:
+            n = self.num[0]
+            return _new(self.spec, (self.den,), n) if n > 0 else _new(self.spec, (-self.den,), -n)
         phi = [Fraction(c) for c in cyclotomic_poly(self.spec.conductor)]
         g, u = _poly_xgcd(list(self.coeffs), phi)
         # Phi_m is irreducible over Q, so the gcd is a nonzero constant.
@@ -234,12 +271,13 @@ class Scalar:
     def __eq__(self, other):
         return (
             isinstance(other, Scalar)
-            and self.coeffs == other.coeffs
+            and self.num == other.num
+            and self.den == other.den
             and (self.spec is other.spec or self.spec == other.spec)
         )
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.num, self.den))
 
     def __repr__(self):
         return f"Scalar({self.spec.kind}:{self.spec.conductor}, {serialize_scalar(self)!r})"
@@ -248,12 +286,34 @@ class Scalar:
         return serialize_scalar(self)
 
 
-def _raw(spec: FieldSpec, coeffs: tuple) -> Scalar:
-    # A Scalar from coefficients that are already Fractions in reduced form.
+_set_spec = Scalar.spec.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+
+
+def _new(spec: FieldSpec, num: tuple, den: int) -> Scalar:
+    # A Scalar from numerators and a denominator already in canonical form.
     x = object.__new__(Scalar)
-    object.__setattr__(x, "spec", spec)
-    object.__setattr__(x, "coeffs", coeffs)
+    _set_spec(x, spec)
+    _set_num(x, num)
+    _set_den(x, den)
     return x
+
+
+def _reduced1(spec: FieldSpec, n: int, den: int) -> Scalar:
+    # n / den in lowest terms, for den > 0.
+    g = gcd(n, den)
+    if g == 1:
+        return _new(spec, (n,), den)
+    return _new(spec, (n // g,), den // g)
+
+
+def _reduced(spec: FieldSpec, num: list, den: int) -> Scalar:
+    # num / den with the common factor of den and every numerator divided out.
+    g = gcd(den, *num)
+    if g == 1:
+        return _new(spec, tuple(num), den)
+    return _new(spec, tuple([n // g for n in num]), den // g)
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +346,7 @@ def scalar(spec: FieldSpec, value) -> Scalar:
         return value
     if isinstance(value, str):
         return parse_scalar(spec, value)
-    q = Fraction(value)
-    return Scalar(spec, [q] + [Fraction(0)] * (spec.degree - 1))
+    return Scalar(spec, [value])
 
 
 def root_of_unity(spec: FieldSpec, k: int) -> Scalar:
@@ -298,8 +357,8 @@ def root_of_unity(spec: FieldSpec, k: int) -> Scalar:
         return one(spec)
     m = spec.conductor
     k %= m
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
     return Scalar(spec, coeffs)
 
 

@@ -139,6 +139,11 @@ def _expect(cond: bool, path: str, msg: str):
         raise ParseError(f"{path}: {msg}")
 
 
+def _is_int(raw) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return type(raw) is int
+
+
 def _as_dict(raw, path: str) -> dict:
     _expect(isinstance(raw, dict), path, f"expected an object, got {type(raw).__name__}")
     return raw
@@ -150,7 +155,7 @@ def _as_list(raw, path: str) -> list:
 
 
 def _scalar(spec: FieldSpec, raw, path: str) -> Scalar:
-    if isinstance(raw, int):
+    if _is_int(raw):
         raw = str(raw)
     _expect(isinstance(raw, str), path, "scalars must be written as strings")
     try:
@@ -164,7 +169,7 @@ def _parse_field(raw) -> FieldSpec:
         return RATIONAL
     if isinstance(raw, dict) and set(raw) == {"cyclotomic"}:
         m = raw["cyclotomic"]
-        _expect(isinstance(m, int) and m >= 1, "field.cyclotomic", "conductor must be a positive integer")
+        _expect(_is_int(m) and m >= 1, "field.cyclotomic", "conductor must be a positive integer")
         return cyclo(m)
     raise ParseError('field: expected "rational" or {"cyclotomic": m}')
 
@@ -175,7 +180,7 @@ def _parse_basis(raw, path: str) -> GradedBasis:
     for k, row in enumerate(rows):
         _expect(
             isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
-            and row[1] in (0, 1),
+            and _is_int(row[1]) and row[1] in (0, 1),
             f"{path}[{k}]",
             "expected a [label, parity] pair with parity 0 or 1",
         )
@@ -238,8 +243,8 @@ def _parse_group(raw) -> FiniteGroup:
     table = _as_list(body["table"], "group.table")
     for r, row in enumerate(table):
         cells = _as_list(row, f"group.table[{r}]")
-        _expect(all(isinstance(c, int) for c in cells), f"group.table[{r}]", "entries are element indices")
-    _expect(isinstance(body["identity"], int), "group.identity", "expected an element index")
+        _expect(all(_is_int(c) for c in cells), f"group.table[{r}]", "entries are element indices")
+    _expect(_is_int(body["identity"]), "group.identity", "expected an element index")
     try:
         return FiniteGroup(len(table), tuple(tuple(r) for r in table), body["identity"])
     except ValidationError as exc:
@@ -317,8 +322,8 @@ def _parse_cochain(ws: Workspace, name: str, raw) -> CochainEntry:
     for key in ("arity", "parity", "coords"):
         _expect(key in body, path, f'needs "{key}"')
     arity, parity = body["arity"], body["parity"]
-    _expect(isinstance(arity, int) and arity >= 0, f"{path}.arity", "expected an integer >= 0")
-    _expect(parity in (0, 1), f"{path}.parity", "expected 0 or 1")
+    _expect(_is_int(arity) and arity >= 0, f"{path}.arity", "expected an integer >= 0")
+    _expect(_is_int(parity) and parity in (0, 1), f"{path}.parity", "expected 0 or 1")
     module_name = body.get("module", ADJOINT)
     _expect(isinstance(module_name, str), f"{path}.module", "expected a module name")
     module, _ = ws.resolve_module(module_name)

@@ -102,6 +102,18 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_boolean_conductor_is_an_input_error(tmp_path, capsys):
+    with open(fx("fixture_sl11")) as fh:
+        doc = json.load(fh)
+    doc["field"] = {"cyclotomic": True}
+    path = tmp_path / "bool_field.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "field.cyclotomic: conductor must be a positive integer" in captured.err
+    assert "cyclotomic(True)" not in captured.out
+
+
 def test_unknown_subcommand_is_an_input_error(capsys):
     assert run_command(["frobnicate", "x.json"]) == 2
     capsys.readouterr()

@@ -394,3 +394,54 @@ def test_scalar_outside_declared_field_rejected():
     doc["algebra"]["brackets"]["e11,e12"] = {"e12": "z"}
     with pytest.raises(ParseError, match="rational"):
         parse(json.dumps(doc))
+
+
+# -- JSON booleans are not integers ------------------------------------------------
+# json.loads gives true/false as bool, a subclass of int; each integer field
+# must refuse them with its own message.
+
+
+def test_boolean_scalar_cell_rejected():
+    doc = gl11_doc()
+    doc["algebra"]["brackets"]["e11,e12"] = {"e12": True}
+    with pytest.raises(ParseError, match=r"e11,e12.*scalars must be written as strings"):
+        parse(json.dumps(doc))
+
+
+def test_boolean_conductor_rejected():
+    doc = gl11_doc()
+    doc["field"] = {"cyclotomic": True}
+    with pytest.raises(ParseError, match=r"^field.cyclotomic: conductor must be a positive integer"):
+        parse(json.dumps(doc))
+
+
+def test_boolean_group_table_entry_rejected():
+    doc = with_z2(gl11_doc())
+    doc["group"]["table"] = [[False, True], [True, False]]
+    with pytest.raises(ParseError, match=r"^group.table\[0\]: entries are element indices"):
+        parse(json.dumps(doc))
+
+
+def test_boolean_group_identity_rejected():
+    doc = with_z2(gl11_doc())
+    doc["group"]["identity"] = False
+    with pytest.raises(ParseError, match=r"^group.identity: expected an element index"):
+        parse(json.dumps(doc))
+
+
+def test_boolean_cochain_arity_rejected():
+    doc = gl11_doc()
+    doc["cochains"] = {"f": {"arity": True, "parity": 0, "coords": {"|e11": "1"}}}
+    with pytest.raises(ParseError, match=r"^cochains.f.arity: expected an integer >= 0"):
+        parse(json.dumps(doc))
+
+
+def test_boolean_parities_rejected():
+    doc = gl11_doc()
+    doc["cochains"] = {"f": {"arity": 2, "parity": False, "coords": MU1_COORDS}}
+    with pytest.raises(ParseError, match=r"^cochains.f.parity: expected 0 or 1"):
+        parse(json.dumps(doc))
+    doc = gl11_doc()
+    doc["algebra"]["basis"][2] = ["e12", True]
+    with pytest.raises(ParseError, match=r"^algebra.basis\[2\]: expected a \[label, parity\] pair"):
+        parse(json.dumps(doc))

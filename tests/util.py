@@ -592,20 +592,56 @@ def coboundary_matrix_raw(basis_cochains, n, L, M):
 # The reports must agree exactly, counterexample lists included.
 
 
-def scalar_mul_oracle(x, y):
+# Scalar arithmetic on tuples of Fractions, one per power-basis coefficient:
+# the reference that Scalar's integer numerators over one denominator must
+# match coefficient for coefficient.
+
+
+def fraction_scalar_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def fraction_scalar_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def fraction_scalar_mul(spec, a, b):
     """The schoolbook product reduced by long division modulo Phi_m."""
     from supercohom.scalars import _poly_mod
 
-    a, b = x.coeffs, y.coeffs
     if len(a) == 1:
-        return Scalar(x.spec, (a[0] * b[0],))
+        return (a[0] * b[0],)
     prod = [Fraction(0)] * (2 * len(a) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] += ai * bj
-    return Scalar(x.spec, _poly_mod(prod, x.spec.conductor))
+    return tuple(_poly_mod(prod, spec.conductor))
+
+
+def fraction_scalar_inverse(spec, a):
+    """Solve a * u = 1 by Gauss-Jordan on the multiplication matrix of a."""
+    deg = len(a)
+    if deg == 1:
+        return (1 / a[0],)
+    units = [tuple(Fraction(int(i == j)) for i in range(deg)) for j in range(deg)]
+    cols = [fraction_scalar_mul(spec, a, e) for e in units]
+    rows = [[cols[j][i] for j in range(deg)] + [units[0][i]] for i in range(deg)]
+    for c in range(deg):
+        p = next(r for r in range(c, deg) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        piv = rows[c][c]
+        rows[c] = [x / piv for x in rows[c]]
+        for r in range(deg):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return tuple(row[deg] for row in rows)
+
+
+def scalar_mul_oracle(x, y):
+    return Scalar(x.spec, fraction_scalar_mul(x.spec, x.coeffs, y.coeffs))
 
 
 def elementwise_validate_superalgebra(L):
