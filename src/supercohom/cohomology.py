@@ -20,6 +20,22 @@ pivot columns then come from the sparse Gauss-Jordan kernel of linalg, and
 solve on the rows of the sweep, coboundary_preimage(n, L, M, rep, target).
 The per-cochain coboundary this sweep replaced is kept in tests/util.py as
 a test oracle.
+
+cohomology reduces only one block of the complex.  The torus h is spanned by
+the even basis elements x whose ad(x) is diagonal in the given basis, which
+act diagonally on M and which every group element fixes.  Every coordinate
+(T, j) of C^n then has a weight under h, wt(j) - sum of wt(t) over t in T,
+and delta preserves it, so delta^n is block diagonal.  By Cartan's formula
+L_x = delta i_x + i_x delta, with L_x = lambda(x) on the block of weight
+lambda, every block of nonzero weight is acyclic (Hochschild-Serre; Fuks,
+ch. 1), and so is its G-fixed part, since G fixes x.  Its ranks follow from
+its dimensions, rank delta^n = sum over k <= n of (-1)^(n-k) dim C^k, per
+parity; only the weight-0 block is assembled and eliminated.  RREFs, pivot
+columns and the greedy choice of representatives split by block, so the
+report, representatives included, is the one of the full complex, which
+tests/util.py keeps as full_cohomology.  Weights are exact integers: the
+eigenvalues' power-basis numerators over one denominator, packed as the
+digits of one int (_weights), so the weight of a tuple is an int sum.
 """
 
 from __future__ import annotations
@@ -27,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
+from math import lcm
 
 from .errors import BasisMismatch, ValidationError
 from .graded import (
@@ -200,14 +217,17 @@ def _positions(n: int, L: LieSuperalgebra, M: LModule) -> dict:
     return {key: t for t, key in enumerate(cochain_coords(L.basis, n, M.space))}
 
 
-def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row]) -> dict[int, Row]:
+def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None) -> dict[int, Row]:
     """delta^n . B as sparse rows, in one sweep over the canonical (n+1)-tuples.
 
     cols is a family of n-cochains as sparse columns over the raw indices of
     cochain_coords(L.basis, n, M.space): a _family, or one cochain's
     coordinates.  B is their matrix, transposed here to rows (raw index ->
     {member: coefficient}).  Row r of the result is coordinate r of
-    cochain_coords(L.basis, n + 1, M.space); zero rows are left out.
+    cochain_coords(L.basis, n + 1, M.space); zero rows are left out.  When
+    the packed weights wt of _weights are given, the columns must have
+    weight 0, and the (n+1)-tuples without a coordinate of weight 0 are
+    skipped: delta preserves weight, so their rows are zero.
 
     Every bracket term f([x_a, x_b], rest) and every action term
     x_i . f(S without i) of delta f(S) is emitted once per tuple S.  The sign
@@ -222,8 +242,13 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row]) -> dict
     par, parM = L.basis.parities, M.space.parities
     dimM = len(parM)
     tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
+    if wt is not None:
+        wL, wM = wt
+        reached = set(wM)
     out: dict[int, Row] = {}
     for s, S in enumerate(superalt_basis(L.basis, n + 1)):
+        if wt is not None and sum([wL[x] for x in S]) not in reached:
+            continue
         pars = [par[x] for x in S]
         pre = [0]
         for q in pars:
@@ -285,38 +310,93 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row]) -> dict
     return out
 
 
-def _family(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> tuple[list[Row], list[int]]:
-    """A basis of C^n, or of its G-fixed subspace when rep is given, as
-    sparse columns over the raw cochain_coords indices, and their parities.
+def _torus(L: LieSuperalgebra, M: LModule, reps) -> list[int]:
+    """The basis of the torus h: the even basis elements x with ad(x)
+    diagonal in the basis of L, acting diagonally on M, and fixed by every
+    group element.  One pass over the bracket and action tables and the
+    columns of the group elements."""
+    moved = {x for (x, y), v in L.bracket.components.items() if v.coords.keys() - {y}}
+    moved |= {x for (x, j), v in M.act.items() if v.coords.keys() - {j}}
+    h = [x for x, p in enumerate(L.basis.parities) if p == 0 and x not in moved]
+    if reps is not None:
+        o = one(L.spec)
+        h = [x for x in h if all(cols[x] == {x: o} for cols in reps[0].columns)]
+    return h
 
-    Without a group the columns are the coordinate unit vectors.  With one
+
+def _weights(terms: int, L: LieSuperalgebra, M: LModule, reps) -> tuple[list[int], list[int]] | None:
+    """The weights under h of the basis of L and of M, packed into ints, or
+    None when every weight is 0.
+
+    The weight of a basis vector is its eigenvalue under each x in h.  The
+    power-basis coordinates of these eigenvalues, over their one common
+    denominator, are the digits of one int in a base greater than
+    2 * terms * (the largest digit).  No digit of a signed sum of at most
+    `terms` packed weights can carry, so such a sum is 0 exactly when the
+    weights sum to 0.
+    """
+    h = _torus(L, M, reps)
+    z = zero(L.spec)
+    br, act = L.bracket.components, M.act
+    eigen = [[br[(x, y)].coords[y] if (x, y) in br else z for x in h] for y in range(len(L.basis))]
+    eigen += [[act[(x, j)].coords[j] if (x, j) in act else z for x in h] for j in range(len(M.space))]
+    den = lcm(*[c.den for row in eigen for c in row])
+    digits = [[d * (den // c.den) for c in row for d in c.num] for row in eigen]
+    top = max([abs(d) for row in digits for d in row], default=0)
+    if top == 0:
+        return None
+    base = 2 * terms * top + 1
+    packed = [sum([d * base**k for k, d in enumerate(row)]) for row in digits]
+    return packed[: len(L.basis)], packed[len(L.basis) :]
+
+
+def _family(
+    n: int, L: LieSuperalgebra, M: LModule, rep=None, wt=None
+) -> tuple[list[Row], list[int], list[int]]:
+    """A basis of C^n, or of its G-fixed subspace when rep is given, as
+    sparse columns over the raw cochain_coords indices, their parities, and
+    the number of basis members of each parity left out.
+
+    Without a group the members are the coordinate unit vectors.  With one
     they are the certified Reynolds columns of equivariant_subspace; each is
-    homogeneous, since the action is even.
+    homogeneous, since the action is even, and lies in one weight, since G
+    fixes h.  When the packed weights wt of _weights are given, only the
+    members of weight 0 are kept.
     """
     reps = _resolve_reps(rep, L, M)
     if reps is None:
         o, par = one(L.spec), L.basis.parities
-        parities = [
-            (sum(par[i] for i in T) + M.space.parities[j]) % 2
-            for T, j in cochain_coords(L.basis, n, M.space)
+        members = [
+            ({t: o}, (sum(par[i] for i in T) + M.space.parities[j]) % 2)
+            for t, (T, j) in enumerate(cochain_coords(L.basis, n, M.space))
         ]
-        return [{t: o} for t in range(len(parities))], parities
-    induced = induced_action_on_cochains(reps[0], reps[1], L, M, n)
-    cols = equivariant_subspace(induced)
-    parities = []
-    for col in cols:
-        found = {induced.parities[t] for t in col}
-        if len(found) != 1:
-            raise ValidationError("fixed-space basis vector mixes parities")
-        parities.append(found.pop())
-    return cols, parities
+    else:
+        induced = induced_action_on_cochains(reps[0], reps[1], L, M, n)
+        members = []
+        for col in equivariant_subspace(induced):
+            found = {induced.parities[t] for t in col}
+            if len(found) != 1:
+                raise ValidationError("fixed-space basis vector mixes parities")
+            members.append((col, found.pop()))
+    if wt is None:
+        return [col for col, _ in members], [p for _, p in members], [0, 0]
+    wL, wM = wt
+    weight = [w - s for s in (sum([wL[x] for x in T]) for T in superalt_basis(L.basis, n)) for w in wM]
+    cols, parities, left_out = [], [], [0, 0]
+    for col, p in members:
+        if weight[min(col)] == 0:
+            cols.append(col)
+            parities.append(p)
+        else:
+            left_out[p] += 1
+    return cols, parities, left_out
 
 
 def cochain_basis(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> list[Cochain]:
     """Basis cochains of C^n (equivariant basis when a representation is given):
     the columns of _family as Cochains."""
     coords = cochain_coords(L.basis, n, M.space)
-    cols, parities = _family(n, L, M, rep)
+    cols, parities, _ = _family(n, L, M, rep)
     return [
         Cochain(n, p, L.basis, M.space, {coords[t]: c for t, c in sorted(col.items())})
         for col, p in zip(cols, parities)
@@ -385,22 +465,35 @@ class CohomologyReport:
 def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyReport:
     """Dimensions of C, Z, B and H in degree n per parity, and representatives.
 
-    delta^n and delta^(n-1) are each assembled by one sweep on the _family
-    of their domain (the unit coordinates, or the fixed-space columns under a
-    group) and reduced once; the two parities are the two diagonal blocks of
-    that one reduced form.  The representatives of H^n are the kernel
-    vectors, in free-column order, that extend the pivot columns of
-    delta^(n-1) to a basis of the cocycles; only they become Cochains.
+    Only the block of weight 0 under the torus h (_weights) is assembled and
+    reduced: delta^n and delta^(n-1) are each one sweep on the weight-0
+    _family of their domain (the unit coordinates, or the fixed-space
+    columns under a group) and one reduction; the two parities are the two
+    diagonal blocks of that reduced form.  The blocks of nonzero weight are
+    acyclic, so their rank in delta^k is dim C^k minus their rank in
+    delta^(k-1), and only their dimensions are counted.  The representatives
+    of H^n are the kernel vectors, in free-column order, that extend the
+    pivot columns of delta^(n-1) to a basis of the cocycles; only they
+    become Cochains.  With h empty, or every weight 0, the block is the
+    whole complex.
     """
-    dom, dom_par = _family(n, L, M, rep)
-    reduced, pivots = rref_rows(_delta_rows(n, L, M, dom).values())
+    wt = _weights(n + 2, L, M, _resolve_reps(rep, L, M))
+    dom, dom_par, left_out = _family(n, L, M, rep, wt)
+    reduced, pivots = rref_rows(_delta_rows(n, L, M, dom, wt).values())
     kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
 
+    # The rank of delta^(n-1) on the blocks of nonzero weight, per parity.
+    # They are acyclic, so their rank in delta^k is their dimension in C^k
+    # minus their rank in delta^(k-1).
+    counted = [0, 0]
+    for k in range(n - 1 if wt else 0):
+        counted = [d - r for d, r in zip(_family(k, L, M, rep, wt)[2], counted)]
     images: dict[int, Row] = {}  # pivot columns of delta^(n-1), in raw n-coordinates
     prev_par: list[int] = []
     if n > 0:
-        prev, prev_par = _family(n - 1, L, M, rep)
-        prev_rows = _delta_rows(n - 1, L, M, prev)
+        prev, prev_par, prev_out = _family(n - 1, L, M, rep, wt)
+        counted = [d - r for d, r in zip(prev_out, counted)]
+        prev_rows = _delta_rows(n - 1, L, M, prev, wt)
         images = {k: {} for k in rref_rows(prev_rows.values())[1]}
         for r, row in prev_rows.items():
             for k, x in row.items():
@@ -411,10 +504,10 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
     c_dims, z_dims, b_dims, h_dims = [0, 0], [0, 0], [0, 0], [0, 0]
     reps_out: dict[int, list[Cochain]] = {}
     for p in (0, 1):
-        c_dims[p] = dom_par.count(p)
-        z_dims[p] = c_dims[p] - sum(1 for k in pivots if dom_par[k] == p)
+        c_dims[p] = dom_par.count(p) + left_out[p]
+        z_dims[p] = dom_par.count(p) - sum(1 for k in pivots if dom_par[k] == p) + counted[p]
         img = [col for k, col in images.items() if prev_par[k] == p]
-        b_dims[p] = len(img)
+        b_dims[p] = len(img) + counted[p]
         h_dims[p] = z_dims[p] - b_dims[p]
         ker = [lin_comb((c, dom[k]) for k, c in v.items()) for fc, v in kernel.items() if dom_par[fc] == p]
         reps_out[p] = [

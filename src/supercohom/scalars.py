@@ -91,52 +91,6 @@ def _poly_mod(coeffs: list, m: int) -> list:
     return coeffs[:deg] + [0] * (deg - len(coeffs))
 
 
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    # Extended Euclid in Q[x]: returns (g, u, v) with u*a + v*b = g.
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def pdivmod(p, q):
-        p = list(p)
-        out = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-        lead = q[-1]
-        for i in range(len(p) - 1, len(q) - 2, -1):
-            if i >= len(p):
-                continue
-            c = p[i] / lead
-            out[i - (len(q) - 1)] = c
-            if c:
-                for j, qj in enumerate(q):
-                    p[i - (len(q) - 1) + j] -= c * qj
-        return trim(out), trim(p)
-
-    def pmul(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            if pi:
-                for j, qj in enumerate(q):
-                    out[i + j] += pi * qj
-        return trim(out)
-
-    def psub(p, q):
-        out = [Fraction(0)] * max(len(p), len(q))
-        for i, pi in enumerate(p):
-            out[i] += pi
-        for i, qi in enumerate(q):
-            out[i] -= qi
-        return trim(out)
-
-    r0, r1 = trim(list(a)), trim(list(b))
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, psub(u0, pmul(q, u1))
-    return r0, u0
-
-
 class Scalar:
     """An element of Q or Q(zeta_m), always in canonical reduced form.
 
@@ -254,11 +208,20 @@ class Scalar:
         if len(self.num) == 1:
             n = self.num[0]
             return _new(self.spec, (self.den,), n) if n > 0 else _new(self.spec, (-self.den,), -n)
-        phi = [Fraction(c) for c in cyclotomic_poly(self.spec.conductor)]
-        g, u = _poly_xgcd(list(self.coeffs), phi)
-        # Phi_m is irreducible over Q, so the gcd is a nonzero constant.
-        assert len(g) == 1 and g[0] != 0
-        return Scalar(self.spec, [c / g[0] for c in u])
+        # a = num / den with num in Z[z].  The conjugates s_k(num), z -> z^k
+        # for the units k != 1 mod m, multiply to c with num * c = N(num),
+        # the norm: an integer, and positive, since Q(zeta_m) has no real
+        # embedding for m > 2.  So 1 / a = den * c / N(num).
+        spec, m = self.spec, self.spec.conductor
+        c = one(spec)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                wide = [0] * m
+                for i, x in enumerate(self.num):
+                    wide[i * k % m] += x
+                c = c * _new(spec, tuple(_poly_mod(wide, m)), 1)
+        norm = (_new(spec, self.num, 1) * c).num[0]
+        return _reduced(spec, [x * self.den for x in c.num], norm)
 
     def __truediv__(self, other):
         self._check(other)
@@ -373,7 +336,24 @@ _TERM_RE = re.compile(
 
 
 def parse_scalar(spec: FieldSpec, text: str) -> Scalar:
-    """Parse "p/q" or "c0 + c1*z + c2*z^2 + ..." (whitespace-insensitive)."""
+    """Parse "p/q" or "c0 + c1*z + c2*z^2 + ..." (whitespace-insensitive).
+
+    A plain integer or p/q literal, at most one sign and q nonzero, is read
+    with int(); every other text goes through _parse_terms.
+    """
+    s = re.sub(r"\s+", "", text)
+    body = s[1:] if s[:1] in ("+", "-") else s
+    num, slash, den = body.partition("/")
+    if num.isascii() and num.isdigit() and (not slash or (den.isascii() and den.isdigit() and int(den))):
+        p, q = int(num), int(den) if slash else 1
+        g = gcd(p, q)
+        return _new(spec, ((-p if s[0] == "-" else p) // g,) + (0,) * (spec.degree - 1), q // g)
+    return _parse_terms(spec, text)
+
+
+def _parse_terms(spec: FieldSpec, text: str) -> Scalar:
+    """parse_scalar by splitting the text into signed terms, each matched by
+    _TERM_RE and read as a Fraction."""
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty scalar")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from supercohom.errors import DivisionByZero, FieldMismatch, ParseError
 from supercohom.scalars import (
     RATIONAL,
+    _parse_terms,
     FieldSpec,
     Scalar,
     cyclo,
@@ -300,6 +301,26 @@ def test_parser_rejects_garbage():
         parse_scalar(RATIONAL, "z")
     with pytest.raises(ParseError):
         parse_scalar(cyclo(4), "1 + q")
+
+
+@pytest.mark.parametrize("m", [1, 4, 5])
+@pytest.mark.parametrize(
+    "text",
+    ["-3", "+2/4", " 1 / 2 ", "0", "-0", "007", "0/5", "-6/4", "12345678901234567890/3",
+     "1/0", "1//2", "--3", "+-3", "1_0", "\u00b2", "3/-4", "1/", "/2", "+", "", " "],
+)
+def test_plain_literal_fast_path_matches_the_term_parser(text, m):
+    # Literals the int() path reads give the same scalar as the regex path,
+    # and literals it declines raise exactly what that path raises.
+    spec = RATIONAL if m == 1 else cyclo(m)
+
+    def outcome(parse):
+        try:
+            return parse(spec, text)
+        except Exception as exc:  # noqa: BLE001 - the raised type and text are compared
+            return type(exc), str(exc)
+
+    assert outcome(parse_scalar) == outcome(_parse_terms)
 
 
 def test_serialization_examples():

@@ -582,6 +582,46 @@ def coboundary_matrix_raw(basis_cochains, n, L, M):
     return mat
 
 
+def full_cohomology(n, L, M, rep=None):
+    """cohomology() on the whole complex: delta^n and delta^(n-1) assembled
+    on every member of the _family of their domain and reduced in full,
+    with no split by weight."""
+    from supercohom.cohomology import Cochain, CohomologyReport, _delta_rows, _family
+    from supercohom.linalg import lin_comb, nullspace_from_rref, pivot_columns
+
+    dom, dom_par, _ = _family(n, L, M, rep)
+    reduced, pivots = rref_rows(_delta_rows(n, L, M, dom).values())
+    kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
+
+    images = {}  # pivot columns of delta^(n-1), in raw n-coordinates
+    prev_par = []
+    if n > 0:
+        prev, prev_par, _ = _family(n - 1, L, M, rep)
+        prev_rows = _delta_rows(n - 1, L, M, prev)
+        images = {k: {} for k in rref_rows(prev_rows.values())[1]}
+        for r, row in prev_rows.items():
+            for k, x in row.items():
+                if k in images:
+                    images[k][r] = x
+
+    coords = cochain_coords(L.basis, n, M.space)
+    c_dims, z_dims, b_dims, h_dims = [0, 0], [0, 0], [0, 0], [0, 0]
+    reps_out = {}
+    for p in (0, 1):
+        c_dims[p] = dom_par.count(p)
+        z_dims[p] = c_dims[p] - sum(1 for k in pivots if dom_par[k] == p)
+        img = [col for k, col in images.items() if prev_par[k] == p]
+        b_dims[p] = len(img)
+        h_dims[p] = z_dims[p] - b_dims[p]
+        ker = [lin_comb((c, dom[k]) for k, c in v.items()) for fc, v in kernel.items() if dom_par[fc] == p]
+        reps_out[p] = [
+            Cochain(n, p, L.basis, M.space, {coords[t]: x for t, x in sorted(ker[q - len(img)].items())})
+            for q in pivot_columns(img + ker)
+            if q >= len(img)
+        ]
+    return CohomologyReport(n, tuple(c_dims), tuple(z_dims), tuple(b_dims), tuple(h_dims), reps_out)
+
+
 # -- element-wise oracles for the sparse sweeps ---------------------------------
 #
 # The library checks the axioms, the actions and equivariance by sweeps over
