@@ -368,7 +368,10 @@ def _parse_terms(spec: FieldSpec, text: str) -> Scalar:
         if not mt:
             raise ParseError(f"bad term {piece!r} in scalar {text!r}")
         if mt.group("coeff") is not None:
-            coeff = Fraction(mt.group("coeff"))
+            try:
+                coeff = Fraction(mt.group("coeff"))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in term {piece!r} of scalar {text!r}") from None
             exp = 0
             if piece.find("*z") >= 0:
                 exp = int(mt.group("exp1")) if mt.group("exp1") else 1

@@ -114,6 +114,20 @@ def test_boolean_conductor_is_an_input_error(tmp_path, capsys):
     assert "cyclotomic(True)" not in captured.out
 
 
+def test_zero_denominator_is_an_input_error(tmp_path, capsys):
+    with open(fx("fixture_sl11")) as fh:
+        doc = json.load(fh)
+    doc["algebra"]["brackets"]["e12,e21"]["h1"] = "1/0"
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: algebra.brackets['e12,e21'].h1: zero denominator in term '1/0' of scalar '1/0'\n"
+    )
+
+
 def test_unknown_subcommand_is_an_input_error(capsys):
     assert run_command(["frobnicate", "x.json"]) == 2
     capsys.readouterr()
@@ -304,6 +318,15 @@ def test_output_bytes_identical_across_runs_and_thread_caps():
         assert first  # every command prints something
         assert _run_once(argv, seed=1, threads=1) == first
         assert _run_once(argv, seed=2, threads=8) == first
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["deform", "check", fx("fixture_gl11_z2"), "--deformation", "mu_t"]
+    proc = subprocess.run([sys.executable, "-m", "supercohom", *argv], capture_output=True, cwd=ROOT)
+    rc = run_command(argv)
+    got = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, got.out.encode(), got.err.encode())
+    assert rc == 1 and b"deformation NOT valid" in proc.stdout
 
 
 # -- the recorded output of the command matrix ------------------------------------

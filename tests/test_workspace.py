@@ -210,6 +210,14 @@ def test_bad_scalar_rejected():
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", ["1/0", "-3/00", "1 + 2/0"])
+def test_zero_denominator_is_a_parse_error_naming_the_cell(value):
+    doc = gl11_doc()
+    doc["algebra"]["brackets"]["e11,e12"] = {"e12": value}
+    with pytest.raises(ParseError, match=r"^algebra\.brackets\['e11,e12'\]\.e12: zero denominator"):
+        parse(json.dumps(doc))
+
+
 def test_action_cells_read_into_the_same_action_and_name_their_place():
     # Zero cells written as 0, "0" or "0/5" add nothing; every other cell goes
     # through the scalar parser, so a bool is not read as zero.

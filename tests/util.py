@@ -1253,3 +1253,77 @@ def elementwise_obstruction(d):
         if not c.is_zero():
             nxt = nxt.add(f.scale(c))
     return ObstructionReport(obs, True, nxt, closed)
+
+
+def oracle_parsers():
+    """The CLI parsers written out by hand, one add_parser call at a time:
+    the reference that cli._build_parsers, built from cli.COMMANDS, and the
+    parse of plain argv in cli._parse_plain must agree with."""
+    import argparse
+
+    from supercohom import cli
+    from supercohom.workspace import ADJOINT
+
+    def add_common(parser):
+        parser.add_argument("file", help="workspace file")
+        parser.add_argument("--emit", choices=("text", "json"), default="text")
+
+    top = argparse.ArgumentParser(
+        prog="supercohom",
+        description="exact cohomology, deformations, and extensions of Lie superalgebras",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="check every axiom in a workspace file")
+    add_common(p)
+    p.set_defaults(handler=cli._cmd_validate)
+
+    p = sub.add_parser("cohomology", help="parity-split cohomology dimensions")
+    add_common(p)
+    p.add_argument("--n", type=int, required=True, help="cochain degree")
+    p.add_argument("--module", default=ADJOINT)
+    p.set_defaults(handler=cli._cmd_cohomology)
+
+    p = sub.add_parser("mc-check", help="test [F, F] = 0 for a structure candidate")
+    add_common(p)
+    p.add_argument("--candidate", default=None, help="cochain name (default: the bracket)")
+    p.set_defaults(handler=cli._cmd_mc_check)
+
+    deform = sub.add_parser("deform", help="formal deformation checks")
+    dsub = deform.add_subparsers(dest="subcommand", required=True)
+    p = dsub.add_parser("check", help="validate a deformation order by order")
+    add_common(p)
+    p.add_argument("--deformation", required=True)
+    p.add_argument("--strict", action="store_true", help="also check orders above the truncation")
+    p.set_defaults(handler=cli._cmd_deform_check)
+    p = dsub.add_parser("obstruct", help="next-order obstruction and solvability")
+    add_common(p)
+    p.add_argument("--deformation", required=True)
+    p.set_defaults(handler=cli._cmd_deform_obstruct)
+
+    p = sub.add_parser("derivations", help="derivation and inner-derivation counts")
+    add_common(p)
+    p.add_argument("--module", default=ADJOINT)
+    p.set_defaults(handler=cli._cmd_derivations)
+
+    extend = sub.add_parser("extend", help="build or classify abelian extensions")
+    esub = extend.add_subparsers(dest="subcommand", required=True)
+    p = esub.add_parser("build", help="build the extension attached to a 2-cochain")
+    add_common(p)
+    p.add_argument("--cocycle", required=True)
+    p.set_defaults(handler=cli._cmd_extend)
+    p = esub.add_parser("classify", help="representatives of every extension class")
+    add_common(p)
+    p.add_argument("--module", default=ADJOINT)
+    p.set_defaults(handler=cli._cmd_extend_classify)
+
+    return top
+
+
+def oracle_parse_args(argv):
+    """argv read by oracle_parsers, after the CLI's one rewrite: `extend FILE
+    --cocycle NAME` is spelled without the word "build"."""
+    argv = list(argv)
+    if argv and argv[0] == "extend" and len(argv) > 1 and argv[1] != "classify":
+        argv.insert(1, "build")
+    return oracle_parsers().parse_args(argv)
