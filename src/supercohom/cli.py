@@ -176,12 +176,9 @@ def _cmd_cohomology(args) -> int:
 def _candidate_element(ws: Workspace, name: str | None) -> Cochain:
     if name is None:
         return bracket_to_element(ws.algebra)
-    entry = ws.cochains.get(name)
-    if entry is None:
-        raise ParseError(f"unknown cochain {name!r}; have {sorted(ws.cochains)}")
-    if entry.module != ADJOINT:
+    f = ws.cochain(name)
+    if ws.cochains[name].module != ADJOINT:
         raise ParseError("mc-check candidates must be adjoint-valued")
-    f = entry.cochain
     if (f.arity, f.parity) != (2, 0):
         raise ParseError("mc-check candidates must have arity 2 and parity 0")
     return f
@@ -222,8 +219,9 @@ def _cmd_deform_check(args) -> int:
     out = _Emitter(args.emit)
     names = ws.algebra.basis.names
     out.text(f"deformation {args.deformation}, order {d.order}, mode {mode}")
-    out.text(f"terms equivariant: {'yes' if rpt.terms_equivariant else 'NO'}")
-    out.text(f"terms antisymmetric: {'yes' if rpt.terms_antisymmetric else 'NO'}")
+    # Deformation proves both at construction; the lines stay for the output format.
+    out.text("terms equivariant: yes")
+    out.text("terms antisymmetric: yes")
     orders_doc = []
     for order_rpt in rpt.orders:
         if order_rpt.ok:
@@ -240,8 +238,8 @@ def _cmd_deform_check(args) -> int:
         "order": d.order,
         "ok": rpt.ok,
         "orders": orders_doc,
-        "terms_antisymmetric": rpt.terms_antisymmetric,
-        "terms_equivariant": rpt.terms_equivariant,
+        "terms_antisymmetric": True,
+        "terms_equivariant": True,
     }
     out.flush()
     return 0 if rpt.ok else 1
@@ -254,8 +252,7 @@ def _cmd_deform_obstruct(args) -> int:
     try:
         rpt = dfm.obstruction(d)
     except NotValidated as exc:
-        first = exc.report.first_failure()
-        at = f"order {first.r}" if first is not None else "term checks"
+        at = f"order {exc.report.first_failure().r}"
         out.text(f"deformation {args.deformation} is not valid through order {d.order} ({at} fails)")
         out.text("obstruction undefined")
         out.data = {"deformation": args.deformation, "valid": False, "failing": at}
@@ -313,11 +310,9 @@ def _cmd_derivations(args) -> int:
 
 
 def _extension_datum(ws: Workspace, name: str) -> tuple[ExtensionDatum, GradedBasis]:
-    entry = ws.cochains.get(name)
-    if entry is None:
-        raise ParseError(f"unknown cochain {name!r}; have {sorted(ws.cochains)}")
-    module, rep_arg = ws.module_rep_arg(entry.module)
-    datum = ExtensionDatum(ws.algebra, module, rep_arg, entry.cochain)
+    h = ws.cochain(name)
+    module, rep_arg = ws.module_rep_arg(ws.cochains[name].module)
+    datum = ExtensionDatum(ws.algebra, module, rep_arg, h)
     return datum, module.space
 
 
@@ -528,8 +523,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Read argv against COMMANDS; raises SystemExit after help or a usage
     error, as argparse does."""
     argv = list(argv)
-    # `extend FILE --cocycle NAME` is spelled without the word "build".
-    if argv and argv[0] == "extend" and len(argv) > 1 and argv[1] != "classify":
+    # `extend FILE --cocycle NAME` may be spelled without the word "build".
+    if len(argv) > 1 and argv[0] == "extend" and argv[1] not in ("build", "classify", "-h", "--help"):
         argv.insert(1, "build")
     args = _parse_plain(argv)
     return args if args is not None else _build_parsers().parse_args(argv)

@@ -6,7 +6,7 @@ classification of equivalence classes by degree-0 second cohomology.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from .cohomology import (
     Cochain,
@@ -23,12 +23,13 @@ from .errors import (
     ValidationError,
     WrongBidegree,
 )
-from .graded import GradedBasis, MultilinearMap, Vector
+from .graded import GradedBasis, Vector
 from .scalars import one, scalar
 from .superalgebra import (
     LieSuperalgebra,
     LModule,
     bracket_eval,
+    from_pairs,
     module_act,
     validate_module,
     validate_superalgebra,
@@ -41,21 +42,17 @@ class ExtensionDatum:
     M: LModule
     rep: object
     h: Cochain
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         if self.h.algebra != self.L.basis or self.h.space != self.M.space:
             raise BasisMismatch("glue term must map algebra pairs into the module")
         if self.h.arity != 2 or self.h.parity != 0:
             raise WrongBidegree("glue term must be a binary map of parity 0")
-        if check:
-            if not validate_module(self.L, self.M).ok:
-                raise ValidationError("module axioms fail for the coefficient space")
-            reps = _resolve_reps(self.rep, self.L, self.M)
-            if reps is not None and not is_equivariant(
-                self.h, reps[0], reps[1], self.L, self.M
-            ):
-                raise ValidationError("glue term is not equivariant")
+        if not validate_module(self.L, self.M).ok:
+            raise ValidationError("module axioms fail for the coefficient space")
+        reps = _resolve_reps(self.rep, self.L, self.M)
+        if reps is not None and not is_equivariant(self.h, reps[0], reps[1], self.L, self.M):
+            raise ValidationError("glue term is not equivariant")
 
 
 def extension_layout(L: LieSuperalgebra, M: LModule):
@@ -106,28 +103,15 @@ def build_extension(x: ExtensionDatum) -> LieSuperalgebra:
     """
     L, M, h = x.L, x.M, x.h
     spec = L.spec
-    combined = _combined_basis(L, M)
     l2e, m2e = extension_layout(L, M)
-    parL, parM = L.basis.parities, M.space.parities
-    comps = {}
-
-    def put(u, v, vec):
-        if not vec.is_zero():
-            comps[(u, v)] = vec
-
-    for i in range(len(parL)):
+    pairs = {}
+    for i in range(len(L.basis)):
+        for j in range(i, len(L.basis)):
+            pairs[(l2e[i], l2e[j])] = _push(L.bracket.at((i, j)), l2e) + _push(h.value_at((i, j)), m2e)
         ei = Vector({i: one(spec)})
-        for j in range(len(parL)):
-            vec = _push(L.bracket.at((i, j)), l2e) + _push(h.value_at((i, j)), m2e)
-            put(l2e[i], l2e[j], vec)
-        for n in range(len(parM)):
-            en = Vector({n: one(spec)})
-            act = module_act(M, ei, en)
-            put(l2e[i], m2e[n], _push(act, m2e))
-            flip = scalar(spec, -1 if (parM[n] * parL[i]) % 2 == 0 else 1)
-            put(m2e[n], l2e[i], _push(act.scale(flip), m2e))
-    bracket = MultilinearMap(2, 0, combined, combined, comps)
-    return LieSuperalgebra(combined, spec, bracket, check=False)
+        for n in range(len(M.space)):
+            pairs[(l2e[i], m2e[n])] = _push(module_act(M, ei, Vector({n: one(spec)})), m2e)
+    return from_pairs(_combined_basis(L, M), spec, pairs, check=False)
 
 
 @dataclass

@@ -180,25 +180,6 @@ class MultilinearMap:
     def at(self, tup) -> Vector:
         return self.components.get(tuple(tup), Vector())
 
-    def add(self, other: "MultilinearMap") -> "MultilinearMap":
-        out = dict(self.components)
-        for tup, vec in other.components.items():
-            s = out.get(tup, Vector()) + vec
-            if s.is_zero():
-                out.pop(tup, None)
-            else:
-                out[tup] = s
-        return MultilinearMap(self.arity, self.parity, self.source, self.target, out)
-
-    def scale(self, a: Scalar) -> "MultilinearMap":
-        return MultilinearMap(
-            self.arity,
-            self.parity,
-            self.source,
-            self.target,
-            {t: v.scale(a) for t, v in self.components.items()},
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, MultilinearMap)

@@ -51,7 +51,6 @@ class FiniteGroup:
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
-    element_parities: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
@@ -77,15 +76,6 @@ class FiniteGroup:
                         raise ValidationError(
                             f"Cayley table is not associative at ({i}, {j}, {k})"
                         )
-        if self.element_parities is not None:
-            object.__setattr__(self, "element_parities", tuple(self.element_parities))
-            if len(self.element_parities) != n:
-                raise ValidationError("one parity tag per group element expected")
-            if any(p != 0 for p in self.element_parities):
-                raise ValidationError(
-                    "group elements of odd parity are not supported: the acting "
-                    "group must be purely even"
-                )
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]

@@ -20,9 +20,9 @@ from math import comb
 
 from .cohomology import Cochain
 from .errors import BasisMismatch, DegreeOutOfRange, OracleDisagreement, WrongBidegree
-from .graded import MultilinearMap, Vector, canonicalize_tuple, superalt_basis
+from .graded import canonicalize_tuple, superalt_basis
 from .scalars import FieldSpec, Scalar, scalar
-from .superalgebra import LieSuperalgebra, validate_superalgebra
+from .superalgebra import LieSuperalgebra, from_pairs, validate_superalgebra
 
 
 def circ(F: Cochain, Fp: Cochain) -> Cochain:
@@ -107,22 +107,9 @@ def element_to_bracket(F0: Cochain, spec: FieldSpec) -> LieSuperalgebra:
         raise WrongBidegree(
             f"only even 2-cochains encode brackets, got arity {F0.arity}, parity {F0.parity}"
         )
-    basis = F0.space
-    if F0.algebra != basis:
+    if F0.algebra != F0.space:
         raise BasisMismatch("a bracket maps the space to itself")
-    comps = {}
-    for (pair, j), c in F0.coords.items():
-        i1, i2 = pair
-        v = comps.get((i1, i2), Vector())
-        comps[(i1, i2)] = v + Vector({j: c})
-    full = {}
-    for (i1, i2), v in comps.items():
-        full[(i1, i2)] = v
-        if i1 != i2:
-            p = basis.parities[i1] * basis.parities[i2]
-            full[(i2, i1)] = -v if p % 2 == 0 else v
-    bracket = MultilinearMap(2, 0, basis, basis, full)
-    return LieSuperalgebra(basis, spec, bracket, check=False)
+    return from_pairs(F0.space, spec, F0.by_tuple(), check=False)
 
 
 def mc_check(F0: Cochain, spec: FieldSpec) -> MCReport:

@@ -3,7 +3,8 @@
 Brackets are stored as full component tables over a graded basis.  The
 matrix-algebra constructors derive their tables from the super-commutator
 [a, b] = ab - (-1)^{|a||b|} ba of honest matrices, so the table is never
-written down by hand.
+written down by hand.  Every other constructor gives one entry per unordered
+pair to from_pairs, which writes the mirrored half.
 
 The super-Jacobi identity and the module axiom are checked by sweeps over
 these sparse tables: for each canonical triple (or algebra-algebra-module
@@ -65,6 +66,22 @@ class LieSuperalgebra:
 
     def __len__(self):
         return len(self.basis)
+
+
+def from_pairs(basis: GradedBasis, spec: FieldSpec, pairs: dict, check: bool = True) -> LieSuperalgebra:
+    """The Lie superalgebra with [x_i, x_j] = pairs[(i, j)]: one Vector per
+    unordered pair, in either order.  The mirrored entry follows from
+    super-antisymmetry, [x_j, x_i] = -(-1)^{|i||j|} [x_i, x_j]; this is the
+    one place that writes it."""
+    par = basis.parities
+    table: dict[tuple[int, int], Vector] = {}
+    for (i, j), vec in pairs.items():
+        if i != j and (j, i) in pairs:
+            raise ValueError(f"the pair ({i}, {j}) is given in both orders")
+        table[(i, j)] = vec
+        if i != j:
+            table[(j, i)] = vec if par[i] and par[j] else -vec
+    return LieSuperalgebra(basis, spec, MultilinearMap(2, 0, basis, basis, table), check)
 
 
 def bracket_eval(L: LieSuperalgebra, x: Vector, y: Vector) -> Vector:
@@ -480,14 +497,8 @@ def make_super_poincare() -> LieSuperalgebra:
         coords[t] = coords.get(t, z) + k
 
     comp: dict[tuple[int, int], Vector] = {}
-
-    def put(i, j, coords):
-        vec = Vector({t: c for t, c in coords.items() if not c.is_zero()})
-        if not vec.is_zero():
-            comp[(i, j)] = vec
-
-    for (mu, nu) in jpairs:
-        for (rho, sg) in jpairs:
+    for t, (mu, nu) in enumerate(jpairs):
+        for (rho, sg) in jpairs[t + 1 :]:
             coords: dict[int, Scalar] = {}
             if nu == rho:
                 jterm(coords, mu, sg, -iu * eta[nu])
@@ -497,7 +508,7 @@ def make_super_poincare() -> LieSuperalgebra:
                 jterm(coords, nu, rho, -iu * eta[mu])
             if nu == sg:
                 jterm(coords, mu, rho, iu * eta[nu])
-            put(jindex[(mu, nu)], jindex[(rho, sg)], coords)
+            comp[(jindex[(mu, nu)], jindex[(rho, sg)])] = Vector(coords)
 
     for mu in range(4):
         for (rho, sg) in jpairs:
@@ -506,36 +517,18 @@ def make_super_poincare() -> LieSuperalgebra:
                 coords[P(sg)] = -iu * eta[mu]
             if mu == sg:
                 coords[P(rho)] = coords.get(P(rho), z) + iu * eta[mu]
-            vec = Vector({t: c for t, c in coords.items() if not c.is_zero()})
-            if not vec.is_zero():
-                comp[(P(mu), jindex[(rho, sg)])] = vec
-                comp[(jindex[(rho, sg)], P(mu))] = -vec
+            comp[(P(mu), jindex[(rho, sg)])] = Vector(coords)
 
     for a in range(2):
         for (mu, nu) in jpairs:
             S = smunu[(mu, nu)]
-            vec = Vector({Q(b): S[a][b] for b in range(2) if not S[a][b].is_zero()})
-            if not vec.is_zero():
-                comp[(Q(a), jindex[(mu, nu)])] = vec
-                comp[(jindex[(mu, nu)], Q(a))] = -vec
+            comp[(Q(a), jindex[(mu, nu)])] = Vector({Q(b): S[a][b] for b in range(2)})
             T = tmunu[(mu, nu)]
-            vecb = Vector({Qb(b): T[a][b] for b in range(2) if not T[a][b].is_zero()})
-            if not vecb.is_zero():
-                comp[(Qb(a), jindex[(mu, nu)])] = vecb
-                comp[(jindex[(mu, nu)], Qb(a))] = -vecb
+            comp[(Qb(a), jindex[(mu, nu)])] = Vector({Qb(b): T[a][b] for b in range(2)})
 
     two = scalar(spec, 2)
     for a in range(2):
         for b in range(2):
-            coords = {}
-            for mu in range(4):
-                c = two * sigma[mu][a][b] * eta[mu]
-                if not c.is_zero():
-                    coords[P(mu)] = c
-            vec = Vector(coords)
-            if not vec.is_zero():
-                comp[(Q(a), Qb(b))] = vec
-                comp[(Qb(b), Q(a))] = vec
+            comp[(Q(a), Qb(b))] = Vector({P(mu): two * sigma[mu][a][b] * eta[mu] for mu in range(4)})
 
-    bracket = MultilinearMap(2, 0, basis, basis, comp)
-    return LieSuperalgebra(basis, spec, bracket)
+    return from_pairs(basis, spec, comp)

@@ -20,13 +20,14 @@ modules, cochains, and deformations.  The layout:
     }
 
 Structure constants list each bracket once, lower basis index first; the
-mirrored pairs follow from super-antisymmetry and are filled in by the
-parser.  All scalars are written as exact strings ("2/3", "1 - z^2").
-Cochain coordinate keys are "arg,arg,...|target" with the argument tuple
-in canonical order.  Parsing is eager: a file that names an unknown
-label or breaks an axiom is rejected up front, with a ParseError for
-malformed input and a ValidationError (naming the axiom and a witness)
-for well-formed input that fails a mathematical check.
+mirrored pairs follow from super-antisymmetry and are filled in by
+superalgebra.from_pairs.  All scalars are written as exact strings
+("2/3", "1 - z^2").  Cochain coordinate keys are "arg,arg,...|target"
+with the argument tuple in canonical order.  Parsing is eager: a file
+that names an unknown label or breaks an axiom is rejected up front,
+with a ParseError for malformed input and a ValidationError (naming the
+axiom and a witness) for well-formed input that fails a mathematical
+check.
 
 ``parse`` and ``serialize`` are inverse in both directions: serializing
 a parsed file yields its canonical form, and parsing a serialized
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from .cohomology import Cochain
 from .deformation import Deformation
 from .errors import ParseError, ValidationError
-from .graded import GradedBasis, MultilinearMap, Vector
+from .graded import GradedBasis, Vector
 from .group_action import (
     ActionRep,
     FiniteGroup,
@@ -52,7 +53,7 @@ from .group_action import (
 )
 from .nr_bracket import bracket_to_element
 from .scalars import RATIONAL, FieldSpec, Scalar, cyclo, parse_scalar, serialize_scalar
-from .superalgebra import LieSuperalgebra, LModule, adjoint_module, validate_module
+from .superalgebra import LieSuperalgebra, LModule, adjoint_module, from_pairs, validate_module
 
 ADJOINT = "adjoint"
 BRACKET_TERM = "bracket"
@@ -207,7 +208,8 @@ def _parse_vector(spec, space: GradedBasis, raw, path: str) -> Vector:
     return Vector(coords)
 
 
-def _parse_brackets(spec, basis: GradedBasis, raw, path: str) -> MultilinearMap:
+def _parse_brackets(spec, basis: GradedBasis, raw, path: str) -> dict[tuple[int, int], Vector]:
+    """The listed brackets, {(i, j): [x_i, x_j]} with i <= j."""
     table = _as_dict(raw, path)
     components: dict[tuple[int, int], Vector] = {}
     par = basis.parities
@@ -227,13 +229,7 @@ def _parse_brackets(spec, basis: GradedBasis, raw, path: str) -> MultilinearMap:
                 "vector with itself to vanish"
             )
         components[(i, j)] = vec
-        if i != j:
-            # mirrored entry: [y, x] = -(-1)^{|x||y|} [x, y]
-            components[(j, i)] = vec if par[i] == 1 and par[j] == 1 else -vec
-    try:
-        return MultilinearMap(2, 0, basis, basis, components)
-    except (ValueError, ValidationError) as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return components
 
 
 def _parse_group(raw) -> FiniteGroup:
@@ -381,9 +377,11 @@ def parse(text: str) -> Workspace:
     _expect(set(alg) <= {"basis", "brackets"}, "algebra", f"unknown keys {sorted(set(alg) - {'basis', 'brackets'})}")
     _expect("basis" in alg and "brackets" in alg, "algebra", 'needs "basis" and "brackets"')
     basis = _parse_basis(alg["basis"], "algebra.basis")
-    bracket = _parse_brackets(spec, basis, alg["brackets"], "algebra.brackets")
+    pairs = _parse_brackets(spec, basis, alg["brackets"], "algebra.brackets")
     try:
-        algebra = LieSuperalgebra(basis, spec, bracket)
+        algebra = from_pairs(basis, spec, pairs)
+    except ValueError as exc:  # a bracket of the wrong parity
+        raise ValidationError(f"algebra.brackets: {exc}") from exc
     except ValidationError as exc:
         raise ValidationError(f"algebra: {exc}") from exc
 

@@ -128,6 +128,32 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "key, value, err",
+    [
+        ("h1,e12", {"e12": "1", "h1": "1"},
+         "validation failed: algebra.brackets: component at (0, 1) not homogeneous: parity 1 expected\n"),
+        ("h1,h1", {"h1": "1"},
+         "validation failed: algebra.brackets['h1,h1']: super-antisymmetry forces the bracket of an "
+         "even vector with itself to vanish\n"),
+        ("h1,e12", {"e12": "1"},
+         "validation failed: algebra: structure constants violate the axioms:\n"
+         "jacobi fails at (h1, e12, e21): lhs = 0, rhs = (1)*h1\n"
+         "jacobi fails at (e12, e12, e21): lhs = (-1)*e12, rhs = (1)*e12\n"),
+    ],
+    ids=["inhomogeneous", "even-self-bracket", "jacobi"],
+)
+def test_malformed_bracket_is_a_validation_failure(tmp_path, capsys, key, value, err):
+    with open(fx("fixture_sl11")) as fh:
+        doc = json.load(fh)
+    doc["algebra"]["brackets"][key] = value
+    path = tmp_path / "bad_bracket.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 def test_unknown_subcommand_is_an_input_error(capsys):
     assert run_command(["frobnicate", "x.json"]) == 2
     capsys.readouterr()

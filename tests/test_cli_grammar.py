@@ -191,8 +191,18 @@ def argvs(draw):
 @example(["validate", "w.json", "extra.json"])
 @example(["validate", ""])
 @example(["extend", "build", "w.json", "--cocycle", "c"])
+@example(["extend", "-h"])
 @example(["extend"])
 @example([""])
 @example([])
 def test_parse_matches_the_hand_built_parsers(argv):
     assert same_as_oracle(argv)
+
+
+def test_extend_takes_the_build_word_and_shows_the_group_help():
+    args = cli.parse_args(["extend", "build", "w.json", "--cocycle", "c"])
+    assert (args.handler, args.file, args.cocycle) == (cli._cmd_extend, "w.json", "c")
+    assert cli.parse_args(["extend", "w.json", "--cocycle", "c"]) == args
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        code, out, err = outcome(cli.parse_args, ["extend", "-h"])
+    assert code == 0 and out.startswith("usage: supercohom extend [-h] {build,classify}") and err == ""

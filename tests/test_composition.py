@@ -105,7 +105,7 @@ def test_check_order_matches_the_triple_loop(seed, order, cyclotomic):
     L, rep = _instance(rng, cyclotomic, False)
     M = adjoint_module(L)
     terms = [bracket_to_element(L)] + [rand_cochain(rng, L, M, 2, 0, zero_bias=0.7) for _ in range(order)]
-    d = Deformation(L, rep, terms, check=False)
+    d = Deformation(L, rep, terms)
     for r in range(2 * order + 1):
         assert check_order(d, r) == elementwise_check_order(d, r)
 
@@ -230,16 +230,6 @@ def test_coboundary_preimage_of_a_target_delta_never_reaches():
 
 
 # -- validation verdicts ------------------------------------------------------------
-
-
-def test_unchecked_deformation_with_a_non_equivariant_term_is_reported():
-    L = make_gl(1, 1)
-    rep = gl11_swap_rep(L)
-    skew = Cochain(2, 0, L.basis, L.basis, {((0, 2), 2): one(L.spec)})
-    d = Deformation(L, rep, [bracket_to_element(L), skew], check=False)
-    assert not validate(d).terms_equivariant
-    checked = Deformation(L, rep, [bracket_to_element(L), gl11_mu1(L)])
-    assert validate(checked).terms_equivariant
 
 
 def test_not_validated_carries_the_failing_report():

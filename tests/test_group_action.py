@@ -83,13 +83,6 @@ def test_group_rejects_bad_tables():
         FiniteGroup(5, loop, 0)
 
 
-def test_group_rejects_odd_element_parities():
-    with pytest.raises(ValidationError, match="even"):
-        FiniteGroup(2, ((0, 1), (1, 0)), 0, element_parities=(0, 1))
-    G = FiniteGroup(2, ((0, 1), (1, 0)), 0, element_parities=(0, 0))
-    assert G.order == 2
-
-
 def test_validate_swap_action_on_gl11():
     L = make_gl(1, 1)
     rep = z2_swap_rep(L)

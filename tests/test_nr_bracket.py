@@ -30,12 +30,15 @@ from supercohom.superalgebra import (
     adjoint_module,
     bracket_eval,
     make_gl,
+    make_sl,
+    make_super_poincare,
     validate_superalgebra,
 )
 
 from util import (
     abelian_algebra,
     act_permutation,
+    add_maps,
     gl11_mu1,
     gl11_swap_rep,
     heisenberg_algebra,
@@ -172,7 +175,7 @@ def test_circ_matches_twisted_action_shuffle_sum():
         total = None
         for sigma in shuffles(z1, z2 + 1):
             acted = act_permutation(sigma, raw)
-            total = acted if total is None else total.add(acted)
+            total = acted if total is None else add_maps(total, acted)
         out = circ(F, Fp)
         for S in superalt_basis(L.basis, z1 + z2 + 1):
             assert out.value_at(S) == total.at(S)
@@ -187,7 +190,7 @@ def test_circ_output_is_superalternating():
     full = None
     for sigma in shuffles(1, 2):
         acted = act_permutation(sigma, star(F, Fp))
-        full = acted if full is None else full.add(acted)
+        full = acted if full is None else add_maps(full, acted)
     # adjacent transpositions must fix the shuffle sum
     for sigma in [(1, 0, 2), (0, 2, 1)]:
         assert act_permutation(sigma, full) == full
@@ -349,6 +352,22 @@ def test_round_trip_on_gl21():
     back = element_to_bracket(F, L.spec)
     assert back.bracket == L.bracket
     assert bracket_to_element(back) == F
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_gl(1, 1), lambda: make_gl(1, 2), lambda: make_sl(2, 1), make_super_poincare, heisenberg_algebra],
+    ids=["gl11", "gl12", "sl21", "super_poincare", "heisenberg"],
+)
+def test_round_trip_keeps_the_catalogue_tables(make):
+    L = make()
+    assert element_to_bracket(bracket_to_element(L), L.spec).bracket == L.bracket
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_round_trip_keeps_the_bracket_table(seed, cyclotomic):
+    L, _ = rand_instance(random.Random(seed), cyclo(4) if cyclotomic else RATIONAL)
+    assert element_to_bracket(bracket_to_element(L), L.spec).bracket == L.bracket
 
 
 def test_element_to_bracket_mirrors_antisymmetry():

@@ -12,6 +12,7 @@ from supercohom.superalgebra import (
     adjoint_module,
     adjoint_submodule,
     bracket_eval,
+    from_pairs,
     make_gl,
     make_sl,
     make_super_poincare,
@@ -154,6 +155,18 @@ def test_validate_flags_antisymmetry_mutation():
     )
     rep = validate_superalgebra(mutated)
     assert not rep.antisymmetry_ok
+
+
+def test_from_pairs_mirrors_each_pair_and_refuses_both_orders():
+    L = make_gl(1, 1)
+    ix = L.basis.index
+    once = {(i, j): v for (i, j), v in L.bracket.components.items() if i <= j}
+    flipped = {(i, j): v for (i, j), v in L.bracket.components.items() if i >= j}
+    assert from_pairs(L.basis, RATIONAL, once).bracket == L.bracket
+    assert from_pairs(L.basis, RATIONAL, flipped).bracket == L.bracket
+    both = {**once, (ix("e12"), ix("e11")): L.bracket.at((ix("e12"), ix("e11")))}
+    with pytest.raises(ValueError, match="both orders"):
+        from_pairs(L.basis, RATIONAL, both)
 
 
 @pytest.mark.parametrize("m,n,want", [(1, 1, 0), (2, 1, 1), (2, 2, 0), (3, 1, 2)])

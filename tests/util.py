@@ -1088,6 +1088,14 @@ def act_permutation(sigma, F):
     return MultilinearMap(F.arity, F.parity, F.source, F.target, out)
 
 
+def add_maps(F, G):
+    """F + G, for multilinear maps of one arity and parity between the same bases."""
+    out = dict(F.components)
+    for tup, vec in G.components.items():
+        out[tup] = out.get(tup, Vector()) + vec
+    return MultilinearMap(F.arity, F.parity, F.source, F.target, out)
+
+
 def superalt_expand(basis, n, coords, target, parity):
     """Expand canonical coordinates to the full component table."""
     canon = superalt_basis(basis, n)
@@ -1322,8 +1330,8 @@ def oracle_parsers():
 
 def oracle_parse_args(argv):
     """argv read by oracle_parsers, after the CLI's one rewrite: `extend FILE
-    --cocycle NAME` is spelled without the word "build"."""
+    --cocycle NAME` may be spelled without the word "build"."""
     argv = list(argv)
-    if argv and argv[0] == "extend" and len(argv) > 1 and argv[1] != "classify":
+    if len(argv) > 1 and argv[0] == "extend" and argv[1] not in ("build", "classify", "-h", "--help"):
         argv.insert(1, "build")
     return oracle_parsers().parse_args(argv)
