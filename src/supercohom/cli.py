@@ -523,8 +523,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     """Read argv against COMMANDS; raises SystemExit after help or a usage
     error, as argparse does."""
     argv = list(argv)
-    # `extend FILE --cocycle NAME` may be spelled without the word "build".
-    if len(argv) > 1 and argv[0] == "extend" and argv[1] not in ("build", "classify", "-h", "--help"):
+    # `extend FILE --cocycle NAME` may be spelled without the word "build";
+    # -h, --help and its abbreviations show the help of the extend group.
+    words = ("build", "classify", "-h", "--h", "--he", "--hel", "--help")
+    if len(argv) > 1 and argv[0] == "extend" and argv[1] not in words:
         argv.insert(1, "build")
     args = _parse_plain(argv)
     return args if args is not None else _build_parsers().parse_args(argv)

@@ -53,7 +53,14 @@ from .graded import (
     cochain_coords,
     superalt_basis,
 )
-from .group_action import ActionRep, equivariant_subspace, induced_action_on_cochains, pull_back
+from .group_action import (
+    ActionRep,
+    equivariant_subspace,
+    induced_action_on_cochains,
+    pull_back,
+    resolve_reps,
+    swept_elements,
+)
 from .linalg import Row, lin_comb, nullspace_from_rref, pivot_columns, rref_rows, solve_rows
 from .scalars import Scalar, one, zero
 from .superalgebra import LieSuperalgebra, LModule, module_act
@@ -69,16 +76,16 @@ class Cochain:
 
     def __post_init__(self):
         clean = {}
+        par = self.algebra.parities
         for (T, j), c in self.coords.items():
             T = tuple(T)
             if len(T) != self.arity:
                 raise ValueError(f"key {T} does not have arity {self.arity}")
-            res = canonicalize_tuple(T, self.algebra.parities)
-            if res is None or res[0] != T:
+            # canonical: no even index repeats, and the tuple is non-decreasing
+            repeats = any(par[i] == 0 and i in T[:k] for k, i in enumerate(T))
+            if repeats or any(a > b for a, b in zip(T, T[1:])):
                 raise ValueError(f"key {T} is not a canonical index tuple")
-            want = (
-                sum(self.algebra.parities[i] for i in T) + self.space.parities[j]
-            ) % 2
+            want = (sum(par[i] for i in T) + self.space.parities[j]) % 2
             if want != self.parity % 2:
                 raise ValueError(
                     f"coordinate ({T}, {j}) has parity {want}, cochain is tagged {self.parity}"
@@ -128,15 +135,6 @@ class Cochain:
             {k: a * c for k, c in self.coords.items()},
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and (self.arity, self.parity) == (other.arity, other.parity)
-            and self.algebra == other.algebra
-            and self.space == other.space
-            and self.coords == other.coords
-        )
-
 
 def cochain_eval(f: Cochain, args: list[Vector]) -> Vector:
     if len(args) != f.arity:
@@ -160,21 +158,6 @@ def zero_cochain(n: int, parity: int, L: LieSuperalgebra, M: LModule) -> Cochain
     return Cochain(n, parity, L.basis, M.space, {})
 
 
-def _resolve_reps(rep, L: LieSuperalgebra, M: LModule):
-    """Accept None, a single ActionRep (module uses the same matrices when it
-    lives on the algebra basis), or a (rep_L, rep_M) pair."""
-    if rep is None:
-        return None
-    if isinstance(rep, ActionRep):
-        if M.space != L.basis:
-            raise BasisMismatch(
-                "a single representation only covers a module on the algebra basis"
-            )
-        return rep, rep
-    rep_L, rep_M = rep
-    return rep_L, rep_M
-
-
 def is_equivariant(f: Cochain, rep_L: ActionRep, rep_M: ActionRep, L, M) -> bool:
     """Whether g.f = f for every g, with (g.f)(x_1..x_n) = g f(g^-1 x_1, ..., g^-1 x_n).
 
@@ -188,7 +171,7 @@ def is_equivariant(f: Cochain, rep_L: ActionRep, rep_M: ActionRep, L, M) -> bool
     o = one(L.spec)
     memo: dict = {}
     group = rep_L.group
-    for g in range(group.order):
+    for g in swept_elements(rep_L, rep_M):
         A = rep_L.columns[group.inverse(g)]
         B = rep_M.columns[g]
         for T in superalt_basis(L.basis, f.arity):
@@ -202,7 +185,7 @@ def is_equivariant(f: Cochain, rep_L: ActionRep, rep_M: ActionRep, L, M) -> bool
 def coboundary(f: Cochain, L: LieSuperalgebra, M: LModule, rep=None) -> Cochain:
     if f.algebra != L.basis or f.space != M.space:
         raise BasisMismatch("cochain does not live over the given algebra and module")
-    reps = _resolve_reps(rep, L, M)
+    reps = resolve_reps(rep, L, M)
     if reps is not None and not is_equivariant(f, reps[0], reps[1], L, M):
         raise ValidationError("cochain is not equivariant under the given action")
     n = f.arity
@@ -363,7 +346,7 @@ def _family(
     fixes h.  When the packed weights wt of _weights are given, only the
     members of weight 0 are kept.
     """
-    reps = _resolve_reps(rep, L, M)
+    reps = resolve_reps(rep, L, M)
     if reps is None:
         o, par = one(L.spec), L.basis.parities
         members = [
@@ -477,7 +460,7 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
     become Cochains.  With h empty, or every weight 0, the block is the
     whole complex.
     """
-    wt = _weights(n + 2, L, M, _resolve_reps(rep, L, M))
+    wt = _weights(n + 2, L, M, resolve_reps(rep, L, M))
     dom, dom_par, left_out = _family(n, L, M, rep, wt)
     reduced, pivots = rref_rows(_delta_rows(n, L, M, dom, wt).values())
     kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
@@ -531,7 +514,7 @@ def annihilator(L: LieSuperalgebra, M: LModule, rep=None) -> list[Vector]:
     Assembled directly from the action table; shares nothing with the
     coboundary machinery.
     """
-    reps = _resolve_reps(rep, L, M)
+    reps = resolve_reps(rep, L, M)
     return _fixed_even_vectors(M, reps[1] if reps else None, L.spec, range(len(L.basis)))
 
 
@@ -562,7 +545,7 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
     The derivation constraints are assembled from scratch here; only the
     elimination kernel is shared with the coboundary path.
     """
-    reps = _resolve_reps(rep, L, M)
+    reps = resolve_reps(rep, L, M)
     spec = L.spec
     parL, parM = L.basis.parities, M.space.parities
     variables = [

@@ -9,6 +9,10 @@ obstruction is the same sum over i, j >= 1 (Gerstenhaber), with
 o = nr_bracket.circ.  Solvability and cohomologous infinitesimals are one
 row-form solve, cohomology.coboundary_preimage.  The element-wise loops
 these replaced are kept in tests/util.py as test oracles.
+
+Deformation.rep is the action on the algebra, or None when there is no
+group: then no term or gauge map is checked for equivariance, and the
+solves run over all cochains, as with rep=None in cohomology.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .superalgebra import LieSuperalgebra, adjoint_module
 @dataclass
 class Deformation:
     base: LieSuperalgebra
-    rep: ActionRep
+    rep: ActionRep | None
     terms: list[Cochain]
 
     def __post_init__(self):
@@ -52,14 +56,15 @@ class Deformation:
                 raise BasisMismatch(f"term {k} does not live on the base algebra")
             if f.arity != 2 or f.parity != 0:
                 raise WrongBidegree(f"term {k} must be a binary map of parity 0")
-        if self.rep.parities != self.base.basis.parities:
+        if self.rep is not None and self.rep.parities != self.base.basis.parities:
             raise BasisMismatch("action does not match the base algebra")
         if self.terms[0] != bracket_to_element(self.base):
             raise ValidationError("order-0 term must equal the base bracket")
-        M = adjoint_module(self.base)
-        for k, f in enumerate(self.terms):
-            if not is_equivariant(f, self.rep, self.rep, self.base, M):
-                raise ValidationError(f"term {k} is not equivariant")
+        if self.rep is not None:
+            M = adjoint_module(self.base)
+            for k, f in enumerate(self.terms):
+                if not is_equivariant(f, self.rep, self.rep, self.base, M):
+                    raise ValidationError(f"term {k} is not equivariant")
 
     @property
     def order(self) -> int:
@@ -219,10 +224,11 @@ def gauge_transform(d: Deformation, g: GaugeTransform) -> Deformation:
     L = d.base
     if g.space != L.basis or g.spec != L.spec:
         raise BasisMismatch("gauge transform does not act on the base algebra")
-    M = adjoint_module(L)
-    for k, psi in enumerate(g.maps):
-        if not is_equivariant(psi, d.rep, d.rep, L, M):
-            raise ValidationError(f"gauge map {k} is not equivariant")
+    if d.rep is not None:
+        M = adjoint_module(L)
+        for k, psi in enumerate(g.maps):
+            if not is_equivariant(psi, d.rep, d.rep, L, M):
+                raise ValidationError(f"gauge map {k} is not equivariant")
     N = d.order
     phi = g._inverse_maps(N)
     spec = L.spec

@@ -2,15 +2,20 @@
 extension algebra from a bilinear glue term, the equivalence between the
 Jacobi identity upstairs and the cocycle condition downstairs, and
 classification of equivalence classes by degree-0 second cohomology.
+
+The extension algebra is read off the bracket, glue and action tables.  An
+equivalence comes with a certificate, phi = (x, m) -> (x, m + f(x)), checked
+on sparse columns: phi intertwines the two brackets and commutes with the
+columns of each g on L + M.  The rep argument follows
+group_action.resolve_reps and is resolved once, by ExtensionDatum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cohomology import (
     Cochain,
-    _resolve_reps,
     coboundary,
     coboundary_preimage,
     cohomology,
@@ -24,13 +29,13 @@ from .errors import (
     WrongBidegree,
 )
 from .graded import GradedBasis, Vector
+from .group_action import ActionRep, resolve_reps
+from .linalg import Row, lin_comb
 from .scalars import one, scalar
 from .superalgebra import (
     LieSuperalgebra,
     LModule,
-    bracket_eval,
     from_pairs,
-    module_act,
     validate_module,
     validate_superalgebra,
 )
@@ -38,10 +43,13 @@ from .superalgebra import (
 
 @dataclass
 class ExtensionDatum:
+    """reps is rep resolved: None, or the pair (rep_L, rep_M)."""
+
     L: LieSuperalgebra
     M: LModule
     rep: object
     h: Cochain
+    reps: tuple[ActionRep, ActionRep] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h.algebra != self.L.basis or self.h.space != self.M.space:
@@ -50,8 +58,8 @@ class ExtensionDatum:
             raise WrongBidegree("glue term must be a binary map of parity 0")
         if not validate_module(self.L, self.M).ok:
             raise ValidationError("module axioms fail for the coefficient space")
-        reps = _resolve_reps(self.rep, self.L, self.M)
-        if reps is not None and not is_equivariant(self.h, reps[0], reps[1], self.L, self.M):
+        self.reps = resolve_reps(self.rep, self.L, self.M)
+        if self.reps is not None and not is_equivariant(self.h, *self.reps, self.L, self.M):
             raise ValidationError("glue term is not equivariant")
 
 
@@ -90,28 +98,31 @@ def _combined_basis(L: LieSuperalgebra, M: LModule) -> GradedBasis:
     return GradedBasis(tuple(names), tuple(parities))
 
 
-def _push(vec: Vector, where: dict[int, int]) -> Vector:
-    return Vector({where[i]: c for i, c in vec.coords.items()})
+def _push(row: Row, where: dict[int, int]) -> Row:
+    return {where[i]: c for i, c in row.items()}
 
 
 def build_extension(x: ExtensionDatum) -> LieSuperalgebra:
     """The algebra on L + M with the module acting through L, M abelian, and
     the glue term feeding the module component of brackets of algebra lifts.
 
-    The result is intentionally unvalidated: the Jacobi identity upstairs is
-    equivalent to the glue term being a cocycle, which is checked separately.
+    Read off the bracket table, the glue term's coordinates and the action
+    table.  The result is intentionally unvalidated: the Jacobi identity
+    upstairs is equivalent to the glue term being a cocycle, which is checked
+    separately.
     """
-    L, M, h = x.L, x.M, x.h
-    spec = L.spec
+    L, M = x.L, x.M
     l2e, m2e = extension_layout(L, M)
-    pairs = {}
-    for i in range(len(L.basis)):
-        for j in range(i, len(L.basis)):
-            pairs[(l2e[i], l2e[j])] = _push(L.bracket.at((i, j)), l2e) + _push(h.value_at((i, j)), m2e)
-        ei = Vector({i: one(spec)})
-        for n in range(len(M.space)):
-            pairs[(l2e[i], m2e[n])] = _push(module_act(M, ei, Vector({n: one(spec)})), m2e)
-    return from_pairs(_combined_basis(L, M), spec, pairs, check=False)
+    pairs: dict[tuple[int, int], Row] = {}
+    for (i, j), vec in L.bracket.components.items():
+        if i <= j:
+            pairs[(l2e[i], l2e[j])] = _push(vec.coords, l2e)
+    for ((i, j), k), c in x.h.coords.items():
+        pairs.setdefault((l2e[i], l2e[j]), {})[m2e[k]] = c
+    for (i, k), vec in M.act.items():
+        pairs[(l2e[i], m2e[k])] = _push(vec.coords, m2e)
+    vectors = {key: Vector(row) for key, row in pairs.items()}
+    return from_pairs(_combined_basis(L, M), L.spec, vectors, check=False)
 
 
 @dataclass
@@ -151,73 +162,54 @@ def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | N
         if not coboundary(x.h, L, M).is_zero():
             raise NotCocycle(f"{label} glue term is not a cocycle")
     diff = x1.h.add(x2.h.scale(scalar(L.spec, -1)))
-    f = coboundary_preimage(1, L, M, x1.rep, diff)
+    f = coboundary_preimage(1, L, M, x1.reps, diff)
     if f is None:
         return None
     _verify_certificate(x1, x2, f)
     return f
 
 
-def _certificate_matrix(x: ExtensionDatum, f: Cochain):
-    """The combined-basis matrix of (x, m) -> (x, m + f(x)), as columns."""
-    L, M = x.L, x.M
-    spec = L.spec
-    l2e, m2e = extension_layout(L, M)
-    size = len(L.basis) + len(M.space)
-    cols = []
-    for u in range(size):
-        cols.append(Vector({u: one(spec)}))
-    for i in range(len(L.basis)):
-        cols[l2e[i]] = cols[l2e[i]] + _push(f.value_at((i,)), m2e)
-    return cols
+def _combined_action(x: ExtensionDatum) -> list[list[Row]]:
+    """For each g, its columns on L + M: its columns on L and on M, pushed
+    through extension_layout."""
+    l2e, m2e = extension_layout(x.L, x.M)
+    action = []
+    for cols_L, cols_M in zip(x.reps[0].columns, x.reps[1].columns):
+        pushed = {l2e[i]: _push(col, l2e) for i, col in enumerate(cols_L)}
+        pushed.update({m2e[k]: _push(col, m2e) for k, col in enumerate(cols_M)})
+        action.append([pushed[u] for u in range(len(pushed))])
+    return action
 
 
 def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> None:
-    e1 = build_extension(x1)
-    e2 = build_extension(x2)
-    cols = _certificate_matrix(x1, f)
-
-    def apply(v: Vector) -> Vector:
-        out = Vector()
-        for i, c in v.coords.items():
-            out = out + cols[i].scale(c)
-        return out
-
-    size = len(e1.basis)
-    for u in range(size):
-        for v in range(size):
-            lhs = apply(e1.bracket.at((u, v)))
-            rhs_vec = bracket_eval(e2, apply(Vector({u: one(e1.spec)})), apply(Vector({v: one(e1.spec)})))
-            if lhs != rhs_vec:
-                raise OracleDisagreement(
-                    "solved certificate does not intertwine the extension brackets"
-                )
-    reps = _resolve_reps(x1.rep, x1.L, x1.M)
-    if reps is None:
-        return
-    rep_L, rep_M = reps
+    """phi = (x, m) -> (x, m + f(x)) must intertwine the extension brackets,
+    phi [u, v]_1 = [phi u, phi v]_2, and commute with every g; each side is
+    one sparse sum over the bracket tables and the columns of phi and g."""
+    br1 = {key: vec.coords for key, vec in build_extension(x1).bracket.components.items()}
+    br2 = {key: vec.coords for key, vec in build_extension(x2).bracket.components.items()}
     l2e, m2e = extension_layout(x1.L, x1.M)
-    for g in range(rep_L.group.order):
-        for u in range(size):
-            gu = _combined_apply(rep_L, rep_M, l2e, m2e, g, Vector({u: one(e1.spec)}))
-            if apply(gu) != _combined_apply(rep_L, rep_M, l2e, m2e, g, apply(Vector({u: one(e1.spec)}))):
+    o = one(x1.L.spec)
+    phi: list[Row] = [{u: o} for u in range(len(l2e) + len(m2e))]
+    for ((i,), k), c in f.coords.items():
+        phi[l2e[i]][m2e[k]] = c
+
+    def apply(cols: list[Row], v: Row) -> Row:
+        return lin_comb((c, cols[t]) for t, c in v.items())
+
+    for u, pu in enumerate(phi):
+        for v, pv in enumerate(phi):
+            lhs = apply(phi, br1.get((u, v), {}))
+            rhs = lin_comb(
+                (a * b, br2[(s, t)]) for s, a in pu.items() for t, b in pv.items() if (s, t) in br2
+            )
+            if lhs != rhs:
+                raise OracleDisagreement("solved certificate does not intertwine the extension brackets")
+    if x1.reps is None:
+        return
+    for g_cols in _combined_action(x1):
+        for gu, pu in zip(g_cols, phi):
+            if apply(phi, gu) != apply(g_cols, pu):
                 raise OracleDisagreement("solved certificate is not equivariant")
-
-
-def _combined_apply(rep_L, rep_M, l2e, m2e, g: int, v: Vector) -> Vector:
-    from .group_action import apply_rep
-
-    e2l = {u: i for i, u in l2e.items()}
-    e2m = {u: j for j, u in m2e.items()}
-    out = Vector()
-    for u, c in v.coords.items():
-        if u in e2l:
-            img = apply_rep(rep_L, g, Vector({e2l[u]: c}))
-            out = out + _push(img, l2e)
-        else:
-            img = apply_rep(rep_M, g, Vector({e2m[u]: c}))
-            out = out + _push(img, m2e)
-    return out
 
 
 def classify_extensions(L: LieSuperalgebra, M: LModule, rep=None) -> list[Cochain]:

@@ -180,16 +180,6 @@ class MultilinearMap:
     def at(self, tup) -> Vector:
         return self.components.get(tuple(tup), Vector())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultilinearMap)
-            and self.arity == other.arity
-            and self.parity == other.parity
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
-
 
 def cochain_coords(basis: GradedBasis, n: int, target: GradedBasis):
     """Coordinates of super-alternating n-maps into the target space.

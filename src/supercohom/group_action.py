@@ -1,4 +1,10 @@
-"""Finite groups as Cayley tables and their degree-0 linear actions.
+"""Finite groups as Cayley tables and their degree-0 linear actions, and
+the one home of how a group acts.  resolve_reps is the rule for every rep=
+argument: None means no group, a single ActionRep covers L and a module on
+the same basis, and a pair (rep_L, rep_M) covers anything else.
+swept_elements decides which elements an equivariance sweep visits: the
+identity only when it fails to act as the identity on a space the sweep
+reads.
 
 An action keeps, for each group element, the sparse columns of its matrix
 (the image of each basis vector as a {row: Scalar} dict), computed once or
@@ -24,7 +30,7 @@ they are, sparse, and become the columns of cohomology._family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -184,11 +190,7 @@ class ActionReport:
     homomorphism_ok: bool = True
     degree0_ok: bool = True
     bracket_ok: bool = True
-    counterexamples: list = None
-
-    def __post_init__(self):
-        if self.counterexamples is None:
-            self.counterexamples = []
+    counterexamples: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -207,9 +209,38 @@ class ActionReport:
         )
 
 
+def resolve_reps(rep, L: LieSuperalgebra, M: LModule) -> tuple[ActionRep, ActionRep] | None:
+    """The rule for every rep= argument: None means no group, a single
+    ActionRep covers L and a module on the algebra basis, and a pair
+    (rep_L, rep_M) covers anything else.  Returns None or the pair."""
+    if rep is None:
+        return None
+    if isinstance(rep, ActionRep):
+        if M.space != L.basis:
+            raise BasisMismatch("a single representation only covers a module on the algebra basis")
+        return rep, rep
+    rep_L, rep_M = rep
+    return rep_L, rep_M
+
+
+def _acts_as_one(rep: ActionRep, g: int) -> bool:
+    o = one(rep.spec)
+    return rep.columns[g] == [{j: o} for j in range(rep.dim)]
+
+
+def swept_elements(*reps: ActionRep) -> list[int]:
+    """The group elements that a sweep reading the spaces of reps must visit:
+    all of them, except the identity when it acts as the identity on every
+    one of those spaces, where both sides of each equation are the same."""
+    group = reps[0].group
+    e = group.identity
+    skip = all(_acts_as_one(rep, e) for rep in reps)
+    return [g for g in range(group.order) if g != e or not skip]
+
+
 def _rep_structure_checks(rep: ActionRep, report: ActionReport) -> None:
-    group, o = rep.group, one(rep.spec)
-    if rep.columns[group.identity] != [{j: o} for j in range(rep.dim)]:
+    group = rep.group
+    if not _acts_as_one(rep, group.identity):
         report.identity_ok = False
         report.counterexamples.append({"kind": "identity", "where": "identity element"})
     for g, cols_g in enumerate(rep.columns):
@@ -252,10 +283,9 @@ def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
     _rep_structure_checks(rep, report)
     br = {key: vec.coords for key, vec in L.bracket.components.items()}
     names = L.basis.names
-    for g, cols in enumerate(rep.columns):
-        # an identity that acts as one would compare t(x_i, y_k) with itself
-        if g != rep.group.identity or not report.identity_ok:
-            _equivariance_sweep(report, "bracket equivariance", g, br, cols, cols, names, names)
+    for g in swept_elements(rep):
+        cols = rep.columns[g]
+        _equivariance_sweep(report, "bracket equivariance", g, br, cols, cols, names, names)
     return report
 
 
@@ -269,9 +299,10 @@ def validate_module_action(
     report = ActionReport()
     _rep_structure_checks(rep_M, report)
     act = {key: vec.coords for key, vec in M.act.items()}
-    for g, (cols_L, cols_M) in enumerate(zip(rep_L.columns, rep_M.columns)):
+    names_L, names_M = L.basis.names, M.space.names
+    for g in swept_elements(rep_L, rep_M):
         _equivariance_sweep(
-            report, "action equivariance", g, act, cols_L, cols_M, L.basis.names, M.space.names
+            report, "action equivariance", g, act, rep_L.columns[g], rep_M.columns[g], names_L, names_M
         )
     return report
 

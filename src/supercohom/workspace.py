@@ -46,8 +46,7 @@ from .graded import GradedBasis, Vector
 from .group_action import (
     ActionRep,
     FiniteGroup,
-    cyclic_group,
-    trivial_action,
+    resolve_reps,
     validate_action,
     validate_module_action,
 )
@@ -98,24 +97,17 @@ class Workspace:
         return entry.module, entry.rep
 
     def module_rep_arg(self, name: str):
-        """The ``rep`` argument cohomology routines expect for this module."""
+        """The module and its ``rep`` argument, resolved: None without a
+        group, else the pair (action on the algebra, action on the module)."""
         module, rep_m = self.resolve_module(name)
-        if self.rep is None:
-            return module, None
-        if name == ADJOINT:
-            return module, self.rep
-        return module, (self.rep, rep_m)
+        rep = None if self.rep is None else (self.rep, rep_m)
+        return module, resolve_reps(rep, self.algebra, module)
 
     def cochain(self, name: str) -> Cochain:
         entry = self.cochains.get(name)
         if entry is None:
             raise ParseError(f"unknown cochain {name!r}; have {sorted(self.cochains)}")
         return entry.cochain
-
-    def effective_rep(self) -> ActionRep:
-        if self.rep is not None:
-            return self.rep
-        return trivial_action(cyclic_group(1), self.spec, self.algebra.basis.parities)
 
     def deformation(self, name: str) -> Deformation:
         if name not in self.deformations:
@@ -129,9 +121,7 @@ class Workspace:
                     terms.append(bracket_to_element(self.algebra))
                 else:
                     terms.append(self.cochains[term].cochain)
-            self._deformation_cache[name] = Deformation(
-                self.algebra, self.effective_rep(), terms
-            )
+            self._deformation_cache[name] = Deformation(self.algebra, self.rep, terms)
         return self._deformation_cache[name]
 
 

@@ -192,6 +192,9 @@ def argvs(draw):
 @example(["validate", ""])
 @example(["extend", "build", "w.json", "--cocycle", "c"])
 @example(["extend", "-h"])
+@example(["extend", "--h"])
+@example(["extend", "--he"])
+@example(["extend", "--hel"])
 @example(["extend"])
 @example([""])
 @example([])
@@ -203,6 +206,8 @@ def test_extend_takes_the_build_word_and_shows_the_group_help():
     args = cli.parse_args(["extend", "build", "w.json", "--cocycle", "c"])
     assert (args.handler, args.file, args.cocycle) == (cli._cmd_extend, "w.json", "c")
     assert cli.parse_args(["extend", "w.json", "--cocycle", "c"]) == args
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        code, out, err = outcome(cli.parse_args, ["extend", "-h"])
-    assert code == 0 and out.startswith("usage: supercohom extend [-h] {build,classify}") and err == ""
+    # -h, --help and the abbreviations of --help all show the group help
+    for flag in ("-h", "--h", "--he", "--hel", "--help"):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            code, out, err = outcome(cli.parse_args, ["extend", flag])
+        assert code == 0 and out.startswith("usage: supercohom extend [-h] {build,classify}") and err == ""

@@ -9,7 +9,7 @@ spaces.
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercohom.cohomology import (
@@ -26,7 +26,7 @@ from supercohom.cohomology import (
     zero_cochain,
 )
 from supercohom.errors import BasisMismatch, ValidationError
-from supercohom.graded import Vector, cochain_coords, superalt_basis
+from supercohom.graded import GradedBasis, Vector, canonicalize_tuple, cochain_coords, superalt_basis
 from supercohom.group_action import cyclic_group, induced_action_on_cochains, trivial_action
 from supercohom.linalg import mat_mul
 from supercohom.scalars import RATIONAL, cyclo, one, scalar, zero
@@ -115,6 +115,45 @@ def test_cochain_rejects_noncanonical_key():
         Cochain(2, 0, L.basis, L.basis, {((2, 0), 3): one(RATIONAL)})
     with pytest.raises(ValueError, match="canonical"):
         Cochain(2, 0, L.basis, L.basis, {((0, 0), 0): one(RATIONAL)})
+
+
+def _sorted_key_check(T, j, arity, parity, algebra, space):
+    """The key check as it was written with canonicalize_tuple: sort, keep
+    the Koszul sign, compare the sorted tuple with the key."""
+    T = tuple(T)
+    if len(T) != arity:
+        raise ValueError(f"key {T} does not have arity {arity}")
+    res = canonicalize_tuple(T, algebra.parities)
+    if res is None or res[0] != T:
+        raise ValueError(f"key {T} is not a canonical index tuple")
+    want = (sum(algebra.parities[i] for i in T) + space.parities[j]) % 2
+    if want != parity % 2:
+        raise ValueError(f"coordinate ({T}, {j}) has parity {want}, cochain is tagged {parity}")
+
+
+def _outcome(f, *args):
+    try:
+        f(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=8 * settings.default.max_examples)
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=4).map(sorted),
+    st.integers(0, 3),
+    st.lists(st.integers(-6, 6), max_size=4),
+    st.integers(-3, 5),
+    st.integers(0, 1),
+)
+def test_cochain_key_check_matches_the_sorting_check(parities, arity, T, j, parity):
+    # Indices range past both ends of the basis: the same exception type and
+    # text must come out for every key, out-of-range indices included.
+    basis = GradedBasis(tuple(f"x{k}" for k in range(len(parities))), tuple(parities))
+    space = GradedBasis(("m0", "m1", "m2"), (0, 0, 1))
+    want = _outcome(_sorted_key_check, T, j, arity, parity, basis, space)
+    assert _outcome(Cochain, arity, parity, basis, space, {(tuple(T), j): one(RATIONAL)}) == want
 
 
 def test_cochain_rejects_parity_mismatch():

@@ -1,8 +1,11 @@
 """Tests for truncated formal deformations and gauge equivalence."""
 
+import os
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supercohom.cohomology import Cochain, coboundary, cochain_basis
 from supercohom.deformation import (
@@ -26,10 +29,13 @@ from supercohom.errors import (
 from supercohom.graded import Vector, superalt_basis
 from supercohom.group_action import cyclic_group, trivial_action
 from supercohom.nr_bracket import bracket_to_element, circ
-from supercohom.scalars import RATIONAL, one, scalar
+from supercohom.scalars import RATIONAL, cyclo, one, scalar
 from supercohom.superalgebra import adjoint_module, make_gl
+from supercohom.workspace import load
 
-from util import abelian_algebra, gl11_mu1, gl11_swap_rep
+from util import abelian_algebra, gl11_mu1, gl11_swap_rep, rand_cochain, rand_instance
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 ONE = one(RATIONAL)
 MINUS = scalar(RATIONAL, -1)
@@ -407,3 +413,49 @@ def test_cohomologous_rejects_foreign_algebras(gl11):
     d2 = Deformation(B, repB, [bracket_to_element(B)])
     with pytest.raises(BasisMismatch):
         infinitesimals_cohomologous(d1, d2)
+
+
+# -- no group: rep=None is the one-element group -----------------------------
+
+
+def _with_one_element_group(d):
+    L = d.base
+    return Deformation(L, trivial_action(cyclic_group(1), L.spec, L.basis.parities), d.terms)
+
+
+def _reports(d):
+    """validate(d, "strict"), and the obstruction report or the report that
+    NotValidated carries."""
+    try:
+        obs = obstruction(d)
+    except NotValidated as exc:
+        obs = exc.report
+    return validate(d, "strict"), obs
+
+
+@pytest.mark.parametrize(
+    "fixture, name",
+    [("fixture_gl11.json", "mu_t"), ("fixture_gl21.json", "flat"), ("fixture_sl11.json", "flat")],
+)
+def test_no_group_gives_the_reports_of_the_one_element_group_on_the_fixtures(fixture, name):
+    d = load(os.path.join(FIXTURES, fixture)).deformation(name)
+    assert d.rep is None
+    assert _reports(d) == _reports(_with_one_element_group(d))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_no_group_gives_the_reports_of_the_one_element_group(seed, cyclotomic, closed):
+    rng = random.Random(seed)
+    spec = cyclo(4) if cyclotomic else RATIONAL
+    L, _ = rand_instance(rng, spec, max_d0=2, max_d1=2)
+    M = adjoint_module(L)
+    # a coboundary passes order 1, so the obstruction and its solve run
+    if closed:
+        mu1 = coboundary(rand_cochain(rng, L, M, 1, 0), L, M)
+    else:
+        mu1 = rand_cochain(rng, L, M, 2, 0, zero_bias=0.7)
+    d = Deformation(L, None, [bracket_to_element(L), mu1])
+    d1 = _with_one_element_group(d)
+    assert _reports(d) == _reports(d1)
+    g = GaugeTransform(spec, L.basis, [identity_endo(L.basis, spec), rand_cochain(rng, L, M, 1, 0)])
+    assert gauge_transform(d, g).terms == gauge_transform(d1, g).terms

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercohom import group_action
+from supercohom import cohomology, group_action
 from supercohom.cohomology import Cochain, cochain_basis, is_equivariant
 from supercohom.graded import MultilinearMap, Vector
 from supercohom.group_action import (
@@ -246,6 +246,36 @@ def test_action_sweep_skips_the_identity_only_when_it_acts_as_one(monkeypatch):
     report = validate_action(bad, L)
     assert not report.identity_ok and swept == [rep.group.identity, 1]
     assert report == elementwise_validate_action(bad, L)
+
+    # The module sweep reads the action on L and on M: the identity is swept
+    # when it is broken on either.
+    M = adjoint_module(L)
+    swept.clear()
+    assert validate_module_action(rep, rep, L, M).ok and swept == [1]
+    for rep_L, rep_M in ((bad, rep), (rep, bad), (bad, bad)):
+        swept.clear()
+        report = validate_module_action(rep_L, rep_M, L, M)
+        assert not report.ok and swept == [rep.group.identity, 1]
+        assert report == elementwise_validate_module_action(rep_L, rep_M, L, M)
+
+    # is_equivariant: the bracket is fixed by the swap, but not by a broken
+    # identity; each pull_back reads the columns of one g^-1.
+    pulled = []
+    real_pull = cohomology.pull_back
+
+    def pulling(A, *rest):
+        pulled.append(A)
+        return real_pull(A, *rest)
+
+    monkeypatch.setattr(cohomology, "pull_back", pulling)
+    mu = bracket_to_element(L)
+    assert is_equivariant(mu, rep, rep, L, M)
+    assert not any(A is rep.columns[rep.group.identity] for A in pulled)
+    for rep_L, rep_M in ((bad, rep), (rep, bad), (bad, bad)):
+        pulled.clear()
+        verdict = is_equivariant(mu, rep_L, rep_M, L, M)
+        assert not verdict and verdict == elementwise_is_equivariant(mu, rep_L, rep_M, L, M)
+        assert any(A is rep_L.columns[rep.group.identity] for A in pulled)
 
 
 def test_degree_counterexamples_in_row_major_order():

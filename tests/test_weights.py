@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercohom.cohomology import _delta_rows, _family, _resolve_reps, _torus, _weights, cohomology
+from supercohom.cohomology import _delta_rows, _family, _torus, _weights, cohomology
 from supercohom.graded import GradedBasis, Vector, cochain_coords, superalt_count
-from supercohom.group_action import cyclic_group, diagonal_rep
+from supercohom.group_action import cyclic_group, diagonal_rep, resolve_reps
 from supercohom.linalg import mat_identity, rref_rows
 from supercohom.scalars import RATIONAL, cyclo, root_of_unity, scalar
 from supercohom.superalgebra import (
@@ -81,8 +81,8 @@ def test_a_group_that_moves_the_torus_empties_it(n):
     ws = load(os.path.join(FIXTURES, "fixture_gl11_z2.json"))
     L, M = ws.algebra, adjoint_module(ws.algebra)
     assert _torus(L, M, None) == [0, 1]
-    assert _torus(L, M, _resolve_reps(ws.rep, L, M)) == []
-    assert _weights(n + 2, L, M, _resolve_reps(ws.rep, L, M)) is None
+    assert _torus(L, M, resolve_reps(ws.rep, L, M)) == []
+    assert _weights(n + 2, L, M, resolve_reps(ws.rep, L, M)) is None
     assert_matches_full(n, L, M, ws.rep)
 
 
@@ -99,8 +99,8 @@ def test_a_group_that_fixes_the_torus_counts_its_fixed_blocks(n):
     L = make_gl(1, 1)
     rep = sign_rep(L.basis, [1, 1, -1, -1])
     M = adjoint_module(L)
-    assert _torus(L, M, _resolve_reps(rep, L, M)) == [0, 1]
-    assert _weights(n + 2, L, M, _resolve_reps(rep, L, M)) is not None
+    assert _torus(L, M, resolve_reps(rep, L, M)) == [0, 1]
+    assert _weights(n + 2, L, M, resolve_reps(rep, L, M)) is not None
     assert_matches_full(n, L, M, rep)
     Mt = trivial(L)
     assert_matches_full(n, L, Mt, (rep, sign_rep(Mt.space, [-1])))
@@ -110,7 +110,7 @@ def test_a_group_that_fixes_the_torus_counts_its_fixed_blocks(n):
 def test_the_parity_automorphism_fixes_the_torus_of_gl21(n):
     L = make_gl(2, 1)
     rep = sign_rep(L.basis, [1 - 2 * p for p in L.basis.parities])
-    assert _torus(L, adjoint_module(L), _resolve_reps(rep, L, adjoint_module(L))) == [0, 3, 4]
+    assert _torus(L, adjoint_module(L), resolve_reps(rep, L, adjoint_module(L))) == [0, 3, 4]
     assert_matches_full(n, L, adjoint_module(L), rep)
 
 

@@ -1330,8 +1330,10 @@ def oracle_parsers():
 
 def oracle_parse_args(argv):
     """argv read by oracle_parsers, after the CLI's one rewrite: `extend FILE
-    --cocycle NAME` may be spelled without the word "build"."""
+    --cocycle NAME` may be spelled without the word "build", and -h, --help
+    and its abbreviations show the help of the extend group."""
     argv = list(argv)
-    if len(argv) > 1 and argv[0] == "extend" and argv[1] not in ("build", "classify", "-h", "--help"):
+    words = ("build", "classify", "-h", "--h", "--he", "--hel", "--help")
+    if len(argv) > 1 and argv[0] == "extend" and argv[1] not in words:
         argv.insert(1, "build")
     return oracle_parsers().parse_args(argv)
