@@ -302,8 +302,9 @@ def _torus(L: LieSuperalgebra, M: LModule, reps) -> list[int]:
     moved |= {x for (x, j), v in M.act.items() if v.coords.keys() - {j}}
     h = [x for x, p in enumerate(L.basis.parities) if p == 0 and x not in moved]
     if reps is not None:
-        o = one(L.spec)
-        h = [x for x in h if all(cols[x] == {x: o} for cols in reps[0].columns)]
+        o, rep_L = one(L.spec), reps[0]
+        swept = [rep_L.columns[g] for g in swept_elements(rep_L)]
+        h = [x for x in h if all(cols[x] == {x: o} for cols in swept)]
     return h
 
 
@@ -528,7 +529,8 @@ def _fixed_even_vectors(M: LModule, rep_M: ActionRep | None, spec, acting=()) ->
             rows.append({k: v.coords[r] for k, v in acts if v is not None and r in v.coords})
     if rep_M is not None:
         o = one(spec)
-        for cols in rep_M.columns:  # the rows of g - 1 on the even columns
+        for g in swept_elements(rep_M):  # the rows of g - 1 on the even columns
+            cols = rep_M.columns[g]
             g_rows: list[Row] = [{} for _ in M.space.names]
             for k, j in enumerate(evens):
                 for r, x in cols[j].items():
@@ -581,8 +583,9 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
                 rows.append(row)
     if reps is not None:
         rep_L, rep_M = reps
-        for cols_L, cols_M in zip(rep_L.columns, rep_M.columns):
-            for i, gi in enumerate(cols_L):
+        for g in swept_elements(rep_L, rep_M):
+            cols_M = rep_M.columns[g]
+            for i, gi in enumerate(rep_L.columns[g]):
                 for r in range(len(parM)):
                     row = {}
                     for t, x in gi.items():

@@ -29,7 +29,7 @@ from .errors import (
     WrongBidegree,
 )
 from .graded import GradedBasis, Vector
-from .group_action import ActionRep, resolve_reps
+from .group_action import ActionRep, resolve_reps, swept_elements
 from .linalg import Row, lin_comb
 from .scalars import one, scalar
 from .superalgebra import (
@@ -170,11 +170,13 @@ def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | N
 
 
 def _combined_action(x: ExtensionDatum) -> list[list[Row]]:
-    """For each g, its columns on L + M: its columns on L and on M, pushed
-    through extension_layout."""
+    """For each swept g (swept_elements), its columns on L + M: its columns
+    on L and on M, pushed through extension_layout."""
     l2e, m2e = extension_layout(x.L, x.M)
+    rep_L, rep_M = x.reps
     action = []
-    for cols_L, cols_M in zip(x.reps[0].columns, x.reps[1].columns):
+    for g in swept_elements(rep_L, rep_M):
+        cols_L, cols_M = rep_L.columns[g], rep_M.columns[g]
         pushed = {l2e[i]: _push(col, l2e) for i, col in enumerate(cols_L)}
         pushed.update({m2e[k]: _push(col, m2e) for k, col in enumerate(cols_M)})
         action.append([pushed[u] for u in range(len(pushed))])
@@ -183,8 +185,9 @@ def _combined_action(x: ExtensionDatum) -> list[list[Row]]:
 
 def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> None:
     """phi = (x, m) -> (x, m + f(x)) must intertwine the extension brackets,
-    phi [u, v]_1 = [phi u, phi v]_2, and commute with every g; each side is
-    one sparse sum over the bracket tables and the columns of phi and g."""
+    phi [u, v]_1 = [phi u, phi v]_2, and commute with every g (checked on
+    the swept elements); each side is one sparse sum over the bracket tables
+    and the columns of phi and g."""
     br1 = {key: vec.coords for key, vec in build_extension(x1).bracket.components.items()}
     br2 = {key: vec.coords for key, vec in build_extension(x2).bracket.components.items()}
     l2e, m2e = extension_layout(x1.L, x1.M)

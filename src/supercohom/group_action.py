@@ -2,9 +2,17 @@
 the one home of how a group acts.  resolve_reps is the rule for every rep=
 argument: None means no group, a single ActionRep covers L and a module on
 the same basis, and a pair (rep_L, rep_M) covers anything else.
-swept_elements decides which elements an equivariance sweep visits: the
-identity only when it fails to act as the identity on a space the sweep
-reads.
+
+swept_elements decides which elements an equivariance sweep visits.  A
+FiniteGroup carries a generating set, read greedily off its Cayley table,
+and is_representation proves, once per ActionRep, that g -> rho(g) is a
+homomorphism by checking rho(s) rho(h) = rho(s h) for each generator s and
+every h.  When every action a sweep reads is such a representation, an
+equation that each generator satisfies holds for all of G, so the sweep
+visits the generators only.  Otherwise it visits every element, except an
+identity that acts as the identity.  The action and module-action sweeps
+re-run over every element when a generator fails, so their reports list
+each failing element.
 
 An action keeps, for each group element, the sparse columns of its matrix
 (the image of each basis vector as a {row: Scalar} dict), computed once or
@@ -20,12 +28,15 @@ The fixed subspace is spanned by the pivot columns of the Reynolds operator
 R = (1/|G|) sum_g g, built in one pass over sparse columns.  Every vector
 that all of G fixes satisfies R v = v, so it lies in the image of R.  The
 result therefore comes with a certificate: each returned column is checked
-to be fixed by every group element, which proves that the span is exactly
-the fixed space, and the character formula (1/|G|) sum_g tr g must give its
-dimension.  A sign slip in an induced action, or matrices that do not form
-a representation, show up here as an OracleDisagreement rather than as a
-silently wrong cohomology dimension.  The certified columns are returned as
-they are, sparse, and become the columns of cohomology._family.
+to be fixed by every group element (the identity is skipped only when it
+acts as the identity), which proves that the span is exactly the fixed
+space, and the character formula (1/|G|) sum_g tr g must give its
+dimension.  This certificate does not assume that the induced matrices
+form a representation, so it does not stop at the generators.  A sign slip
+in an induced action, or matrices that do not form a representation, show
+up here as an OracleDisagreement rather than as a silently wrong cohomology
+dimension.  The certified columns are returned as they are, sparse, and
+become the columns of cohomology._family.
 """
 
 from __future__ import annotations
@@ -54,9 +65,15 @@ from .superalgebra import LieSuperalgebra, LModule
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """A finite group as its Cayley table.  generators is computed from the
+    table: an element joins it, in index order, when the elements found so
+    far do not already generate it; so it generates the group, and it is
+    empty for the trivial group."""
+
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
+    generators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
@@ -82,6 +99,21 @@ class FiniteGroup:
                         raise ValidationError(
                             f"Cayley table is not associative at ({i}, {j}, {k})"
                         )
+        gens: list[int] = []
+        reached = {e}
+        for g in range(n):
+            if g in reached:
+                continue
+            gens.append(g)
+            stack = list(reached)  # close the reached subgroup under the new generator set
+            while stack:
+                x = stack.pop()
+                for s in gens:
+                    y = self.table[x][s]
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+        object.__setattr__(self, "generators", tuple(gens))
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -112,6 +144,7 @@ class ActionRep:
         if (matrices is None) == (columns is None):
             raise TypeError("give the action by its matrices or by its columns")
         self._matrices = None
+        self._is_representation: bool | None = None
         if columns is None:
             d = len(self.parities)
             if len(matrices) != group.order:
@@ -225,38 +258,95 @@ def resolve_reps(rep, L: LieSuperalgebra, M: LModule) -> tuple[ActionRep, Action
 
 def _acts_as_one(rep: ActionRep, g: int) -> bool:
     o = one(rep.spec)
-    return rep.columns[g] == [{j: o} for j in range(rep.dim)]
+    return all(len(col) == 1 and col.get(j) == o for j, col in enumerate(rep.columns[g]))
 
 
-def swept_elements(*reps: ActionRep) -> list[int]:
-    """The group elements that a sweep reading the spaces of reps must visit:
-    all of them, except the identity when it acts as the identity on every
-    one of those spaces, where both sides of each equation are the same."""
+def _compose(cols_g: list[Row], cols_h: list[Row]) -> list[Row]:
+    """The sparse columns of g h from those of g and of h."""
+    return [lin_comb((c, cols_g[t]) for t, c in col.items()) for col in cols_h]
+
+
+def is_representation(rep: ActionRep) -> bool:
+    """Whether g -> rep.columns[g] is a homomorphism, computed once per rep.
+
+    It is when the identity acts as one and s h acts as (s)(h) for every
+    generator s and every h: each g is a product s_1 ... s_k of generators,
+    so by induction g acts as (s_1) ... (s_k), and g h as (g)(h).  That is
+    |generators| * |G| compositions instead of |G|^2.
+    """
+    if rep._is_representation is None:
+        group, cols = rep.group, rep.columns
+        rep._is_representation = _acts_as_one(rep, group.identity) and all(
+            _compose(cols[s], cols[h]) == cols[group.mul(s, h)]
+            for s in group.generators
+            for h in range(group.order)
+        )
+    return rep._is_representation
+
+
+def _every_moving_element(*reps: ActionRep) -> list[int]:
+    """Every group element, except the identity when it acts as the identity
+    on each of the spaces of reps, where both sides of each equation agree."""
     group = reps[0].group
     e = group.identity
     skip = all(_acts_as_one(rep, e) for rep in reps)
     return [g for g in range(group.order) if g != e or not skip]
 
 
+def swept_elements(*reps: ActionRep) -> list[int]:
+    """The group elements that a sweep reading the spaces of reps must visit.
+
+    When every rep is a representation, an equation that each generator
+    satisfies holds for every product of generators, so the generators
+    suffice.  Otherwise every element is visited, except an identity that
+    acts as the identity on every one of those spaces.
+    """
+    if all(is_representation(rep) for rep in reps):
+        return list(reps[0].group.generators)
+    return _every_moving_element(*reps)
+
+
 def _rep_structure_checks(rep: ActionRep, report: ActionReport) -> None:
+    """The identity, homomorphism and degree-0 checks.  A verified
+    representation passes the first two; otherwise every pair is compared,
+    so the report lists each failing pair."""
     group = rep.group
-    if not _acts_as_one(rep, group.identity):
-        report.identity_ok = False
-        report.counterexamples.append({"kind": "identity", "where": "identity element"})
-    for g, cols_g in enumerate(rep.columns):
-        for h, cols_h in enumerate(rep.columns):
-            composed = [lin_comb((c, cols_g[t]) for t, c in col.items()) for col in cols_h]
-            if composed != rep.columns[group.mul(g, h)]:
-                report.homomorphism_ok = False
-                report.counterexamples.append(
-                    {"kind": "homomorphism", "where": f"pair ({g}, {h})"}
-                )
+    if not is_representation(rep):
+        if not _acts_as_one(rep, group.identity):
+            report.identity_ok = False
+            report.counterexamples.append({"kind": "identity", "where": "identity element"})
+        for g, cols_g in enumerate(rep.columns):
+            for h, cols_h in enumerate(rep.columns):
+                if _compose(cols_g, cols_h) != rep.columns[group.mul(g, h)]:
+                    report.homomorphism_ok = False
+                    report.counterexamples.append(
+                        {"kind": "homomorphism", "where": f"pair ({g}, {h})"}
+                    )
     par = rep.parities
     for g, cols in enumerate(rep.columns):
         mixed = sorted((i, j) for j, col in enumerate(cols) for i in col if par[i] != par[j])
         for i, j in mixed:
             report.degree0_ok = False
             report.counterexamples.append({"kind": "degree", "where": f"g={g}, entry ({i}, {j})"})
+
+
+def _run_sweep(report: ActionReport, reps, sweep) -> None:
+    """sweep(g) over swept_elements(*reps).  When that skipped elements and
+    one of those swept fails, its counterexamples are dropped and the sweep
+    runs again over every element, so the report lists each failing g."""
+    start = len(report.counterexamples)
+    swept = swept_elements(*reps)
+    for g in swept:
+        sweep(g)
+    if report.bracket_ok:
+        return
+    everything = _every_moving_element(*reps)
+    if swept == everything:
+        return
+    del report.counterexamples[start:]
+    report.bracket_ok = True
+    for g in everything:
+        sweep(g)
 
 
 def _equivariance_sweep(report, kind, g, table, cols_x, cols_y, names_x, names_y) -> None:
@@ -283,9 +373,12 @@ def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
     _rep_structure_checks(rep, report)
     br = {key: vec.coords for key, vec in L.bracket.components.items()}
     names = L.basis.names
-    for g in swept_elements(rep):
+
+    def sweep(g):
         cols = rep.columns[g]
         _equivariance_sweep(report, "bracket equivariance", g, br, cols, cols, names, names)
+
+    _run_sweep(report, (rep,), sweep)
     return report
 
 
@@ -300,10 +393,13 @@ def validate_module_action(
     _rep_structure_checks(rep_M, report)
     act = {key: vec.coords for key, vec in M.act.items()}
     names_L, names_M = L.basis.names, M.space.names
-    for g in swept_elements(rep_L, rep_M):
+
+    def sweep(g):
         _equivariance_sweep(
             report, "action equivariance", g, act, rep_L.columns[g], rep_M.columns[g], names_L, names_M
         )
+
+    _run_sweep(report, (rep_L, rep_M), sweep)
     return report
 
 
@@ -381,7 +477,8 @@ def equivariant_subspace(rep: ActionRep) -> list[Row]:
     The basis is the pivot columns of the Reynolds operator
     R = (1/|G|) sum_g g, read left to right, each a {row: Scalar} dict
     without zeros, returned as certified.  Certificate: each returned
-    column v has g v = v for every g, so the columns, independent by
+    column v has g v = v for every g (an identity that acts as the identity
+    is not multiplied out), so the columns, independent by
     construction, span exactly the fixed space (any fixed v has R v = v);
     and their count must equal the character formula (1/|G|) sum_g tr g.
     Either failure raises OracleDisagreement.
@@ -401,7 +498,8 @@ def equivariant_subspace(rep: ActionRep) -> list[Row]:
     reynolds = [{i: x * inv_order for i, x in col.items() if not x.is_zero()} for col in reynolds]
     fixed = [reynolds[c] for c in pivot_columns(reynolds)]
 
-    for g, cols in enumerate(rep.columns):
+    for g in _every_moving_element(rep):
+        cols = rep.columns[g]
         for v in fixed:
             if lin_comb((c, cols[j]) for j, c in v.items()) != v:
                 raise OracleDisagreement(

@@ -38,6 +38,7 @@ from supercohom.superalgebra import (
 )
 
 from util import (
+    GROUP_SHAPES,
     abelian_algebra,
     coboundary_matrix_raw,
     coboundary_raw,
@@ -332,7 +333,7 @@ def test_gl11_annihilator_is_the_identity_line():
 def test_annihilator_matches_h0_random():
     rng = random.Random(808)
     for _ in range(8):
-        L, rep = rand_instance(rng, with_action=rng.random() < 0.5)
+        L, rep = rand_instance(rng, with_action=rng.random() < 0.5, groups=GROUP_SHAPES)
         M, reps = rand_module(rng, L, rep)
         report = cohomology(0, L, M, reps)
         ann = annihilator(L, M, reps)
@@ -342,7 +343,7 @@ def test_annihilator_matches_h0_random():
 def test_derivations_match_h1_random():
     rng = random.Random(909)
     for _ in range(8):
-        L, rep = rand_instance(rng, with_action=rng.random() < 0.5)
+        L, rep = rand_instance(rng, with_action=rng.random() < 0.5, groups=GROUP_SHAPES)
         M, reps = rand_module(rng, L, rep)
         report = cohomology(1, L, M, reps)
         der, inn = derivations(L, M, reps)
@@ -513,7 +514,7 @@ def test_sweep_matches_per_cochain_oracle(n, with_action):
     @given(st.integers(0, 2**32 - 1))
     def prop(seed):
         rng = random.Random(seed)
-        L, rep = rand_instance(rng, with_action=with_action)
+        L, rep = rand_instance(rng, with_action=with_action, groups=GROUP_SHAPES)
         M, reps = rand_module(rng, L, rep)
         basis = cochain_basis(n, L, M, reps)
         want = coboundary_matrix_raw(basis, n, L, M)
@@ -532,7 +533,7 @@ def test_cochain_basis_reads_off_the_dense_fixed_subspace(n, seed, with_action, 
     # Without a group the oracle is the fixed subspace of the trivial group.
     rng = random.Random(seed)
     spec = cyclo(4) if cyclotomic else RATIONAL
-    L, rep = rand_instance(rng, spec, with_action=with_action, max_d0=2, max_d1=2)
+    L, rep = rand_instance(rng, spec, with_action=with_action, max_d0=2, max_d1=2, groups=GROUP_SHAPES)
     M, reps = rand_module(rng, L, rep)
     if reps is None:
         G = cyclic_group(1)

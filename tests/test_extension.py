@@ -37,6 +37,7 @@ from supercohom.superalgebra import (
 )
 
 from util import (
+    GROUP_SHAPES,
     abelian_algebra,
     bareiss_solve,
     coboundary_matrix_raw,
@@ -350,7 +351,7 @@ def test_extensions_equivalent_matches_a_dense_parity0_solve(seed, with_action, 
     # equivariant family and must return the same certificate.
     rng = random.Random(seed)
     spec = cyclo(4) if cyclotomic else RATIONAL
-    L, rep = rand_instance(rng, spec, with_action=with_action, max_d0=2, max_d1=2)
+    L, rep = rand_instance(rng, spec, with_action=with_action, max_d0=2, max_d1=2, groups=GROUP_SHAPES)
     M, reps = rand_module(rng, L, rep)
     basis1 = [u for u in cochain_basis(1, L, M, reps) if u.parity == 0]
     basis2 = [u for u in cochain_basis(2, L, M, reps) if u.parity == 0]

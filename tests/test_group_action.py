@@ -16,6 +16,7 @@ from supercohom.group_action import (
     diagonal_rep,
     equivariant_subspace,
     induced_action_on_cochains,
+    is_representation,
     permutation_rep,
     trivial_action,
     validate_action,
@@ -31,12 +32,16 @@ from supercohom.superalgebra import (
 )
 
 from util import (
+    GROUP_SHAPES,
     dense_equivariant_subspace,
     densify,
+    direct_product,
+    elementwise_validate_action,
     eval_map,
     rand_instance,
     rand_module,
     rand_vector,
+    s3_group,
     superalt_expand,
 )
 
@@ -81,6 +86,76 @@ def test_group_rejects_bad_tables():
     )
     with pytest.raises(ValidationError, match="associative"):
         FiniteGroup(5, loop, 0)
+
+
+def klein_four():
+    return FiniteGroup(4, [[i ^ j for j in range(4)] for i in range(4)], 0)
+
+
+def test_generators_are_read_greedily_off_the_table():
+    assert cyclic_group(1).generators == ()
+    for m in range(2, 7):
+        assert cyclic_group(m).generators == (1,)
+    assert klein_four().generators == (1, 2)
+    assert direct_product(cyclic_group(2), cyclic_group(3)).generators == (1, 3)
+    assert s3_group()[0].generators == (1, 2)
+    assert klein_four() == direct_product(cyclic_group(2), cyclic_group(2))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [cyclic_group(1), cyclic_group(4), klein_four(), direct_product(cyclic_group(2), cyclic_group(4)), s3_group()[0]],
+    ids=["Z1", "Z4", "V4", "Z2xZ4", "S3"],
+)
+def test_generators_reach_every_element(G):
+    reached, frontier = {G.identity}, [G.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in G.generators:
+            if G.mul(x, s) not in reached:
+                reached.add(G.mul(x, s))
+                frontier.append(G.mul(x, s))
+    assert reached == set(range(G.order))
+    assert G.identity not in G.generators
+
+
+def _with_entry_moved(rep, g, i, j):
+    mats = [[list(row) for row in mat] for mat in rep.matrices]
+    mats[g][i][j] = mats[g][i][j] + one(rep.spec)
+    return ActionRep(rep.group, rep.spec, rep.parities, mats)
+
+
+def test_a_break_off_the_generators_is_still_found():
+    # Element 2 of Z/4 and element 3 of the Klein four-group are not
+    # generators: is_representation must see them through the products
+    # s h, and the report must list what the element-wise oracle lists.
+    L = make_super_poincare()
+    rep = sp_z4_rep(L)
+    assert is_representation(rep) and validate_action(rep, L).ok
+    for i, j in ((10, 10), (0, 1), (12, 11)):
+        bad = _with_entry_moved(rep, 2, i, j)
+        assert not is_representation(bad)
+        report = validate_action(bad, L)
+        assert not report.homomorphism_ok
+        assert report == elementwise_validate_action(bad, L)
+
+    L = make_gl(1, 1)  # the parity automorphism times the swap of the diagonal blocks
+    o = one(RATIONAL)
+    parity = [o, o, -o, -o]
+    diags = [[o] * 4, [o] * 4, parity, parity]
+    swaps = [(0, 1, 2, 3), (1, 0, 3, 2), (0, 1, 2, 3), (1, 0, 3, 2)]
+    mats = [
+        [[diags[g][i] if swaps[g][j] == i else zero(RATIONAL) for j in range(4)] for i in range(4)]
+        for g in range(4)
+    ]
+    rep = ActionRep(klein_four(), RATIONAL, L.basis.parities, mats)
+    assert is_representation(rep) and validate_action(rep, L).ok
+    for i, j in ((0, 1), (2, 3), (3, 0)):
+        bad = _with_entry_moved(rep, 3, i, j)
+        assert not is_representation(bad)
+        report = validate_action(bad, L)
+        assert not report.ok
+        assert report == elementwise_validate_action(bad, L)
 
 
 def test_validate_swap_action_on_gl11():
@@ -267,6 +342,17 @@ def test_equivariant_subspace_rejects_non_representation():
         equivariant_subspace(rep)
 
 
+def test_equivariant_subspace_certifies_against_an_identity_that_does_not_act_as_one():
+    # e acts by [[1, 1], [0, 1]] and the other element as one: the Reynolds
+    # column (1/2, 1) is fixed by element 1, and the character formula
+    # holds (2 + 2 = 2 * 2); only the identity moves it.
+    G = cyclic_group(2)
+    o, z = one(RATIONAL), zero(RATIONAL)
+    rep = ActionRep(G, RATIONAL, (0, 0), [[[o, o], [z, o]], mat_identity(2, RATIONAL)])
+    with pytest.raises(OracleDisagreement, match="group element 0"):
+        equivariant_subspace(rep)
+
+
 def test_equivariant_subspace_certificate_catches_what_the_character_misses():
     # g = [[1, 1], [0, 1]] has g^2 != 1, yet tr 1 + tr g = 4 = 2 * 2: the
     # character formula holds.  The Reynolds column (1/2, 1) is not fixed by g.
@@ -282,7 +368,7 @@ def test_equivariant_subspace_matches_dense_oracle(n):
     @given(st.integers(0, 2**32 - 1))
     def prop(seed):
         rng = random.Random(seed)
-        L, rep = rand_instance(rng, with_action=True)
+        L, rep = rand_instance(rng, with_action=True, groups=GROUP_SHAPES)
         M, reps = rand_module(rng, L, rep)
         rep_L, rep_M = reps if isinstance(reps, tuple) else (reps, reps)
         induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)

@@ -1,7 +1,8 @@
 """The sparse validation sweeps against the element-wise oracles in util.py.
 
 Each property draws a random algebra (over Q or Q(zeta_4)), optionally an
-action and a module, and then either leaves it valid or breaks it in one
+action of a group with one generator (Z/m) or two (Z/2 x Z/m, S3) and a
+module, and then either leaves it valid or breaks it in one
 place: one structure constant, one action-table entry, one matrix entry
 (which breaks the homomorphism property, degree 0 or equivariance), or one
 cochain coordinate.  The sweep and its oracle must return identical reports,
@@ -9,7 +10,6 @@ counterexample lists and their order included, and identical verdicts.
 """
 
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -20,7 +20,6 @@ from supercohom.cohomology import Cochain, cochain_basis, is_equivariant
 from supercohom.graded import MultilinearMap, Vector
 from supercohom.group_action import (
     ActionRep,
-    FiniteGroup,
     apply_rep,
     cyclic_group,
     diagonal_rep,
@@ -42,6 +41,7 @@ from supercohom.superalgebra import (
 )
 
 from util import (
+    GROUP_SHAPES,
     abelian_algebra,
     dense_apply_rep,
     dense_induced_matrices,
@@ -56,6 +56,7 @@ from util import (
     rand_module,
     rand_scalar,
     rand_vector,
+    s3_group,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -70,7 +71,7 @@ def _nonzero(spec, rng):
 
 def _instance(rng, with_action):
     spec = rng.choice([RATIONAL, cyclo(4)])
-    return rand_instance(rng, spec=spec, with_action=with_action)
+    return rand_instance(rng, spec=spec, with_action=with_action, groups=GROUP_SHAPES)
 
 
 def _reps(rng, L, rep):
@@ -278,6 +279,47 @@ def test_action_sweep_skips_the_identity_only_when_it_acts_as_one(monkeypatch):
         assert any(A is rep_L.columns[rep.group.identity] for A in pulled)
 
 
+def test_a_valid_action_sweeps_one_generator_and_a_failing_one_every_element(monkeypatch):
+    # On a representation, the action sweeps visit the generators of Z/4,
+    # which is (1,).  When element 1 fails, they run again over 1, 2 and 3,
+    # so the report lists every failing element, as the oracle does.
+    L = make_super_poincare()
+    spec = L.spec
+    swept = []
+    real = group_action._equivariance_sweep
+
+    def recording(report, kind, g, *rest):
+        swept.append(g)
+        real(report, kind, g, *rest)
+
+    monkeypatch.setattr(group_action, "_equivariance_sweep", recording)
+
+    def z4(q, qb):
+        return diagonal_rep(
+            cyclic_group(4),
+            spec,
+            L.basis.parities,
+            [[one(spec)] * 10 + [root_of_unity(spec, q * g)] * 2 + [root_of_unity(spec, qb * g)] * 2 for g in range(4)],
+        )
+
+    # Under bad, g = 1 and g = 3 fix [Q, Qb], a combination of the P's, but
+    # [g Q, g Qb] = -[Q, Qb].
+    rep, bad = z4(1, -1), z4(1, 1)
+    M = adjoint_module(L)
+    assert validate_action(rep, L).ok and swept == [1]
+    swept.clear()
+    assert validate_module_action(rep, rep, L, M).ok and swept == [1]
+
+    swept.clear()
+    report = validate_action(bad, L)
+    assert report.homomorphism_ok and not report.bracket_ok and swept == [1, 1, 2, 3]
+    assert report == elementwise_validate_action(bad, L)
+    swept.clear()
+    report = validate_module_action(rep, bad, L, M)
+    assert not report.bracket_ok and swept == [1, 1, 2, 3]
+    assert report == elementwise_validate_module_action(rep, bad, L, M)
+
+
 def test_degree_counterexamples_in_row_major_order():
     # Entries (2, 1) and (3, 0) mix parities; a column-major scan would list
     # (3, 0) first.
@@ -293,19 +335,11 @@ def test_degree_counterexamples_in_row_major_order():
     assert degree == ["g=1, entry (2, 1)", "g=1, entry (3, 0)"]
 
 
-def _s3():
-    """S3 as permutations of {0, 1, 2}, with its Cayley table."""
-    perms = list(permutations(range(3)))
-    index = {p: k for k, p in enumerate(perms)}
-    table = [[index[tuple(p[q[x]] for x in range(3))] for q in perms] for p in perms]
-    return FiniteGroup(6, table, index[(0, 1, 2)]), perms
-
-
 def test_nonabelian_sweeps_match_oracles():
     # S3 permutes the three even vectors of an abelian (3|2) algebra and acts
     # on the odd ones by the sign character.  In a nonabelian group g h and
     # h g differ, and the 3-cycles are not their own inverses.
-    G, perms = _s3()
+    G, perms = s3_group()
     L = abelian_algebra(3, 2)
     spec = L.spec
     o, z = one(spec), zero(spec)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from supercohom.cohomology import _delta_rows, _family, _torus, _weights, cohomology
 from supercohom.graded import GradedBasis, Vector, cochain_coords, superalt_count
-from supercohom.group_action import cyclic_group, diagonal_rep, resolve_reps
+from supercohom.group_action import ActionRep, cyclic_group, diagonal_rep, resolve_reps, validate_action
 from supercohom.linalg import mat_identity, rref_rows
 from supercohom.scalars import RATIONAL, cyclo, root_of_unity, scalar
 from supercohom.superalgebra import (
@@ -32,7 +32,15 @@ from supercohom.superalgebra import (
 )
 from supercohom.workspace import load
 
-from util import abelian_algebra, direct_sum, full_cohomology, twist_algebra
+from util import (
+    abelian_algebra,
+    direct_product,
+    direct_sum,
+    full_cohomology,
+    s3_group,
+    sign_characters,
+    twist_algebra,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -126,6 +134,53 @@ def test_an_element_acting_off_the_diagonal_leaves_the_torus(n):
     report = cohomology(n, L, M)
     assert report.h_dims == (0, 0)  # u0 acts by 1 on every cochain
     assert report == full_cohomology(n, L, M)
+
+
+@given(
+    st.sampled_from(["klein", "s3"]),
+    st.sampled_from(["signs", "swap"]),
+    st.sampled_from(["adjoint", "odd trivial"]),
+    st.integers(0, 2),
+)
+def test_groups_with_two_generators_leave_the_torus_what_every_element_fixes(group, core, module, n):
+    # gl(1|1) + abelian (3|1), basis e11, e22, u0, u1, u2 | e12, e21, v0.
+    # The core move is e12, e21, v0 -> -e12, -e21, -v0 or the swap
+    # e11 <-> e22, e12 <-> e21.  In the Klein four-group Z/2 x Z/2 the first
+    # factor makes the core move and the second swaps u0 and u1; S3 permutes
+    # u0, u1, u2 and makes the core move through its sign.
+    L = direct_sum([make_gl(1, 1), abelian_algebra(3, 1)])[0]
+    if core == "signs":
+        move, signs = list(range(8)), [1, 1, 1, 1, 1, -1, -1, -1]
+    else:
+        move, signs = [1, 0, 2, 3, 4, 6, 5, 7], [1] * 8
+    if group == "klein":
+        G = direct_product(cyclic_group(2), cyclic_group(2))
+        pads = [(2, 3, 4), (3, 2, 4)]
+        chi = [1, 1, -1, -1]
+        moved = [pads[g % 2] for g in range(4)]
+        torus = [0, 1, 4] if core == "signs" else [4]
+    else:
+        G, perms = s3_group()
+        (chi,) = sign_characters(G)
+        moved = [tuple(2 + p[a] for a in range(3)) for p in perms]
+        torus = [0, 1] if core == "signs" else []
+    mats = []
+    for g in range(G.order):
+        image = [move[j] if chi[g] == -1 else j for j in range(8)]
+        image[2:5] = moved[g]
+        mat = [[scalar(RATIONAL, 0)] * 8 for _ in range(8)]
+        for j, i in enumerate(image):
+            mat[i][j] = scalar(RATIONAL, signs[j] if chi[g] == -1 else 1)
+        mats.append(mat)
+    rep = ActionRep(G, RATIONAL, L.basis.parities, mats)
+    assert validate_action(rep, L).ok
+    if module == "adjoint":
+        M, reps = adjoint_module(L), rep
+    else:
+        M = trivial(L, 1)
+        reps = (rep, diagonal_rep(G, RATIONAL, M.space.parities, [[scalar(RATIONAL, c)] for c in chi]))
+    assert _torus(L, M, resolve_reps(reps, L, M)) == torus
+    assert_matches_full(n, L, M, reps)
 
 
 def rescaled(L, factors):

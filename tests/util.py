@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from supercohom.errors import DegreeMismatch, LengthMismatch, OracleDisagreement
 from supercohom.graded import (
@@ -16,7 +16,7 @@ from supercohom.graded import (
     perm_sign,
     superalt_basis,
 )
-from supercohom.group_action import ActionRep, cyclic_group
+from supercohom.group_action import ActionRep, FiniteGroup, cyclic_group
 from supercohom.linalg import mat_identity, mat_mul, rref_rows, solve_rows
 from supercohom.scalars import RATIONAL, Scalar, one, scalar, zero
 from supercohom.superalgebra import (
@@ -160,6 +160,49 @@ def _perm_matrix(perm, spec):
     return [[o if perm[j] == i else z for j in range(n)] for i in range(n)]
 
 
+def direct_product(G, H):
+    """The direct product of two Cayley-table groups: (g, h) is element
+    g * |H| + h."""
+    n = H.order
+    order = G.order * n
+    table = [[G.mul(a // n, b // n) * n + H.mul(a % n, b % n) for b in range(order)] for a in range(order)]
+    return FiniteGroup(order, table, G.identity * n + H.identity)
+
+
+def s3_group():
+    """S3 as the permutations of {0, 1, 2}: (group, perms), where element k
+    is perms[k] and k * l is perms[k] after perms[l]."""
+    perms = list(permutations(range(3)))
+    index = {p: k for k, p in enumerate(perms)}
+    table = [[index[tuple(p[q[x]] for x in range(3))] for q in perms] for p in perms]
+    return FiniteGroup(6, table, index[(0, 1, 2)]), perms
+
+
+def sign_characters(group):
+    """The nontrivial homomorphisms G -> {1, -1}, as tuples indexed by
+    element: each choice of signs on the generators, extended to products
+    and kept when it is multiplicative."""
+    n, e = group.order, group.identity
+    out = []
+    for signs in product((1, -1), repeat=len(group.generators)):
+        if -1 not in signs:
+            continue
+        chi, stack = {e: 1}, [e]
+        while stack:
+            x = stack.pop()
+            for s, sign in zip(group.generators, signs):
+                y = group.mul(x, s)
+                if y not in chi:
+                    chi[y] = chi[x] * sign
+                    stack.append(y)
+        if all(chi[group.mul(x, y)] == chi[x] * chi[y] for x in range(n) for y in range(n)):
+            out.append(tuple(chi[g] for g in range(n)))
+    return out
+
+
+GROUP_SHAPES = ("cyclic", "parity", "s3")
+
+
 def _core_automorphism(kind, L, slot, pi, rng, spec):
     """An order-two automorphism of the chosen core, as a permutation/diag
     global matrix seed (dict of index -> (index, scale))."""
@@ -177,21 +220,36 @@ def _core_automorphism(kind, L, slot, pi, rng, spec):
     return moves
 
 
-def rand_instance(rng, spec=RATIONAL, with_action=False, max_d0=3, max_d1=2):
+def rand_instance(rng, spec=RATIONAL, with_action=False, max_d0=3, max_d1=2, groups=("cyclic",)):
     """A random Lie superalgebra of dimension at most (max_d0 | max_d1),
-    optionally with a faithful-or-not cyclic action of order at most 4.
+    optionally with a faithful-or-not action of a group drawn from groups:
+
+    - "cyclic": Z/m for m <= 4, generated by one automorphism;
+    - "parity": Z/2 x Z/m, the parity automorphism (-1)^|x| times the
+      cyclic action, with two generators;
+    - "s3": S3 permuting three even vectors of the abelian summand, and
+      acting through its sign by an order-two automorphism elsewhere; the
+      summand gets three even vectors when max_d0 allows, and "parity" is
+      used when it does not.
 
     Built from a small catalog of cores padded with an abelian summand, then
     pushed through a random parity-preserving change of basis so the
     structure constants look nothing like the catalog.
     """
+    shape = None
+    if with_action:
+        shape = rng.choice(groups) if len(groups) > 1 else groups[0]
+        if shape == "s3" and max_d0 < 3:
+            shape = "parity"
     cores = [("abelian", 0, 0), ("heis", 1, 1)]
     if max_d0 >= 1 and max_d1 >= 2:
         cores.append(("sl11", 1, 2))
     if max_d0 >= 2 and max_d1 >= 2:
         cores.append(("gl11", 2, 2))
+    if shape == "s3":
+        cores = [core for core in cores if core[1] + 3 <= max_d0]
     kind, d0, d1 = rng.choice(cores)
-    pad0 = rng.randint(0, max_d0 - d0)
+    pad0 = 3 if shape == "s3" else rng.randint(0, max_d0 - d0)
     pad1 = rng.randint(0, max_d1 - d1)
     if kind == "abelian" and pad0 + pad1 == 0:
         pad0 = 1
@@ -211,14 +269,18 @@ def rand_instance(rng, spec=RATIONAL, with_action=False, max_d0=3, max_d1=2):
 
     rep = None
     if with_action:
-        m = rng.choice([2, 3, 4])
+        # m is the order of the cyclic part: S3 acts through its sign.
+        m = 2 if shape == "s3" else rng.choice([2, 3, 4])
         moves = {}
         if m % 2 == 0 and core_pi is not None:
             moves.update(_core_automorphism(kind, parts[core_pi], slot, core_pi, rng, spec))
         if pad_pi is not None:
             pads0 = [slot[(pad_pi, k)] for k in range(pad0)]
             pads1 = [slot[(pad_pi, pad0 + k)] for k in range(pad1)]
-            if m == 3:
+            if shape == "s3":
+                if pads1 and rng.random() < 0.5:
+                    moves[pads1[0]] = (pads1[0], Fraction(-1))
+            elif m == 3:
                 if len(pads0) == 3 and rng.random() < 0.8:
                     moves[pads0[0]] = (pads0[1], Fraction(1))
                     moves[pads0[1]] = (pads0[2], Fraction(1))
@@ -236,10 +298,25 @@ def rand_instance(rng, spec=RATIONAL, with_action=False, max_d0=3, max_d1=2):
         for j in range(n):
             i, c = moves.get(j, (j, Fraction(1)))
             phi[i][j] = scalar(spec, c)
-        mats = [mat_identity(n, spec)]
+        powers = [mat_identity(n, spec)]
         for _ in range(m - 1):
-            mats.append(mat_mul(phi, mats[-1], spec))
-        rep = ActionRep(cyclic_group(m), spec, L.basis.parities, mats)
+            powers.append(mat_mul(phi, powers[-1], spec))
+        if shape == "cyclic":
+            group, mats = cyclic_group(m), powers
+        elif shape == "parity":
+            group = direct_product(cyclic_group(2), cyclic_group(m))
+            par = L.basis.parities
+            mats = powers + [[[-x if par[i] else x for x in row] for i, row in enumerate(mat)] for mat in powers]
+        else:
+            group, perms = s3_group()
+            (sign,) = sign_characters(group)
+            where = {slot[(pad_pi, a)]: a for a in range(3)}
+            evens = sorted(where)
+            mats = []
+            for k, p in enumerate(perms):
+                perm = [evens[p[where[j]]] if j in where else j for j in range(n)]
+                mats.append(mat_mul(_perm_matrix(perm, spec), powers[sign[k] == -1], spec))
+        rep = ActionRep(group, spec, L.basis.parities, mats)
 
     S, S_inv = random_basis_change(L.basis.parities, spec, rng, rounds=rng.randint(2, 6))
     L = twist_algebra(L, S, S_inv)
@@ -307,15 +384,19 @@ def rand_module(rng, L, rep):
             return M, None
         spec = L.spec
         dim = d0 + d1
-        if rep.group.order % 2 == 0:
-            diag = [rng.choice([Fraction(1), Fraction(-1)]) for _ in range(dim)]
+        # Each basis vector spans a line on which G acts trivially or by a
+        # sign character (for Z/m, m even, the only one: k -> (-1)^k).
+        chars = sign_characters(rep.group)
+        if chars:
+            diag = [rng.choice([1, -1]) for _ in range(dim)]
+            chi = chars[0] if len(chars) == 1 else rng.choice(chars)
         else:
-            diag = [Fraction(1)] * dim
+            diag, chi = [1] * dim, None
         z = zero(spec)
-        gen = [[scalar(spec, diag[i]) if i == j else z for j in range(dim)] for i in range(dim)]
-        mats = [mat_identity(dim, spec)]
-        for _ in range(rep.group.order - 1):
-            mats.append(mat_mul(gen, mats[-1], spec))
+        mats = [
+            [[scalar(spec, chi[g] if diag[i] == -1 else 1) if i == j else z for j in range(dim)] for i in range(dim)]
+            for g in range(rep.group.order)
+        ]
         return M, (rep, ActionRep(rep.group, spec, space.parities, mats))
     return adjoint_module(L), rep
 
