@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import product
 from math import lcm
 
 from .errors import BasisMismatch, ValidationError
@@ -63,7 +62,7 @@ from .group_action import (
 )
 from .linalg import Row, lin_comb, nullspace_from_rref, pivot_columns, rref_rows, solve_rows
 from .scalars import Scalar, one, zero
-from .superalgebra import LieSuperalgebra, LModule, module_act
+from .superalgebra import LieSuperalgebra, LModule
 
 
 @dataclass
@@ -134,24 +133,6 @@ class Cochain:
             self.space,
             {k: a * c for k, c in self.coords.items()},
         )
-
-
-def cochain_eval(f: Cochain, args: list[Vector]) -> Vector:
-    if len(args) != f.arity:
-        raise ValueError("argument count must equal cochain arity")
-    if f.arity == 0:
-        return f.value_at(())
-    out = Vector()
-    for picks in product(*[list(a.coords.items()) for a in args]):
-        idx = tuple(i for i, _ in picks)
-        val = f.value_at(idx)
-        if val.is_zero():
-            continue
-        c = picks[0][1]
-        for _, extra in picks[1:]:
-            c = c * extra
-        out = out + val.scale(c)
-    return out
 
 
 def zero_cochain(n: int, parity: int, L: LieSuperalgebra, M: LModule) -> Cochain:
@@ -544,8 +525,9 @@ def _fixed_even_vectors(M: LModule, rep_M: ActionRep | None, spec, acting=()) ->
 def derivations(L: LieSuperalgebra, M: LModule, rep=None):
     """(basis of Der^G, basis of Der^G_Inn) as degree-0 1-cochains.
 
-    The derivation constraints are assembled from scratch here; only the
-    elimination kernel is shared with the coboundary path.
+    The derivation constraints, and x -> x.m for the inner derivations, are
+    read off the tables here; only the elimination kernel is shared with the
+    coboundary path.
     """
     reps = resolve_reps(rep, L, M)
     spec = L.spec
@@ -608,9 +590,8 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
     for m in _fixed_even_vectors(M, reps[1] if reps else None, spec):
         cs = {}
         for i in range(len(parL)):
-            val = module_act(M, Vector.basis(i, spec), m)
-            for j, c in val.coords.items():
-                cs[((i,), j)] = c
+            val = lin_comb((c, M.act[(i, j)].coords) for j, c in m.coords.items() if (i, j) in M.act)
+            cs.update({((i,), j): c for j, c in val.items()})
         f = Cochain(1, 0, L.basis, M.space, cs)
         inner_cochains.append(f)
         inner_cols.append({pos[key]: c for key, c in f.coords.items()})

@@ -7,8 +7,9 @@ already elements of the Nijenhuis-Richardson algebra.  The deformation
 identity at order r is sum_{i+j=r} mu_i o mu_j = 0 and the order-(N+1)
 obstruction is the same sum over i, j >= 1 (Gerstenhaber), with
 o = nr_bracket.circ.  Solvability and cohomologous infinitesimals are one
-row-form solve, cohomology.coboundary_preimage.  The element-wise loops
-these replaced are kept in tests/util.py as test oracles.
+row-form solve, cohomology.coboundary_preimage; a gauge transform moves
+each term through group_action.pull_back.  The element-wise loops these
+replaced are kept in tests/util.py as test oracles.
 
 Deformation.rep is the action on the algebra, or None when there is no
 group: then no term or gauge map is checked for equivariance, and the
@@ -23,7 +24,6 @@ from .cohomology import (
     Cochain,
     coboundary,
     coboundary_preimage,
-    cochain_eval,
     is_equivariant,
     zero_cochain,
 )
@@ -36,7 +36,8 @@ from .errors import (
     WrongBidegree,
 )
 from .graded import GradedBasis, Vector, superalt_basis
-from .group_action import ActionRep
+from .group_action import ActionRep, pull_back
+from .linalg import Row, add_scaled, lin_comb
 from .nr_bracket import bracket_to_element, circ
 from .scalars import FieldSpec, one, scalar
 from .superalgebra import LieSuperalgebra, adjoint_module
@@ -219,8 +220,19 @@ class GaugeTransform:
         return phi
 
 
+def _columns(f: Cochain) -> list[Row]:
+    """The sparse columns of an endomorphism: the image of each basis vector."""
+    cols: list[Row] = [{} for _ in f.algebra.names]
+    for ((t,), r), c in f.coords.items():
+        cols[t][r] = c
+    return cols
+
+
 def gauge_transform(d: Deformation, g: GaugeTransform) -> Deformation:
-    """Conjugate the deformation by the formal series, truncated at its order."""
+    """Conjugate the deformation by the formal series, truncated at its order:
+    term k at a canonical pair (a, b) is the sum of psi_i mu_j(phi_l a, phi_p b)
+    over i + j + l + p = k, phi the inverse series.  Each mu_j(phi_l a, phi_p b)
+    is one pull_back; the sum over j + l + p = r goes through psi_{k-r}."""
     L = d.base
     if g.space != L.basis or g.spec != L.spec:
         raise BasisMismatch("gauge transform does not act on the base algebra")
@@ -230,30 +242,24 @@ def gauge_transform(d: Deformation, g: GaugeTransform) -> Deformation:
             if not is_equivariant(psi, d.rep, d.rep, L, M):
                 raise ValidationError(f"gauge map {k} is not equivariant")
     N = d.order
-    phi = g._inverse_maps(N)
-    spec = L.spec
-    new_terms = []
-    for k in range(N + 1):
-        coords = {}
-        for pair in superalt_basis(L.basis, 2):
-            a, b = pair
-            acc = Vector()
-            for i in range(k + 1):
-                for j in range(k - i + 1):
-                    for l in range(k - i - j + 1):
-                        p = k - i - j - l
-                        if j > N:
-                            continue
-                        va = phi[l].value_at((a,))
-                        vb = phi[p].value_at((b,))
-                        inner = cochain_eval(d.terms[j], [va, vb])
-                        if inner.is_zero():
-                            continue
-                        acc = acc + cochain_eval(g.map_at(i), [inner])
-            for j, c in acc.coords.items():
-                coords[(pair, j)] = c
-        new_terms.append(Cochain(2, 0, L.basis, L.basis, coords))
-    return Deformation(L, d.rep, new_terms)
+    psi = [_columns(g.map_at(i)) for i in range(N + 1)]
+    phi = [_columns(f) for f in g._inverse_maps(N)]
+    mu = [{T: v.coords for T, v in f.by_tuple().items()} for f in d.terms]
+    o, memo = one(L.spec), {}
+    coords: list[dict] = [{} for _ in range(N + 1)]
+    for a, b in superalt_basis(L.basis, 2):
+        inner: list[Row] = [{} for _ in range(N + 1)]
+        for l in range(N + 1):
+            for p in range(N + 1 - l):
+                pulled = pull_back([phi[l][a], phi[p][b]], (0, 1), L.basis.parities, o, memo)
+                for j in range(N + 1 - l - p):
+                    for T, c in pulled.items():
+                        if T in mu[j]:
+                            add_scaled(inner[l + p + j], c, mu[j][T])
+        for k in range(N + 1):
+            value = lin_comb((c, psi[k - r][t]) for r in range(k + 1) for t, c in inner[r].items())
+            coords[k].update({((a, b), j): c for j, c in value.items()})
+    return Deformation(L, d.rep, [Cochain(2, 0, L.basis, L.basis, cs) for cs in coords])
 
 
 def infinitesimals_cohomologous(

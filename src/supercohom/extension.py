@@ -5,9 +5,10 @@ classification of equivalence classes by degree-0 second cohomology.
 
 The extension algebra is read off the bracket, glue and action tables.  An
 equivalence comes with a certificate, phi = (x, m) -> (x, m + f(x)), checked
-on sparse columns: phi intertwines the two brackets and commutes with the
-columns of each g on L + M.  The rep argument follows
-group_action.resolve_reps and is resolved once, by ExtensionDatum.
+on sparse columns: phi intertwines the two brackets (by the sweep
+group_action.morphism_defects, which also checks an action against a
+bracket) and commutes with the columns of each g on L + M.  The rep argument
+follows group_action.resolve_reps and is resolved once, by ExtensionDatum.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .errors import (
     WrongBidegree,
 )
 from .graded import GradedBasis, Vector
-from .group_action import ActionRep, resolve_reps, swept_elements
-from .linalg import Row, lin_comb
+from .group_action import ActionRep, _compose, morphism_defects, resolve_reps, swept_elements
+from .linalg import Row
 from .scalars import one, scalar
 from .superalgebra import (
     LieSuperalgebra,
@@ -186,8 +187,8 @@ def _combined_action(x: ExtensionDatum) -> list[list[Row]]:
 def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> None:
     """phi = (x, m) -> (x, m + f(x)) must intertwine the extension brackets,
     phi [u, v]_1 = [phi u, phi v]_2, and commute with every g (checked on
-    the swept elements); each side is one sparse sum over the bracket tables
-    and the columns of phi and g."""
+    the swept elements); both are checked on the sparse columns of phi and
+    g, the first by group_action.morphism_defects."""
     br1 = {key: vec.coords for key, vec in build_extension(x1).bracket.components.items()}
     br2 = {key: vec.coords for key, vec in build_extension(x2).bracket.components.items()}
     l2e, m2e = extension_layout(x1.L, x1.M)
@@ -195,24 +196,13 @@ def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> N
     phi: list[Row] = [{u: o} for u in range(len(l2e) + len(m2e))]
     for ((i,), k), c in f.coords.items():
         phi[l2e[i]][m2e[k]] = c
-
-    def apply(cols: list[Row], v: Row) -> Row:
-        return lin_comb((c, cols[t]) for t, c in v.items())
-
-    for u, pu in enumerate(phi):
-        for v, pv in enumerate(phi):
-            lhs = apply(phi, br1.get((u, v), {}))
-            rhs = lin_comb(
-                (a * b, br2[(s, t)]) for s, a in pu.items() for t, b in pv.items() if (s, t) in br2
-            )
-            if lhs != rhs:
-                raise OracleDisagreement("solved certificate does not intertwine the extension brackets")
+    if any(morphism_defects(br1, br2, phi, phi)):
+        raise OracleDisagreement("solved certificate does not intertwine the extension brackets")
     if x1.reps is None:
         return
     for g_cols in _combined_action(x1):
-        for gu, pu in zip(g_cols, phi):
-            if apply(phi, gu) != apply(g_cols, pu):
-                raise OracleDisagreement("solved certificate is not equivariant")
+        if _compose(phi, g_cols) != _compose(g_cols, phi):
+            raise OracleDisagreement("solved certificate is not equivariant")
 
 
 def classify_extensions(L: LieSuperalgebra, M: LModule, rep=None) -> list[Cochain]:

@@ -20,9 +20,10 @@ handed over as columns by the parser and by the induced action.
 Applying g, the identity / homomorphism / degree-0 checks, the
 bracket-equivariance sweeps of validate_action and validate_module_action,
 the induced action on cochains and the fixed subspace all read these
-columns; the sweeps form both sides of each identity as one sparse sum over
-the bracket or action table.  The element-wise checks they replaced are kept
-in tests/util.py as test oracles.
+columns.  Maps move along linear maps in one place each: pull_back for
+cochains (also in is_equivariant and the gauge transform), morphism_defects
+for bilinear tables (also in the extension certificate).  The element-wise
+checks they replaced are kept in tests/util.py as test oracles.
 
 The fixed subspace is spanned by the pivot columns of the Reynolds operator
 R = (1/|G|) sum_g g, built in one pass over sparse columns.  Every vector
@@ -58,7 +59,7 @@ from .graded import (
     cochain_coords,
     superalt_basis,
 )
-from .linalg import Matrix, Row, add_scaled, lin_comb, mat_identity, pivot_columns
+from .linalg import Matrix, Row, add_scaled, lin_comb, pivot_columns
 from .scalars import FieldSpec, Scalar, one, scalar, zero
 from .superalgebra import LieSuperalgebra, LModule
 
@@ -145,16 +146,18 @@ class ActionRep:
             raise TypeError("give the action by its matrices or by its columns")
         self._matrices = None
         self._is_representation: bool | None = None
+        d = len(self.parities)
         if columns is None:
-            d = len(self.parities)
-            if len(matrices) != group.order:
-                raise LengthMismatch("need one matrix per group element")
             if any(len(mat) != d or any(len(row) != d for row in mat) for mat in matrices):
                 raise LengthMismatch("representation matrices must match the space")
             columns = [
                 [{i: row[j] for i, row in enumerate(mat) if not row[j].is_zero()} for j in range(d)]
                 for mat in matrices
             ]
+        if len(columns) != group.order:
+            raise LengthMismatch("need one matrix per group element")
+        if any(len(cols) != d for cols in columns):
+            raise LengthMismatch("representation columns must match the space")
         self.columns: list[list[Row]] = columns
 
     @property
@@ -189,32 +192,23 @@ def apply_rep(rep: ActionRep, g: int, v: Vector) -> Vector:
 
 
 def trivial_action(group: FiniteGroup, spec: FieldSpec, parities) -> ActionRep:
-    d = len(parities)
-    return ActionRep(group, spec, tuple(parities), [mat_identity(d, spec) for _ in range(group.order)])
+    o = one(spec)
+    columns = [[{j: o} for j in range(len(parities))] for _ in range(group.order)]
+    return ActionRep(group, spec, tuple(parities), columns=columns)
 
 
 def permutation_rep(group: FiniteGroup, spec: FieldSpec, parities, perms) -> ActionRep:
     """perms[g][j] = index that basis vector j is sent to by g."""
-    d = len(parities)
-    mats = []
-    for perm in perms:
-        mat = [[zero(spec) for _ in range(d)] for _ in range(d)]
-        for j, i in enumerate(perm):
-            mat[i][j] = one(spec)
-        mats.append(mat)
-    return ActionRep(group, spec, tuple(parities), mats)
+    if any(not 0 <= i < len(parities) for perm in perms for i in perm):
+        raise ValueError("a permutation sends a basis vector outside the space")
+    o = one(spec)
+    return ActionRep(group, spec, tuple(parities), columns=[[{i: o} for i in perm] for perm in perms])
 
 
 def diagonal_rep(group: FiniteGroup, spec: FieldSpec, parities, diags) -> ActionRep:
     """diags[g] = list of diagonal Scalars for the matrix of g."""
-    d = len(parities)
-    mats = []
-    for diag in diags:
-        mat = [[zero(spec) for _ in range(d)] for _ in range(d)]
-        for j, c in enumerate(diag):
-            mat[j][j] = c
-        mats.append(mat)
-    return ActionRep(group, spec, tuple(parities), mats)
+    columns = [[{} if c.is_zero() else {j: c} for j, c in enumerate(diag)] for diag in diags]
+    return ActionRep(group, spec, tuple(parities), columns=columns)
 
 
 @dataclass
@@ -349,21 +343,27 @@ def _run_sweep(report: ActionReport, reps, sweep) -> None:
         sweep(g)
 
 
-def _equivariance_sweep(report, kind, g, table, cols_x, cols_y, names_x, names_y) -> None:
-    """g t(x_i, y_k) = t(g x_i, g y_k) for a bilinear table t (the bracket, or
-    the module action), both sides one sparse sum over the table and the
-    sparse columns of g on the two factors; one comparison per pair."""
+def morphism_defects(src: dict, dst: dict, cols_x: list[Row], cols_y: list[Row]):
+    """The pairs (i, k), in order, where cols_y src(x_i, y_k) differs from
+    dst(cols_x x_i, cols_y y_k): bilinear tables {pair: Row} into the y space,
+    and linear maps on the two factors, each side one sparse sum."""
     for i, gx in enumerate(cols_x):
         for k, gy in enumerate(cols_y):
-            lhs = lin_comb((c, cols_y[t]) for t, c in table.get((i, k), {}).items())
+            lhs = lin_comb((c, cols_y[t]) for t, c in src.get((i, k), {}).items())
             rhs = lin_comb(
-                (x * y, table[(a, b)]) for a, x in gx.items() for b, y in gy.items() if (a, b) in table
+                (x * y, dst[(a, b)]) for a, x in gx.items() for b, y in gy.items() if (a, b) in dst
             )
             if lhs != rhs:
-                report.bracket_ok = False
-                report.counterexamples.append(
-                    {"kind": kind, "where": f"g={g}, pair ({names_x[i]}, {names_y[k]})"}
-                )
+                yield i, k
+
+
+def _equivariance_sweep(report, kind, g, table, cols_x, cols_y, names_x, names_y) -> None:
+    """g t(x_i, y_k) = t(g x_i, g y_k) for a bilinear table t (the bracket, or
+    the module action) and the columns of g on the two factors."""
+    for i, k in morphism_defects(table, table, cols_x, cols_y):
+        report.bracket_ok = False
+        where = f"g={g}, pair ({names_x[i]}, {names_y[k]})"
+        report.counterexamples.append({"kind": kind, "where": where})
 
 
 def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
@@ -406,8 +406,9 @@ def validate_module_action(
 def pull_back(
     A: list[Row], S: tuple[int, ...], parities, o: Scalar, memo: dict
 ) -> dict[tuple[int, ...], Scalar]:
-    """f(h e_{s_1}, ..., h e_{s_n}) as sum_T coeff[T] f(e_T), for any
-    super-alternating f, with A the sparse columns of h and o the field's 1.
+    """f(A[s_1], ..., A[s_n]) as sum_T coeff[T] f(e_T), for any
+    super-alternating f, with A[s] the sparse image of argument s (the columns
+    of one map h, or images under different maps) and o the field's 1.
 
     Each index tuple picked from the columns is canonicalized with its Koszul
     sign (memo caches that across calls); coefficients that cancel stay in

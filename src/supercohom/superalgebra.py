@@ -178,23 +178,6 @@ class LModule:
         }
 
 
-def module_act(M: LModule, x: Vector, v: Vector) -> Vector:
-    na, nm = len(M.algebra), len(M.space)
-    for i in x.coords:
-        if not 0 <= i < na:
-            raise BasisMismatch(f"coordinate index {i} outside the algebra basis")
-    for j in v.coords:
-        if not 0 <= j < nm:
-            raise BasisMismatch(f"coordinate index {j} outside the module basis")
-    out = Vector()
-    for i, a in x.coords.items():
-        for j, b in v.coords.items():
-            comp = M.act.get((i, j))
-            if comp is not None:
-                out = out + comp.scale(a * b)
-    return out
-
-
 @dataclass
 class ModuleReport:
     axiom_ok: bool = True

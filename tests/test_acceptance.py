@@ -22,7 +22,6 @@ from supercohom.cohomology import (
     coboundary,
     coboundary_matrix,
     cochain_basis,
-    cochain_eval,
     cohomology,
     derivations,
     zero_cochain,
@@ -62,6 +61,7 @@ from supercohom.workspace import load
 
 from util import (
     abelian_algebra,
+    cochain_eval,
     gl11_mu1,
     gl11_swap_rep,
     is_zero_matrix,

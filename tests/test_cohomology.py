@@ -19,7 +19,6 @@ from supercohom.cohomology import (
     coboundary,
     coboundary_matrix,
     cochain_basis,
-    cochain_eval,
     cohomology,
     derivations,
     is_equivariant,
@@ -33,7 +32,6 @@ from supercohom.scalars import RATIONAL, cyclo, one, scalar, zero
 from supercohom.superalgebra import (
     adjoint_module,
     make_gl,
-    module_act,
     zero_module,
 )
 
@@ -42,11 +40,13 @@ from util import (
     abelian_algebra,
     coboundary_matrix_raw,
     coboundary_raw,
+    cochain_eval,
     dense_equivariant_subspace,
     gl11_mu1,
     gl11_swap_rep,
     is_zero_matrix,
     mat_vec,
+    module_act,
     rand_cochain,
     rand_instance,
     rand_module,

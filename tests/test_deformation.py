@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercohom.cohomology import Cochain, coboundary, cochain_basis
+from supercohom.cohomology import Cochain, coboundary, cochain_basis, zero_cochain
 from supercohom.deformation import (
     Deformation,
     GaugeTransform,
@@ -30,10 +30,19 @@ from supercohom.graded import Vector, superalt_basis
 from supercohom.group_action import cyclic_group, trivial_action
 from supercohom.nr_bracket import bracket_to_element, circ
 from supercohom.scalars import RATIONAL, cyclo, one, scalar
-from supercohom.superalgebra import adjoint_module, make_gl
+from supercohom.superalgebra import adjoint_module, make_gl, make_sl
 from supercohom.workspace import load
 
-from util import abelian_algebra, gl11_mu1, gl11_swap_rep, rand_cochain, rand_instance
+from util import (
+    GROUP_SHAPES,
+    abelian_algebra,
+    elementwise_gauge_transform,
+    gl11_mu1,
+    gl11_swap_rep,
+    rand_cochain,
+    rand_instance,
+    rand_scalar,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -374,6 +383,49 @@ def test_validity_is_gauge_invariant():
         dt = gauge_transform(d, g)
         assert validate(dt, "truncated").ok
         assert validate(dt, "strict").ok
+
+
+def _rand_combination(rng, spec, members, start):
+    """start plus a random combination of the parity-0 members of a cochain basis."""
+    for u in members:
+        if u.parity == 0:
+            start = start.add(u.scale(rand_scalar(spec, rng, zero_bias=0.5)))
+    return start
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.integers(1, 3), st.integers(1, 4))
+def test_gauge_transform_matches_the_elementwise_oracle(seed, cyclotomic, with_action, order, maps):
+    # Terms and maps are random equivariant combinations; the terms need not
+    # satisfy the deformation identity, which gauge_transform does not read.
+    rng = random.Random(seed)
+    spec = cyclo(4) if cyclotomic else RATIONAL
+    L, rep = rand_instance(rng, spec, with_action=with_action, groups=GROUP_SHAPES)
+    M = adjoint_module(L)
+    reps = None if rep is None else (rep, rep)
+    C1, C2 = cochain_basis(1, L, M, reps), cochain_basis(2, L, M, reps)
+    terms = [_rand_combination(rng, spec, C2, zero_cochain(2, 0, L, M)) for _ in range(order)]
+    d = Deformation(L, rep, [bracket_to_element(L)] + terms)
+    series = [_rand_combination(rng, spec, C1, zero_cochain(1, 0, L, M)) for _ in range(maps - 1)]
+    g = GaugeTransform(spec, L.basis, [identity_endo(L.basis, spec)] + series)
+    assert gauge_transform(d, g).terms == elementwise_gauge_transform(d, g).terms
+
+
+def test_gauge_transform_through_a_repeated_odd_slot():
+    # On sl(1|1), psi_1 swaps the odd e12 and e21, so at the canonical pair
+    # (e12, e12) the transport meets (e12, e21) and (e21, e21) and must
+    # canonicalize them with their Koszul signs.
+    L = make_sl(1, 1)
+    M = adjoint_module(L)
+    swap = Cochain(1, 0, L.basis, L.basis, {((0,), 0): scalar(RATIONAL, 3), ((1,), 2): ONE, ((2,), 1): ONE})
+    mu1 = Cochain(2, 0, L.basis, L.basis, {((1, 1), 0): ONE, ((0, 2), 2): MINUS})
+    d = Deformation(L, None, [bracket_to_element(L), mu1, Cochain(2, 0, L.basis, L.basis, {})])
+    g = GaugeTransform(RATIONAL, L.basis, [identity_endo(L.basis, RATIONAL), swap])
+    dt = gauge_transform(d, g)
+    assert dt.terms == elementwise_gauge_transform(d, g).terms
+    assert dt.terms[1] == mu1.add(coboundary(swap, L, M).scale(MINUS))
+    # at (e12, e12): mu1 + [phi_1 e12, e12] + [e12, phi_1 e12] = h1 - [e21, e12] - [e12, e21],
+    # and [e21, e12] = [e12, e21] = h1 only with the Koszul sign of the swap
+    assert dt.terms[1].by_tuple()[(1, 1)] == Vector({0: MINUS})
 
 
 # -- cohomologous infinitesimals ----------------------------------------------

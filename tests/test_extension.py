@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supercohom import extension
 from supercohom.cohomology import (
     Cochain,
     _matrix_from_basis,
     coboundary,
     cochain_basis,
     cohomology,
+    is_equivariant,
 )
 from supercohom.errors import (
     BasisMismatch,
     NotCocycle,
+    OracleDisagreement,
     ValidationError,
     WrongBidegree,
 )
@@ -257,6 +260,40 @@ def test_coboundary_shift_is_equivalent():
         f = extensions_equivalent(x1, x0)
         assert f is not None
         assert coboundary(f, L, M) == h
+
+
+def _shifted_pair(L, M, rep):
+    """Datums with glues delta f0 and 0 for an equivariant f0 with delta f0 != 0."""
+    f0 = next(
+        u for u in cochain_basis(1, L, M, rep=rep) if u.parity == 0 and not coboundary(u, L, M).is_zero()
+    )
+    return ExtensionDatum(L, M, rep, coboundary(f0, L, M)), ExtensionDatum(L, M, rep, zero_glue(L, M))
+
+
+def test_certificate_rejects_a_planted_non_solution(monkeypatch):
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    x1, x0 = _shifted_pair(L, M, gl11_swap_rep(L))
+    assert extensions_equivalent(x1, x0) is not None
+    # phi = id does not carry the bracket glued by delta f0 to the split one
+    monkeypatch.setattr(extension, "coboundary_preimage", lambda *args: Cochain(1, 0, L.basis, M.space, {}))
+    with pytest.raises(OracleDisagreement, match="does not intertwine"):
+        extensions_equivalent(x1, x0)
+
+
+def test_certificate_rejects_a_planted_non_equivariant_solution(monkeypatch):
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    rep = gl11_swap_rep(L)
+    x1, x0 = _shifted_pair(L, M, rep)
+    # x -> [x, e11] is a 1-cocycle, but the swap sends it to x -> [x, e22]
+    coords = {((i,), j): c for i in range(4) for j, c in L.bracket.at((i, 0)).coords.items()}
+    inner = Cochain(1, 0, L.basis, M.space, coords)
+    assert coboundary(inner, L, M).is_zero() and not is_equivariant(inner, rep, rep, L, M)
+    real = extension.coboundary_preimage
+    monkeypatch.setattr(extension, "coboundary_preimage", lambda *args: real(*args).add(inner))
+    with pytest.raises(OracleDisagreement, match="not equivariant"):
+        extensions_equivalent(x1, x0)
 
 
 def test_equivalence_requires_cocycles():

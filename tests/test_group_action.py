@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercohom.errors import BasisMismatch, OracleDisagreement, ValidationError
+from supercohom.errors import BasisMismatch, LengthMismatch, OracleDisagreement, ValidationError
 from supercohom.graded import Vector, superalt_basis
 from supercohom.group_action import (
     ActionRep,
@@ -156,6 +156,54 @@ def test_a_break_off_the_generators_is_still_found():
         report = validate_action(bad, L)
         assert not report.ok
         assert report == elementwise_validate_action(bad, L)
+
+
+def _dense(group, parities, entry):
+    """The action through dense matrices: entry(g, i, j) is the (i, j) entry of g."""
+    d = len(parities)
+    mats = [[[entry(g, i, j) for j in range(d)] for i in range(d)] for g in range(group.order)]
+    return ActionRep(group, RATIONAL, parities, mats)
+
+
+KLEIN_FOUR = direct_product(cyclic_group(2), cyclic_group(2))
+
+
+@pytest.mark.parametrize("group", [cyclic_group(3), KLEIN_FOUR, s3_group()[0]])
+def test_constructors_equal_their_dense_construction(group):
+    o, z = one(RATIONAL), zero(RATIONAL)
+    n = group.order
+    parities = (0, 0, 1)
+    ident = _dense(group, parities, lambda g, i, j: o if i == j else z)
+    assert trivial_action(group, RATIONAL, parities) == ident
+
+    # the regular representation: g sends basis vector j to g j
+    perms = [[group.mul(g, j) for j in range(n)] for g in range(n)]
+    regular = permutation_rep(group, RATIONAL, (0,) * n, perms)
+    assert regular == _dense(group, (0,) * n, lambda g, i, j: o if perms[g][j] == i else z)
+    assert is_representation(regular)
+
+    # a zero on the diagonal is dropped, as the scan of a dense matrix drops it
+    diags = [[o, z, scalar(RATIONAL, g + 2)] for g in range(n)]
+    rep = diagonal_rep(group, RATIONAL, parities, diags)
+    assert all(cols[1] == {} for cols in rep.columns)
+    assert rep == _dense(group, parities, lambda g, i, j: diags[g][i] if i == j else z)
+
+
+def test_count_checks_cover_both_input_forms():
+    G = cyclic_group(2)
+    cols = [[{0: one(RATIONAL)}], [{0: one(RATIONAL)}]]
+    with pytest.raises(LengthMismatch, match="one matrix per group element"):
+        ActionRep(G, RATIONAL, (0,), columns=cols[:1])
+    with pytest.raises(LengthMismatch, match="columns must match the space"):
+        ActionRep(G, RATIONAL, (0, 0), columns=cols)
+    with pytest.raises(LengthMismatch, match="one matrix per group element"):
+        ActionRep(G, RATIONAL, (0,), [[[one(RATIONAL)]]])
+    with pytest.raises(LengthMismatch, match="matrices must match the space"):
+        ActionRep(G, RATIONAL, (0, 0), [[[one(RATIONAL)]]] * 2)
+    with pytest.raises(LengthMismatch):
+        permutation_rep(G, RATIONAL, (0, 0), [(0,), (0,)])
+    with pytest.raises(ValueError, match="outside the space"):
+        permutation_rep(G, RATIONAL, (0, 0), [(0, 1), (2, 0)])
 
 
 def test_validate_swap_action_on_gl11():

@@ -27,7 +27,6 @@ from supercohom.superalgebra import (
     bracket_eval,
     make_gl,
     make_sl,
-    module_act,
     zero_module,
 )
 from supercohom.workspace import load
@@ -37,6 +36,7 @@ from util import (
     direct_product,
     direct_sum,
     full_cohomology,
+    module_act,
     s3_group,
     sign_characters,
     twist_algebra,

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from supercohom.errors import DegreeMismatch, LengthMismatch, OracleDisagreement
+from supercohom.errors import BasisMismatch, DegreeMismatch, LengthMismatch, OracleDisagreement
 from supercohom.graded import (
     GradedBasis,
     MultilinearMap,
@@ -25,7 +25,6 @@ from supercohom.superalgebra import (
     bracket_eval,
     make_gl,
     make_sl,
-    module_act,
     zero_module,
 )
 
@@ -710,7 +709,44 @@ def full_cohomology(n, L, M, rep=None):
 # element.  The element-wise versions they replaced are kept here unchanged:
 # one Vector per basis element through bracket_eval / module_act, dense matrix
 # columns scanned with is_zero, and cochains evaluated through cochain_eval.
-# The reports must agree exactly, counterexample lists included.
+# The reports must agree exactly, counterexample lists included.  The library
+# reads the action table and moves multilinear maps through sparse columns
+# (group_action.pull_back), so module_act and cochain_eval live here.
+
+
+def module_act(M, x, v):
+    na, nm = len(M.algebra), len(M.space)
+    for i in x.coords:
+        if not 0 <= i < na:
+            raise BasisMismatch(f"coordinate index {i} outside the algebra basis")
+    for j in v.coords:
+        if not 0 <= j < nm:
+            raise BasisMismatch(f"coordinate index {j} outside the module basis")
+    out = Vector()
+    for i, a in x.coords.items():
+        for j, b in v.coords.items():
+            comp = M.act.get((i, j))
+            if comp is not None:
+                out = out + comp.scale(a * b)
+    return out
+
+
+def cochain_eval(f, args):
+    if len(args) != f.arity:
+        raise ValueError("argument count must equal cochain arity")
+    if f.arity == 0:
+        return f.value_at(())
+    out = Vector()
+    for picks in product(*[list(a.coords.items()) for a in args]):
+        idx = tuple(i for i, _ in picks)
+        val = f.value_at(idx)
+        if val.is_zero():
+            continue
+        c = picks[0][1]
+        for _, extra in picks[1:]:
+            c = c * extra
+        out = out + val.scale(c)
+    return out
 
 
 # Scalar arithmetic on tuples of Fractions, one per power-basis coefficient:
@@ -969,8 +1005,6 @@ def elementwise_validate_module_action(rep_L, rep_M, L, M):
 
 
 def elementwise_is_equivariant(f, rep_L, rep_M, L, M):
-    from supercohom.cohomology import cochain_eval
-
     spec = L.spec
     group = rep_L.group
     for g in range(group.order):
@@ -1284,8 +1318,6 @@ def elementwise_circ(F, Fp):
 
 def _identity_triples(d, pairs):
     """sum over (i, j) in pairs of the deformation identity terms, by triple."""
-    from supercohom.cohomology import cochain_eval
-
     L = d.base
     par = L.basis.parities
     out = {}
@@ -1342,6 +1374,39 @@ def elementwise_obstruction(d):
         if not c.is_zero():
             nxt = nxt.add(f.scale(c))
     return ObstructionReport(obs, True, nxt, closed)
+
+
+def elementwise_gauge_transform(d, g):
+    """The gauge-transformed deformation, pair by pair: psi_i mu_j(phi_l a,
+    phi_p b) summed over i + j + l + p = k, every value through cochain_eval."""
+    from supercohom.cohomology import Cochain
+    from supercohom.deformation import Deformation
+
+    L = d.base
+    N = d.order
+    phi = g._inverse_maps(N)
+    new_terms = []
+    for k in range(N + 1):
+        coords = {}
+        for pair in superalt_basis(L.basis, 2):
+            a, b = pair
+            acc = Vector()
+            for i in range(k + 1):
+                for j in range(k - i + 1):
+                    for l in range(k - i - j + 1):
+                        p = k - i - j - l
+                        if j > N:
+                            continue
+                        va = phi[l].value_at((a,))
+                        vb = phi[p].value_at((b,))
+                        inner = cochain_eval(d.terms[j], [va, vb])
+                        if inner.is_zero():
+                            continue
+                        acc = acc + cochain_eval(g.map_at(i), [inner])
+            for j, c in acc.coords.items():
+                coords[(pair, j)] = c
+        new_terms.append(Cochain(2, 0, L.basis, L.basis, coords))
+    return Deformation(L, d.rep, new_terms)
 
 
 def oracle_parsers():
