@@ -45,13 +45,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import BasisMismatch, ValidationError
-from .graded import (
-    GradedBasis,
-    Vector,
-    canonicalize_tuple,
-    cochain_coords,
-    superalt_basis,
-)
+from .graded import GradedBasis, Vector, cochain_coords, superalt_basis
 from .group_action import (
     ActionRep,
     equivariant_subspace,
@@ -102,19 +96,6 @@ class Cochain:
         for (T, j), c in sorted(self.coords.items()):
             out.setdefault(T, {})[j] = c
         return {T: Vector(coords) for T, coords in out.items()}
-
-    def value_at(self, T) -> Vector:
-        """f(e_{t_1}, ..., e_{t_n}) for an arbitrary index tuple."""
-        res = canonicalize_tuple(tuple(T), self.algebra.parities)
-        if res is None:
-            return Vector()
-        S, sign = res
-        out = {}
-        for j in range(len(self.space)):
-            c = self.coords.get((S, j))
-            if c is not None:
-                out[j] = c if sign == 1 else -c
-        return Vector(out)
 
     def add(self, other: "Cochain") -> "Cochain":
         if (self.arity, self.parity) != (other.arity, other.parity):
@@ -197,7 +178,9 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None
     x_i . f(S without i) of delta f(S) is emitted once per tuple S.  The sign
     of f at (t,) + rest comes from inserting t into the canonical tuple rest:
     an even t passes the k entries below it, an odd t passes every even entry
-    (odd past odd is a Koszul swap that cancels the transposition).
+    (odd past odd is a Koszul swap that cancels the transposition).  A term
+    whose n-tuple T has no column (T, j) in B is dropped before any scalar
+    arithmetic, so one sparse cochain pays only for the terms it meets.
     """
     B: dict[int, Row] = {}
     for k, col in enumerate(cols):
@@ -206,6 +189,7 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None
     par, parM = L.basis.parities, M.space.parities
     dimM = len(parM)
     tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
+    live = {t // dimM for t in B}  # the n-tuples T with a column (T, j) in B
     if wt is not None:
         wL, wM = wt
         reached = set(wM)
@@ -235,6 +219,8 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None
                     else:
                         e = exp + k
                     T = tpos[rest[:k] + (t,) + rest[k:]]
+                    if T not in live:
+                        continue
                     term = -c if e % 2 else c
                     prev = on_tuple.get(T)
                     on_tuple[T] = term if prev is None else prev + term

@@ -36,15 +36,26 @@ from .errors import (
     WrongBidegree,
 )
 from .graded import GradedBasis, Vector, superalt_basis
-from .group_action import ActionRep, pull_back
+from .group_action import ActionRep, acts_by_automorphisms, is_representation, pull_back
 from .linalg import Row, add_scaled, lin_comb
-from .nr_bracket import bracket_to_element, circ
+from .nr_bracket import bracket_element, circ
 from .scalars import FieldSpec, one, scalar
 from .superalgebra import LieSuperalgebra, adjoint_module
 
 
 @dataclass
 class Deformation:
+    """A truncated deformation mu_0 + t mu_1 + ... + t^N mu_N of base.
+
+    Construction checks each term's shape, that mu_0 is the base bracket
+    and, with a rep, that every term is equivariant, reading what is already
+    proved: mu_0 is compared by identity with nr_bracket.bracket_element
+    (built once per algebra) before equality, and for a representation it
+    is equivariant exactly when G acts by automorphisms, the verdict that
+    group_action.acts_by_automorphisms keeps per (rep, algebra).  Under a
+    rep that is not a representation every term goes through is_equivariant.
+    """
+
     base: LieSuperalgebra
     rep: ActionRep | None
     terms: list[Cochain]
@@ -59,12 +70,17 @@ class Deformation:
                 raise WrongBidegree(f"term {k} must be a binary map of parity 0")
         if self.rep is not None and self.rep.parities != self.base.basis.parities:
             raise BasisMismatch("action does not match the base algebra")
-        if self.terms[0] != bracket_to_element(self.base):
+        mu = bracket_element(self.base)
+        if self.terms[0] is not mu and self.terms[0] != mu:
             raise ValidationError("order-0 term must equal the base bracket")
         if self.rep is not None:
             M = adjoint_module(self.base)
             for k, f in enumerate(self.terms):
-                if not is_equivariant(f, self.rep, self.rep, self.base, M):
+                if k == 0 and is_representation(self.rep):
+                    ok = acts_by_automorphisms(self.rep, self.base)
+                else:
+                    ok = is_equivariant(f, self.rep, self.rep, self.base, M)
+                if not ok:
                     raise ValidationError(f"term {k} is not equivariant")
 
     @property

@@ -178,7 +178,8 @@ class MultilinearMap:
         self.components = clean
 
     def at(self, tup) -> Vector:
-        return self.components.get(tuple(tup), Vector())
+        vec = self.components.get(tuple(tup))
+        return Vector() if vec is None else vec
 
 
 def cochain_coords(basis: GradedBasis, n: int, target: GradedBasis):

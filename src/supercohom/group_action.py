@@ -7,17 +7,19 @@ swept_elements decides which elements an equivariance sweep visits.  A
 FiniteGroup carries a generating set, read greedily off its Cayley table,
 and is_representation proves, once per ActionRep, that g -> rho(g) is a
 homomorphism by checking rho(s) rho(h) = rho(s h) for each generator s and
-every h.  When every action a sweep reads is such a representation, an
-equation that each generator satisfies holds for all of G, so the sweep
-visits the generators only.  Otherwise it visits every element, except an
-identity that acts as the identity.  The action and module-action sweeps
-re-run over every element when a generator fails, so their reports list
-each failing element.
+every h.  acts_by_automorphisms likewise keeps, per (ActionRep, algebra),
+the verdict of the bracket sweep that validate_action runs.  When every
+action a sweep reads is such a representation, an equation that each
+generator satisfies holds for all of G, so the sweep visits the generators
+only.  Otherwise it visits every element, except an identity that acts as
+the identity.  The action and module-action sweeps re-run over every
+element when a generator fails, so their reports list each failing
+element.
 
 An action keeps, for each group element, the sparse columns of its matrix
 (the image of each basis vector as a {row: Scalar} dict), computed once or
 handed over as columns by the parser and by the induced action.
-Applying g, the identity / homomorphism / degree-0 checks, the
+The identity / homomorphism / degree-0 checks, the
 bracket-equivariance sweeps of validate_action and validate_module_action,
 the induced action on cochains and the fixed subspace all read these
 columns.  Maps move along linear maps in one place each: pull_back for
@@ -53,13 +55,8 @@ from .errors import (
     OracleDisagreement,
     ValidationError,
 )
-from .graded import (
-    Vector,
-    canonicalize_tuple,
-    cochain_coords,
-    superalt_basis,
-)
-from .linalg import Matrix, Row, add_scaled, lin_comb, pivot_columns
+from .graded import canonicalize_tuple, cochain_coords, superalt_basis
+from .linalg import Matrix, Row, lin_comb, pivot_columns
 from .scalars import FieldSpec, Scalar, one, scalar, zero
 from .superalgebra import LieSuperalgebra, LModule
 
@@ -132,7 +129,7 @@ class ActionRep:
     """One linear map per group element on a graded space.
 
     columns[g][j] is the image of basis vector j under g, a sparse
-    {row: Scalar} dict without zeros; apply_rep, the action checks, the
+    {row: Scalar} dict without zeros; the action checks, the
     induced action and the fixed subspace all read these.  The action is
     given by its dense matrices (constructed actions) or by its columns
     (parsed actions, the induced action on cochains); either way only the
@@ -146,6 +143,7 @@ class ActionRep:
             raise TypeError("give the action by its matrices or by its columns")
         self._matrices = None
         self._is_representation: bool | None = None
+        self._automorphisms: tuple[LieSuperalgebra, bool] | None = None  # (L, verdict)
         d = len(self.parities)
         if columns is None:
             if any(len(mat) != d or any(len(row) != d for row in mat) for mat in matrices):
@@ -181,14 +179,6 @@ class ActionRep:
         return isinstance(other, ActionRep) and (
             self.group, self.spec, self.parities, self.columns
         ) == (other.group, other.spec, other.parities, other.columns)
-
-
-def apply_rep(rep: ActionRep, g: int, v: Vector) -> Vector:
-    cols = rep.columns[g]
-    out: Row = {}
-    for j, c in v.coords.items():
-        add_scaled(out, c, cols[j])
-    return Vector(out)
 
 
 def trivial_action(group: FiniteGroup, spec: FieldSpec, parities) -> ActionRep:
@@ -366,11 +356,9 @@ def _equivariance_sweep(report, kind, g, table, cols_x, cols_y, names_x, names_y
         report.counterexamples.append({"kind": kind, "where": where})
 
 
-def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
-    if rep.parities != L.basis.parities:
-        raise BasisMismatch("representation space does not match the algebra basis")
-    report = ActionReport()
-    _rep_structure_checks(rep, report)
+def _bracket_sweep(report: ActionReport, rep: ActionRep, L: LieSuperalgebra) -> None:
+    """g [x_i, x_k] = [g x_i, g x_k] over the swept elements, with its
+    verdict recorded on rep for acts_by_automorphisms."""
     br = {key: vec.coords for key, vec in L.bracket.components.items()}
     names = L.basis.names
 
@@ -379,6 +367,25 @@ def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
         _equivariance_sweep(report, "bracket equivariance", g, br, cols, cols, names, names)
 
     _run_sweep(report, (rep,), sweep)
+    rep._automorphisms = (L, report.bracket_ok)
+
+
+def acts_by_automorphisms(rep: ActionRep, L: LieSuperalgebra) -> bool:
+    """Whether every g preserves the bracket of L, proved once per (rep, L):
+    validate_action records the verdict of its bracket sweep on rep, and a
+    rep that never went through it runs the sweep here."""
+    memo = rep._automorphisms
+    if memo is None or memo[0] is not L:
+        _bracket_sweep(ActionReport(), rep, L)
+    return rep._automorphisms[1]
+
+
+def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
+    if rep.parities != L.basis.parities:
+        raise BasisMismatch("representation space does not match the algebra basis")
+    report = ActionReport()
+    _rep_structure_checks(rep, report)
+    _bracket_sweep(report, rep, L)
     return report
 
 

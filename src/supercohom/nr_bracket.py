@@ -77,9 +77,21 @@ def circ(F: Cochain, Fp: Cochain) -> Cochain:
 
 
 def nr_bracket(F: Cochain, Fp: Cochain) -> Cochain:
-    """[F, F'] = F o F' - (-1)^{zz'+ff'} F' o F, with z = arity - 1."""
-    left, right = circ(F, Fp), circ(Fp, F)
-    if ((F.arity - 1) * (Fp.arity - 1) + F.parity * Fp.parity) % 2 == 0:
+    """[F, F'] = F o F' - (-1)^{zz'+ff'} F' o F, with z = arity - 1.
+
+    [F, F] (Fp is F) costs at most one circ: with z^2 + f^2 even the two
+    terms cancel and it is the zero cochain, else it is F o F added to itself.
+    """
+    even = ((F.arity - 1) * (Fp.arity - 1) + F.parity * Fp.parity) % 2 == 0
+    if Fp is F and F.arity and even:
+        if F.algebra != F.space:
+            raise BasisMismatch("factors must be maps from one space to itself")
+        return Cochain(2 * F.arity - 1, 0, F.space, F.space, {})
+    left = circ(F, Fp)
+    if Fp is F:
+        return left.add(left)
+    right = circ(Fp, F)
+    if even:
         right.coords = {key: -c for key, c in right.coords.items()}
     return left.add(right)
 
@@ -98,6 +110,15 @@ def bracket_to_element(L: LieSuperalgebra) -> Cochain:
         for j, c in v.coords.items():
             coords[(pair, j)] = c
     return Cochain(2, 0, L.basis, L.basis, coords)
+
+
+def bracket_element(L: LieSuperalgebra) -> Cochain:
+    """bracket_to_element(L), built once per algebra and then shared: the
+    "bracket" terms of Workspace.deformation are this object, so the order-0
+    check of Deformation is an identity test."""
+    if not L.element_memo:
+        L.element_memo.append(bracket_to_element(L))
+    return L.element_memo[0]
 
 
 def element_to_bracket(F0: Cochain, spec: FieldSpec) -> LieSuperalgebra:

@@ -333,15 +333,17 @@ _TERM_RE = re.compile(
     r"|(?P<sign>[+-]?)z(?:\^(?P<exp2>\d+))?"
     r")$"
 )
+_SIGNED_TERMS = re.compile(r"(?=[+-])")  # split points before each sign
 
 
 def parse_scalar(spec: FieldSpec, text: str) -> Scalar:
     """Parse "p/q" or "c0 + c1*z + c2*z^2 + ..." (whitespace-insensitive).
 
     A plain integer or p/q literal, at most one sign and q nonzero, is read
-    with int(); every other text goes through _parse_terms.
+    with int(); every other text goes through _parse_terms.  str.split()
+    drops the same Unicode whitespace as the regex \\s, and compiles nothing.
     """
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     body = s[1:] if s[:1] in ("+", "-") else s
     num, slash, den = body.partition("/")
     if num.isascii() and num.isdigit() and (not slash or (den.isascii() and den.isdigit() and int(den))):
@@ -354,11 +356,10 @@ def parse_scalar(spec: FieldSpec, text: str) -> Scalar:
 def _parse_terms(spec: FieldSpec, text: str) -> Scalar:
     """parse_scalar by splitting the text into signed terms, each matched by
     _TERM_RE and read as a Fraction."""
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     if not s:
         raise ParseError("empty scalar")
-    # Split into signed terms.
-    pieces = re.split(r"(?=[+-])", s)
+    pieces = _SIGNED_TERMS.split(s)
     pieces = [p for p in pieces if p not in ("", "+", "-")]
     if not pieces:
         raise ParseError(f"cannot parse scalar {text!r}")

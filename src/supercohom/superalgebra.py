@@ -53,6 +53,8 @@ class LieSuperalgebra:
     spec: FieldSpec
     bracket: MultilinearMap
     check: InitVar[bool] = True
+    # the bracket as a Cochain, built once by nr_bracket.bracket_element
+    element_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self, check):
         if self.bracket.source != self.basis or self.bracket.target != self.basis:

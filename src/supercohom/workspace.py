@@ -50,7 +50,7 @@ from .group_action import (
     validate_action,
     validate_module_action,
 )
-from .nr_bracket import bracket_to_element
+from .nr_bracket import bracket_element
 from .scalars import RATIONAL, FieldSpec, Scalar, cyclo, parse_scalar, serialize_scalar
 from .superalgebra import LieSuperalgebra, LModule, adjoint_module, from_pairs, validate_module
 
@@ -118,7 +118,7 @@ class Workspace:
             terms = []
             for term in self.deformations[name]:
                 if term == BRACKET_TERM:
-                    terms.append(bracket_to_element(self.algebra))
+                    terms.append(bracket_element(self.algebra))
                 else:
                     terms.append(self.cochains[term].cochain)
             self._deformation_cache[name] = Deformation(self.algebra, self.rep, terms)
@@ -145,14 +145,27 @@ def _as_list(raw, path: str) -> list:
     return raw
 
 
-def _scalar(spec: FieldSpec, raw, path: str) -> Scalar:
-    if _is_int(raw):
-        raw = str(raw)
-    _expect(isinstance(raw, str), path, "scalars must be written as strings")
-    try:
-        return parse_scalar(spec, raw)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+class _ScalarReader:
+    """parse_scalar for the scalars of one parse: each distinct text is
+    parsed once (Scalars are immutable, so repeats share one).  A text that
+    fails is not stored, so every occurrence raises, each with its path, and
+    the first one in parse order is the one reported."""
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self._seen: dict[str, Scalar] = {}
+
+    def __call__(self, raw, path: str) -> Scalar:
+        if _is_int(raw):
+            raw = str(raw)
+        _expect(isinstance(raw, str), path, "scalars must be written as strings")
+        x = self._seen.get(raw)
+        if x is None:
+            try:
+                x = self._seen[raw] = parse_scalar(self.spec, raw)
+            except ParseError as exc:
+                raise ParseError(f"{path}: {exc}") from exc
+        return x
 
 
 def _parse_field(raw) -> FieldSpec:
@@ -189,16 +202,16 @@ def _label_index(basis: GradedBasis, label: str, path: str) -> int:
     return basis.names.index(label)
 
 
-def _parse_vector(spec, space: GradedBasis, raw, path: str) -> Vector:
+def _parse_vector(read: _ScalarReader, space: GradedBasis, raw, path: str) -> Vector:
     table = _as_dict(raw, path)
     coords = {}
     for label, val in table.items():
         j = _label_index(space, label, path)
-        coords[j] = _scalar(spec, val, f"{path}.{label}")
+        coords[j] = read(val, f"{path}.{label}")
     return Vector(coords)
 
 
-def _parse_brackets(spec, basis: GradedBasis, raw, path: str) -> dict[tuple[int, int], Vector]:
+def _parse_brackets(read: _ScalarReader, basis: GradedBasis, raw, path: str) -> dict[tuple[int, int], Vector]:
     """The listed brackets, {(i, j): [x_i, x_j]} with i <= j."""
     table = _as_dict(raw, path)
     components: dict[tuple[int, int], Vector] = {}
@@ -210,7 +223,7 @@ def _parse_brackets(spec, basis: GradedBasis, raw, path: str) -> dict[tuple[int,
         j = _label_index(basis, parts[1], f"{path}[{key!r}]")
         _expect(i <= j, f"{path}[{key!r}]", "list each pair once, lower basis index first")
         _expect((i, j) not in components, f"{path}[{key!r}]", "duplicate bracket entry")
-        vec = _parse_vector(spec, basis, val, f"{path}[{key!r}]")
+        vec = _parse_vector(read, basis, val, f"{path}[{key!r}]")
         if vec.is_zero():
             continue
         if i == j and par[i] == 0:
@@ -237,7 +250,7 @@ def _parse_group(raw) -> FiniteGroup:
         raise ValidationError(f"group: {exc}") from exc
 
 
-def _parse_action(spec, group, basis, raw, path: str) -> ActionRep:
+def _parse_action(read: _ScalarReader, group, basis, raw, path: str) -> ActionRep:
     """One dim x dim matrix per group element, read straight into the sparse
     columns ActionRep keeps; a cell that is exactly "0" or 0 adds nothing."""
     mats = _as_list(raw, path)
@@ -255,14 +268,14 @@ def _parse_action(spec, group, basis, raw, path: str) -> ActionRep:
             for k, c in enumerate(cells):
                 if c == "0" or (type(c) is int and c == 0):
                     continue
-                x = _scalar(spec, c, f"{mpath}[{r}][{k}]")
+                x = read(c, f"{mpath}[{r}][{k}]")
                 if not x.is_zero():
                     cols[k][r] = x
         columns.append(cols)
-    return ActionRep(group, spec, basis.parities, columns=columns)
+    return ActionRep(group, read.spec, basis.parities, columns=columns)
 
 
-def _parse_module(ws: Workspace, name: str, raw) -> ModuleEntry:
+def _parse_module(ws: Workspace, read: _ScalarReader, name: str, raw) -> ModuleEntry:
     path = f"modules.{name}"
     body = _as_dict(raw, path)
     allowed = {"basis", "action", "matrices"}
@@ -277,7 +290,7 @@ def _parse_module(ws: Workspace, name: str, raw) -> ModuleEntry:
         i = _label_index(L.basis, parts[0], f"{path}.action[{key!r}]")
         j = _label_index(space, parts[1], f"{path}.action[{key!r}]")
         _expect((i, j) not in act, f"{path}.action[{key!r}]", "duplicate action entry")
-        vec = _parse_vector(ws.spec, space, val, f"{path}.action[{key!r}]")
+        vec = _parse_vector(read, space, val, f"{path}.action[{key!r}]")
         if not vec.is_zero():
             act[(i, j)] = vec
     module = LModule(L.basis, space, act)
@@ -291,7 +304,7 @@ def _parse_module(ws: Workspace, name: str, raw) -> ModuleEntry:
             path,
             'a workspace with a group needs "matrices" giving the action on the module',
         )
-        rep_m = _parse_action(ws.spec, ws.group, space, body["matrices"], f"{path}.matrices")
+        rep_m = _parse_action(read, ws.group, space, body["matrices"], f"{path}.matrices")
         pair = validate_module_action(ws.rep, rep_m, L, module)
         if not pair.ok:
             raise ValidationError(f"{path}: {pair.describe()}")
@@ -300,7 +313,7 @@ def _parse_module(ws: Workspace, name: str, raw) -> ModuleEntry:
     return ModuleEntry(module, rep_m)
 
 
-def _parse_cochain(ws: Workspace, name: str, raw) -> CochainEntry:
+def _parse_cochain(ws: Workspace, read: _ScalarReader, name: str, raw) -> CochainEntry:
     path = f"cochains.{name}"
     body = _as_dict(raw, path)
     allowed = {"arity", "parity", "module", "coords"}
@@ -324,7 +337,7 @@ def _parse_cochain(ws: Workspace, name: str, raw) -> CochainEntry:
         T = tuple(_label_index(L.basis, lab, kpath) for lab in labels)
         j = _label_index(module.space, target, kpath)
         _expect((T, j) not in coords, kpath, "duplicate coordinate")
-        coords[(T, j)] = _scalar(ws.spec, val, kpath)
+        coords[(T, j)] = read(val, kpath)
     try:
         cochain = Cochain(arity, parity, L.basis, module.space, coords)
     except (ValueError, ValidationError) as exc:
@@ -363,11 +376,12 @@ def parse(text: str) -> Workspace:
     _expect("algebra" in body, "top level", 'needs "algebra"')
 
     spec = _parse_field(body["field"])
+    read = _ScalarReader(spec)
     alg = _as_dict(body["algebra"], "algebra")
     _expect(set(alg) <= {"basis", "brackets"}, "algebra", f"unknown keys {sorted(set(alg) - {'basis', 'brackets'})}")
     _expect("basis" in alg and "brackets" in alg, "algebra", 'needs "basis" and "brackets"')
     basis = _parse_basis(alg["basis"], "algebra.basis")
-    pairs = _parse_brackets(spec, basis, alg["brackets"], "algebra.brackets")
+    pairs = _parse_brackets(read, basis, alg["brackets"], "algebra.brackets")
     try:
         algebra = from_pairs(basis, spec, pairs)
     except ValueError as exc:  # a bracket of the wrong parity
@@ -380,7 +394,7 @@ def parse(text: str) -> Workspace:
     if "group" in body:
         ws.group = _parse_group(body["group"])
         _expect("action" in body, "top level", 'a workspace with a "group" needs an "action"')
-        ws.rep = _parse_action(spec, ws.group, basis, body["action"], "action")
+        ws.rep = _parse_action(read, ws.group, basis, body["action"], "action")
         report = validate_action(ws.rep, algebra)
         if not report.ok:
             raise ValidationError(f"action: {report.describe()}")
@@ -389,11 +403,11 @@ def parse(text: str) -> Workspace:
 
     for name in sorted(_as_dict(body.get("modules", {}), "modules")):
         _expect(name != ADJOINT, f"modules.{name}", f"{ADJOINT!r} is reserved for the algebra itself")
-        ws.modules[name] = _parse_module(ws, name, body["modules"][name])
+        ws.modules[name] = _parse_module(ws, read, name, body["modules"][name])
 
     for name in sorted(_as_dict(body.get("cochains", {}), "cochains")):
         _expect(name != BRACKET_TERM, f"cochains.{name}", f"{BRACKET_TERM!r} is reserved")
-        ws.cochains[name] = _parse_cochain(ws, name, body["cochains"][name])
+        ws.cochains[name] = _parse_cochain(ws, read, name, body["cochains"][name])
 
     for name in sorted(_as_dict(body.get("deformations", {}), "deformations")):
         ws.deformations[name] = _parse_deformation(ws, name, body["deformations"][name])

@@ -40,7 +40,7 @@ from supercohom.extension import (
     jacobi_iff_cocycle,
 )
 from supercohom.graded import Vector, cochain_coords
-from supercohom.group_action import apply_rep, cyclic_group, permutation_rep, validate_action
+from supercohom.group_action import cyclic_group, permutation_rep, validate_action
 from supercohom.linalg import mat_mul
 from supercohom.nr_bracket import (
     bracket_to_element,
@@ -61,6 +61,7 @@ from supercohom.workspace import load
 
 from util import (
     abelian_algebra,
+    apply_rep,
     cochain_eval,
     gl11_mu1,
     gl11_swap_rep,
@@ -70,6 +71,7 @@ from util import (
     rand_instance,
     rand_module,
     rand_scalar,
+    value_at,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -272,7 +274,7 @@ def test_criterion_2_mu1_equivariance_and_low_coboundary_values():
     dmu = coboundary(mu1, L, M)
     for a, b, c in displayed:
         assert d2(a, b, c) == zero_v, f"six-term expansion nonzero at ({a}, {b}, {c})"
-        assert dmu.value_at((E[a], E[b], E[c])) == zero_v
+        assert value_at(dmu, (E[a], E[b], E[c])) == zero_v
 
     rc = cli(["deform", "check", fx("fixture_gl11_z2"), "--deformation", "mu_t"])
     elapsed = time.monotonic() - t0

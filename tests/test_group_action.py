@@ -11,7 +11,6 @@ from supercohom.graded import Vector, superalt_basis
 from supercohom.group_action import (
     ActionRep,
     FiniteGroup,
-    apply_rep,
     cyclic_group,
     diagonal_rep,
     equivariant_subspace,
@@ -33,6 +32,7 @@ from supercohom.superalgebra import (
 
 from util import (
     GROUP_SHAPES,
+    apply_rep,
     dense_equivariant_subspace,
     densify,
     direct_product,

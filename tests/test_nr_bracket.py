@@ -46,6 +46,8 @@ from util import (
     rand_instance,
     shuffles,
     star,
+    two_circ_nr_bracket,
+    value_at,
 )
 
 ONE = scalar(RATIONAL, 1)
@@ -111,10 +113,10 @@ def test_star_even_second_factor_has_no_prefactor():
     Fp = rand_cochain(rng, L, M, 2, 0, 0.2)
     raw = star(F, Fp)
     for T in product(range(len(L.basis)), repeat=3):
-        inner = Fp.value_at(T[1:])
+        inner = value_at(Fp, T[1:])
         want = Vector()
         for k, c in inner.coords.items():
-            want = want + F.value_at((T[0], k)).scale(c)
+            want = want + value_at(F, (T[0], k)).scale(c)
         assert raw.at(T) == want
 
 
@@ -128,7 +130,7 @@ def test_star_odd_second_factor_sign_flips_with_head_parity():
     assert raw.at((2, 0)).is_zero()
     got = raw.at((3, 0))
     # F*(e21, e11): inner = F'(e11) = e12, head parity 1 -> -F(e21, e12)
-    want = F.value_at((3, 2)).scale(MINUS)
+    want = value_at(F, (3, 2)).scale(MINUS)
     assert got == want
 
 
@@ -162,7 +164,7 @@ def test_circ_with_unary_first_factor_equals_star():
         out = circ(F, Fp)
         raw = star(F, Fp)
         for S in superalt_basis(L.basis, 2):
-            assert out.value_at(S) == raw.at(S)
+            assert value_at(out, S) == raw.at(S)
 
 
 def test_circ_matches_twisted_action_shuffle_sum():
@@ -178,7 +180,7 @@ def test_circ_matches_twisted_action_shuffle_sum():
             total = acted if total is None else add_maps(total, acted)
         out = circ(F, Fp)
         for S in superalt_basis(L.basis, z1 + z2 + 1):
-            assert out.value_at(S) == total.at(S)
+            assert value_at(out, S) == total.at(S)
 
 
 def test_circ_output_is_superalternating():
@@ -207,7 +209,7 @@ def test_circ_vector_second_factor_plugs_in():
         for i in range(len(L.basis)):
             sign = MINUS if pv and L.basis.parities[i] else ONE
             want = bracket_eval(L, basis_vec(i), basis_vec(j)).scale(sign)
-            assert out.value_at((i,)) == want
+            assert value_at(out, (i,)) == want
 
 
 def test_circ_vector_first_factor_collapses_to_zero():
@@ -240,6 +242,42 @@ def test_bracket_square_is_twice_circ_for_bilinear_even():
     sq = nr_bracket(F0, F0)
     doubled = circ(F0, F0).scale(scalar(RATIONAL, 2))
     assert sq == doubled
+
+
+@pytest.mark.parametrize("cyclotomic", [False, True], ids=["Q", "Q(zeta4)"])
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_self_bracket_matches_the_two_circ_formula(arity, parity, cyclotomic):
+    # [F, F] is one circ: zero when (arity - 1)^2 + parity is even, else F o F
+    # added to itself; the oracle computes both circs.
+    spec = cyclo(4) if cyclotomic else RATIONAL
+    rng = random.Random(1000 * arity + 10 * parity + cyclotomic)
+    cancels = ((arity - 1) ** 2 + parity) % 2 == 0
+    nonzero = 0
+    for _ in range(6):
+        L, _ = rand_instance(rng, spec)
+        F = rand_element(rng, L, arity - 1, parity)
+        got = nr_bracket(F, F)
+        assert got == two_circ_nr_bracket(F, F)
+        assert (got.arity, got.parity) == (2 * arity - 1, 0)
+        if cancels:
+            assert got.is_zero()
+        else:
+            assert got == circ(F, F).scale(scalar(spec, 2))
+            nonzero += not got.is_zero()
+    assert cancels or nonzero, "no instance reached a nonzero [F, F]"
+
+
+def test_self_bracket_keeps_the_errors_of_circ():
+    L = make_gl(1, 1)
+    v = basis_cochain(L, 0)
+    with pytest.raises(DegreeOutOfRange):
+        nr_bracket(v, v)
+    H = heisenberg_algebra()
+    for parity in (0, 1):  # both branches: the zero one and the doubled one
+        foreign = Cochain(1, parity, L.basis, H.basis, {})
+        with pytest.raises(BasisMismatch):
+            nr_bracket(foreign, foreign)
 
 
 def test_bracket_graded_antisymmetry():

@@ -27,6 +27,7 @@ from util import (
     fraction_scalar_inverse,
     fraction_scalar_mul,
     fraction_scalar_sub,
+    regex_parse_scalar,
     scalar_mul_oracle,
 )
 
@@ -313,14 +314,37 @@ def test_plain_literal_fast_path_matches_the_term_parser(text, m):
     # Literals the int() path reads give the same scalar as the regex path,
     # and literals it declines raise exactly what that path raises.
     spec = RATIONAL if m == 1 else cyclo(m)
+    assert outcome(parse_scalar, spec, text) == outcome(_parse_terms, spec, text)
 
-    def outcome(parse):
-        try:
-            return parse(spec, text)
-        except Exception as exc:  # noqa: BLE001 - the raised type and text are compared
-            return type(exc), str(exc)
 
-    assert outcome(parse_scalar) == outcome(_parse_terms)
+def outcome(parse, spec, text):
+    """The parsed scalar, or the type and text of what parsing raised."""
+    try:
+        return parse(spec, text)
+    except Exception as exc:  # noqa: BLE001 - the raised type and text are compared
+        return type(exc), str(exc)
+
+
+WHITESPACE = "\t\n\u00a0\u2003\x1c "
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize(
+    "text",
+    ["\t1/2", "1\n/\u00a02", "-\u20033", "\x1c+\x1c7", "1\u00a02", "z\t+\n1", "2 *\u2003z^\x1c3",
+     "\u00a0", "\x1c\t", "1/\u20030", "1\u200b2", "\u00a0-\u00a0z", "3/\n4 - z"],
+)
+def test_unicode_whitespace_is_dropped_as_the_regex_dropped_it(text, m):
+    spec = RATIONAL if m == 1 else cyclo(m)
+    assert outcome(parse_scalar, spec, text) == outcome(regex_parse_scalar, spec, text)
+
+
+@given(st.text(alphabet="0123/+-*z^q" + WHITESPACE, max_size=12), st.sampled_from([1, 4, 5]))
+def test_parser_matches_the_regex_oracle(text, m):
+    # str.split() and the regex \s drop the same characters, so every text
+    # gives the same scalar, or the same exception type and text.
+    spec = RATIONAL if m == 1 else cyclo(m)
+    assert outcome(parse_scalar, spec, text) == outcome(regex_parse_scalar, spec, text)
 
 
 def test_serialization_examples():

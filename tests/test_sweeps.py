@@ -20,7 +20,6 @@ from supercohom.cohomology import Cochain, cochain_basis, is_equivariant
 from supercohom.graded import MultilinearMap, Vector
 from supercohom.group_action import (
     ActionRep,
-    apply_rep,
     cyclic_group,
     diagonal_rep,
     induced_action_on_cochains,
@@ -43,6 +42,7 @@ from supercohom.superalgebra import (
 from util import (
     GROUP_SHAPES,
     abelian_algebra,
+    apply_rep,
     dense_apply_rep,
     dense_induced_matrices,
     elementwise_is_equivariant,

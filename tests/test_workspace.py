@@ -218,6 +218,26 @@ def test_zero_denominator_is_a_parse_error_naming_the_cell(value):
         parse(json.dumps(doc))
 
 
+def test_each_scalar_text_is_parsed_once_and_a_bad_one_names_its_first_cell(monkeypatch):
+    import supercohom.workspace as workspace
+
+    texts = []
+    original = workspace.parse_scalar
+
+    def counting(spec, text):
+        texts.append(text)
+        return original(spec, text)
+
+    monkeypatch.setattr(workspace, "parse_scalar", counting)
+    doc = with_z2(gl11_doc())
+    assert parse(json.dumps(doc)) == parse(json.dumps(with_z2(gl11_doc())))
+    assert texts and len(texts) == len(set(texts)) * 2  # two parses, each text once per parse
+    for key in ("e11,e21", "e22,e21"):  # the same bad text twice, in parse order
+        doc["algebra"]["brackets"][key] = {"e21": "1/0x"}
+    with pytest.raises(ParseError, match=r"^algebra\.brackets\['e11,e21'\]\.e21: "):
+        parse(json.dumps(doc))
+
+
 def test_action_cells_read_into_the_same_action_and_name_their_place():
     # Zero cells written as 0, "0" or "0/5" add nothing; every other cell goes
     # through the scalar parser, so a bool is not read as zero.

@@ -17,7 +17,7 @@ from supercohom.graded import (
     superalt_basis,
 )
 from supercohom.group_action import ActionRep, FiniteGroup, cyclic_group
-from supercohom.linalg import mat_identity, mat_mul, rref_rows, solve_rows
+from supercohom.linalg import add_scaled, mat_identity, mat_mul, rref_rows, solve_rows
 from supercohom.scalars import RATIONAL, Scalar, one, scalar, zero
 from supercohom.superalgebra import (
     LieSuperalgebra,
@@ -605,7 +605,7 @@ def dense_equivariant_subspace(rep):
 
 
 def coboundary_raw(f, L, M):
-    """delta f, one canonical (n+1)-tuple at a time, through f.value_at."""
+    """delta f, one canonical (n+1)-tuple at a time, through value_at."""
     from supercohom.cohomology import Cochain
 
     n = f.arity
@@ -631,13 +631,13 @@ def coboundary_raw(f, L, M):
                 rest = S[:i] + S[i + 1 : j] + S[j + 1 :]
                 term = Vector()
                 for t, c in br.coords.items():
-                    val = f.value_at((t,) + rest)
+                    val = value_at(f, (t,) + rest)
                     if not val.is_zero():
                         term = term + val.scale(c)
                 if not term.is_zero():
                     acc = acc + (term if exp % 2 == 0 else -term)
         for i in range(n + 1):
-            val = f.value_at(S[:i] + S[i + 1 :])
+            val = value_at(f, S[:i] + S[i + 1 :])
             if val.is_zero():
                 continue
             term = module_act(M, Vector.basis(S[i], L.spec), val)
@@ -711,7 +711,31 @@ def full_cohomology(n, L, M, rep=None):
 # columns scanned with is_zero, and cochains evaluated through cochain_eval.
 # The reports must agree exactly, counterexample lists included.  The library
 # reads the action table and moves multilinear maps through sparse columns
-# (group_action.pull_back), so module_act and cochain_eval live here.
+# (group_action.pull_back), so module_act, cochain_eval, value_at and
+# apply_rep live here.
+
+
+def value_at(f, T):
+    """f(e_{t_1}, ..., e_{t_n}) for a Cochain f and an arbitrary index tuple."""
+    res = canonicalize_tuple(tuple(T), f.algebra.parities)
+    if res is None:
+        return Vector()
+    S, sign = res
+    out = {}
+    for j in range(len(f.space)):
+        c = f.coords.get((S, j))
+        if c is not None:
+            out[j] = c if sign == 1 else -c
+    return Vector(out)
+
+
+def apply_rep(rep, g, v):
+    """g v through the sparse columns of g."""
+    cols = rep.columns[g]
+    out = {}
+    for j, c in v.coords.items():
+        add_scaled(out, c, cols[j])
+    return Vector(out)
 
 
 def module_act(M, x, v):
@@ -735,17 +759,64 @@ def cochain_eval(f, args):
     if len(args) != f.arity:
         raise ValueError("argument count must equal cochain arity")
     if f.arity == 0:
-        return f.value_at(())
+        return value_at(f, ())
     out = Vector()
     for picks in product(*[list(a.coords.items()) for a in args]):
         idx = tuple(i for i, _ in picks)
-        val = f.value_at(idx)
+        val = value_at(f, idx)
         if val.is_zero():
             continue
         c = picks[0][1]
         for _, extra in picks[1:]:
             c = c * extra
         out = out + val.scale(c)
+    return out
+
+
+def regex_parse_scalar(spec, text):
+    """parse_scalar as it was written with per-call regexes: whitespace
+    removed by re.sub(r"\\s+", ...) and terms split by re.split.  The
+    reference for the library's str.split() and precompiled split pattern."""
+    import re
+
+    from supercohom.errors import ParseError
+    from supercohom.scalars import _TERM_RE, _new
+    from math import gcd
+
+    s = re.sub(r"\s+", "", text)
+    body = s[1:] if s[:1] in ("+", "-") else s
+    num, slash, den = body.partition("/")
+    if num.isascii() and num.isdigit() and (not slash or (den.isascii() and den.isdigit() and int(den))):
+        p, q = int(num), int(den) if slash else 1
+        g = gcd(p, q)
+        return _new(spec, ((-p if s[0] == "-" else p) // g,) + (0,) * (spec.degree - 1), q // g)
+    if not s:
+        raise ParseError("empty scalar")
+    pieces = [p for p in re.split(r"(?=[+-])", s) if p not in ("", "+", "-")]
+    if not pieces:
+        raise ParseError(f"cannot parse scalar {text!r}")
+    accum = {}
+    for piece in pieces:
+        mt = _TERM_RE.match(piece)
+        if not mt:
+            raise ParseError(f"bad term {piece!r} in scalar {text!r}")
+        if mt.group("coeff") is not None:
+            try:
+                coeff = Fraction(mt.group("coeff"))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in term {piece!r} of scalar {text!r}") from None
+            exp = (int(mt.group("exp1")) if mt.group("exp1") else 1) if "*z" in piece else 0
+        else:
+            coeff = Fraction(-1 if mt.group("sign") == "-" else 1)
+            exp = int(mt.group("exp2")) if mt.group("exp2") else 1
+        accum[exp] = accum.get(exp, Fraction(0)) + coeff
+    if spec.kind == "rational":
+        if any(e != 0 for e in accum):
+            raise ParseError(f"z is not an element of the rational field: {text!r}")
+        return Scalar(spec, [accum.get(0, Fraction(0))])
+    out = zero(spec)
+    for exp, c in accum.items():  # z^m = 1, and Scalar reduces modulo Phi_m
+        out = out + Scalar(spec, [0] * (exp % spec.conductor) + [c])
     return out
 
 
@@ -1012,7 +1083,7 @@ def elementwise_is_equivariant(f, rep_L, rep_M, L, M):
         for T in superalt_basis(L.basis, f.arity):
             args = [dense_apply_rep(rep_L, ginv, Vector.basis(t, spec)) for t in T]
             lhs = dense_apply_rep(rep_M, g, cochain_eval(f, args))
-            rhs = f.value_at(T)
+            rhs = value_at(f, T)
             if lhs != rhs:
                 return False
     return True
@@ -1260,12 +1331,12 @@ def star_value(F, Fp, T):
         # no slot of F receives the second factor; the product collapses
         return Vector()
     head, tail = T[: F.arity - 1], T[F.arity - 1 :]
-    inner = Fp.value_at(tail)
+    inner = value_at(Fp, tail)
     if inner.is_zero():
         return Vector()
     acc = Vector()
     for k, c in inner.coords.items():
-        acc = acc + F.value_at(head + (k,)).scale(c)
+        acc = acc + value_at(F, head + (k,)).scale(c)
     if Fp.parity and sum(F.space.parities[t] for t in head) % 2:
         return -acc
     return acc
@@ -1316,6 +1387,19 @@ def elementwise_circ(F, Fp):
     return Cochain(m, parity, space, space, coords)
 
 
+def two_circ_nr_bracket(F, Fp):
+    """[F, F'] = F o F' - (-1)^{zz'+ff'} F' o F, z = arity - 1, with both
+    circs computed: the formula that nr_bracket shortcuts for [F, F]."""
+    from supercohom.cohomology import Cochain
+    from supercohom.nr_bracket import circ
+
+    left, right = circ(F, Fp), circ(Fp, F)
+    if ((F.arity - 1) * (Fp.arity - 1) + F.parity * Fp.parity) % 2 == 0:
+        minus = {key: -c for key, c in right.coords.items()}
+        right = Cochain(right.arity, right.parity, right.algebra, right.space, minus)
+    return left.add(right)
+
+
 def _identity_triples(d, pairs):
     """sum over (i, j) in pairs of the deformation identity terms, by triple."""
     L = d.base
@@ -1328,9 +1412,9 @@ def _identity_triples(d, pairs):
         acc = Vector()
         for i, j in pairs:
             mi, mj = d.terms[i], d.terms[j]
-            t1 = cochain_eval(mi, [ea, mj.value_at((b, c))])
-            t2 = cochain_eval(mi, [mj.value_at((a, b)), ec])
-            t3 = cochain_eval(mi, [eb, mj.value_at((a, c))])
+            t1 = cochain_eval(mi, [ea, value_at(mj, (b, c))])
+            t2 = cochain_eval(mi, [value_at(mj, (a, b)), ec])
+            t3 = cochain_eval(mi, [eb, value_at(mj, (a, c))])
             acc = acc + t1 + (-t2) + (t3 if sign_ab else -t3)
         if not acc.is_zero():
             out[T] = acc
@@ -1397,8 +1481,8 @@ def elementwise_gauge_transform(d, g):
                         p = k - i - j - l
                         if j > N:
                             continue
-                        va = phi[l].value_at((a,))
-                        vb = phi[p].value_at((b,))
+                        va = value_at(phi[l], (a,))
+                        vb = value_at(phi[p], (b,))
                         inner = cochain_eval(d.terms[j], [va, vb])
                         if inner.is_zero():
                             continue
