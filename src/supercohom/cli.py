@@ -46,7 +46,7 @@ from .extension import ExtensionDatum, build_extension, classify_extensions, jac
 from .graded import GradedBasis, Vector
 from .nr_bracket import bracket_to_element, mc_check
 from .scalars import serialize_scalar
-from .workspace import ADJOINT, Workspace, _vector_doc, load
+from .workspace import ADJOINT, Workspace, _brackets_doc, _coords_doc, _vector_doc, load
 
 
 def _field_str(spec) -> str:
@@ -83,14 +83,6 @@ def _cochain_text(ws: Workspace, f: Cochain, space: GradedBasis) -> list[str]:
         f"  {_tuple_str(names, T)} -> {_vec_str(space, vec)}"
         for T, vec in f.by_tuple().items()
     ]
-
-
-def _cochain_json(ws: Workspace, f: Cochain, space: GradedBasis) -> dict:
-    names = ws.algebra.basis.names
-    return {
-        ",".join(names[i] for i in T) + "|" + space.names[j]: serialize_scalar(c)
-        for (T, j), c in sorted(f.coords.items())
-    }
 
 
 class _Emitter:
@@ -258,7 +250,6 @@ def _cmd_deform_obstruct(args) -> int:
         out.data = {"deformation": args.deformation, "valid": False, "failing": at}
         out.flush()
         return 1
-    names = ws.algebra.basis.names
     out.text(f"obstruction at order {d.order + 1}:")
     if rpt.cochain.is_zero():
         out.text("  0")
@@ -268,7 +259,7 @@ def _cmd_deform_obstruct(args) -> int:
     out.text(f"solvable: {'yes' if rpt.solvable else 'NO'}")
     next_doc = None
     if rpt.solvable and rpt.next_term is not None:
-        next_doc = _cochain_json(ws, rpt.next_term, ws.algebra.basis)
+        next_doc = _coords_doc(ws.algebra.basis, ws.algebra.basis, rpt.next_term)
         out.text(f"a next term extending the deformation to order {d.order + 1}:")
         if rpt.next_term.is_zero():
             out.text("  0")
@@ -282,7 +273,7 @@ def _cmd_deform_obstruct(args) -> int:
     out.data = {
         "deformation": args.deformation,
         "valid": True,
-        "obstruction": _cochain_json(ws, rpt.cochain, ws.algebra.basis),
+        "obstruction": _coords_doc(ws.algebra.basis, ws.algebra.basis, rpt.cochain),
         "closed": rpt.closed,
         "solvable": rpt.solvable,
         "next_term": next_doc,
@@ -324,7 +315,6 @@ def _cmd_extend(args) -> int:
     out.text(f"glue {args.cocycle} into module {ws.cochains[args.cocycle].module}")
     out.text(f"2-cocycle: {'yes' if rpt.is_cocycle else 'NO'}")
     out.text(f"extension satisfies jacobi: {'yes' if rpt.jacobi else 'NO'}")
-    doc_brackets = {}
     if rpt.jacobi:
         E = build_extension(datum)
         names = E.basis.names
@@ -334,12 +324,11 @@ def _cmd_extend(args) -> int:
             if i > j or vec.is_zero():
                 continue
             out.text(f"  [{names[i]}, {names[j]}] = {_vec_str(E.basis, vec)}")
-            doc_brackets[f"{names[i]},{names[j]}"] = _vector_doc(E.basis, vec)
     out.data = {
         "cocycle": args.cocycle,
         "is_cocycle": rpt.is_cocycle,
         "jacobi": rpt.jacobi,
-        "extension": doc_brackets if rpt.jacobi else None,
+        "extension": _brackets_doc(E) if rpt.jacobi else None,
     }
     out.flush()
     return 0 if rpt.is_cocycle and rpt.jacobi else 1
@@ -358,7 +347,7 @@ def _cmd_extend_classify(args) -> int:
         out.text(f"class {k + 1}:")
         for line in _cochain_text(ws, f, module.space):
             out.text(line)
-        doc.append(_cochain_json(ws, f, module.space))
+        doc.append(_coords_doc(ws.algebra.basis, module.space, f))
     out.data = {"module": args.module, "count": len(classes), "classes": doc}
     out.flush()
     return 0

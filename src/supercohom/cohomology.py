@@ -127,6 +127,8 @@ def is_equivariant(f: Cochain, rep_L: ActionRep, rep_M: ActionRep, L, M) -> bool
     f(g^-1 e_T) is read off through the sparse columns of g^-1 (pull_back),
     pushed through the sparse columns of g, and compared once with f(T).
     """
+    if not f.coords:  # 0 is fixed by every g
+        return True
     by_tuple: dict[tuple[int, ...], Row] = {}
     for (T, j), c in f.coords.items():
         by_tuple.setdefault(T, {})[j] = c
@@ -186,6 +188,8 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None
     for k, col in enumerate(cols):
         for t, c in col.items():
             B.setdefault(t, {})[k] = c
+    if not B:  # delta of zero columns has only zero rows, which are left out
+        return {}
     par, parM = L.basis.parities, M.space.parities
     dimM = len(parM)
     tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}

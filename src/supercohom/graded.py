@@ -90,9 +90,6 @@ class Vector:
     def __eq__(self, other):
         return isinstance(other, Vector) and self.coords == other.coords
 
-    def __hash__(self):
-        return hash(frozenset(self.coords.items()))
-
     def get(self, i: int, spec: FieldSpec) -> Scalar:
         return self.coords.get(i, zero(spec))
 

@@ -158,16 +158,7 @@ class Scalar:
     def __sub__(self, other):
         if type(other) is not Scalar or other.spec is not self.spec:
             self._check(other)
-        a, b, da, db = self.num, other.num, self.den, other.den
-        if len(a) == 1:
-            if da == db:
-                n = a[0] - b[0]
-                return _new(self.spec, (n,), 1) if da == 1 else _reduced1(self.spec, n, da)
-            return _reduced1(self.spec, a[0] * db - b[0] * da, da * db)
-        if da == db:
-            out = [x - y for x, y in zip(a, b)]
-            return _new(self.spec, tuple(out), 1) if da == 1 else _reduced(self.spec, out, da)
-        return _reduced(self.spec, [x * db - y * da for x, y in zip(a, b)], da * db)
+        return self + (-other)
 
     def __neg__(self):
         return _new(self.spec, tuple([-x for x in self.num]), self.den)

@@ -1,10 +1,12 @@
 """Lie superalgebras and modules presented by structure constants.
 
-Brackets are stored as full component tables over a graded basis.  The
-matrix-algebra constructors derive their tables from the super-commutator
-[a, b] = ab - (-1)^{|a||b|} ba of honest matrices, so the table is never
-written down by hand.  Every other constructor gives one entry per unordered
-pair to from_pairs, which writes the mirrored half.
+Brackets are stored as full component tables over a graded basis.  Every
+constructor gives one entry per unordered pair to from_pairs, which writes
+the mirrored half and is the one place that builds a LieSuperalgebra.  The
+matrix superalgebras gl(m|n) and sl(m|n) go through one builder,
+_matrix_superalgebra, which takes each entry from the super-commutator
+[a, b] = ab - (-1)^{|a||b|} ba of sparse matrices, so their tables are never
+written down by hand.
 
 The super-Jacobi identity and the module axiom are checked by sweeps over
 these sparse tables: for each canonical triple (or algebra-algebra-module
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BasisMismatch, ValidationError
 from .graded import GradedBasis, MultilinearMap, Vector, superalt_basis, vec_str
-from .linalg import lin_comb, mat_mul, solve_rows
+from .linalg import lin_comb, mat_mul, rref_rows
 from .scalars import RATIONAL, FieldSpec, Scalar, cyclo, one, root_of_unity, scalar, zero
 
 
@@ -279,43 +281,63 @@ def zero_module(L: LieSuperalgebra, space: GradedBasis) -> LModule:
 
 
 def _gl_layout(m: int, n: int):
+    """The matrix units (i, j) of gl(m|n), even ones first, each part row-major."""
     N = m + n
-    block = lambda i: 0 if i <= m else 1
+    odd = lambda p: (p[0] <= m) != (p[1] <= m)
+    ordered = sorted(((i, j) for i in range(1, N + 1) for j in range(1, N + 1)), key=lambda p: (odd(p), p))
+    names = tuple(f"e{i}{j}" if N <= 9 else f"e{i}_{j}" for i, j in ordered)
+    parities = tuple(int(odd(p)) for p in ordered)
+    return ordered, names, parities, {p: t for t, p in enumerate(ordered)}
 
-    def label(i, j):
-        return f"e{i}{j}" if N <= 9 else f"e{i}_{j}"
 
-    pairs = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-    evens = [(i, j) for (i, j) in pairs if block(i) == block(j)]
-    odds = [(i, j) for (i, j) in pairs if block(i) != block(j)]
-    ordered = evens + odds
-    names = tuple(label(i, j) for (i, j) in ordered)
-    parities = tuple([0] * len(evens) + [1] * len(odds))
-    index = {p: t for t, p in enumerate(ordered)}
-    return ordered, names, parities, index
+def _super_commutator(a: dict, b: dict, odd: bool) -> dict:
+    """ab - (-1)^{|a||b|} ba of sparse matrices {(row, col): Scalar}, without
+    zero entries; odd says whether a and b are both odd."""
+    return lin_comb(
+        (-u if neg else u, {(r, c): v})
+        for x, y, neg in ((a, b, False), (b, a, not odd))
+        for (r, k), u in x.items()
+        for (k2, c), v in y.items()
+        if k == k2
+    )
+
+
+def _matrix_superalgebra(basis: GradedBasis, spec: FieldSpec, mats: list[dict]) -> LieSuperalgebra:
+    """The span of the linearly independent sparse matrices mats
+    ({(row, col): Scalar}, one per basis element) under the super-commutator,
+    through from_pairs.
+
+    The matrices are reduced once, each as a row over the matrix entries with
+    one tag column per basis element appended, so a reduced row is a matrix
+    of the span next to its coordinates.  A commutator in the span is the
+    combination of the reduced rows read off at its pivot entries; a residue,
+    or an entry outside every matrix, means the span is not closed.
+    """
+    o = one(spec)
+    keys = dict.fromkeys(key for mat in mats for key in mat)
+    entry = {key: c for c, key in enumerate(keys)}  # (row, col) -> column of the reduction
+    E = len(entry)
+    reduced, pivots = rref_rows({**{entry[k]: x for k, x in mat.items()}, E + t: o} for t, mat in enumerate(mats))
+    by_pivot = dict(zip(pivots, reduced))
+    names, par = basis.names, basis.parities
+    pairs: dict[tuple[int, int], Vector] = {}
+    for i, a in enumerate(mats):
+        for j in range(i, len(mats)):
+            comm = _super_commutator(a, mats[j], par[i] and par[j])
+            row = {entry[key]: x for key, x in comm.items() if key in entry}
+            acc = lin_comb((x, by_pivot[p]) for p, x in row.items() if p in by_pivot)
+            if len(row) < len(comm) or {c: x for c, x in acc.items() if c < E} != row:
+                raise ValidationError(f"[{names[i]}, {names[j]}] leaves the span of the matrices")
+            pairs[(i, j)] = Vector({c - E: x for c, x in acc.items() if c >= E})
+    return from_pairs(basis, spec, pairs)
 
 
 def make_gl(m: int, n: int, spec: FieldSpec = RATIONAL) -> LieSuperalgebra:
     if m + n < 1:
         raise ValueError("need at least a one-dimensional space")
-    ordered, names, parities, index = _gl_layout(m, n)
-    basis = GradedBasis(names, parities)
+    ordered, names, parities, _ = _gl_layout(m, n)
     o = one(spec)
-    comp: dict[tuple[int, int], Vector] = {}
-    for p1, (i, j) in enumerate(ordered):
-        for p2, (k, l) in enumerate(ordered):
-            coords: dict[int, Scalar] = {}
-            if j == k:
-                coords[index[(i, l)]] = coords.get(index[(i, l)], zero(spec)) + o
-            if l == i:
-                sign = -o if (parities[p1] * parities[p2]) % 2 == 0 else o
-                t = index[(k, j)]
-                coords[t] = coords.get(t, zero(spec)) + sign
-            vec = Vector(coords)
-            if not vec.is_zero():
-                comp[(p1, p2)] = vec
-    bracket = MultilinearMap(2, 0, basis, basis, comp)
-    return LieSuperalgebra(basis, spec, bracket)
+    return _matrix_superalgebra(GradedBasis(names, parities), spec, [{p: o} for p in ordered])
 
 
 def supertrace(m: int, n: int, a: Vector, spec: FieldSpec = RATIONAL) -> Scalar:
@@ -331,80 +353,18 @@ def supertrace(m: int, n: int, a: Vector, spec: FieldSpec = RATIONAL) -> Scalar:
     return total
 
 
-def _matrix_of(entries: dict[tuple[int, int], Scalar], N: int, spec: FieldSpec):
-    out = [[zero(spec) for _ in range(N)] for _ in range(N)]
-    for (i, j), c in entries.items():
-        out[i - 1][j - 1] = c
-    return out
-
-
 def make_sl(m: int, n: int, spec: FieldSpec = RATIONAL) -> LieSuperalgebra:
     if m + n < 2:
         raise ValueError("need an at least two-dimensional space")
-    N = m + n
-    block = lambda i: 0 if i <= m else 1
+    ordered, gl_names, gl_parities, _ = _gl_layout(m, n)
     o = one(spec)
-
-    def elabel(i, j):
-        return f"e{i}{j}" if N <= 9 else f"e{i}_{j}"
-
-    offdiag = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1) if i != j]
-    offdiag_sorted = sorted(offdiag, key=lambda p: (block(p[0]) != block(p[1]), p))
-
-    mats: list = []
-    names: list[str] = []
-    parities: list[int] = []
-    for i in range(1, N):
-        names.append(f"h{i}")
-        parities.append(0)
-        if i != m:
-            mats.append(_matrix_of({(i, i): o, (i + 1, i + 1): -o}, N, spec))
-        else:
-            # Crossing the block boundary the supertrace flips sign, so the
-            # traceless combination is a sum there.
-            mats.append(_matrix_of({(i, i): o, (i + 1, i + 1): o}, N, spec))
-    for i, j in offdiag_sorted:
-        names.append(elabel(i, j))
-        parities.append(int(block(i) != block(j)))
-        mats.append(_matrix_of({(i, j): o}, N, spec))
-    basis = GradedBasis(tuple(names), tuple(parities))
-
-    h_rows = [
-        {t: mats[t][d][d] for t in range(N - 1) if not mats[t][d][d].is_zero()}
-        for d in range(N)
-    ]
-
-    def decompose(mat) -> Vector:
-        coords: dict[int, Scalar] = {}
-        for t, (i, j) in enumerate(offdiag_sorted):
-            c = mat[i - 1][j - 1]
-            if not c.is_zero():
-                coords[N - 1 + t] = c
-        diag = [mat[d][d] for d in range(N)]
-        sol = solve_rows(h_rows, diag, N - 1)
-        if sol is None:
-            raise ValidationError("bracket left the supertraceless subspace")
-        coords.update(sol)
-        return Vector(coords)
-
-    comp: dict[tuple[int, int], Vector] = {}
-    for p1 in range(len(mats)):
-        for p2 in range(len(mats)):
-            ab = mat_mul(mats[p1], mats[p2], spec)
-            ba = mat_mul(mats[p2], mats[p1], spec)
-            sign = -1 if (parities[p1] * parities[p2]) % 2 == 0 else 1
-            comm = [
-                [
-                    ab[r][c] + ba[r][c] if sign == 1 else ab[r][c] - ba[r][c]
-                    for c in range(N)
-                ]
-                for r in range(N)
-            ]
-            vec = decompose(comm)
-            if not vec.is_zero():
-                comp[(p1, p2)] = vec
-    bracket = MultilinearMap(2, 0, basis, basis, comp)
-    return LieSuperalgebra(basis, spec, bracket)
+    # Crossing the block boundary the supertrace flips sign, so the traceless
+    # combination is a sum there.
+    hs = [{(i, i): o, (i + 1, i + 1): o if i == m else -o} for i in range(1, m + n)]
+    off = [t for t, (i, j) in enumerate(ordered) if i != j]
+    names = [f"h{i}" for i in range(1, m + n)] + [gl_names[t] for t in off]
+    basis = GradedBasis(names, [0] * len(hs) + [gl_parities[t] for t in off])
+    return _matrix_superalgebra(basis, spec, hs + [{ordered[t]: o} for t in off])
 
 
 # -- the N=1 super-Poincare algebra ------------------------------------------

@@ -447,14 +447,18 @@ def _matrix_doc(mat) -> list:
     return [[serialize_scalar(c) for c in row] for row in mat]
 
 
+def _coords_doc(algebra: GradedBasis, space: GradedBasis, f: Cochain) -> dict:
+    """A cochain's coordinates as {"x,y|m": scalar text}."""
+    return {
+        ",".join(algebra.names[i] for i in T) + "|" + space.names[j]: serialize_scalar(c)
+        for (T, j), c in f.coords.items()
+    }
+
+
 def _cochain_doc(ws: Workspace, entry: CochainEntry) -> dict:
     f = entry.cochain
-    names = ws.algebra.basis.names
     module, _ = ws.resolve_module(entry.module)
-    coords = {}
-    for (T, j), c in f.coords.items():
-        key = ",".join(names[i] for i in T) + "|" + module.space.names[j]
-        coords[key] = serialize_scalar(c)
+    coords = _coords_doc(ws.algebra.basis, module.space, f)
     return {"arity": f.arity, "parity": f.parity, "module": entry.module, "coords": coords}
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercohom import cohomology as cohomology_module
 from supercohom.cohomology import (
     Cochain,
     _delta_rows,
@@ -28,7 +29,14 @@ from supercohom.cohomology import (
     zero_cochain,
 )
 from supercohom.errors import BasisMismatch, ValidationError
-from supercohom.graded import GradedBasis, Vector, canonicalize_tuple, cochain_coords, superalt_basis
+from supercohom.graded import (
+    GradedBasis,
+    MultilinearMap,
+    Vector,
+    canonicalize_tuple,
+    cochain_coords,
+    superalt_basis,
+)
 from supercohom.group_action import (
     cyclic_group,
     diagonal_rep,
@@ -618,6 +626,28 @@ def test_coboundary_of_sparse_equivariant_cochains_matches_the_oracle(n):
             cochains.append(same[0].add(same[-1]))
         for f in cochains:
             assert coboundary(f, L, M, reps) == coboundary_raw(f, L, M)
+
+
+@pytest.mark.parametrize("with_group", [False, True], ids=["plain", "swap-Z2"])
+def test_zero_cochain_costs_nothing(monkeypatch, with_group):
+    # delta 0 = 0 and 0 is fixed by every g, so neither the sweep nor the
+    # equivariance check reads a bracket entry or pulls anything back.
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    rep = gl11_swap_rep(L) if with_group else None
+    f = zero_cochain(2, 0, L, M)
+
+    def refuse(*args):
+        raise AssertionError("the zero cochain did some work")
+
+    monkeypatch.setattr(MultilinearMap, "at", refuse)
+    monkeypatch.setattr(cohomology_module, "pull_back", refuse)
+    got = coboundary(f, L, M, rep)
+    if with_group:
+        assert is_equivariant(f, *resolve_reps(rep, L, M), L, M)
+    monkeypatch.undo()
+    assert got == zero_cochain(3, 0, L, M)
+    assert got == coboundary_raw(f, L, M)
 
 
 @pytest.mark.parametrize("with_group", [False, True], ids=["plain", "sign-Z2"])

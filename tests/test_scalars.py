@@ -276,6 +276,8 @@ def test_field_mismatch_between_rational_and_conductor_one():
     # Same underlying field, deliberately distinct specs.
     with pytest.raises(FieldMismatch):
         one(RATIONAL) + one(cyclo(1))
+    with pytest.raises(FieldMismatch):
+        one(RATIONAL) - one(cyclo(1))
 
 
 def test_canonical_form_idempotence():

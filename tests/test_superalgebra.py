@@ -1,6 +1,8 @@
 """Structure-constant tables checked against plain Fraction matrix arithmetic."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from supercohom.graded import GradedBasis, MultilinearMap, Vector
 from supercohom.scalars import RATIONAL, cyclo, one, root_of_unity, scalar, zero
 from supercohom.superalgebra import (
     LieSuperalgebra,
+    _matrix_superalgebra,
     adjoint_module,
     adjoint_submodule,
     bracket_eval,
@@ -61,7 +64,7 @@ def vector_to_matrix(v, basis, N):
     return out
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_gl_bracket_matches_matrix_oracle(m, n):
     L = make_gl(m, n)
     N = m + n
@@ -211,8 +214,8 @@ def test_sl11_table():
     assert supertrace(1, 1, ident).is_zero()
 
 
-def test_sl_closure_against_matrix_oracle():
-    m, n = 2, 1
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_sl_closure_against_matrix_oracle(m, n):
     N = m + n
     L = make_sl(m, n)
     mats = []
@@ -240,6 +243,40 @@ def test_sl_closure_against_matrix_oracle():
         for p2 in range(len(L.basis)):
             want = fsupercomm(mats[p1], mats[p2], L.basis.parities[p1], L.basis.parities[p2])
             assert expand(L.bracket.at((p1, p2))) == want
+
+
+def test_matrix_builder_refuses_a_span_that_is_not_closed():
+    # [e12, e21] = e11 + e22 in gl(1|1), which leaves the span of the odd pair.
+    o = one(RATIONAL)
+    basis = GradedBasis(("e12", "e21"), (1, 1))
+    with pytest.raises(ValidationError, match=r"\[e12, e21\] leaves the span"):
+        _matrix_superalgebra(basis, RATIONAL, [{(1, 2): o}, {(2, 1): o}])
+    # With the traceless e11 - e22 added, e11 + e22 meets only known entries
+    # but leaves a residue: the span is not the supertraceless sl(1|1).
+    basis = GradedBasis(("h", "e12", "e21"), (0, 1, 1))
+    with pytest.raises(ValidationError, match=r"\[e12, e21\] leaves the span"):
+        _matrix_superalgebra(basis, RATIONAL, [{(1, 1): o, (2, 2): -o}, {(1, 2): o}, {(2, 1): o}])
+
+
+def test_only_from_pairs_builds_an_algebra_or_a_bracket_table():
+    src = Path(__file__).parent.parent / "src" / "supercohom"
+    builders = {"LieSuperalgebra", "MultilinearMap"}
+    stray = []
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "from_pairs":
+                allowed |= {id(call) for call in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))  # f(...) or mod.f(...)
+            if name in builders:
+                stray.append(f"{path.name}:{node.lineno} {name}")
+    assert stray == []
 
 
 def test_super_poincare_frozen_components():
