@@ -6,7 +6,11 @@ _family, sparse columns over the raw cochain_coords indices with one parity
 per column (the unit coordinates, or the certified Reynolds columns of
 group_action.equivariant_subspace).  Only _family builds it; cochain_basis
 wraps its columns as Cochains, and cohomology builds Cochains only for the
-representatives.
+representatives.  Under a group the certified columns are built once per
+degree and pair of actions and kept on the action
+(group_action._fixed_cochains), so cohomology, coboundary_preimage,
+cochain_basis and coboundary_matrix on the same actions share them, and a
+later _family only applies its weight filter.
 
 The coboundary is assembled by one sweep over the canonical (n+1)-tuples
 (_delta_rows): each bracket and module-action term goes straight into a
@@ -48,8 +52,7 @@ from .errors import BasisMismatch, ValidationError
 from .graded import GradedBasis, Vector, cochain_coords, superalt_basis
 from .group_action import (
     ActionRep,
-    equivariant_subspace,
-    induced_action_on_cochains,
+    _fixed_cochains,
     pull_back,
     resolve_reps,
     swept_elements,
@@ -135,10 +138,11 @@ def is_equivariant(f: Cochain, rep_L: ActionRep, rep_M: ActionRep, L, M) -> bool
     o = one(L.spec)
     memo: dict = {}
     group = rep_L.group
+    canon = superalt_basis(L.basis, f.arity)
     for g in swept_elements(rep_L, rep_M):
         A = rep_L.columns[group.inverse(g)]
         B = rep_M.columns[g]
-        for T in superalt_basis(L.basis, f.arity):
+        for T in canon:
             terms = pull_back(A, T, L.basis.parities, o, memo).items()
             value = lin_comb((c, by_tuple[S]) for S, c in terms if S in by_tuple)
             if lin_comb((c, B[j]) for j, c in value.items()) != by_tuple.get(T, {}):
@@ -152,11 +156,16 @@ def coboundary(f: Cochain, L: LieSuperalgebra, M: LModule, rep=None) -> Cochain:
     reps = resolve_reps(rep, L, M)
     if reps is not None and not is_equivariant(f, reps[0], reps[1], L, M):
         raise ValidationError("cochain is not equivariant under the given action")
-    n = f.arity
-    pos = _positions(n, L, M)
-    rows = _delta_rows(n, L, M, [{pos[key]: c for key, c in f.coords.items()}])
-    cod = cochain_coords(L.basis, n + 1, M.space)
-    return Cochain(n + 1, f.parity, L.basis, M.space, {cod[r]: row[0] for r, row in rows.items()})
+    # (T, j) is raw index (index of T in superalt_basis) * dim M + j, in C^n and in C^(n+1).
+    n, dimM = f.arity, len(M.space)
+    col: Row = {}
+    if f.coords:
+        tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
+        col = {tpos[T] * dimM + j: c for (T, j), c in f.coords.items()}
+    rows = _delta_rows(n, L, M, [col])
+    cod = superalt_basis(L.basis, n + 1) if rows else []
+    coords = {(cod[r // dimM], r % dimM): row[0] for r, row in rows.items()}
+    return Cochain(n + 1, f.parity, L.basis, M.space, coords)
 
 
 def _positions(n: int, L: LieSuperalgebra, M: LModule) -> dict:
@@ -313,32 +322,27 @@ def _family(
     the number of basis members of each parity left out.
 
     Without a group the members are the coordinate unit vectors.  With one
-    they are the certified Reynolds columns of equivariant_subspace; each is
-    homogeneous, since the action is even, and lies in one weight, since G
-    fixes h.  When the packed weights wt of _weights are given, only the
-    members of weight 0 are kept.
+    they are the certified Reynolds columns of equivariant_subspace, built
+    once per degree and pair of actions (group_action._fixed_cochains); each
+    is homogeneous, since the action is even, and lies in one weight, since
+    G fixes h.  When the packed weights wt of _weights are given, only the
+    members of weight 0 are kept.  Under a group the column dicts are the
+    memo's and must not be mutated.
     """
     reps = resolve_reps(rep, L, M)
     if reps is None:
         o, par = one(L.spec), L.basis.parities
-        members = [
-            ({t: o}, (sum(par[i] for i in T) + M.space.parities[j]) % 2)
-            for t, (T, j) in enumerate(cochain_coords(L.basis, n, M.space))
-        ]
+        coords = cochain_coords(L.basis, n, M.space)
+        all_cols = [{t: o} for t in range(len(coords))]
+        all_par = [(sum(par[i] for i in T) + M.space.parities[j]) % 2 for T, j in coords]
     else:
-        induced = induced_action_on_cochains(reps[0], reps[1], L, M, n)
-        members = []
-        for col in equivariant_subspace(induced):
-            found = {induced.parities[t] for t in col}
-            if len(found) != 1:
-                raise ValidationError("fixed-space basis vector mixes parities")
-            members.append((col, found.pop()))
+        all_cols, all_par = _fixed_cochains(reps[0], reps[1], L, M, n)
     if wt is None:
-        return [col for col, _ in members], [p for _, p in members], [0, 0]
+        return all_cols, all_par, [0, 0]
     wL, wM = wt
     weight = [w - s for s in (sum([wL[x] for x in T]) for T in superalt_basis(L.basis, n)) for w in wM]
     cols, parities, left_out = [], [], [0, 0]
-    for col, p in members:
+    for col, p in zip(all_cols, all_par):
         if weight[min(col)] == 0:
             cols.append(col)
             parities.append(p)

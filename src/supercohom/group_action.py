@@ -39,7 +39,16 @@ form a representation, so it does not stop at the generators.  A sign slip
 in an induced action, or matrices that do not form a representation, show
 up here as an OracleDisagreement rather than as a silently wrong cohomology
 dimension.  The certified columns are returned as they are, sparse, and
-become the columns of cohomology._family.
+become the columns of cohomology._family.  The pivots are chosen on the
+unscaled orbit sums sum_g g, and only the returned columns are scaled.
+
+The induced action on C^n hands over unit columns for the identity when it
+acts as one on both L and M, instead of pulling back every tuple.  Each
+certified family of G-fixed n-cochains is built once per (n, rep_L, rep_M)
+by _fixed_cochains and kept on rep_L, next to the is_representation and
+acts_by_automorphisms verdicts; only its columns and their parities are
+kept, and every call checks the parities of the two spaces before it reads
+the memo.
 """
 
 from __future__ import annotations
@@ -144,6 +153,8 @@ class ActionRep:
         self._matrices = None
         self._is_representation: bool | None = None
         self._automorphisms: tuple[LieSuperalgebra, bool] | None = None  # (L, verdict)
+        # _fixed_cochains: (n, id(rep_M)) -> (rep_M, certified columns, parities), as tuples
+        self._fixed_families: dict = {}
         d = len(self.parities)
         if columns is None:
             if any(len(mat) != d or any(len(row) != d for row in mat) for mat in matrices):
@@ -437,6 +448,14 @@ def pull_back(
     return acc
 
 
+def _check_cochain_spaces(rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule) -> None:
+    """The two actions live over one field, on the spaces of L and of M."""
+    if rep_L.spec != rep_M.spec:
+        raise FieldMismatch("algebra and module actions live over different fields")
+    if rep_L.parities != L.basis.parities or rep_M.parities != M.space.parities:
+        raise BasisMismatch("representation spaces do not match algebra/module bases")
+
+
 def induced_action_on_cochains(
     rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
 ) -> ActionRep:
@@ -444,11 +463,10 @@ def induced_action_on_cochains(
 
     Built column by column from the sparse columns of g^{-1} on L and of g on
     M; the result is handed over as columns, so no dense matrix is filled.
+    When the identity acts as one on both L and M, its columns are the unit
+    columns, handed over without pulling back any tuple.
     """
-    if rep_L.spec != rep_M.spec:
-        raise FieldMismatch("algebra and module actions live over different fields")
-    if rep_L.parities != L.basis.parities or rep_M.parities != M.space.parities:
-        raise BasisMismatch("representation spaces do not match algebra/module bases")
+    _check_cochain_spaces(rep_L, rep_M, L, M)
     spec = rep_L.spec
     group = rep_L.group
     canon = superalt_basis(L.basis, n)
@@ -459,14 +477,19 @@ def induced_action_on_cochains(
         (sum(L.basis.parities[i] for i in T) + M.space.parities[j]) % 2
         for T, j in cochain_coords(L.basis, n, M.space)
     )
+    o = one(spec)
+    unit = _acts_as_one(rep_L, group.identity) and _acts_as_one(rep_M, group.identity)
     memo: dict = {}
     columns = []
     for g in range(group.order):
+        if unit and g == group.identity:
+            columns.append([{t: o} for t in range(len(parities))])
+            continue
         A = rep_L.columns[group.inverse(g)]
         B = rep_M.columns[g]
         cols: list[Row] = [{} for _ in parities]
         for k, S in enumerate(canon):
-            for T, c in pull_back(A, S, L.basis.parities, one(spec), memo).items():
+            for T, c in pull_back(A, S, L.basis.parities, o, memo).items():
                 if c.is_zero():
                     continue
                 for j, image in enumerate(B):
@@ -484,7 +507,9 @@ def equivariant_subspace(rep: ActionRep) -> list[Row]:
 
     The basis is the pivot columns of the Reynolds operator
     R = (1/|G|) sum_g g, read left to right, each a {row: Scalar} dict
-    without zeros, returned as certified.  Certificate: each returned
+    without zeros, returned as certified.  The pivots are chosen on the
+    orbit sums sum_g g, which have the same pivot columns, and only the
+    returned columns are scaled by 1/|G|.  Certificate: each returned
     column v has g v = v for every g (an identity that acts as the identity
     is not multiplied out), so the columns, independent by
     construction, span exactly the fixed space (any fixed v has R v = v);
@@ -492,19 +517,20 @@ def equivariant_subspace(rep: ActionRep) -> list[Row]:
     Either failure raises OracleDisagreement.
     """
     spec, group = rep.spec, rep.group
-    reynolds: list[Row] = [{} for _ in range(rep.dim)]
+    sums: list[Row] = [{} for _ in range(rep.dim)]
     trace_sum = zero(spec)
     for cols in rep.columns:
         for j, col in enumerate(cols):
-            acc = reynolds[j]
+            acc = sums[j]
             for i, x in col.items():
                 prev = acc.get(i)
                 acc[i] = x if prev is None else prev + x
             if j in col:
                 trace_sum = trace_sum + col[j]
     inv_order = scalar(spec, Fraction(1, group.order))
-    reynolds = [{i: x * inv_order for i, x in col.items() if not x.is_zero()} for col in reynolds]
-    fixed = [reynolds[c] for c in pivot_columns(reynolds)]
+    fixed = [
+        {i: x * inv_order for i, x in sums[c].items() if not x.is_zero()} for c in pivot_columns(sums)
+    ]
 
     for g in _every_moving_element(rep):
         cols = rep.columns[g]
@@ -520,3 +546,38 @@ def equivariant_subspace(rep: ActionRep) -> list[Row]:
             f"dimension {len(fixed)}"
         )
     return fixed
+
+
+def _fixed_cochains(
+    rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
+) -> tuple[list[Row], list[int]]:
+    """The certified basis of the G-fixed n-cochains (equivariant_subspace of
+    the induced action on C^n) and the parity of each column, built once per
+    (n, rep_L, rep_M).
+
+    The family depends only on the columns of the two actions and on the
+    parities of their spaces, which are checked against L and M on every
+    call, before the memo is read.  It is kept on rep_L, keyed by n and by
+    the identity of rep_M, which the entry holds so that its id is not
+    reused; an equal but distinct ActionRep gets its own build.  Only the
+    certified columns and their parities are kept, not the induced action.
+    A hit returns the columns of a cold build that passed the full
+    certificate.  Like is_representation, the memo trusts
+    ActionRep.columns not to change.  Each call returns lists of its own,
+    but the column dicts are the memo's and must not be mutated.
+    """
+    _check_cochain_spaces(rep_L, rep_M, L, M)
+    key = (n, id(rep_M))
+    hit = rep_L._fixed_families.get(key)
+    if hit is not None:
+        return list(hit[1]), list(hit[2])
+    induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
+    cols = equivariant_subspace(induced)
+    parities = []
+    for col in cols:
+        found = {induced.parities[t] for t in col}
+        if len(found) != 1:
+            raise ValidationError("fixed-space basis vector mixes parities")
+        parities.append(found.pop())
+    rep_L._fixed_families[key] = (rep_M, tuple(cols), tuple(parities))
+    return cols, parities

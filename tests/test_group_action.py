@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supercohom import group_action
 from supercohom.errors import BasisMismatch, LengthMismatch, OracleDisagreement, ValidationError
 from supercohom.graded import Vector, superalt_basis
 from supercohom.group_action import (
@@ -38,6 +39,7 @@ from util import (
     direct_product,
     elementwise_validate_action,
     eval_map,
+    pulled_back_induced_columns,
     rand_instance,
     rand_module,
     rand_vector,
@@ -367,6 +369,60 @@ def test_induced_action_is_homomorphism_z4_super_poincare():
     for g in range(4):
         for h in range(4):
             assert sparse_mul(cached[g], cached[h]) == cached[(g + h) % 4]
+
+
+def _pulled_back_arguments(monkeypatch):
+    """The first argument (the columns of g^-1 on L) of each pull_back call."""
+    pulled = []
+    real = group_action.pull_back
+
+    def recording(A, *rest):
+        pulled.append(A)
+        return real(A, *rest)
+
+    monkeypatch.setattr(group_action, "pull_back", recording)
+    return pulled
+
+
+@pytest.mark.parametrize("shape", GROUP_SHAPES)
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_an_identity_that_acts_as_one_is_handed_over_as_unit_columns(monkeypatch, shape, n):
+    for seed in range(4):
+        rng = random.Random(seed)
+        L, rep = rand_instance(rng, with_action=True, groups=(shape,))
+        M, reps = rand_module(rng, L, rep)
+        rep_L, rep_M = reps if isinstance(reps, tuple) else (reps, reps)
+        e = rep_L.group.identity
+        want = pulled_back_induced_columns(rep_L, rep_M, L, M, n)
+        pulled = _pulled_back_arguments(monkeypatch)
+        induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
+        monkeypatch.undo()
+        assert induced.columns == want
+        assert induced.columns[e] == [{t: one(L.spec)} for t in range(induced.dim)]
+        assert not any(A is rep_L.columns[e] for A in pulled)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_identity_that_does_not_act_as_one_is_pulled_back(monkeypatch, n):
+    # The identity sends e22 to e11 + e22, on L, on M, or on both: its
+    # induced columns are pulled back, and the certificate of the fixed
+    # subspace catches it.
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    rep = z2_swap_rep(L)
+    e = rep.group.identity
+    mats = [[list(row) for row in mat] for mat in rep.matrices]
+    mats[e][0][1] = one(RATIONAL)
+    bad = ActionRep(rep.group, RATIONAL, L.basis.parities, mats)
+    for rep_L, rep_M in ((bad, rep), (rep, bad), (bad, bad)):
+        want = pulled_back_induced_columns(rep_L, rep_M, L, M, n)
+        pulled = _pulled_back_arguments(monkeypatch)
+        induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
+        monkeypatch.undo()
+        assert induced.columns == want
+        assert any(A is rep_L.columns[e] for A in pulled)
+        with pytest.raises(OracleDisagreement, match="group element 0"):
+            equivariant_subspace(induced)
 
 
 def test_equivariant_subspace_trivial_and_regular():

@@ -9,7 +9,6 @@ work; they do not time it.
 
 import os
 import re
-import sys
 
 import pytest
 
@@ -30,26 +29,9 @@ from supercohom.scalars import scalar
 from supercohom.superalgebra import make_gl
 from supercohom.workspace import load
 
-from util import gl11_swap_rep
+from util import count_calls, gl11_swap_rep
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-
-
-def count_calls(monkeypatch, module, name, keep=lambda *args: True):
-    """Wrap module.name, and every supercohom module that bound it by name,
-    with a wrapper that records the arguments of each call kept by keep."""
-    original = getattr(module, name)
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        if keep(*args):
-            calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "supercohom" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, wrapper)
-    return calls
 
 
 def bracket_sweeps(monkeypatch):

@@ -1,5 +1,6 @@
 """Shared helpers for randomized exact tests (seeded, deterministic)."""
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -16,7 +17,15 @@ from supercohom.graded import (
     perm_sign,
     superalt_basis,
 )
-from supercohom.group_action import ActionRep, FiniteGroup, cyclic_group
+from supercohom.group_action import (
+    ActionRep,
+    FiniteGroup,
+    cyclic_group,
+    equivariant_subspace,
+    induced_action_on_cochains,
+    pull_back,
+    resolve_reps,
+)
 from supercohom.linalg import add_scaled, mat_identity, mat_mul, rref_rows, solve_rows
 from supercohom.scalars import RATIONAL, Scalar, one, scalar, zero
 from supercohom.superalgebra import (
@@ -662,21 +671,59 @@ def coboundary_matrix_raw(basis_cochains, n, L, M):
     return mat
 
 
+def count_calls(monkeypatch, module, name, keep=lambda *args: True):
+    """Wrap module.name, and every supercohom module that bound it by name,
+    with a wrapper that records the arguments of each call kept by keep."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        if keep(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "supercohom" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def cold_family(n, L, M, rep=None):
+    """The columns and parities of the _family of C^n, built afresh: the unit
+    coordinates, or the certified columns of equivariant_subspace on the
+    induced action, which do not go through the memo of
+    group_action._fixed_cochains."""
+    reps = resolve_reps(rep, L, M)
+    if reps is None:
+        o = one(L.spec)
+        coords = cochain_coords(L.basis, n, M.space)
+        parities = [(sum(L.basis.parities[i] for i in T) + M.space.parities[j]) % 2 for T, j in coords]
+        return [{t: o} for t in range(len(coords))], parities
+    induced = induced_action_on_cochains(reps[0], reps[1], L, M, n)
+    cols = equivariant_subspace(induced)
+    parities = []
+    for col in cols:
+        found = {induced.parities[t] for t in col}
+        assert len(found) == 1, "a fixed column mixes parities"
+        parities.append(found.pop())
+    return cols, parities
+
+
 def full_cohomology(n, L, M, rep=None):
     """cohomology() on the whole complex: delta^n and delta^(n-1) assembled
-    on every member of the _family of their domain and reduced in full,
+    on every member of a cold_family of their domain and reduced in full,
     with no split by weight."""
-    from supercohom.cohomology import Cochain, CohomologyReport, _delta_rows, _family
+    from supercohom.cohomology import Cochain, CohomologyReport, _delta_rows
     from supercohom.linalg import lin_comb, nullspace_from_rref, pivot_columns
 
-    dom, dom_par, _ = _family(n, L, M, rep)
+    dom, dom_par = cold_family(n, L, M, rep)
     reduced, pivots = rref_rows(_delta_rows(n, L, M, dom).values())
     kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
 
     images = {}  # pivot columns of delta^(n-1), in raw n-coordinates
     prev_par = []
     if n > 0:
-        prev, prev_par, _ = _family(n - 1, L, M, rep)
+        prev, prev_par = cold_family(n - 1, L, M, rep)
         prev_rows = _delta_rows(n - 1, L, M, prev)
         images = {k: {} for k in rref_rows(prev_rows.values())[1]}
         for r, row in prev_rows.items():
@@ -1134,6 +1181,28 @@ def dense_induced_matrices(rep_L, rep_M, L, M, n):
                         mat[dst][src] = mat[dst][src] + c * b
         mats.append(mat)
     return mats
+
+
+def pulled_back_induced_columns(rep_L, rep_M, L, M, n):
+    """The sparse columns of the induced action on C^n, every element, the
+    identity included, pulled back tuple by tuple through pull_back."""
+    group, o = rep_L.group, one(rep_L.spec)
+    coords = cochain_coords(L.basis, n, M.space)
+    pos = {c: t for t, c in enumerate(coords)}
+    memo = {}
+    columns = []
+    for g in range(group.order):
+        A, B = rep_L.columns[group.inverse(g)], rep_M.columns[g]
+        cols = [{} for _ in coords]
+        for S in superalt_basis(L.basis, n):
+            for T, c in pull_back(A, S, L.basis.parities, o, memo).items():
+                for j, image in enumerate(B):
+                    col = cols[pos[(T, j)]]
+                    for r, b in image.items():
+                        dst = pos[(S, r)]
+                        col[dst] = col[dst] + c * b if dst in col else c * b
+        columns.append([{i: x for i, x in col.items() if not x.is_zero()} for col in cols])
+    return columns
 
 
 # -- dense wrappers and test-only helpers ---------------------------------------
