@@ -156,21 +156,28 @@ def coboundary(f: Cochain, L: LieSuperalgebra, M: LModule, rep=None) -> Cochain:
     reps = resolve_reps(rep, L, M)
     if reps is not None and not is_equivariant(f, reps[0], reps[1], L, M):
         raise ValidationError("cochain is not equivariant under the given action")
-    # (T, j) is raw index (index of T in superalt_basis) * dim M + j, in C^n and in C^(n+1).
     n, dimM = f.arity, len(M.space)
     col: Row = {}
     if f.coords:
-        tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
-        col = {tpos[T] * dimM + j: c for (T, j), c in f.coords.items()}
+        pos = _positions(n, L, M)
+        col = {pos(key): c for key, c in f.coords.items()}
     rows = _delta_rows(n, L, M, [col])
     cod = superalt_basis(L.basis, n + 1) if rows else []
+    # raw index r of C^(n+1) is the coordinate (cod[r // dim M], r % dim M), as in _positions
     coords = {(cod[r // dimM], r % dimM): row[0] for r, row in rows.items()}
     return Cochain(n + 1, f.parity, L.basis, M.space, coords)
 
 
-def _positions(n: int, L: LieSuperalgebra, M: LModule) -> dict:
-    """Raw index of each coordinate (T, j) of C^n in cochain_coords order."""
-    return {key: t for t, key in enumerate(cochain_coords(L.basis, n, M.space))}
+def _positions(n: int, L: LieSuperalgebra, M: LModule):
+    """The raw index of a coordinate (T, j) of C^n, as a function of (T, j).
+
+    cochain_coords is tuple-major, so (T, j) sits at (index of T in
+    superalt_basis) * dim M + j.  Only the canonical n-tuples are listed,
+    not every coordinate of C^n.
+    """
+    tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
+    dimM = len(M.space)
+    return lambda key: tpos[key[0]] * dimM + key[1]
 
 
 def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None) -> dict[int, Row]:
@@ -379,7 +386,7 @@ def coboundary_preimage(
     pos = _positions(n + 1, L, M)
     rhs = dict.fromkeys(rows, zero(L.spec))
     for key, c in target.coords.items():
-        rhs[pos[key]] = c
+        rhs[pos(key)] = c
     sol = solve_rows([rows.get(r, {}) for r in rhs], list(rhs.values()), len(cols))
     if sol is None:
         return None
@@ -403,7 +410,7 @@ def _dense_delta(n: int, L, M, cols: list[Row]):
 def _matrix_from_basis(basis_cochains: list[Cochain], n: int, L, M):
     """Columns: coboundaries of the basis cochains, in raw (n+1)-coordinates."""
     pos = _positions(n, L, M)
-    return _dense_delta(n, L, M, [{pos[key]: c for key, c in f.coords.items()} for f in basis_cochains])
+    return _dense_delta(n, L, M, [{pos(key): c for key, c in f.coords.items()} for f in basis_cochains])
 
 
 def coboundary_matrix(n: int, L: LieSuperalgebra, M: LModule, rep=None):
@@ -588,6 +595,6 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
             cs.update({((i,), j): c for j, c in val.items()})
         f = Cochain(1, 0, L.basis, M.space, cs)
         inner_cochains.append(f)
-        inner_cols.append({pos[key]: c for key, c in f.coords.items()})
+        inner_cols.append({pos(key): c for key, c in f.coords.items()})
     inn = [inner_cochains[q] for q in pivot_columns(inner_cols)]
     return der, inn

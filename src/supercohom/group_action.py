@@ -48,7 +48,8 @@ certified family of G-fixed n-cochains is built once per (n, rep_L, rep_M)
 by _fixed_cochains and kept on rep_L, next to the is_representation and
 acts_by_automorphisms verdicts; only its columns and their parities are
 kept, and every call checks the parities of the two spaces before it reads
-the memo.
+the memo.  An entry keeps rep_M alive as long as rep_L lives, except when
+rep_M is rep_L, where it holds no reference back.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class ActionRep:
         self._matrices = None
         self._is_representation: bool | None = None
         self._automorphisms: tuple[LieSuperalgebra, bool] | None = None  # (L, verdict)
-        # _fixed_cochains: (n, id(rep_M)) -> (rep_M, certified columns, parities), as tuples
+        # _fixed_cochains: (n, id(rep_M), or None for rep_M = self) -> (rep_M or None,
+        # certified columns, parities), as tuples
         self._fixed_families: dict = {}
         d = len(self.parities)
         if columns is None:
@@ -559,7 +561,10 @@ def _fixed_cochains(
     parities of their spaces, which are checked against L and M on every
     call, before the memo is read.  It is kept on rep_L, keyed by n and by
     the identity of rep_M, which the entry holds so that its id is not
-    reused; an equal but distinct ActionRep gets its own build.  Only the
+    reused; an equal but distinct ActionRep gets its own build.  So an entry
+    keeps rep_M and the certified columns alive as long as rep_L lives.
+    When rep_M is rep_L (a single rep), the key holds None instead and the
+    entry no reference, so rep_L is not kept in a reference cycle.  Only the
     certified columns and their parities are kept, not the induced action.
     A hit returns the columns of a cold build that passed the full
     certificate.  Like is_representation, the memo trusts
@@ -567,7 +572,8 @@ def _fixed_cochains(
     but the column dicts are the memo's and must not be mutated.
     """
     _check_cochain_spaces(rep_L, rep_M, L, M)
-    key = (n, id(rep_M))
+    held = None if rep_M is rep_L else rep_M
+    key = (n, None if held is None else id(held))
     hit = rep_L._fixed_families.get(key)
     if hit is not None:
         return list(hit[1]), list(hit[2])
@@ -579,5 +585,5 @@ def _fixed_cochains(
         if len(found) != 1:
             raise ValidationError("fixed-space basis vector mixes parities")
         parities.append(found.pop())
-    rep_L._fixed_families[key] = (rep_M, tuple(cols), tuple(parities))
+    rep_L._fixed_families[key] = (held, tuple(cols), tuple(parities))
     return cols, parities

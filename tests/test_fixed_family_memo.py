@@ -5,6 +5,9 @@ through group_action._fixed_cochains, which keeps them on rep_L per degree
 n and per rep_M.  These tests count the builds; they do not time them.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from supercohom import group_action
@@ -110,4 +113,32 @@ def test_a_hit_returns_the_cold_build(monkeypatch, make_rep, n):
     cols, parities = cold_family(n, L, M, rep)
     assert again == first == (cols, parities, [0, 0])
     rep_L, rep_M = resolve_reps(rep, L, M)
-    assert rep_L._fixed_families[(n, id(rep_M))] == (rep_M, tuple(cols), tuple(parities))
+    assert rep_M is rep_L  # a single rep: the entry holds no reference back to it
+    assert rep_L._fixed_families[(n, None)] == (None, tuple(cols), tuple(parities))
+
+
+def test_a_single_action_is_freed_by_refcounting():
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    rep = gl11_swap_rep(L)
+    cohomology(2, L, M, rep)
+    assert rep._fixed_families
+    gone = weakref.ref(rep)
+    gc.disable()  # so only refcounting can free rep: its memo must hold no cycle
+    try:
+        del rep
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_pair_entry_keeps_its_module_action(monkeypatch):
+    L = make_gl(1, 1)
+    M = zero_module(L, GradedBasis(("m0", "m1"), (0, 1)))
+    rep_L = gl11_swap_rep(L)
+    rep_M = trivial_action(rep_L.group, RATIONAL, M.space.parities)
+    _family(1, L, M, (rep_L, rep_M))
+    assert rep_L._fixed_families[(1, id(rep_M))][0] is rep_M
+    gone = weakref.ref(rep_M)
+    del rep_M  # the entry holds it, so its id is not reused by another action
+    assert gone() is not None
