@@ -302,6 +302,8 @@ def _cmd_derivations(args) -> int:
 
 def _extension_datum(ws: Workspace, name: str) -> tuple[ExtensionDatum, GradedBasis]:
     h = ws.cochain(name)
+    if (h.arity, h.parity) != (2, 0):
+        raise ParseError("extend cocycles must have arity 2 and parity 0")
     module, rep_arg = ws.module_rep_arg(ws.cochains[name].module)
     datum = ExtensionDatum(ws.algebra, module, rep_arg, h)
     return datum, module.space

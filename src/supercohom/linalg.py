@@ -10,10 +10,9 @@ solve of the package) do not depend on the row order or on how the
 elimination runs inside.  The layout follows sympy's polys/matrices/sdm.py
 (sdm_irref, sdm_nullspace_from_rref).
 
-mat_mul stays dense for the 2x2 spinor products of make_super_poincare and
-for the group generators of bench/gen.py.  The dense fraction-free (Bareiss)
-elimination the kernel replaced and the dense wrappers around the kernel are
-kept in tests/util.py for the tests.
+mat_mul stays dense for the group generators of bench/gen.py and for the
+tests.  The dense fraction-free (Bareiss) elimination the kernel replaced and
+the dense wrappers around the kernel are kept in tests/util.py for the tests.
 """
 
 from __future__ import annotations

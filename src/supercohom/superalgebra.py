@@ -3,10 +3,10 @@
 Brackets are stored as full component tables over a graded basis.  Every
 constructor gives one entry per unordered pair to from_pairs, which writes
 the mirrored half and is the one place that builds a LieSuperalgebra.  The
-matrix superalgebras gl(m|n) and sl(m|n) go through one builder,
-_matrix_superalgebra, which takes each entry from the super-commutator
-[a, b] = ab - (-1)^{|a||b|} ba of sparse matrices, so their tables are never
-written down by hand.
+catalog algebras gl(m|n), sl(m|n) and the super-Poincare algebra (inside
+gl(4|1)) go through one builder, _matrix_superalgebra, which takes each entry
+from the super-commutator [a, b] = ab - (-1)^{|a||b|} ba of sparse matrices,
+so no catalog table is written down by hand.
 
 The super-Jacobi identity and the module axiom are checked by sweeps over
 these sparse tables: for each canonical triple (or algebra-algebra-module
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import BasisMismatch, ValidationError
 from .graded import GradedBasis, MultilinearMap, Vector, superalt_basis, vec_str
-from .linalg import lin_comb, mat_mul, rref_rows
+from .linalg import lin_comb, rref_rows
 from .scalars import RATIONAL, FieldSpec, Scalar, cyclo, one, root_of_unity, scalar, zero
 
 
@@ -371,109 +371,35 @@ def make_sl(m: int, n: int, spec: FieldSpec = RATIONAL) -> LieSuperalgebra:
 
 
 def make_super_poincare() -> LieSuperalgebra:
-    """The 14-dimensional N=1 super-Poincare algebra over Q(zeta_4).
+    """The 14-dimensional N=1 super-Poincare algebra over Q(zeta_4), as
+    supermatrices of gl(4|1) (rows and columns 0-3 even, 4 odd) through
+    _matrix_superalgebra, with the imaginary unit realised as zeta_4.
 
-    Conventions: eta = diag(+,-,-,-); spinor indices raised/lowered with
-    eps^{12} = +1; the J-J, P-J and Q-Qbar tables follow the usual 4d form
-    with the imaginary unit realised as zeta_4.
+    With the transposed Pauli matrices s_mu = (1, s1, s2^T, s3) and
+    sb_mu = (1, -s1, -s2^T, -s3), gamma_mu = [[0, sb_mu], [s_mu, 0]] in 2x2
+    blocks; J_mn = -(i/4)(gamma_m gamma_n - gamma_n gamma_m),
+    P_mu = 1/4 [[0, sb_mu], [0, 0]], Q_a = E_(a,4) and Qb_a = E_(4,2+a).
+    The metric is eta = diag(+,-,-,-).
     """
     spec = cyclo(4)
-    iu = root_of_unity(spec, 1)
-    o, z = one(spec), zero(spec)
+    iu, o = root_of_unity(spec, 1), one(spec)
     quarter = scalar(spec, Fraction(1, 4))
-    eta = (o, -o, -o, -o)
+    sigma = [
+        {(0, 0): o, (1, 1): o},
+        {(0, 1): o, (1, 0): o},
+        {(0, 1): iu, (1, 0): -iu},
+        {(0, 0): o, (1, 1): -o},
+    ]
+    sbar = [sigma[0]] + [{key: -x for key, x in s.items()} for s in sigma[1:]]
 
-    def mk(rows):
-        return [[scalar(spec, x) for x in row] for row in rows]
+    def block(s: dict, r0: int, c0: int, k: Scalar) -> dict:
+        return {(r0 + r, c0 + c): k * x for (r, c), x in s.items()}
 
-    s0 = mk([[1, 0], [0, 1]])
-    s1 = mk([[0, 1], [1, 0]])
-    s2 = [[z, -iu], [iu, z]]
-    s3 = mk([[1, 0], [0, -1]])
-    sigma = [s0, s1, s2, s3]
-    sbar = [s0] + [[[-c for c in row] for row in s] for s in (s1, s2, s3)]
-
-    def msub(a, b):
-        return [[a[r][c] - b[r][c] for c in range(2)] for r in range(2)]
-
-    def mscale(k, a):
-        return [[k * a[r][c] for c in range(2)] for r in range(2)]
-
-    coeff = -(iu * quarter)
-    smunu = {}
-    sbmunu = {}
-    for mu in range(4):
-        for nu in range(4):
-            smunu[(mu, nu)] = mscale(
-                coeff,
-                msub(mat_mul(sigma[mu], sbar[nu], spec), mat_mul(sigma[nu], sbar[mu], spec)),
-            )
-            sbmunu[(mu, nu)] = mscale(
-                coeff,
-                msub(mat_mul(sbar[mu], sigma[nu], spec), mat_mul(sbar[nu], sigma[mu], spec)),
-            )
-    # Acting on the upper-dotted Qbar components the Lorentz generator appears
-    # conjugated by eps, which is the same as minus the transpose.
-    tmunu = {
-        key: [[-mat[0][0], -mat[1][0]], [-mat[0][1], -mat[1][1]]]
-        for key, mat in sbmunu.items()
-    }
-
+    gamma = [{**block(sb, 0, 2, o), **block(s, 2, 0, o)} for s, sb in zip(sigma, sbar)]
     jpairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    names = (
-        [f"J{a}{b}" for a, b in jpairs]
-        + [f"P{mu}" for mu in range(4)]
-        + ["Q1", "Q2", "Qb1", "Qb2"]
-    )
-    parities = tuple([0] * 10 + [1] * 4)
-    basis = GradedBasis(tuple(names), parities)
-    jindex = {p: t for t, p in enumerate(jpairs)}
-    P = lambda mu: 6 + mu
-    Q = lambda a: 10 + a
-    Qb = lambda a: 12 + a
-
-    def jterm(coords, a, b, k: Scalar):
-        if a == b or k.is_zero():
-            return
-        if a < b:
-            t = jindex[(a, b)]
-        else:
-            t, k = jindex[(b, a)], -k
-        coords[t] = coords.get(t, z) + k
-
-    comp: dict[tuple[int, int], Vector] = {}
-    for t, (mu, nu) in enumerate(jpairs):
-        for (rho, sg) in jpairs[t + 1 :]:
-            coords: dict[int, Scalar] = {}
-            if nu == rho:
-                jterm(coords, mu, sg, -iu * eta[nu])
-            if mu == rho:
-                jterm(coords, nu, sg, iu * eta[mu])
-            if mu == sg:
-                jterm(coords, nu, rho, -iu * eta[mu])
-            if nu == sg:
-                jterm(coords, mu, rho, iu * eta[nu])
-            comp[(jindex[(mu, nu)], jindex[(rho, sg)])] = Vector(coords)
-
-    for mu in range(4):
-        for (rho, sg) in jpairs:
-            coords = {}
-            if mu == rho:
-                coords[P(sg)] = -iu * eta[mu]
-            if mu == sg:
-                coords[P(rho)] = coords.get(P(rho), z) + iu * eta[mu]
-            comp[(P(mu), jindex[(rho, sg)])] = Vector(coords)
-
-    for a in range(2):
-        for (mu, nu) in jpairs:
-            S = smunu[(mu, nu)]
-            comp[(Q(a), jindex[(mu, nu)])] = Vector({Q(b): S[a][b] for b in range(2)})
-            T = tmunu[(mu, nu)]
-            comp[(Qb(a), jindex[(mu, nu)])] = Vector({Qb(b): T[a][b] for b in range(2)})
-
-    two = scalar(spec, 2)
-    for a in range(2):
-        for b in range(2):
-            comp[(Q(a), Qb(b))] = Vector({P(mu): two * sigma[mu][a][b] * eta[mu] for mu in range(4)})
-
-    return from_pairs(basis, spec, comp)
+    J = [block(_super_commutator(gamma[m], gamma[n], False), 0, 0, -(iu * quarter)) for m, n in jpairs]
+    P = [block(sb, 0, 2, quarter) for sb in sbar]
+    Q = [{(a, 4): o} for a in range(2)] + [{(4, 2 + a): o} for a in range(2)]
+    names = [f"J{m}{n}" for m, n in jpairs] + [f"P{mu}" for mu in range(4)] + ["Q1", "Q2", "Qb1", "Qb2"]
+    basis = GradedBasis(tuple(names), (0,) * 10 + (1,) * 4)
+    return _matrix_superalgebra(basis, spec, J + P + Q)

@@ -23,11 +23,12 @@ Structure constants list each bracket once, lower basis index first; the
 mirrored pairs follow from super-antisymmetry and are filled in by
 superalgebra.from_pairs.  All scalars are written as exact strings
 ("2/3", "1 - z^2").  Cochain coordinate keys are "arg,arg,...|target"
-with the argument tuple in canonical order.  Parsing is eager: a file
-that names an unknown label or breaks an axiom is rejected up front,
-with a ParseError for malformed input and a ValidationError (naming the
-axiom and a witness) for well-formed input that fails a mathematical
-check.
+with the argument tuple in canonical order, so a label must be nonempty
+and hold no ',' or '|'.  Parsing is eager: a file that repeats a key in
+one object, names an unknown label or breaks an axiom is rejected up
+front, with a ParseError for malformed input and a ValidationError
+(naming the axiom and a witness) for well-formed input that fails a
+mathematical check.
 
 ``parse`` and ``serialize`` are inverse in both directions: serializing
 a parsed file yields its canonical form, and parsing a serialized
@@ -188,6 +189,8 @@ def _parse_basis(raw, path: str) -> GradedBasis:
             f"{path}[{k}]",
             "expected a [label, parity] pair with parity 0 or 1",
         )
+        nameable = row[0] != "" and "," not in row[0] and "|" not in row[0]
+        _expect(nameable, f"{path}[{k}]", "labels must be nonempty, without ',' or '|', so keys can name them")
         names.append(row[0])
         parities.append(row[1])
     try:
@@ -222,7 +225,6 @@ def _parse_brackets(read: _ScalarReader, basis: GradedBasis, raw, path: str) -> 
         i = _label_index(basis, parts[0], f"{path}[{key!r}]")
         j = _label_index(basis, parts[1], f"{path}[{key!r}]")
         _expect(i <= j, f"{path}[{key!r}]", "list each pair once, lower basis index first")
-        _expect((i, j) not in components, f"{path}[{key!r}]", "duplicate bracket entry")
         vec = _parse_vector(read, basis, val, f"{path}[{key!r}]")
         if vec.is_zero():
             continue
@@ -289,7 +291,6 @@ def _parse_module(ws: Workspace, read: _ScalarReader, name: str, raw) -> ModuleE
         _expect(len(parts) == 2, f"{path}.action[{key!r}]", 'keys look like "x,m"')
         i = _label_index(L.basis, parts[0], f"{path}.action[{key!r}]")
         j = _label_index(space, parts[1], f"{path}.action[{key!r}]")
-        _expect((i, j) not in act, f"{path}.action[{key!r}]", "duplicate action entry")
         vec = _parse_vector(read, space, val, f"{path}.action[{key!r}]")
         if not vec.is_zero():
             act[(i, j)] = vec
@@ -336,7 +337,6 @@ def _parse_cochain(ws: Workspace, read: _ScalarReader, name: str, raw) -> Cochai
         _expect(len(labels) == arity, kpath, f"expected {arity} argument labels")
         T = tuple(_label_index(L.basis, lab, kpath) for lab in labels)
         j = _label_index(module.space, target, kpath)
-        _expect((T, j) not in coords, kpath, "duplicate coordinate")
         coords[(T, j)] = read(val, kpath)
     try:
         cochain = Cochain(arity, parity, L.basis, module.space, coords)
@@ -363,10 +363,20 @@ def _parse_deformation(ws: Workspace, name: str, raw) -> tuple[str, ...]:
     return tuple(terms)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object with distinct keys: json.loads alone keeps the last of
+    two equal keys without saying so."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"repeated key {next(k for k in obj if keys.count(k) > 1)!r} in one object")
+    return obj
+
+
 def parse(text: str) -> Workspace:
     """Parse the JSON text of a workspace file, validating everything."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     body = _as_dict(doc, "top level")

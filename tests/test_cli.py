@@ -154,6 +154,52 @@ def test_malformed_bracket_is_a_validation_failure(tmp_path, capsys, key, value,
     assert (captured.out, captured.err) == ("", err)
 
 
+REPEATED_BRACKET = (
+    '{"field": "rational", "algebra": {"basis": [["h", 0], ["x", 1]], '
+    '"brackets": {"x,x": {"h": "1"}, "x,x": {"h": "0"}}}}'
+)
+REPEATED_COORD = (
+    '{"field": "rational", "algebra": {"basis": [["h", 0]], "brackets": {}}, '
+    '"cochains": {"f": {"arity": 1, "parity": 0, "coords": {"h|h": "1", "h|h": "2"}}}}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [(REPEATED_BRACKET, "x,x"), (REPEATED_COORD, "h|h")],
+    ids=["bracket", "cochain-coordinate"],
+)
+def test_repeated_json_key_is_an_input_error(tmp_path, capsys, text, key):
+    # json.loads alone keeps the last entry: the bracket would read as
+    # abelian and the coordinate as 2, and validate would exit 0.
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert run_command(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: repeated key {key!r} in one object\n")
+
+
+@pytest.mark.parametrize(
+    "label, module, where",
+    [("a,b", False, "algebra.basis[1]"), ("", False, "algebra.basis[1]"), ("m|n", True, "modules.W.basis[0]")],
+    ids=["comma", "empty", "module-bar"],
+)
+def test_unnameable_label_is_an_input_error(tmp_path, capsys, label, module, where):
+    doc = {"field": "rational", "algebra": {"basis": [["h", 0], ["k", 0]], "brackets": {}}}
+    if module:
+        doc["modules"] = {"W": {"basis": [[label, 0]], "action": {}}}
+    else:
+        doc["algebra"]["basis"][1][0] = label
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        f"input error: {where}: labels must be nonempty, without ',' or '|', so keys can name them\n",
+    )
+
+
 def test_unknown_subcommand_is_an_input_error(capsys):
     assert run_command(["frobnicate", "x.json"]) == 2
     capsys.readouterr()
@@ -270,6 +316,22 @@ def test_extend_zero_glue_builds_the_split_extension(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2-cocycle: yes" in out
     assert "extension basis: a, a'" in out
+
+
+@pytest.mark.parametrize("arity, parity", [(1, 0), (2, 1)], ids=["one-cochain", "odd-two-cochain"])
+def test_extend_wrong_shape_cochain_is_an_input_error(tmp_path, capsys, arity, parity):
+    doc = {
+        "field": "rational",
+        "algebra": {"basis": [["a", 0]], "brackets": {}},
+        "cochains": {"h": {"arity": arity, "parity": parity, "coords": {}}},
+    }
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["extend", str(path), "--cocycle", "h"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input error: extend cocycles must have arity 2 and parity 0\n")
+    assert run_command(["mc-check", str(path), "--candidate", "h"]) == 2
+    assert capsys.readouterr().err == "input error: mc-check candidates must have arity 2 and parity 0\n"
 
 
 def test_extend_classify_finds_the_gl11_class(capsys):
