@@ -40,10 +40,24 @@ report, representatives included, is the one of the full complex, which
 tests/util.py keeps as full_cohomology.  Weights are exact integers: the
 eigenvalues' power-basis numerators over one denominator, packed as the
 digits of one int (_weights), so the weight of a tuple is an int sum.
+
+Consecutive degrees share one reduction.  B^n is the image of delta^(n-1),
+which cohomology(n - 1) has just reduced, so every cohomology call records,
+per degree k and block (weight 0, or the whole complex), the pivot columns
+of delta^k split by parity and the rank of delta^k on the blocks of nonzero
+weight.  The record lives on the module (LModule._complexes), keyed by the
+identities of L and of the two actions, which it holds weakly
+(_complex_memo).  Walking n = 0, 1, 2, ... on one (L, M, G) then sweeps and
+reduces each delta^k once; a cold call does what it did before, plus one
+pass over the nonzeros of delta^n.  No sweep rows or reduced rows are kept:
+the kernel of delta^n, which the representatives need, is reduced on every
+call.  coboundary_matrix, coboundary_preimage and the oracle full_cohomology
+do not read the record.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import lcm
@@ -428,6 +442,41 @@ class CohomologyReport:
     representatives: dict[int, list[Cochain]] = field(default_factory=dict)
 
 
+def _pivot_images(rows: dict[int, Row], pivots: list[int], parities: list[int]) -> tuple[list[Row], list[Row]]:
+    """The columns of the sweep rows at the pivots, in raw coordinates and in
+    pivot order, split by the parity of their family member: one pass over
+    the nonzeros of the rows."""
+    images: dict[int, Row] = {k: {} for k in pivots}
+    for r, row in rows.items():
+        for k, x in row.items():
+            if k in images:
+                images[k][r] = x
+    return tuple([col for k, col in images.items() if parities[k] == p] for p in (0, 1))
+
+
+def _complex_memo(L: LieSuperalgebra, M: LModule, reps) -> dict:
+    """The per-degree memo of cohomology on the complex of (L, M, reps),
+    kept in M._complexes and keyed by the identities of L and of the actions.
+
+    The entry holds weak references to them, whose callbacks drop the entry
+    when one of them dies: so an id is not reused while its entry lives, and
+    M keeps neither L nor an action alive.
+    """
+    objs = (L, *reps) if reps is not None else (L,)
+    key = tuple(map(id, objs))
+    entry = M._complexes.get(key)
+    if entry is None:
+        home = weakref.ref(M)
+
+        def drop(_):
+            module = home()
+            if module is not None:
+                module._complexes.pop(key, None)
+
+        entry = M._complexes[key] = ([weakref.ref(x, drop) for x in objs], {})
+    return entry[1]
+
+
 def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyReport:
     """Dimensions of C, Z, B and H in degree n per parity, and representatives.
 
@@ -442,29 +491,42 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
     pivot columns of delta^(n-1) to a basis of the cocycles; only they
     become Cochains.  With h empty, or every weight 0, the block is the
     whole complex.
+
+    B^n is all that degree n needs of delta^(n-1), so each call records, per
+    degree k and block, the pivot columns of delta^k split by parity and the
+    rank of delta^k on the blocks of nonzero weight, in M._complexes, keyed
+    by the identities of L and of the two actions.  A call for degree n
+    after one for n - 1 or n on the same objects then sweeps and reduces
+    delta^n only.  The memo is read after _family(n) has checked the action
+    spaces against L and M, and it keeps no sweep rows and no reduced rows.
     """
-    wt = _weights(n + 2, L, M, resolve_reps(rep, L, M))
+    reps = resolve_reps(rep, L, M)
+    wt = _weights(n + 2, L, M, reps)
     dom, dom_par, left_out = _family(n, L, M, rep, wt)
-    reduced, pivots = rref_rows(_delta_rows(n, L, M, dom, wt).values())
+    rows = _delta_rows(n, L, M, dom, wt)
+    reduced, pivots = rref_rows(rows.values())
     kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
 
-    # The rank of delta^(n-1) on the blocks of nonzero weight, per parity.
-    # They are acyclic, so their rank in delta^k is their dimension in C^k
-    # minus their rank in delta^(k-1).
-    counted = [0, 0]
-    for k in range(n - 1 if wt else 0):
-        counted = [d - r for d, r in zip(_family(k, L, M, rep, wt)[2], counted)]
-    images: dict[int, Row] = {}  # pivot columns of delta^(n-1), in raw n-coordinates
-    prev_par: list[int] = []
+    degrees = _complex_memo(L, M, reps)
+    block = wt is not None
+    # The pivot columns of delta^(n-1) per parity, and its rank on the blocks
+    # of nonzero weight, per parity.  They are acyclic, so their rank in
+    # delta^k is their dimension in C^k minus their rank in delta^(k-1).
+    images, counted = ([], []), [0, 0]
     if n > 0:
-        prev, prev_par, prev_out = _family(n - 1, L, M, rep, wt)
-        counted = [d - r for d, r in zip(prev_out, counted)]
-        prev_rows = _delta_rows(n - 1, L, M, prev, wt)
-        images = {k: {} for k in rref_rows(prev_rows.values())[1]}
-        for r, row in prev_rows.items():
-            for k, x in row.items():
-                if k in images:
-                    images[k][r] = x
+        hit = degrees.get((n - 1, block))
+        if hit is None:
+            for k in range(n - 1 if wt else 0):
+                counted = [d - r for d, r in zip(_family(k, L, M, rep, wt)[2], counted)]
+            prev, prev_par, prev_out = _family(n - 1, L, M, rep, wt)
+            prev_rows = _delta_rows(n - 1, L, M, prev, wt)
+            prev_pivots = rref_rows(prev_rows.values())[1]
+            counted = [d - r for d, r in zip(prev_out, counted)]
+            hit = degrees[(n - 1, block)] = (_pivot_images(prev_rows, prev_pivots, prev_par), counted)
+        images, counted = hit
+    if (n, block) not in degrees:
+        rank_off = [d - r for d, r in zip(left_out, counted)]
+        degrees[(n, block)] = (_pivot_images(rows, pivots, dom_par), rank_off)
 
     coords = cochain_coords(L.basis, n, M.space)
     c_dims, z_dims, b_dims, h_dims = [0, 0], [0, 0], [0, 0], [0, 0]
@@ -472,7 +534,7 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
     for p in (0, 1):
         c_dims[p] = dom_par.count(p) + left_out[p]
         z_dims[p] = dom_par.count(p) - sum(1 for k in pivots if dom_par[k] == p) + counted[p]
-        img = [col for k, col in images.items() if prev_par[k] == p]
+        img = images[p]
         b_dims[p] = len(img) + counted[p]
         h_dims[p] = z_dims[p] - b_dims[p]
         ker = [lin_comb((c, dom[k]) for k, c in v.items()) for fc, v in kernel.items() if dom_par[fc] == p]

@@ -82,11 +82,18 @@ def rref_rows(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
     One row per pivot, in increasing pivot order; each has a 1 at its pivot
     and no entry in any other pivot column.  Zero entries of the input are
     ignored and the input rows are left unchanged.
+
+    The rows are reduced in increasing order of their nonzeros, which keeps
+    the early pivot rows short, and rows with as many nonzeros in decreasing
+    order of their leading column: a row whose pivot lies left of every
+    pivot so far has nothing to clear out of the earlier pivot rows.  The
+    form is unique, so the order changes nothing but the time.
     """
     reduced: dict[int, Row] = {}  # pivot column -> its row, pivot entry left out
     unit = None
-    for row in rows:
-        r = {c: x for c, x in row.items() if not x.is_zero()}
+    pending = [{c: x for c, x in row.items() if not x.is_zero()} for row in rows]
+    pending.sort(key=lambda r: (len(r), -min(r, default=0)))
+    for r in pending:
         for p in [c for c in r if c in reduced]:
             add_scaled(r, -r.pop(p), reduced[p])
         if not r:

@@ -170,11 +170,16 @@ def validate_superalgebra(L: LieSuperalgebra) -> AlgebraReport:
 
 @dataclass
 class LModule:
-    """Module data: act[(i, j)] = action of algebra basis i on module basis j."""
+    """Module data: act[(i, j)] = action of algebra basis i on module basis j.
+
+    _complexes is the memo of cohomology.cohomology on the complexes with
+    coefficients in this module; it takes no part in equality.
+    """
 
     algebra: GradedBasis
     space: GradedBasis
     act: dict[tuple[int, int], Vector]
+    _complexes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.act = {

@@ -1,0 +1,201 @@
+"""cohomology(n) reads the reduction of delta^(n-1) that an earlier call made.
+
+cohomology keeps, per complex (L, M and the actions) and per degree k and
+block, the pivot columns of delta^k and its rank on the blocks of nonzero
+weight in M._complexes.  These tests count the sweeps (_delta_rows) and the
+reductions of their rows (rref_rows) and compare every report with the
+memo-free oracle util.full_cohomology; they do not time anything.
+"""
+
+import gc
+import random
+import weakref
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from supercohom import cohomology as cohomology_module
+from supercohom import linalg
+from supercohom.cohomology import _weights, cohomology
+from supercohom.errors import BasisMismatch
+from supercohom.graded import GradedBasis
+from supercohom.group_action import cyclic_group, diagonal_rep, trivial_action
+from supercohom.scalars import RATIONAL, one, scalar
+from supercohom.superalgebra import adjoint_module, from_pairs, make_gl, zero_module
+
+from util import GROUP_SHAPES, count_calls, full_cohomology, gl11_swap_rep, rand_instance, rand_module
+
+
+def parity_rep(L):
+    """Z/2 acting by (-1)^|x|: it fixes the torus of gl(m|n), so the
+    weight-0 block is the one reduced (the weighted branch)."""
+    diags = [[one(RATIONAL)] * len(L), [scalar(RATIONAL, 1 - 2 * p) for p in L.basis.parities]]
+    return diagonal_rep(cyclic_group(2), RATIONAL, L.basis.parities, diags)
+
+
+REPS = {"no group": lambda L: None, "swap": gl11_swap_rep, "parity": parity_rep}
+
+
+class SweptRows(list):
+    """The rows of one sweep, as cohomology hands them to rref_rows."""
+
+
+class Swept(dict):
+    def values(self):
+        return SweptRows(super().values())
+
+
+def watch(monkeypatch):
+    """(degree of each sweep, number of reductions of sweep rows, number of
+    rref_rows calls of any kind)."""
+    sweeps = count_calls(monkeypatch, cohomology_module, "_delta_rows")
+    counted = cohomology_module._delta_rows
+    monkeypatch.setattr(cohomology_module, "_delta_rows", lambda *args: Swept(counted(*args)))
+    reductions = count_calls(monkeypatch, linalg, "rref_rows", keep=lambda rows: isinstance(rows, SweptRows))
+    every = count_calls(monkeypatch, linalg, "rref_rows")
+    return sweeps, reductions, every
+
+
+@pytest.mark.parametrize("make_rep", REPS.values(), ids=REPS.keys())
+def test_a_ladder_sweeps_and_reduces_each_degree_once(monkeypatch, make_rep):
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    rep = make_rep(L)
+    sweeps, reductions, _ = watch(monkeypatch)
+    reports = [cohomology(n, L, M, rep) for n in range(5)]
+    assert [args[0] for args in sweeps] == [0, 1, 2, 3, 4]
+    assert len(reductions) == 5
+    again = cohomology(3, L, M, rep)  # a repeated degree sweeps only itself
+    assert [args[0] for args in sweeps[5:]] == [3]
+    monkeypatch.undo()
+    assert reports == [full_cohomology(n, L, M, rep) for n in range(5)]
+    assert again == reports[3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_cold_call_reduces_as_often_as_before(monkeypatch, n):
+    # delta^n and delta^(n-1) are each swept and reduced once, and each parity
+    # picks its representatives with one pivot_columns: four rref_rows calls.
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    sweeps, reductions, every = watch(monkeypatch)
+    cohomology(n, L, M)
+    assert sorted(args[0] for args in sweeps) == [n - 1, n]
+    assert len(reductions) == 2
+    assert len(every) == 4
+
+
+@pytest.mark.parametrize("shape", (None,) + GROUP_SHAPES)
+@given(st.integers(0, 2**32 - 1), st.permutations(range(4)))
+def test_degrees_in_any_order_give_the_full_reports(shape, seed, order):
+    rng = random.Random(seed)
+    L, rep = rand_instance(rng, with_action=shape is not None, groups=(shape,) if shape else ("cyclic",))
+    M, reps = rand_module(rng, L, rep)
+    first = {n: cohomology(n, L, M, reps) for n in order}
+    second = {n: cohomology(n, L, M, reps) for n in order}
+    for n in order:
+        assert first[n] == second[n] == full_cohomology(n, L, M, reps)
+
+
+def test_another_bracket_on_the_same_basis_gets_no_hit(monkeypatch):
+    # gl(1|1) with [e12, e21] = 0: the same basis and the same torus weights,
+    # so both complexes are reduced on their weight-0 blocks.
+    L = make_gl(1, 1)
+    odd_pair = (L.basis.index("e12"), L.basis.index("e21"))
+    pairs = {(i, j): v for (i, j), v in L.bracket.components.items() if i <= j and (i, j) != odd_pair}
+    other = from_pairs(L.basis, RATIONAL, pairs)
+    M = zero_module(L, GradedBasis(("m",), (0,)))
+    assert _weights(4, L, M, None) == _weights(4, other, M, None) is not None
+    for n in range(3):
+        cohomology(n, L, M)
+    sweeps, _, _ = watch(monkeypatch)
+    got = cohomology(2, other, M)
+    assert sorted(args[0] for args in sweeps) == [1, 2]
+    monkeypatch.undo()
+    assert got == full_cohomology(2, other, M)
+    assert got != full_cohomology(2, L, M)
+
+
+def test_the_whole_complex_and_its_weight_zero_block_are_kept_apart(monkeypatch):
+    # Without weights cohomology reduces the whole complex and records it as
+    # such; the weighted calls on the same objects must not read it back.
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    monkeypatch.setattr(cohomology_module, "_weights", lambda *args: None)
+    whole = [cohomology(n, L, M) for n in range(4)]
+    monkeypatch.undo()
+    weighted = [cohomology(n, L, M) for n in range(4)]
+    assert whole == weighted == [full_cohomology(n, L, M) for n in range(4)]
+
+
+class WatchedMemo(dict):
+    """A memo that records every read."""
+
+    def __init__(self, memo, reads):
+        super().__init__(memo)
+        self.reads = reads
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+    def setdefault(self, key, default=None):
+        self.reads.append(key)
+        return super().setdefault(key, default)
+
+
+def test_a_would_be_hit_still_checks_the_action_spaces():
+    L = make_gl(1, 1)
+    M = zero_module(L, GradedBasis(("m0", "m1"), (0, 1)))
+    rep_L = gl11_swap_rep(L)
+    rep_M = trivial_action(rep_L.group, RATIONAL, M.space.parities)
+    for n in range(3):
+        cohomology(n, L, M, (rep_L, rep_M))
+    # The same objects, so the memo holds their entry, but the module action
+    # no longer lives on the space of M.
+    rep_M.parities = (0, 0)
+    reads = []
+    M._complexes = WatchedMemo(M._complexes, reads)
+    with pytest.raises(BasisMismatch):
+        cohomology(3, L, M, (rep_L, rep_M))
+    assert reads == []
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+def test_the_memo_keeps_nothing_alive(pair):
+    L = make_gl(1, 1)
+    if pair:
+        M = zero_module(L, GradedBasis(("m0", "m1"), (0, 1)))
+        rep_L = gl11_swap_rep(L)
+        rep_M = trivial_action(rep_L.group, RATIONAL, M.space.parities)
+        rep = (rep_L, rep_M)
+    else:
+        M = adjoint_module(L)
+        rep_L = rep_M = rep = gl11_swap_rep(L)
+    for n in range(3):
+        cohomology(n, L, M, rep)
+        cohomology(n, L, M)
+    assert len(M._complexes) == 2
+    objs = {"L": L, "M": M, "rep_L": rep_L, "rep_M": rep_M}
+    gone = {name: weakref.ref(x) for name, x in objs.items()}
+    gc.disable()  # so only refcounting can free them: the memo must hold no cycle
+    try:
+        del objs, rep, rep_L, rep_M
+        assert gone["rep_L"]() is None and gone["rep_M"]() is None
+        assert len(M._complexes) == 1  # the entry on the actions went with them
+        del L
+        assert gone["L"]() is None
+        assert M._complexes == {}
+        del M
+        assert gone["M"]() is None
+    finally:
+        gc.enable()

@@ -11,6 +11,7 @@ from supercohom.linalg import (
     mat_mul,
     mat_zero,
     pivot_columns,
+    rref_rows,
 )
 from supercohom.scalars import RATIONAL, Scalar, cyclo, one, root_of_unity, scalar, zero
 
@@ -235,3 +236,23 @@ def test_kernel_matches_bareiss_on_empty_and_zero_matrices(spec, rows, cols):
     mat = mat_zero(rows, cols, spec)
     check_kernel_against_bareiss(mat, cols, spec, [o] * cols, [o] * rows, [[o] * rows])
     assert nullspace(mat, cols, spec) == [[o if i == j else zero(spec) for i in range(cols)] for j in range(cols)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["Q", "Q(zeta4)"])
+def test_row_order_changes_neither_the_rows_nor_the_pivots(spec):
+    # rref_rows reorders its input by nonzeros; the RREF is unique, so any
+    # shuffle of the rows, some given with their zero entries, gives the
+    # dense oracle's rows and pivots.
+    @given(st.data())
+    def prop(data):
+        mat, cols = data.draw(systems(spec))
+        want, want_pivots = bareiss_rref(mat, spec)
+        want = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in want[: len(want_pivots)]]
+        rows = [
+            dict(enumerate(row)) if data.draw(st.booleans()) else {c: x for c, x in enumerate(row) if not x.is_zero()}
+            for row in mat
+        ]
+        for order in (rows, data.draw(st.permutations(rows))):
+            assert rref_rows(order) == (want, want_pivots)
+
+    prop()
