@@ -6,11 +6,7 @@ _family, sparse columns over the raw cochain_coords indices with one parity
 per column (the unit coordinates, or the certified Reynolds columns of
 group_action.equivariant_subspace).  Only _family builds it; cochain_basis
 wraps its columns as Cochains, and cohomology builds Cochains only for the
-representatives.  Under a group the certified columns are built once per
-degree and pair of actions and kept on the action
-(group_action._fixed_cochains), so cohomology, coboundary_preimage,
-cochain_basis and coboundary_matrix on the same actions share them, and a
-later _family only applies its weight filter.
+representatives.
 
 The coboundary is assembled by one sweep over the canonical (n+1)-tuples
 (_delta_rows): each bracket and module-action term goes straight into a
@@ -41,18 +37,16 @@ tests/util.py keeps as full_cohomology.  Weights are exact integers: the
 eigenvalues' power-basis numerators over one denominator, packed as the
 digits of one int (_weights), so the weight of a tuple is an int sum.
 
-Consecutive degrees share one reduction.  B^n is the image of delta^(n-1),
-which cohomology(n - 1) has just reduced, so every cohomology call records,
-per degree k and block (weight 0, or the whole complex), the pivot columns
-of delta^k split by parity and the rank of delta^k on the blocks of nonzero
-weight.  The record lives on the module (LModule._complexes), keyed by the
-identities of L and of the two actions, which it holds weakly
-(_complex_memo).  Walking n = 0, 1, 2, ... on one (L, M, G) then sweeps and
-reduces each delta^k once; a cold call does what it did before, plus one
-pass over the nonzeros of delta^n.  No sweep rows or reduced rows are kept:
-the kernel of delta^n, which the representatives need, is reduced on every
-call.  coboundary_matrix, coboundary_preimage and the oracle full_cohomology
-do not read the record.
+Each complex C^*_G(L, M) has one record, a _Complex on the module, reached
+through _complex after resolve_reps has checked the actions.  It keeps the
+torus, found once; per degree, the _family of C^n; and per degree, the pivot
+columns of delta^k by parity and its rank on the blocks of nonzero weight.
+So cohomology, coboundary_preimage, cochain_basis and coboundary_matrix on
+one complex build each family once, and since B^n is the image of
+delta^(n-1), walking n = 0, 1, 2, ... sweeps and reduces each delta^k once;
+a cold call does what it did before, plus one pass over the nonzeros of
+delta^n.  No sweep or reduced rows are kept, so the kernel of delta^n is
+reduced on every call.  The oracle full_cohomology reads no record.
 """
 
 from __future__ import annotations
@@ -309,30 +303,67 @@ def _torus(L: LieSuperalgebra, M: LModule, reps) -> list[int]:
     return h
 
 
-def _weights(terms: int, L: LieSuperalgebra, M: LModule, reps) -> tuple[list[int], list[int]] | None:
+@dataclass(eq=False)
+class _Complex:
+    """The kept state of one cochain complex C^*_G(L, M), made by _complex.
+
+    torus is h (_torus) and eigen its eigenvalue table: per basis vector of
+    L, then of M, the power-basis numerators of its eigenvalues under h over
+    one common denominator, or None when all are 0.  families[n] is the
+    unfiltered _family of C^n, (columns, parities); reductions[n] is what
+    cohomology keeps of delta^n, (pivot columns by parity, rank off weight 0
+    per parity).  refs are weak references to L and the actions.
+    """
+
+    refs: list
+    torus: list[int]
+    eigen: tuple[list[list[int]], list[list[int]]] | None
+    families: dict = field(default_factory=dict)
+    reductions: dict = field(default_factory=dict)
+
+
+def _complex(L: LieSuperalgebra, M: LModule, reps) -> _Complex:
+    """The record of the complex of (L, M, reps), reps as resolve_reps
+    returns them, in M._complexes under the identities of L and the actions.
+    Its weak references to them drop it when one dies, so no id is reused
+    while it lives and M keeps none of them alive."""
+    objs = (L, *reps) if reps is not None else (L,)
+    key = tuple(map(id, objs))
+    cx = M._complexes.get(key)
+    if cx is None:
+        home = weakref.ref(M)
+
+        def drop(_):
+            module = home()
+            if module is not None:
+                module._complexes.pop(key, None)
+
+        h = _torus(L, M, reps)
+        z = zero(L.spec)
+        br, act = L.bracket.components, M.act
+        eigen = [[br[(x, y)].coords[y] if (x, y) in br else z for x in h] for y in range(len(L.basis))]
+        eigen += [[act[(x, j)].coords[j] if (x, j) in act else z for x in h] for j in range(len(M.space))]
+        den = lcm(*[c.den for row in eigen for c in row])
+        digits = [[d * (den // c.den) for c in row for d in c.num] for row in eigen]
+        table = (digits[: len(L.basis)], digits[len(L.basis) :]) if any(map(any, digits)) else None
+        cx = M._complexes[key] = _Complex([weakref.ref(x, drop) for x in objs], h, table)
+    return cx
+
+
+def _weights(terms: int, cx: _Complex) -> tuple[list[int], list[int]] | None:
     """The weights under h of the basis of L and of M, packed into ints, or
     None when every weight is 0.
 
-    The weight of a basis vector is its eigenvalue under each x in h.  The
-    power-basis coordinates of these eigenvalues, over their one common
-    denominator, are the digits of one int in a base greater than
+    The weight of a basis vector is its eigenvalue under each x in h.  Its
+    digits in cx.eigen become the digits of one int in a base greater than
     2 * terms * (the largest digit).  No digit of a signed sum of at most
     `terms` packed weights can carry, so such a sum is 0 exactly when the
     weights sum to 0.
     """
-    h = _torus(L, M, reps)
-    z = zero(L.spec)
-    br, act = L.bracket.components, M.act
-    eigen = [[br[(x, y)].coords[y] if (x, y) in br else z for x in h] for y in range(len(L.basis))]
-    eigen += [[act[(x, j)].coords[j] if (x, j) in act else z for x in h] for j in range(len(M.space))]
-    den = lcm(*[c.den for row in eigen for c in row])
-    digits = [[d * (den // c.den) for c in row for d in c.num] for row in eigen]
-    top = max([abs(d) for row in digits for d in row], default=0)
-    if top == 0:
+    if cx.eigen is None:
         return None
-    base = 2 * terms * top + 1
-    packed = [sum([d * base**k for k, d in enumerate(row)]) for row in digits]
-    return packed[: len(L.basis)], packed[len(L.basis) :]
+    base = 2 * terms * max([abs(d) for rows in cx.eigen for row in rows for d in row]) + 1
+    return tuple([sum([d * base**k for k, d in enumerate(row)]) for row in rows] for rows in cx.eigen)
 
 
 def _family(
@@ -343,21 +374,25 @@ def _family(
     the number of basis members of each parity left out.
 
     Without a group the members are the coordinate unit vectors.  With one
-    they are the certified Reynolds columns of equivariant_subspace, built
-    once per degree and pair of actions (group_action._fixed_cochains); each
-    is homogeneous, since the action is even, and lies in one weight, since
-    G fixes h.  When the packed weights wt of _weights are given, only the
-    members of weight 0 are kept.  Under a group the column dicts are the
-    memo's and must not be mutated.
+    they are the certified Reynolds columns of equivariant_subspace
+    (group_action._fixed_cochains); each is homogeneous, since the action is
+    even, and lies in one weight, since G fixes h.  Either is built once per
+    degree and kept in the record of the complex (_complex), whose lists
+    and column dicts must not be mutated.  When the packed weights wt of
+    _weights are given, only the members of weight 0 are kept.
     """
     reps = resolve_reps(rep, L, M)
-    if reps is None:
-        o, par = one(L.spec), L.basis.parities
-        coords = cochain_coords(L.basis, n, M.space)
-        all_cols = [{t: o} for t in range(len(coords))]
-        all_par = [(sum(par[i] for i in T) + M.space.parities[j]) % 2 for T, j in coords]
-    else:
-        all_cols, all_par = _fixed_cochains(reps[0], reps[1], L, M, n)
+    families = _complex(L, M, reps).families
+    if n not in families:
+        if reps is None:
+            o, par = one(L.spec), L.basis.parities
+            coords = cochain_coords(L.basis, n, M.space)
+            cols = [{t: o} for t in range(len(coords))]
+            parities = [(sum(par[i] for i in T) + M.space.parities[j]) % 2 for T, j in coords]
+        else:
+            cols, parities = _fixed_cochains(reps[0], reps[1], L, M, n)
+        families[n] = cols, parities
+    all_cols, all_par = families[n]
     if wt is None:
         return all_cols, all_par, [0, 0]
     wL, wM = wt
@@ -454,29 +489,6 @@ def _pivot_images(rows: dict[int, Row], pivots: list[int], parities: list[int]) 
     return tuple([col for k, col in images.items() if parities[k] == p] for p in (0, 1))
 
 
-def _complex_memo(L: LieSuperalgebra, M: LModule, reps) -> dict:
-    """The per-degree memo of cohomology on the complex of (L, M, reps),
-    kept in M._complexes and keyed by the identities of L and of the actions.
-
-    The entry holds weak references to them, whose callbacks drop the entry
-    when one of them dies: so an id is not reused while its entry lives, and
-    M keeps neither L nor an action alive.
-    """
-    objs = (L, *reps) if reps is not None else (L,)
-    key = tuple(map(id, objs))
-    entry = M._complexes.get(key)
-    if entry is None:
-        home = weakref.ref(M)
-
-        def drop(_):
-            module = home()
-            if module is not None:
-                module._complexes.pop(key, None)
-
-        entry = M._complexes[key] = ([weakref.ref(x, drop) for x in objs], {})
-    return entry[1]
-
-
 def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyReport:
     """Dimensions of C, Z, B and H in degree n per parity, and representatives.
 
@@ -492,29 +504,26 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
     become Cochains.  With h empty, or every weight 0, the block is the
     whole complex.
 
-    B^n is all that degree n needs of delta^(n-1), so each call records, per
-    degree k and block, the pivot columns of delta^k split by parity and the
-    rank of delta^k on the blocks of nonzero weight, in M._complexes, keyed
-    by the identities of L and of the two actions.  A call for degree n
-    after one for n - 1 or n on the same objects then sweeps and reduces
-    delta^n only.  The memo is read after _family(n) has checked the action
-    spaces against L and M, and it keeps no sweep rows and no reduced rows.
+    B^n is all that degree n needs of delta^(n-1), so each call keeps the
+    pivot columns of delta^n by parity and its rank on the blocks of nonzero
+    weight in the record of the complex (_complex), which fixes the torus
+    once.  A call for degree n after one for n - 1 or n on the same objects
+    then sweeps and reduces delta^n only.
     """
     reps = resolve_reps(rep, L, M)
-    wt = _weights(n + 2, L, M, reps)
+    cx = _complex(L, M, reps)
+    wt = _weights(n + 2, cx)
     dom, dom_par, left_out = _family(n, L, M, rep, wt)
     rows = _delta_rows(n, L, M, dom, wt)
     reduced, pivots = rref_rows(rows.values())
     kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
 
-    degrees = _complex_memo(L, M, reps)
-    block = wt is not None
     # The pivot columns of delta^(n-1) per parity, and its rank on the blocks
     # of nonzero weight, per parity.  They are acyclic, so their rank in
     # delta^k is their dimension in C^k minus their rank in delta^(k-1).
     images, counted = ([], []), [0, 0]
     if n > 0:
-        hit = degrees.get((n - 1, block))
+        hit = cx.reductions.get(n - 1)
         if hit is None:
             for k in range(n - 1 if wt else 0):
                 counted = [d - r for d, r in zip(_family(k, L, M, rep, wt)[2], counted)]
@@ -522,11 +531,11 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
             prev_rows = _delta_rows(n - 1, L, M, prev, wt)
             prev_pivots = rref_rows(prev_rows.values())[1]
             counted = [d - r for d, r in zip(prev_out, counted)]
-            hit = degrees[(n - 1, block)] = (_pivot_images(prev_rows, prev_pivots, prev_par), counted)
+            hit = cx.reductions[n - 1] = (_pivot_images(prev_rows, prev_pivots, prev_par), counted)
         images, counted = hit
-    if (n, block) not in degrees:
+    if n not in cx.reductions:
         rank_off = [d - r for d, r in zip(left_out, counted)]
-        degrees[(n, block)] = (_pivot_images(rows, pivots, dom_par), rank_off)
+        cx.reductions[n] = (_pivot_images(rows, pivots, dom_par), rank_off)
 
     coords = cochain_coords(L.basis, n, M.space)
     c_dims, z_dims, b_dims, h_dims = [0, 0], [0, 0], [0, 0], [0, 0]

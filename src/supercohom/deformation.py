@@ -40,7 +40,7 @@ from .group_action import ActionRep, acts_by_automorphisms, is_representation, p
 from .linalg import Row, add_scaled, lin_comb
 from .nr_bracket import bracket_element, circ
 from .scalars import FieldSpec, one, scalar
-from .superalgebra import LieSuperalgebra, adjoint_module
+from .superalgebra import LieSuperalgebra, LModule, adjoint_module
 
 
 @dataclass
@@ -54,11 +54,14 @@ class Deformation:
     is equivariant exactly when G acts by automorphisms, the verdict that
     group_action.acts_by_automorphisms keeps per (rep, algebra).  Under a
     rep that is not a representation every term goes through is_equivariant.
+    Every function here reads the one adjoint module, so they share its
+    cochain complexes (cohomology._Complex).
     """
 
     base: LieSuperalgebra
     rep: ActionRep | None
     terms: list[Cochain]
+    adjoint: LModule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -73,13 +76,13 @@ class Deformation:
         mu = bracket_element(self.base)
         if self.terms[0] is not mu and self.terms[0] != mu:
             raise ValidationError("order-0 term must equal the base bracket")
+        self.adjoint = adjoint_module(self.base)
         if self.rep is not None:
-            M = adjoint_module(self.base)
             for k, f in enumerate(self.terms):
                 if k == 0 and is_representation(self.rep):
                     ok = acts_by_automorphisms(self.rep, self.base)
                 else:
-                    ok = is_equivariant(f, self.rep, self.rep, self.base, M)
+                    ok = is_equivariant(f, self.rep, self.rep, self.base, self.adjoint)
                 if not ok:
                     raise ValidationError(f"term {k} is not equivariant")
 
@@ -90,7 +93,7 @@ class Deformation:
     def term(self, k: int) -> Cochain:
         if 0 <= k < len(self.terms):
             return self.terms[k]
-        return zero_cochain(2, 0, self.base, adjoint_module(self.base))
+        return zero_cochain(2, 0, self.base, self.adjoint)
 
 
 @dataclass
@@ -155,7 +158,7 @@ class InfinitesimalReport:
 def infinitesimal(d: Deformation) -> InfinitesimalReport:
     for k in range(1, d.order + 1):
         if not d.terms[k].is_zero():
-            dk = coboundary(d.terms[k], d.base, adjoint_module(d.base))
+            dk = coboundary(d.terms[k], d.base, d.adjoint)
             return InfinitesimalReport(k, d.terms[k], dk.is_zero())
     raise AllZero("every term beyond order 0 vanishes")
 
@@ -179,8 +182,7 @@ def obstruction(d: Deformation) -> ObstructionReport:
     if not report.ok:
         r = report.first_failure().r
         raise NotValidated(f"deformation fails truncated validation at order {r}", report)
-    L = d.base
-    M = adjoint_module(L)
+    L, M = d.base, d.adjoint
     obs = _composition_sum(d, d.order + 1, 1)
     if obs.is_zero():
         return ObstructionReport(obs, True, zero_cochain(2, 0, L, M), True)
@@ -253,9 +255,8 @@ def gauge_transform(d: Deformation, g: GaugeTransform) -> Deformation:
     if g.space != L.basis or g.spec != L.spec:
         raise BasisMismatch("gauge transform does not act on the base algebra")
     if d.rep is not None:
-        M = adjoint_module(L)
         for k, psi in enumerate(g.maps):
-            if not is_equivariant(psi, d.rep, d.rep, L, M):
+            if not is_equivariant(psi, d.rep, d.rep, L, d.adjoint):
                 raise ValidationError(f"gauge map {k} is not equivariant")
     N = d.order
     psi = [_columns(g.map_at(i)) for i in range(N + 1)]
@@ -288,7 +289,7 @@ def infinitesimals_cohomologous(
         raise BasisMismatch("deformations live on different algebras")
     minus = scalar(L.spec, -1)
     diff = d1.term(1).add(d2.term(1).scale(minus))
-    M = adjoint_module(L)
+    M = d1.adjoint
     verdict = coboundary_preimage(1, L, M, d1.rep, diff) is not None
     if g is not None:
         psi1 = g.map_at(1)

@@ -43,13 +43,12 @@ become the columns of cohomology._family.  The pivots are chosen on the
 unscaled orbit sums sum_g g, and only the returned columns are scaled.
 
 The induced action on C^n hands over unit columns for the identity when it
-acts as one on both L and M, instead of pulling back every tuple.  Each
-certified family of G-fixed n-cochains is built once per (n, rep_L, rep_M)
-by _fixed_cochains and kept on rep_L, next to the is_representation and
-acts_by_automorphisms verdicts; only its columns and their parities are
-kept, and every call checks the parities of the two spaces before it reads
-the memo.  An entry keeps rep_M alive as long as rep_L lives, except when
-rep_M is rep_L, where it holds no reference back.
+acts as one on both L and M, instead of pulling back every tuple.
+_fixed_cochains builds the certified family of G-fixed n-cochains and the
+parity of each column; it keeps nothing.  The family is kept once per
+degree in the record of its complex (cohomology._Complex), read only after
+resolve_reps has checked that the two actions are of one group, over one
+field, on the spaces of L and of M.
 """
 
 from __future__ import annotations
@@ -144,7 +143,9 @@ class ActionRep:
     given by its dense matrices (constructed actions) or by its columns
     (parsed actions, the induced action on cochains); either way only the
     columns are kept, and matrices[g], the dense matrix whose columns are
-    those images, is built on first use.
+    those images, is built on first use.  Besides these it keeps only its
+    own verdicts (is_representation, acts_by_automorphisms); the G-fixed
+    cochains live with their complex (cohomology._Complex).
     """
 
     def __init__(self, group: FiniteGroup, spec: FieldSpec, parities, matrices=None, columns=None):
@@ -154,9 +155,6 @@ class ActionRep:
         self._matrices = None
         self._is_representation: bool | None = None
         self._automorphisms: tuple[LieSuperalgebra, bool] | None = None  # (L, verdict)
-        # _fixed_cochains: (n, id(rep_M), or None for rep_M = self) -> (rep_M or None,
-        # certified columns, parities), as tuples
-        self._fixed_families: dict = {}
         d = len(self.parities)
         if columns is None:
             if any(len(mat) != d or any(len(row) != d for row in mat) for mat in matrices):
@@ -242,14 +240,28 @@ class ActionReport:
 def resolve_reps(rep, L: LieSuperalgebra, M: LModule) -> tuple[ActionRep, ActionRep] | None:
     """The rule for every rep= argument: None means no group, a single
     ActionRep covers L and a module on the algebra basis, and a pair
-    (rep_L, rep_M) covers anything else.  Returns None or the pair."""
+    (rep_L, rep_M) covers anything else.  Returns None or the pair.
+
+    It also checks what every (L, M, rep) entry point needs: M is a module
+    of L, and the two actions are of one group, over one field, on the
+    spaces of L and of M.
+    """
+    if M.algebra != L.basis:
+        raise BasisMismatch("module is declared over a different algebra basis")
     if rep is None:
         return None
     if isinstance(rep, ActionRep):
         if M.space != L.basis:
             raise BasisMismatch("a single representation only covers a module on the algebra basis")
-        return rep, rep
-    rep_L, rep_M = rep
+        rep_L = rep_M = rep
+    else:
+        rep_L, rep_M = rep
+    if rep_L.group is not rep_M.group and rep_L.group != rep_M.group:
+        raise ValidationError("algebra and module actions must share the group")
+    if rep_L.spec != rep_M.spec:
+        raise FieldMismatch("algebra and module actions live over different fields")
+    if rep_L.parities != L.basis.parities or rep_M.parities != M.space.parities:
+        raise BasisMismatch("representation spaces do not match algebra/module bases")
     return rep_L, rep_M
 
 
@@ -405,10 +417,7 @@ def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
 def validate_module_action(
     rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule
 ) -> ActionReport:
-    if rep_L.parities != L.basis.parities or rep_M.parities != M.space.parities:
-        raise BasisMismatch("representation spaces do not match algebra/module bases")
-    if rep_L.group is not rep_M.group and rep_L.group != rep_M.group:
-        raise ValidationError("algebra and module actions must share the group")
+    resolve_reps((rep_L, rep_M), L, M)
     report = ActionReport()
     _rep_structure_checks(rep_M, report)
     act = {key: vec.coords for key, vec in M.act.items()}
@@ -450,14 +459,6 @@ def pull_back(
     return acc
 
 
-def _check_cochain_spaces(rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule) -> None:
-    """The two actions live over one field, on the spaces of L and of M."""
-    if rep_L.spec != rep_M.spec:
-        raise FieldMismatch("algebra and module actions live over different fields")
-    if rep_L.parities != L.basis.parities or rep_M.parities != M.space.parities:
-        raise BasisMismatch("representation spaces do not match algebra/module bases")
-
-
 def induced_action_on_cochains(
     rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
 ) -> ActionRep:
@@ -468,7 +469,7 @@ def induced_action_on_cochains(
     When the identity acts as one on both L and M, its columns are the unit
     columns, handed over without pulling back any tuple.
     """
-    _check_cochain_spaces(rep_L, rep_M, L, M)
+    resolve_reps((rep_L, rep_M), L, M)
     spec = rep_L.spec
     group = rep_L.group
     canon = superalt_basis(L.basis, n)
@@ -554,29 +555,7 @@ def _fixed_cochains(
     rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
 ) -> tuple[list[Row], list[int]]:
     """The certified basis of the G-fixed n-cochains (equivariant_subspace of
-    the induced action on C^n) and the parity of each column, built once per
-    (n, rep_L, rep_M).
-
-    The family depends only on the columns of the two actions and on the
-    parities of their spaces, which are checked against L and M on every
-    call, before the memo is read.  It is kept on rep_L, keyed by n and by
-    the identity of rep_M, which the entry holds so that its id is not
-    reused; an equal but distinct ActionRep gets its own build.  So an entry
-    keeps rep_M and the certified columns alive as long as rep_L lives.
-    When rep_M is rep_L (a single rep), the key holds None instead and the
-    entry no reference, so rep_L is not kept in a reference cycle.  Only the
-    certified columns and their parities are kept, not the induced action.
-    A hit returns the columns of a cold build that passed the full
-    certificate.  Like is_representation, the memo trusts
-    ActionRep.columns not to change.  Each call returns lists of its own,
-    but the column dicts are the memo's and must not be mutated.
-    """
-    _check_cochain_spaces(rep_L, rep_M, L, M)
-    held = None if rep_M is rep_L else rep_M
-    key = (n, None if held is None else id(held))
-    hit = rep_L._fixed_families.get(key)
-    if hit is not None:
-        return list(hit[1]), list(hit[2])
+    the induced action on C^n) and the parity of each column."""
     induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
     cols = equivariant_subspace(induced)
     parities = []
@@ -585,5 +564,4 @@ def _fixed_cochains(
         if len(found) != 1:
             raise ValidationError("fixed-space basis vector mixes parities")
         parities.append(found.pop())
-    rep_L._fixed_families[key] = (held, tuple(cols), tuple(parities))
     return cols, parities

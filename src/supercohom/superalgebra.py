@@ -172,8 +172,9 @@ def validate_superalgebra(L: LieSuperalgebra) -> AlgebraReport:
 class LModule:
     """Module data: act[(i, j)] = action of algebra basis i on module basis j.
 
-    _complexes is the memo of cohomology.cohomology on the complexes with
-    coefficients in this module; it takes no part in equality.
+    _complexes holds one cohomology._Complex per cochain complex with
+    coefficients in this module: its torus, and per degree its family and
+    what cohomology keeps of its coboundary.  It takes no part in equality.
     """
 
     algebra: GradedBasis

@@ -85,13 +85,18 @@ class Workspace:
     _deformation_cache: dict[str, Deformation] = field(
         default_factory=dict, compare=False, repr=False
     )
+    # the one adjoint module of the workspace, so its complexes are built once
+    adjoint: LModule = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.adjoint = adjoint_module(self.algebra)
 
     def module_names(self) -> list[str]:
         return [ADJOINT] + sorted(self.modules)
 
     def resolve_module(self, name: str) -> tuple[LModule, ActionRep | None]:
         if name == ADJOINT:
-            return adjoint_module(self.algebra), self.rep
+            return self.adjoint, self.rep
         entry = self.modules.get(name)
         if entry is None:
             raise ParseError(f"unknown module {name!r}; have {self.module_names()}")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from supercohom import cohomology as cohomology_module
 from supercohom.cohomology import (
     Cochain,
+    _complex,
     _delta_rows,
     _family,
     _matrix_from_basis,
@@ -22,6 +23,7 @@ from supercohom.cohomology import (
     annihilator,
     coboundary,
     coboundary_matrix,
+    coboundary_preimage,
     cochain_basis,
     cohomology,
     derivations,
@@ -49,6 +51,7 @@ from supercohom.scalars import RATIONAL, cyclo, one, scalar, zero
 from supercohom.superalgebra import (
     adjoint_module,
     make_gl,
+    make_sl,
     zero_module,
 )
 
@@ -446,6 +449,40 @@ def test_coboundary_rejects_wrong_module():
         coboundary(f, L, M)
 
 
+@pytest.mark.parametrize("call", ["cohomology", "coboundary", "coboundary_preimage", "derivations", "annihilator"])
+def test_a_module_of_another_algebra_is_refused(call):
+    # The adjoint module of gl(1|1) is no module of sl(1|1); cohomology used
+    # to report h_dims (-1, 2) for it in degree 1.
+    L = make_sl(1, 1)
+    M = adjoint_module(make_gl(1, 1))
+    f = zero_cochain(1, 0, L, M)
+    calls = {
+        "cohomology": lambda: cohomology(1, L, M),
+        "coboundary": lambda: coboundary(f, L, M),
+        "coboundary_preimage": lambda: coboundary_preimage(1, L, M, None, zero_cochain(2, 0, L, M)),
+        "derivations": lambda: derivations(L, M),
+        "annihilator": lambda: annihilator(L, M),
+    }
+    with pytest.raises(BasisMismatch, match="different algebra basis"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["Z2-Z3", "Z3-Z2"])
+def test_actions_of_different_groups_are_refused(swapped):
+    L = make_gl(1, 1)
+    M = zero_module(L, GradedBasis(("m",), (0,)))
+    rep_L = gl11_swap_rep(L)
+    rep_M = trivial_action(cyclic_group(3), RATIONAL, M.space.parities)
+    if swapped:
+        rep_L = trivial_action(cyclic_group(3), RATIONAL, L.basis.parities)
+        rep_M = trivial_action(cyclic_group(2), RATIONAL, M.space.parities)
+    for call in (cohomology, lambda n, *args: cochain_basis(n, *args)):
+        with pytest.raises(ValidationError, match="share the group"):
+            call(1, L, M, (rep_L, rep_M))
+    with pytest.raises(ValidationError, match="share the group"):
+        derivations(L, M, (rep_L, rep_M))
+
+
 def test_mu1_equivariant_but_not_a_cocycle():
     # The multiplication-induced direction is equivariant and kills every
     # triple of three distinct basis elements, yet it is not a cocycle: the
@@ -665,7 +702,7 @@ def test_weighted_sweep_of_single_members_matches_the_oracle(n, alg, adjoint, wi
         rep_L = diagonal_rep(G, RATIONAL, L.basis.parities, diags)
         rep = rep_L if adjoint else (rep_L, trivial_action(G, RATIONAL, M.space.parities))
         reps = resolve_reps(rep, L, M)
-    wt = _weights(n + 2, L, M, reps)
+    wt = _weights(n + 2, _complex(L, M, reps))
     assert wt is not None
     cols, parities, _ = _family(n, L, M, reps, wt)
     assert cols

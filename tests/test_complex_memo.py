@@ -1,10 +1,13 @@
 """cohomology(n) reads the reduction of delta^(n-1) that an earlier call made.
 
-cohomology keeps, per complex (L, M and the actions) and per degree k and
-block, the pivot columns of delta^k and its rank on the blocks of nonzero
-weight in M._complexes.  These tests count the sweeps (_delta_rows) and the
-reductions of their rows (rref_rows) and compare every report with the
-memo-free oracle util.full_cohomology; they do not time anything.
+Each complex (L, M and the actions) has one record, cohomology._Complex,
+kept in M._complexes: its torus, found once, and per degree k its _family
+(tests/test_fixed_family_memo.py) and the pivot columns of delta^k with its
+rank on the blocks of nonzero weight.  These tests count the torus passes
+(_torus), the sweeps (_delta_rows) and the reductions of their rows
+(rref_rows), check what the record keeps alive, and compare every report
+with the oracle util.full_cohomology, which reads no record; they do not
+time anything.
 """
 
 import gc
@@ -17,10 +20,18 @@ from hypothesis import strategies as st
 
 from supercohom import cohomology as cohomology_module
 from supercohom import linalg
-from supercohom.cohomology import _weights, cohomology
+from supercohom.cohomology import (
+    _complex,
+    _torus,
+    _weights,
+    coboundary_matrix,
+    coboundary_preimage,
+    cochain_basis,
+    cohomology,
+)
 from supercohom.errors import BasisMismatch
 from supercohom.graded import GradedBasis
-from supercohom.group_action import cyclic_group, diagonal_rep, trivial_action
+from supercohom.group_action import cyclic_group, diagonal_rep, resolve_reps, trivial_action
 from supercohom.scalars import RATIONAL, one, scalar
 from supercohom.superalgebra import adjoint_module, from_pairs, make_gl, zero_module
 
@@ -73,6 +84,26 @@ def test_a_ladder_sweeps_and_reduces_each_degree_once(monkeypatch, make_rep):
     assert again == reports[3]
 
 
+@pytest.mark.parametrize("make_rep", REPS.values(), ids=REPS.keys())
+def test_the_torus_is_found_once_per_complex(monkeypatch, make_rep):
+    L = make_gl(1, 1)
+    M, other = adjoint_module(L), adjoint_module(L)
+    rep = make_rep(L)
+    tori = count_calls(monkeypatch, cohomology_module, "_torus")
+    for module in (M, other):  # an equal module is a complex of its own
+        for n in range(5):
+            cohomology(n, L, module, rep)
+        cohomology(2, L, module, rep)
+        target = cochain_basis(2, L, module, rep)[0]
+        coboundary_preimage(1, L, module, rep, target)
+        coboundary_matrix(1, L, module, rep)
+    assert [args[1] for args in tori] == [M, other]
+    assert tori[0][1] is M and tori[1][1] is other
+    monkeypatch.undo()
+    reps = resolve_reps(rep, L, M)
+    assert _complex(L, M, reps).torus == _torus(L, M, reps) == _complex(L, other, reps).torus
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_cold_call_reduces_as_often_as_before(monkeypatch, n):
     # delta^n and delta^(n-1) are each swept and reduced once, and each parity
@@ -106,7 +137,7 @@ def test_another_bracket_on_the_same_basis_gets_no_hit(monkeypatch):
     pairs = {(i, j): v for (i, j), v in L.bracket.components.items() if i <= j and (i, j) != odd_pair}
     other = from_pairs(L.basis, RATIONAL, pairs)
     M = zero_module(L, GradedBasis(("m",), (0,)))
-    assert _weights(4, L, M, None) == _weights(4, other, M, None) is not None
+    assert _weights(4, _complex(L, M, None)) == _weights(4, _complex(other, M, None)) is not None
     for n in range(3):
         cohomology(n, L, M)
     sweeps, _, _ = watch(monkeypatch)
@@ -118,14 +149,20 @@ def test_another_bracket_on_the_same_basis_gets_no_hit(monkeypatch):
 
 
 def test_the_whole_complex_and_its_weight_zero_block_are_kept_apart(monkeypatch):
-    # Without weights cohomology reduces the whole complex and records it as
-    # such; the weighted calls on the same objects must not read it back.
+    # A complex fixes its torus when it is first reached.  With an empty
+    # torus the complex on M is reduced whole and recorded as such; the
+    # complex on an equal module finds the torus and reduces its weight-0
+    # block.  Neither reads the other's record, and each keeps its block.
     L = make_gl(1, 1)
-    M = adjoint_module(L)
-    monkeypatch.setattr(cohomology_module, "_weights", lambda *args: None)
+    M, other = adjoint_module(L), adjoint_module(L)
+    monkeypatch.setattr(cohomology_module, "_torus", lambda *args: [])
     whole = [cohomology(n, L, M) for n in range(4)]
     monkeypatch.undo()
-    weighted = [cohomology(n, L, M) for n in range(4)]
+    weighted = [cohomology(n, L, other) for n in range(4)]
+    assert _weights(6, _complex(L, M, None)) is None
+    assert _weights(6, _complex(L, other, None)) is not None
+    again = [cohomology(n, L, module) for module in (M, other) for n in range(4)]
+    assert whole + weighted == again
     assert whole == weighted == [full_cohomology(n, L, M) for n in range(4)]
 
 
@@ -160,8 +197,8 @@ def test_a_would_be_hit_still_checks_the_action_spaces():
     rep_M = trivial_action(rep_L.group, RATIONAL, M.space.parities)
     for n in range(3):
         cohomology(n, L, M, (rep_L, rep_M))
-    # The same objects, so the memo holds their entry, but the module action
-    # no longer lives on the space of M.
+    # The same objects, so M holds their record, but the module action no
+    # longer lives on the space of M.
     rep_M.parities = (0, 0)
     reads = []
     M._complexes = WatchedMemo(M._complexes, reads)
@@ -172,6 +209,8 @@ def test_a_would_be_hit_still_checks_the_action_spaces():
 
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
 def test_the_memo_keeps_nothing_alive(pair):
+    # Dropping the actions, then L, then M frees each, and the records of the
+    # complexes on them go with them, families and pivot columns included.
     L = make_gl(1, 1)
     if pair:
         M = zero_module(L, GradedBasis(("m0", "m1"), (0, 1)))
@@ -185,15 +224,18 @@ def test_the_memo_keeps_nothing_alive(pair):
         cohomology(n, L, M, rep)
         cohomology(n, L, M)
     assert len(M._complexes) == 2
-    objs = {"L": L, "M": M, "rep_L": rep_L, "rep_M": rep_M}
+    grouped, plain = (_complex(L, M, r) for r in ((rep_L, rep_M), None))
+    assert grouped.families and grouped.reductions and plain.families and plain.reductions
+    objs = {"L": L, "M": M, "rep_L": rep_L, "rep_M": rep_M, "grouped": grouped, "plain": plain}
     gone = {name: weakref.ref(x) for name, x in objs.items()}
-    gc.disable()  # so only refcounting can free them: the memo must hold no cycle
+    gc.disable()  # so only refcounting can free them: the records must hold no cycle
     try:
-        del objs, rep, rep_L, rep_M
+        del objs, rep, rep_L, rep_M, grouped, plain
         assert gone["rep_L"]() is None and gone["rep_M"]() is None
-        assert len(M._complexes) == 1  # the entry on the actions went with them
+        assert gone["grouped"]() is None  # the record on the actions went with them
+        assert len(M._complexes) == 1 and gone["plain"]() is not None
         del L
-        assert gone["L"]() is None
+        assert gone["L"]() is None and gone["plain"]() is None
         assert M._complexes == {}
         del M
         assert gone["M"]() is None

@@ -1,17 +1,22 @@
-"""Each certified G-fixed cochain family is built once per action and degree.
+"""Each cochain family is built once per complex and degree.
 
-cohomology._family reads the certified columns of equivariant_subspace
-through group_action._fixed_cochains, which keeps them on rep_L per degree
-n and per rep_M.  These tests count the builds; they do not time them.
+cohomology._family keeps the family of C^n, the unit columns or the
+certified columns of equivariant_subspace (group_action._fixed_cochains),
+in the record of its complex, cohomology._Complex, kept on the module per
+L and actions (tests/test_complex_memo.py checks its reductions and
+lifetime).  These tests count the builds; they do not time them.
 """
 
 import gc
+import os
 import weakref
 
 import pytest
 
-from supercohom import group_action
+from supercohom import group_action, superalgebra
 from supercohom.cohomology import (
+    Cochain,
+    _complex,
     _family,
     coboundary,
     coboundary_matrix,
@@ -19,13 +24,18 @@ from supercohom.cohomology import (
     cochain_basis,
     cohomology,
 )
+from supercohom.deformation import Deformation, infinitesimals_cohomologous, obstruction
 from supercohom.errors import BasisMismatch
 from supercohom.graded import GradedBasis
 from supercohom.group_action import ActionRep, cyclic_group, diagonal_rep, resolve_reps, trivial_action
+from supercohom.nr_bracket import bracket_element
 from supercohom.scalars import RATIONAL, one, scalar
 from supercohom.superalgebra import adjoint_module, make_gl, zero_module
+from supercohom.workspace import ADJOINT, load
 
-from util import cold_family, count_calls, gl11_swap_rep
+from util import abelian_algebra, cold_family, count_calls, gl11_swap_rep
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def parity_rep(L):
@@ -112,9 +122,17 @@ def test_a_hit_returns_the_cold_build(monkeypatch, make_rep, n):
     monkeypatch.undo()
     cols, parities = cold_family(n, L, M, rep)
     assert again == first == (cols, parities, [0, 0])
-    rep_L, rep_M = resolve_reps(rep, L, M)
-    assert rep_M is rep_L  # a single rep: the entry holds no reference back to it
-    assert rep_L._fixed_families[(n, None)] == (None, tuple(cols), tuple(parities))
+    assert _complex(L, M, resolve_reps(rep, L, M)).families[n] == (cols, parities)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_the_unit_columns_are_built_once_per_degree(n):
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    first = _family(n, L, M)
+    assert all(a is b for a, b in zip(first[0], _family(n, L, M)[0]))
+    assert first[:2] == cold_family(n, L, M)
+    assert _complex(L, M, None).families[n] == first[:2]
 
 
 def test_a_single_action_is_freed_by_refcounting():
@@ -122,9 +140,9 @@ def test_a_single_action_is_freed_by_refcounting():
     M = adjoint_module(L)
     rep = gl11_swap_rep(L)
     cohomology(2, L, M, rep)
-    assert rep._fixed_families
+    assert _complex(L, M, (rep, rep)).families
     gone = weakref.ref(rep)
-    gc.disable()  # so only refcounting can free rep: its memo must hold no cycle
+    gc.disable()  # so only refcounting can free rep: the record must hold no cycle
     try:
         del rep
         assert gone() is None
@@ -132,13 +150,34 @@ def test_a_single_action_is_freed_by_refcounting():
         gc.enable()
 
 
-def test_a_pair_entry_keeps_its_module_action(monkeypatch):
-    L = make_gl(1, 1)
-    M = zero_module(L, GradedBasis(("m0", "m1"), (0, 1)))
-    rep_L = gl11_swap_rep(L)
-    rep_M = trivial_action(rep_L.group, RATIONAL, M.space.parities)
-    _family(1, L, M, (rep_L, rep_M))
-    assert rep_L._fixed_families[(1, id(rep_M))][0] is rep_M
-    gone = weakref.ref(rep_M)
-    del rep_M  # the entry holds it, so its id is not reused by another action
-    assert gone() is not None
+def test_repeated_obstructions_share_their_families(monkeypatch):
+    # A Deformation keeps one adjoint module, so every solve on it reads one
+    # complex: each degree's family is built once however often it is asked.
+    B = abelian_algebra(3, 0)
+    rep = trivial_action(cyclic_group(2), RATIONAL, B.basis.parities)
+    o = one(RATIONAL)
+    mu1 = Cochain(2, 0, B.basis, B.basis, {((0, 1), 0): o, ((0, 2), 2): o})
+    d = Deformation(B, rep, [bracket_element(B), mu1])
+    induced, _ = builds(monkeypatch)
+    modules = count_calls(monkeypatch, superalgebra, "adjoint_module")
+    reports = [obstruction(d) for _ in range(3)]
+    assert [infinitesimals_cohomologous(d, d) for _ in range(3)] == [True] * 3
+    assert sorted(args[4] for args in induced) == [1, 2]
+    assert modules == []
+    assert not reports[0].cochain.is_zero()
+    assert reports[0] == reports[1] == reports[2]
+    assert d.term(5).space is d.adjoint.space
+
+
+def test_a_workspace_keeps_one_adjoint_module(monkeypatch):
+    ws = load(os.path.join(FIXTURES, "fixture_gl11_z2.json"))
+    module, rep = ws.resolve_module(ADJOINT)
+    assert module is ws.adjoint and ws.module_rep_arg(ADJOINT)[0] is module
+    induced, _ = builds(monkeypatch)
+    modules = count_calls(monkeypatch, superalgebra, "adjoint_module")
+    for _ in range(2):
+        for n in range(3):
+            module, rep = ws.resolve_module(ADJOINT)
+            cohomology(n, ws.algebra, module, rep)
+    assert sorted(args[4] for args in induced) == [0, 1, 2]
+    assert modules == []

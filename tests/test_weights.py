@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercohom.cohomology import _delta_rows, _family, _torus, _weights, cohomology
+from supercohom.cohomology import _complex, _delta_rows, _family, _torus, _weights, cohomology
 from supercohom.graded import GradedBasis, Vector, cochain_coords, superalt_count
 from supercohom.group_action import ActionRep, cyclic_group, diagonal_rep, resolve_reps, validate_action
 from supercohom.linalg import mat_identity, rref_rows
@@ -77,7 +77,7 @@ def test_weight_zero_block_gives_the_full_report(mn, pad0, pad1, module, n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_sl11_has_no_weights_and_keeps_the_full_complex(n):
     L = make_sl(1, 1)
-    assert _weights(n + 2, L, adjoint_module(L), None) is None
+    assert _weights(n + 2, _complex(L, adjoint_module(L), None)) is None
     assert_matches_full(n, L, adjoint_module(L))
 
 
@@ -90,7 +90,7 @@ def test_a_group_that_moves_the_torus_empties_it(n):
     L, M = ws.algebra, adjoint_module(ws.algebra)
     assert _torus(L, M, None) == [0, 1]
     assert _torus(L, M, resolve_reps(ws.rep, L, M)) == []
-    assert _weights(n + 2, L, M, resolve_reps(ws.rep, L, M)) is None
+    assert _weights(n + 2, _complex(L, M, resolve_reps(ws.rep, L, M))) is None
     assert_matches_full(n, L, M, ws.rep)
 
 
@@ -108,7 +108,7 @@ def test_a_group_that_fixes_the_torus_counts_its_fixed_blocks(n):
     rep = sign_rep(L.basis, [1, 1, -1, -1])
     M = adjoint_module(L)
     assert _torus(L, M, resolve_reps(rep, L, M)) == [0, 1]
-    assert _weights(n + 2, L, M, resolve_reps(rep, L, M)) is not None
+    assert _weights(n + 2, _complex(L, M, resolve_reps(rep, L, M))) is not None
     assert_matches_full(n, L, M, rep)
     Mt = trivial(L)
     assert_matches_full(n, L, Mt, (rep, sign_rep(Mt.space, [-1])))
@@ -202,7 +202,7 @@ def rescaled_gl21():
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_fractional_weights_are_cleared_and_packed(n):
     L = rescaled_gl21()
-    wL, wM = _weights(n + 2, L, trivial(L), None)
+    wL, wM = _weights(n + 2, _complex(L, trivial(L), None))
     assert len(set(wL)) > 3 and wM == [0]
     assert_matches_full(n, L, trivial(L))
     if n <= 2:
@@ -217,7 +217,7 @@ def test_cyclotomic_weights_pack_every_power_basis_digit(n):
     L = make_gl(1, 1, spec)
     one_ = scalar(spec, 1)
     L = rescaled(L, [root_of_unity(spec, 1), one_, one_, one_])
-    wL, _ = _weights(n + 2, L, adjoint_module(L), None)
+    wL, _ = _weights(n + 2, _complex(L, adjoint_module(L), None))
     assert wL[2] == -wL[3] != 0
     assert_matches_full(n, L, adjoint_module(L))
 
@@ -238,7 +238,7 @@ def test_packed_weights_tell_the_weights_apart(adjoint, rescale):
     onM = [tuple(module_act(M, Vector.basis(x, RATIONAL), Vector.basis(j, RATIONAL)).coords.get(j, z) for x in h)
            for j in range(len(M.space))]
     top = 3 if adjoint else 5
-    wL, wM = _weights(top, L, M, None)
+    wL, wM = _weights(top, _complex(L, M, None))
     seen = {}
     for k in range(top):
         for T, j in cochain_coords(L.basis, k, M.space):
@@ -264,7 +264,7 @@ def coordinate_weights(k, L, M, wt):
 def test_each_nonzero_weight_block_has_the_counted_rank(alg, adjoint, top):
     L = make_gl(*alg)
     M = adjoint_module(L) if adjoint else trivial(L)
-    wt = _weights(top + 2, L, M, None)
+    wt = _weights(top + 2, _complex(L, M, None))
     dims = []  # dims[k][(weight, parity)] = dim of that block of C^k
     for k in range(top + 2):
         block = {}

@@ -691,8 +691,8 @@ def count_calls(monkeypatch, module, name, keep=lambda *args: True):
 def cold_family(n, L, M, rep=None):
     """The columns and parities of the _family of C^n, built afresh: the unit
     coordinates, or the certified columns of equivariant_subspace on the
-    induced action, which do not go through the memo of
-    group_action._fixed_cochains."""
+    induced action, without reading or filling the record of the complex
+    (cohomology._Complex in M._complexes)."""
     reps = resolve_reps(rep, L, M)
     if reps is None:
         o = one(L.spec)
