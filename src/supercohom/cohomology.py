@@ -37,16 +37,15 @@ tests/util.py keeps as full_cohomology.  Weights are exact integers: the
 eigenvalues' power-basis numerators over one denominator, packed as the
 digits of one int (_weights), so the weight of a tuple is an int sum.
 
-Each complex C^*_G(L, M) has one record, a _Complex on the module, reached
-through _complex after resolve_reps has checked the actions.  It keeps the
-torus, found once; per degree, the _family of C^n; and per degree, the pivot
-columns of delta^k by parity and its rank on the blocks of nonzero weight.
-So cohomology, coboundary_preimage, cochain_basis and coboundary_matrix on
-one complex build each family once, and since B^n is the image of
-delta^(n-1), walking n = 0, 1, 2, ... sweeps and reduces each delta^k once;
-a cold call does what it did before, plus one pass over the nonzeros of
-delta^n.  No sweep or reduced rows are kept, so the kernel of delta^n is
-reduced on every call.  The oracle full_cohomology reads no record.
+A complex C^*_G(L, M) has at most one record, a _Complex on the module,
+reached through _complex after resolve_reps has checked the actions and
+made only by cohomology and by _family under a group.  It keeps only what
+a later call reads: the torus, found once; per degree, the G-fixed _family
+of C^n, so each is certified once; and per degree k, the pivot columns of
+delta^k by parity and its rank off weight 0.  Since B^n is the image of
+delta^(n-1), walking n = 0, 1, 2, ... sweeps and reduces each delta^k once.
+The unit family, sweep rows and reduced rows are not kept, and the oracle
+full_cohomology reads no record.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import lcm
 
-from .errors import BasisMismatch, ValidationError
-from .graded import GradedBasis, Vector, cochain_coords, superalt_basis
+from .errors import BasisMismatch, DegreeMismatch, ValidationError
+from .graded import GradedBasis, Vector, cochain_coords, cochain_parities, superalt_basis
 from .group_action import (
     ActionRep,
     _fixed_cochains,
@@ -81,10 +80,13 @@ class Cochain:
     def __post_init__(self):
         clean = {}
         par = self.algebra.parities
+        idx_L, idx_M = set(range(len(par))), set(range(len(self.space)))
         for (T, j), c in self.coords.items():
             T = tuple(T)
             if len(T) != self.arity:
                 raise ValueError(f"key {T} does not have arity {self.arity}")
+            if j not in idx_M or not idx_L.issuperset(T):
+                raise ValueError(f"coordinate ({T}, {j}) indexes outside the basis")
             # canonical: no even index repeats, and the tuple is non-decreasing
             repeats = any(par[i] == 0 and i in T[:k] for k, i in enumerate(T))
             if repeats or any(a > b for a, b in zip(T, T[1:])):
@@ -140,9 +142,7 @@ def is_equivariant(f: Cochain, rep_L: ActionRep, rep_M: ActionRep, L, M) -> bool
     """
     if not f.coords:  # 0 is fixed by every g
         return True
-    by_tuple: dict[tuple[int, ...], Row] = {}
-    for (T, j), c in f.coords.items():
-        by_tuple.setdefault(T, {})[j] = c
+    by_tuple = {T: v.coords for T, v in f.by_tuple().items()}
     o = one(L.spec)
     memo: dict = {}
     group = rep_L.group
@@ -159,33 +159,36 @@ def is_equivariant(f: Cochain, rep_L: ActionRep, rep_M: ActionRep, L, M) -> bool
 
 
 def coboundary(f: Cochain, L: LieSuperalgebra, M: LModule, rep=None) -> Cochain:
-    if f.algebra != L.basis or f.space != M.space:
-        raise BasisMismatch("cochain does not live over the given algebra and module")
+    col = _column(f, f.arity, L, M)
     reps = resolve_reps(rep, L, M)
     if reps is not None and not is_equivariant(f, reps[0], reps[1], L, M):
         raise ValidationError("cochain is not equivariant under the given action")
-    n, dimM = f.arity, len(M.space)
-    col: Row = {}
-    if f.coords:
-        pos = _positions(n, L, M)
-        col = {pos(key): c for key, c in f.coords.items()}
-    rows = _delta_rows(n, L, M, [col])
-    cod = superalt_basis(L.basis, n + 1) if rows else []
-    # raw index r of C^(n+1) is the coordinate (cod[r // dim M], r % dim M), as in _positions
-    coords = {(cod[r // dimM], r % dimM): row[0] for r, row in rows.items()}
-    return Cochain(n + 1, f.parity, L.basis, M.space, coords)
+    rows = _delta_rows(f.arity, L, M, [col])
+    return _cochains([{r: row[0] for r, row in rows.items()}], [f.parity], f.arity + 1, L, M)[0]
 
 
-def _positions(n: int, L: LieSuperalgebra, M: LModule):
-    """The raw index of a coordinate (T, j) of C^n, as a function of (T, j).
-
-    cochain_coords is tuple-major, so (T, j) sits at (index of T in
-    superalt_basis) * dim M + j.  Only the canonical n-tuples are listed,
-    not every coordinate of C^n.
-    """
+def _column(f: Cochain, n: int, L: LieSuperalgebra, M: LModule) -> Row:
+    """The n-cochain f as a sparse column over the raw indices of C^n, the
+    order of cochain_coords: (T, j) sits at t * dim M + j, with T the t-th
+    tuple of superalt_basis.  This and _cochains are the layout's only
+    readers.  A cochain over another algebra or space raises BasisMismatch,
+    one of another arity DegreeMismatch."""
+    if f.algebra != L.basis or f.space != M.space:
+        raise BasisMismatch("cochain does not live over the given algebra and module")
+    if f.arity != n:
+        raise DegreeMismatch(f"cochain has arity {f.arity}, not {n}")
     tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
-    dimM = len(M.space)
-    return lambda key: tpos[key[0]] * dimM + key[1]
+    return {tpos[T] * len(M.space) + j: c for (T, j), c in f.coords.items()}
+
+
+def _cochains(cols: list[Row], parities: list[int], n: int, L: LieSuperalgebra, M: LModule) -> list[Cochain]:
+    """The sparse columns cols over the raw indices of C^n as n-cochains of
+    the given parities."""
+    canon, dimM = superalt_basis(L.basis, n), len(M.space)
+    return [
+        Cochain(n, p, L.basis, M.space, {(canon[t // dimM], t % dimM): c for t, c in sorted(col.items())})
+        for col, p in zip(cols, parities)
+    ]
 
 
 def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None) -> dict[int, Row]:
@@ -305,21 +308,23 @@ def _torus(L: LieSuperalgebra, M: LModule, reps) -> list[int]:
 
 @dataclass(eq=False)
 class _Complex:
-    """The kept state of one cochain complex C^*_G(L, M), made by _complex.
+    """What later calls read of one cochain complex C^*_G(L, M), made by _complex.
 
     torus is h (_torus) and eigen its eigenvalue table: per basis vector of
     L, then of M, the power-basis numerators of its eigenvalues under h over
     one common denominator, or None when all are 0.  families[n] is the
-    unfiltered _family of C^n, (columns, parities); reductions[n] is what
-    cohomology keeps of delta^n, (pivot columns by parity, rank off weight 0
-    per parity).  refs are weak references to L and the actions.
+    unfiltered G-fixed _family of C^n, (columns, parities).  images[k] and
+    ranks[k] are what _reduce keeps of delta^k: its pivot columns by parity
+    and its rank off weight 0 per parity.  refs are weak references to L
+    and the actions.
     """
 
     refs: list
     torus: list[int]
     eigen: tuple[list[list[int]], list[list[int]]] | None
     families: dict = field(default_factory=dict)
-    reductions: dict = field(default_factory=dict)
+    images: dict = field(default_factory=dict)
+    ranks: dict = field(default_factory=dict)
 
 
 def _complex(L: LieSuperalgebra, M: LModule, reps) -> _Complex:
@@ -373,26 +378,25 @@ def _family(
     sparse columns over the raw cochain_coords indices, their parities, and
     the number of basis members of each parity left out.
 
-    Without a group the members are the coordinate unit vectors.  With one
-    they are the certified Reynolds columns of equivariant_subspace
-    (group_action._fixed_cochains); each is homogeneous, since the action is
-    even, and lies in one weight, since G fixes h.  Either is built once per
-    degree and kept in the record of the complex (_complex), whose lists
-    and column dicts must not be mutated.  When the packed weights wt of
-    _weights are given, only the members of weight 0 are kept.
+    Without a group the members are the coordinate unit vectors, built on
+    each call and kept nowhere.  With one they are the certified Reynolds
+    columns of equivariant_subspace (group_action._fixed_cochains); each is
+    homogeneous, since the action is even, and lies in one weight, since G
+    fixes h.  They are built once per degree and kept in the record of the
+    complex (_complex), whose lists and column dicts must not be mutated.
+    When the packed weights wt of _weights are given, only the members of
+    weight 0 are kept.
     """
     reps = resolve_reps(rep, L, M)
-    families = _complex(L, M, reps).families
-    if n not in families:
-        if reps is None:
-            o, par = one(L.spec), L.basis.parities
-            coords = cochain_coords(L.basis, n, M.space)
-            cols = [{t: o} for t in range(len(coords))]
-            parities = [(sum(par[i] for i in T) + M.space.parities[j]) % 2 for T, j in coords]
-        else:
-            cols, parities = _fixed_cochains(reps[0], reps[1], L, M, n)
-        families[n] = cols, parities
-    all_cols, all_par = families[n]
+    if reps is None:
+        all_par = cochain_parities(L.basis, n, M.space)
+        o = one(L.spec)
+        all_cols = [{t: o} for t in range(len(all_par))]
+    else:
+        families = _complex(L, M, reps).families
+        if n not in families:
+            families[n] = _fixed_cochains(reps[0], reps[1], L, M, n)
+        all_cols, all_par = families[n]
     if wt is None:
         return all_cols, all_par, [0, 0]
     wL, wM = wt
@@ -410,12 +414,8 @@ def _family(
 def cochain_basis(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> list[Cochain]:
     """Basis cochains of C^n (equivariant basis when a representation is given):
     the columns of _family as Cochains."""
-    coords = cochain_coords(L.basis, n, M.space)
     cols, parities, _ = _family(n, L, M, rep)
-    return [
-        Cochain(n, p, L.basis, M.space, {coords[t]: c for t, c in sorted(col.items())})
-        for col, p in zip(cols, parities)
-    ]
+    return _cochains(cols, parities, n, L, M)
 
 
 def coboundary_preimage(
@@ -428,20 +428,18 @@ def coboundary_preimage(
     the _family of C^n, over the rows of the sweep and an empty row for each
     coordinate of the target that delta . B does not reach.  Free variables
     are zero, so f is unique.  delta preserves parity, so members of the
-    other parity than the target never get a pivot value.
+    other parity than the target never get a pivot value.  The target is
+    checked by _column.
     """
+    target_col = _column(target, n + 1, L, M)
     cols = _family(n, L, M, rep)[0]
     rows = _delta_rows(n, L, M, cols)
-    pos = _positions(n + 1, L, M)
     rhs = dict.fromkeys(rows, zero(L.spec))
-    for key, c in target.coords.items():
-        rhs[pos(key)] = c
+    rhs.update(target_col)
     sol = solve_rows([rows.get(r, {}) for r in rhs], list(rhs.values()), len(cols))
     if sol is None:
         return None
-    coords = cochain_coords(L.basis, n, M.space)
-    f = lin_comb((c, cols[k]) for k, c in sol.items())
-    return Cochain(n, target.parity, L.basis, M.space, {coords[t]: c for t, c in sorted(f.items())})
+    return _cochains([lin_comb((c, cols[k]) for k, c in sol.items())], [target.parity], n, L, M)[0]
 
 
 def _dense_delta(n: int, L, M, cols: list[Row]):
@@ -458,8 +456,7 @@ def _dense_delta(n: int, L, M, cols: list[Row]):
 
 def _matrix_from_basis(basis_cochains: list[Cochain], n: int, L, M):
     """Columns: coboundaries of the basis cochains, in raw (n+1)-coordinates."""
-    pos = _positions(n, L, M)
-    return _dense_delta(n, L, M, [{pos(key): c for key, c in f.coords.items()} for f in basis_cochains])
+    return _dense_delta(n, L, M, [_column(f, n, L, M) for f in basis_cochains])
 
 
 def coboundary_matrix(n: int, L: LieSuperalgebra, M: LModule, rep=None):
@@ -489,55 +486,62 @@ def _pivot_images(rows: dict[int, Row], pivots: list[int], parities: list[int]) 
     return tuple([col for k, col in images.items() if parities[k] == p] for p in (0, 1))
 
 
+def _off_rank(k: int, L, M, rep, cx: _Complex, wt, left_out=None) -> list[int]:
+    """The rank of delta^k off weight 0 per parity, kept in cx.ranks.  Those
+    blocks are acyclic, so it is dim C^k off weight 0 (the left_out of
+    _family, unless given) minus the rank of delta^(k-1) there."""
+    if k < 0 or wt is None:
+        return [0, 0]
+    if k not in cx.ranks:
+        below = _off_rank(k - 1, L, M, rep, cx, wt)
+        cx.ranks[k] = [d - r for d, r in zip(left_out or _family(k, L, M, rep, wt)[2], below)]
+    return cx.ranks[k]
+
+
+def _reduce(k: int, L, M, rep, cx: _Complex, wt):
+    """The step of cohomology: sweep delta^k on the weight-0 _family of C^k,
+    reduce it, and record its pivot columns by parity and its rank off weight
+    0 in cx.  Returns the _family and the reduced rows with their pivots."""
+    dom, dom_par, left_out = _family(k, L, M, rep, wt)
+    rows = _delta_rows(k, L, M, dom, wt)
+    reduced, pivots = rref_rows(rows.values())
+    if k not in cx.images:
+        cx.images[k] = _pivot_images(rows, pivots, dom_par)
+    _off_rank(k, L, M, rep, cx, wt, left_out)
+    return dom, dom_par, left_out, reduced, pivots
+
+
 def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyReport:
     """Dimensions of C, Z, B and H in degree n per parity, and representatives.
 
     Only the block of weight 0 under the torus h (_weights) is assembled and
-    reduced: delta^n and delta^(n-1) are each one sweep on the weight-0
-    _family of their domain (the unit coordinates, or the fixed-space
-    columns under a group) and one reduction; the two parities are the two
-    diagonal blocks of that reduced form.  The blocks of nonzero weight are
-    acyclic, so their rank in delta^k is dim C^k minus their rank in
-    delta^(k-1), and only their dimensions are counted.  The representatives
+    reduced, by one step (_reduce) per coboundary: one sweep on the weight-0
+    _family of its domain (the unit coordinates, or the fixed-space columns
+    under a group) and one reduction; the two parities are the two diagonal
+    blocks of that reduced form.  The blocks of nonzero weight are acyclic,
+    so only their dimensions are counted (_off_rank).  The representatives
     of H^n are the kernel vectors, in free-column order, that extend the
     pivot columns of delta^(n-1) to a basis of the cocycles; only they
     become Cochains.  With h empty, or every weight 0, the block is the
     whole complex.
 
-    B^n is all that degree n needs of delta^(n-1), so each call keeps the
-    pivot columns of delta^n by parity and its rank on the blocks of nonzero
-    weight in the record of the complex (_complex), which fixes the torus
-    once.  A call for degree n after one for n - 1 or n on the same objects
-    then sweeps and reduces delta^n only.
+    B^n is all that degree n needs of delta^(n-1), so the step keeps the
+    pivot columns of each delta^k it reduces, with its rank off weight 0, in
+    the record of the complex (_complex), which fixes the torus once.  A
+    call for degree n after one for n - 1 or n on the same objects then
+    sweeps and reduces delta^n only; a cold call also takes the step for
+    delta^(n-1).
     """
     reps = resolve_reps(rep, L, M)
     cx = _complex(L, M, reps)
     wt = _weights(n + 2, cx)
-    dom, dom_par, left_out = _family(n, L, M, rep, wt)
-    rows = _delta_rows(n, L, M, dom, wt)
-    reduced, pivots = rref_rows(rows.values())
+    if n > 0 and n - 1 not in cx.images:
+        _reduce(n - 1, L, M, rep, cx, wt)
+    dom, dom_par, left_out, reduced, pivots = _reduce(n, L, M, rep, cx, wt)
     kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
+    images = cx.images[n - 1] if n > 0 else ([], [])
+    counted = _off_rank(n - 1, L, M, rep, cx, wt)
 
-    # The pivot columns of delta^(n-1) per parity, and its rank on the blocks
-    # of nonzero weight, per parity.  They are acyclic, so their rank in
-    # delta^k is their dimension in C^k minus their rank in delta^(k-1).
-    images, counted = ([], []), [0, 0]
-    if n > 0:
-        hit = cx.reductions.get(n - 1)
-        if hit is None:
-            for k in range(n - 1 if wt else 0):
-                counted = [d - r for d, r in zip(_family(k, L, M, rep, wt)[2], counted)]
-            prev, prev_par, prev_out = _family(n - 1, L, M, rep, wt)
-            prev_rows = _delta_rows(n - 1, L, M, prev, wt)
-            prev_pivots = rref_rows(prev_rows.values())[1]
-            counted = [d - r for d, r in zip(prev_out, counted)]
-            hit = cx.reductions[n - 1] = (_pivot_images(prev_rows, prev_pivots, prev_par), counted)
-        images, counted = hit
-    if n not in cx.reductions:
-        rank_off = [d - r for d, r in zip(left_out, counted)]
-        cx.reductions[n] = (_pivot_images(rows, pivots, dom_par), rank_off)
-
-    coords = cochain_coords(L.basis, n, M.space)
     c_dims, z_dims, b_dims, h_dims = [0, 0], [0, 0], [0, 0], [0, 0]
     reps_out: dict[int, list[Cochain]] = {}
     for p in (0, 1):
@@ -547,11 +551,8 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
         b_dims[p] = len(img) + counted[p]
         h_dims[p] = z_dims[p] - b_dims[p]
         ker = [lin_comb((c, dom[k]) for k, c in v.items()) for fc, v in kernel.items() if dom_par[fc] == p]
-        reps_out[p] = [
-            Cochain(n, p, L.basis, M.space, {coords[t]: x for t, x in sorted(ker[q - len(img)].items())})
-            for q in pivot_columns(img + ker)
-            if q >= len(img)
-        ]
+        chosen = [ker[q - len(img)] for q in pivot_columns(img + ker) if q >= len(img)]
+        reps_out[p] = _cochains(chosen, [p] * len(chosen), n, L, M)
     return CohomologyReport(
         n,
         tuple(c_dims),
@@ -604,12 +605,8 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
     reps = resolve_reps(rep, L, M)
     spec = L.spec
     parL, parM = L.basis.parities, M.space.parities
-    variables = [
-        (i, j)
-        for i in range(len(parL))
-        for j in range(len(parM))
-        if parL[i] == parM[j]
-    ]
+    # the even coordinates ((i,), j) of C^1, the unknowns of the constraints
+    variables = [((i,), j) for i in range(len(parL)) for j in range(len(parM)) if parL[i] == parM[j]]
     vpos = {v: k for k, v in enumerate(variables)}
 
     def add(row: Row, k: int, c: Scalar):
@@ -623,17 +620,17 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
             for r in range(len(parM)):
                 row: Row = {}
                 for t, c in br.coords.items():
-                    k = vpos.get((t, r))
+                    k = vpos.get(((t,), r))
                     if k is not None:
                         add(row, k, c)
                 for j in range(len(parM)):
                     act_a = M.act.get((a, j))
-                    if act_a is not None and (b, j) in vpos and r in act_a.coords:
-                        add(row, vpos[(b, j)], -act_a.coords[r])
+                    if act_a is not None and ((b,), j) in vpos and r in act_a.coords:
+                        add(row, vpos[((b,), j)], -act_a.coords[r])
                     act_b = M.act.get((b, j))
-                    if act_b is not None and (a, j) in vpos and r in act_b.coords:
+                    if act_b is not None and ((a,), j) in vpos and r in act_b.coords:
                         x = act_b.coords[r]
-                        add(row, vpos[(a, j)], -x if odd_ab else x)
+                        add(row, vpos[((a,), j)], -x if odd_ab else x)
                 rows.append(row)
     if reps is not None:
         rep_L, rep_M = reps
@@ -643,29 +640,23 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
                 for r in range(len(parM)):
                     row = {}
                     for t, x in gi.items():
-                        if (t, r) in vpos:
-                            add(row, vpos[(t, r)], x)
+                        if ((t,), r) in vpos:
+                            add(row, vpos[((t,), r)], x)
                     for j, col in enumerate(cols_M):
-                        if (i, j) in vpos and r in col:
-                            add(row, vpos[(i, j)], -col[r])
+                        if ((i,), j) in vpos and r in col:
+                            add(row, vpos[((i,), j)], -col[r])
                     rows.append(row)
-    der = []
-    for sol in nullspace_from_rref(*rref_rows(rows), len(variables), spec).values():
-        cs = {}
-        for k, c in sorted(sol.items()):
-            i, j = variables[k]
-            cs[((i,), j)] = c
-        der.append(Cochain(1, 0, L.basis, M.space, cs))
+    der = [
+        Cochain(1, 0, L.basis, M.space, {variables[k]: c for k, c in sorted(sol.items())})
+        for sol in nullspace_from_rref(*rref_rows(rows), len(variables), spec).values()
+    ]
 
-    pos = _positions(1, L, M)
-    inner_cochains, inner_cols = [], []
+    inner_cochains = []
     for m in _fixed_even_vectors(M, reps[1] if reps else None, spec):
         cs = {}
         for i in range(len(parL)):
             val = lin_comb((c, M.act[(i, j)].coords) for j, c in m.coords.items() if (i, j) in M.act)
             cs.update({((i,), j): c for j, c in val.items()})
-        f = Cochain(1, 0, L.basis, M.space, cs)
-        inner_cochains.append(f)
-        inner_cols.append({pos(key): c for key, c in f.coords.items()})
-    inn = [inner_cochains[q] for q in pivot_columns(inner_cols)]
+        inner_cochains.append(Cochain(1, 0, L.basis, M.space, cs))
+    inn = [inner_cochains[q] for q in pivot_columns([_column(f, 1, L, M) for f in inner_cochains])]
     return der, inn

@@ -283,10 +283,12 @@ def infinitesimals_cohomologous(
     d1: Deformation, d2: Deformation, g: GaugeTransform | None = None
 ) -> bool:
     """Whether the first-order terms differ by the coboundary of an
-    equivariant endomorphism."""
+    equivariant endomorphism.  Both deformations must carry one action."""
     L = d1.base
     if d2.base.basis != L.basis or d2.base.spec != L.spec:
         raise BasisMismatch("deformations live on different algebras")
+    if d1.rep != d2.rep:
+        raise ValidationError("deformations carry different group actions")
     minus = scalar(L.spec, -1)
     diff = d1.term(1).add(d2.term(1).scale(minus))
     M = d1.adjoint

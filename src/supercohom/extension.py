@@ -159,6 +159,8 @@ def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | N
     L, M = x1.L, x1.M
     if x2.L.basis != L.basis or x2.M.space != M.space or x2.M.act != M.act:
         raise BasisMismatch("extensions must share the algebra and module")
+    if x1.reps != x2.reps:
+        raise ValidationError("extensions must share the group action")
     for label, x in (("first", x1), ("second", x2)):
         if not coboundary(x.h, L, M).is_zero():
             raise NotCocycle(f"{label} glue term is not a cocycle")

@@ -188,6 +188,13 @@ def cochain_coords(basis: GradedBasis, n: int, target: GradedBasis):
     return [(T, j) for T in superalt_basis(basis, n) for j in range(len(target))]
 
 
+def cochain_parities(basis: GradedBasis, n: int, target: GradedBasis) -> list[int]:
+    """The parity of each coordinate (T, j) of cochain_coords, in its order:
+    the parities of the entries of T plus that of j, mod 2."""
+    par = basis.parities
+    return [(sum([par[i] for i in T]) + q) % 2 for T in superalt_basis(basis, n) for q in target.parities]
+
+
 # -- canonical super-alternating basis ---------------------------------------
 
 

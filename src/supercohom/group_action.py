@@ -64,7 +64,7 @@ from .errors import (
     OracleDisagreement,
     ValidationError,
 )
-from .graded import canonicalize_tuple, cochain_coords, superalt_basis
+from .graded import canonicalize_tuple, cochain_parities, superalt_basis
 from .linalg import Matrix, Row, lin_comb, pivot_columns
 from .scalars import FieldSpec, Scalar, one, scalar, zero
 from .superalgebra import LieSuperalgebra, LModule
@@ -476,10 +476,7 @@ def induced_action_on_cochains(
     where = {T: k for k, T in enumerate(canon)}
     dimM = len(M.space)
     # cochain_coords order is tuple-major: (T, j) sits at where[T] * dimM + j.
-    parities = tuple(
-        (sum(L.basis.parities[i] for i in T) + M.space.parities[j]) % 2
-        for T, j in cochain_coords(L.basis, n, M.space)
-    )
+    parities = tuple(cochain_parities(L.basis, n, M.space))
     o = one(spec)
     unit = _acts_as_one(rep_L, group.identity) and _acts_as_one(rep_M, group.identity)
     memo: dict = {}

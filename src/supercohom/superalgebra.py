@@ -173,8 +173,8 @@ class LModule:
     """Module data: act[(i, j)] = action of algebra basis i on module basis j.
 
     _complexes holds one cohomology._Complex per cochain complex with
-    coefficients in this module: its torus, and per degree its family and
-    what cohomology keeps of its coboundary.  It takes no part in equality.
+    coefficients in this module: its torus, its G-fixed families and what
+    cohomology keeps of each coboundary.  It takes no part in equality.
     """
 
     algebra: GradedBasis

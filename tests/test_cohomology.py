@@ -30,7 +30,7 @@ from supercohom.cohomology import (
     is_equivariant,
     zero_cochain,
 )
-from supercohom.errors import BasisMismatch, ValidationError
+from supercohom.errors import BasisMismatch, DegreeMismatch, ValidationError
 from supercohom.graded import (
     GradedBasis,
     MultilinearMap,
@@ -142,10 +142,13 @@ def test_cochain_rejects_noncanonical_key():
 
 def _sorted_key_check(T, j, arity, parity, algebra, space):
     """The key check as it was written with canonicalize_tuple: sort, keep
-    the Koszul sign, compare the sorted tuple with the key."""
+    the Koszul sign, compare the sorted tuple with the key.  An index
+    outside the basis is refused first."""
     T = tuple(T)
     if len(T) != arity:
         raise ValueError(f"key {T} does not have arity {arity}")
+    if not 0 <= j < len(space) or any(not 0 <= i < len(algebra) for i in T):
+        raise ValueError(f"coordinate ({T}, {j}) indexes outside the basis")
     res = canonicalize_tuple(T, algebra.parities)
     if res is None or res[0] != T:
         raise ValueError(f"key {T} is not a canonical index tuple")
@@ -177,6 +180,19 @@ def test_cochain_key_check_matches_the_sorting_check(parities, arity, T, j, pari
     space = GradedBasis(("m0", "m1", "m2"), (0, 0, 1))
     want = _outcome(_sorted_key_check, T, j, arity, parity, basis, space)
     assert _outcome(Cochain, arity, parity, basis, space, {(tuple(T), j): one(RATIONAL)}) == want
+
+
+@pytest.mark.parametrize(
+    "key, parity",
+    [(((-1,), 2), 0), (((4,), 0), 0), (((0,), -1), 1), (((0,), 4), 0)],
+    ids=["negative T", "too large T", "negative j", "too large j"],
+)
+def test_cochain_refuses_indices_outside_the_basis(key, parity):
+    # Python reads index -1 from the end of the basis: the key used to be
+    # accepted, and coboundary then failed with a KeyError.
+    L = make_gl(1, 1)
+    with pytest.raises(ValueError, match="outside the basis"):
+        Cochain(1, parity, L.basis, L.basis, {key: one(RATIONAL)})
 
 
 def test_cochain_rejects_parity_mismatch():
@@ -481,6 +497,19 @@ def test_actions_of_different_groups_are_refused(swapped):
             call(1, L, M, (rep_L, rep_M))
     with pytest.raises(ValidationError, match="share the group"):
         derivations(L, M, (rep_L, rep_M))
+
+
+def test_a_target_of_another_complex_is_refused():
+    # A 2-cochain into a one-dimensional module used to read as "not a
+    # coboundary" of the adjoint complex, and a 1-cochain raised KeyError.
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    Z = zero_module(L, GradedBasis(("m",), (0,)))
+    o = one(RATIONAL)
+    with pytest.raises(BasisMismatch):
+        coboundary_preimage(1, L, M, None, Cochain(2, 0, L.basis, Z.space, {((0, 1), 0): o}))
+    with pytest.raises(DegreeMismatch):
+        coboundary_preimage(1, L, M, None, Cochain(1, 0, L.basis, M.space, {((0,), 0): o}))
 
 
 def test_mu1_equivariant_but_not_a_cocycle():

@@ -1,9 +1,10 @@
 """cohomology(n) reads the reduction of delta^(n-1) that an earlier call made.
 
 Each complex (L, M and the actions) has one record, cohomology._Complex,
-kept in M._complexes: its torus, found once, and per degree k its _family
-(tests/test_fixed_family_memo.py) and the pivot columns of delta^k with its
-rank on the blocks of nonzero weight.  These tests count the torus passes
+kept in M._complexes: its torus, found once, and per degree k its G-fixed
+_family (tests/test_fixed_family_memo.py) and the pivot columns of delta^k
+with its rank on the blocks of nonzero weight.  Only cohomology and the group
+branch of _family make a record.  These tests count the torus passes
 (_torus), the sweeps (_delta_rows) and the reductions of their rows
 (rref_rows), check what the record keeps alive, and compare every report
 with the oracle util.full_cohomology, which reads no record; they do not
@@ -74,11 +75,13 @@ def test_a_ladder_sweeps_and_reduces_each_degree_once(monkeypatch, make_rep):
     M = adjoint_module(L)
     rep = make_rep(L)
     sweeps, reductions, _ = watch(monkeypatch)
+    recorded = count_calls(monkeypatch, cohomology_module, "_pivot_images")
     reports = [cohomology(n, L, M, rep) for n in range(5)]
     assert [args[0] for args in sweeps] == [0, 1, 2, 3, 4]
-    assert len(reductions) == 5
+    assert len(reductions) == len(recorded) == 5
     again = cohomology(3, L, M, rep)  # a repeated degree sweeps only itself
     assert [args[0] for args in sweeps[5:]] == [3]
+    assert len(recorded) == 5  # and records nothing again
     monkeypatch.undo()
     assert reports == [full_cohomology(n, L, M, rep) for n in range(5)]
     assert again == reports[3]
@@ -115,6 +118,34 @@ def test_a_cold_call_reduces_as_often_as_before(monkeypatch, n):
     assert sorted(args[0] for args in sweeps) == [n - 1, n]
     assert len(reductions) == 2
     assert len(every) == 4
+
+
+def test_no_group_calls_off_cohomology_make_no_record():
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    target = cochain_basis(2, L, M)[0]
+    coboundary_preimage(1, L, M, None, target)
+    coboundary_matrix(1, L, M)
+    assert M._complexes == {}
+
+
+@pytest.mark.parametrize("case", ["torus", "no torus", "parity"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_cold_call_builds_each_family_at_most_once(monkeypatch, case, n):
+    # delta^n and delta^(n-1) are swept on the families of degrees n and
+    # n - 1; with a torus the ranks off weight 0 also read the dimensions of
+    # the families below.  None of them is built twice.
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    rep = parity_rep(L) if case == "parity" else None
+    if case == "no torus":
+        monkeypatch.setattr(cohomology_module, "_torus", lambda *args: [])
+    families = count_calls(monkeypatch, cohomology_module, "_family")
+    got = cohomology(n, L, M, rep)
+    want = [n - 1, n] if case == "no torus" else list(range(n + 1))
+    assert sorted(args[0] for args in families) == want
+    monkeypatch.undo()
+    assert got == full_cohomology(n, L, M, rep)
 
 
 @pytest.mark.parametrize("shape", (None,) + GROUP_SHAPES)
@@ -225,7 +256,8 @@ def test_the_memo_keeps_nothing_alive(pair):
         cohomology(n, L, M)
     assert len(M._complexes) == 2
     grouped, plain = (_complex(L, M, r) for r in ((rep_L, rep_M), None))
-    assert grouped.families and grouped.reductions and plain.families and plain.reductions
+    assert grouped.families and grouped.images and plain.images and plain.ranks
+    assert plain.families == {}  # the unit columns are kept nowhere
     objs = {"L": L, "M": M, "rep_L": rep_L, "rep_M": rep_M, "grouped": grouped, "plain": plain}
     gone = {name: weakref.ref(x) for name, x in objs.items()}
     gc.disable()  # so only refcounting can free them: the records must hold no cycle

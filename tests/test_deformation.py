@@ -468,6 +468,16 @@ def test_cohomologous_rejects_foreign_algebras(gl11):
         infinitesimals_cohomologous(d1, d2)
 
 
+@pytest.mark.parametrize("swapped", [False, True], ids=["none-swap", "swap-none"])
+def test_cohomologous_refuses_different_actions(swapped):
+    L = make_gl(1, 1)
+    d1, d2 = (Deformation(L, rep, [bracket_to_element(L)]) for rep in (None, gl11_swap_rep(L)))
+    if swapped:
+        d1, d2 = d2, d1
+    with pytest.raises(ValidationError, match="different group actions"):
+        infinitesimals_cohomologous(d1, d2)
+
+
 # -- no group: rep=None is the one-element group -----------------------------
 
 

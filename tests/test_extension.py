@@ -318,6 +318,17 @@ def test_equivalence_rejects_different_modules():
         extensions_equivalent(x1, x2)
 
 
+@pytest.mark.parametrize("swapped", [False, True], ids=["none-swap", "swap-none"])
+def test_equivalence_rejects_different_actions(swapped):
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    x1, x2 = (ExtensionDatum(L, M, rep, zero_glue(L, M)) for rep in (None, gl11_swap_rep(L)))
+    if swapped:
+        x1, x2 = x2, x1
+    with pytest.raises(ValidationError, match="share the group action"):
+        extensions_equivalent(x1, x2)
+
+
 def test_distinct_classes_are_not_equivalent():
     B = abelian_algebra(2, 0)
     M = adjoint_module(B)

@@ -1,10 +1,11 @@
-"""Each cochain family is built once per complex and degree.
+"""Each G-fixed cochain family is built once per complex and degree.
 
-cohomology._family keeps the family of C^n, the unit columns or the
-certified columns of equivariant_subspace (group_action._fixed_cochains),
-in the record of its complex, cohomology._Complex, kept on the module per
-L and actions (tests/test_complex_memo.py checks its reductions and
-lifetime).  These tests count the builds; they do not time them.
+cohomology._family keeps the certified columns of equivariant_subspace
+(group_action._fixed_cochains) in the record of its complex,
+cohomology._Complex, kept on the module per L and actions
+(tests/test_complex_memo.py checks its reductions and lifetime).  The unit
+columns of the complex without a group are kept nowhere.  These tests count
+the builds; they do not time them.
 """
 
 import gc
@@ -127,12 +128,15 @@ def test_a_hit_returns_the_cold_build(monkeypatch, make_rep, n):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_the_unit_columns_are_built_once_per_degree(n):
+    # Without a group the family is the unit columns, built on each call and
+    # kept nowhere: _family makes no record, and the record that cohomology
+    # makes holds no family.
     L = make_gl(1, 1)
     M = adjoint_module(L)
-    first = _family(n, L, M)
-    assert all(a is b for a, b in zip(first[0], _family(n, L, M)[0]))
-    assert first[:2] == cold_family(n, L, M)
-    assert _complex(L, M, None).families[n] == first[:2]
+    assert _family(n, L, M) == (*cold_family(n, L, M), [0, 0])
+    assert M._complexes == {}
+    cohomology(n, L, M)
+    assert _complex(L, M, None).families == {}
 
 
 def test_a_single_action_is_freed_by_refcounting():
