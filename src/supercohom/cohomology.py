@@ -113,20 +113,32 @@ class Cochain:
     def add(self, other: "Cochain") -> "Cochain":
         if (self.arity, self.parity) != (other.arity, other.parity):
             raise ValueError("can only add cochains of equal arity and parity")
+        if (self.algebra, self.space) != (other.algebra, other.space):
+            raise ValueError("can only add cochains over the same algebra and space")
         merged = dict(self.coords)
         for key, c in other.coords.items():
             s = merged.get(key)
             merged[key] = c if s is None else s + c
-        return Cochain(self.arity, self.parity, self.algebra, self.space, merged)
+        return _new_cochain(self.arity, self.parity, self.algebra, self.space, merged)
 
     def scale(self, a: Scalar) -> "Cochain":
-        return Cochain(
+        return _new_cochain(
             self.arity,
             self.parity,
             self.algebra,
             self.space,
             {k: a * c for k, c in self.coords.items()},
         )
+
+
+def _new_cochain(arity: int, parity: int, algebra: GradedBasis, space: GradedBasis, coords: dict) -> Cochain:
+    """A Cochain whose keys src/ derives from canonical tuples, so each is in
+    range, canonical and of the given parity: only the zero values are
+    dropped.  The public constructor checks every key."""
+    f = object.__new__(Cochain)
+    f.arity, f.parity, f.algebra, f.space = arity, parity, algebra, space
+    f.coords = {key: c for key, c in coords.items() if not c.is_zero()}
+    return f
 
 
 def zero_cochain(n: int, parity: int, L: LieSuperalgebra, M: LModule) -> Cochain:
@@ -185,10 +197,11 @@ def _cochains(cols: list[Row], parities: list[int], n: int, L: LieSuperalgebra, 
     """The sparse columns cols over the raw indices of C^n as n-cochains of
     the given parities."""
     canon, dimM = superalt_basis(L.basis, n), len(M.space)
-    return [
-        Cochain(n, p, L.basis, M.space, {(canon[t // dimM], t % dimM): c for t, c in sorted(col.items())})
-        for col, p in zip(cols, parities)
-    ]
+    out = []
+    for col, p in zip(cols, parities):
+        coords = {(canon[t // dimM], t % dimM): c for t, c in sorted(col.items())}
+        out.append(_new_cochain(n, p, L.basis, M.space, coords))
+    return out
 
 
 def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None) -> dict[int, Row]:

@@ -14,6 +14,7 @@ follows group_action.resolve_reps and is resolved once, by ExtensionDatum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .cohomology import (
     Cochain,
@@ -30,9 +31,17 @@ from .errors import (
     WrongBidegree,
 )
 from .graded import GradedBasis, Vector
-from .group_action import ActionRep, _compose, morphism_defects, resolve_reps, swept_elements
+from .group_action import (
+    ActionRep,
+    _product_columns,
+    _same_columns,
+    _scalars,
+    morphism_defects,
+    resolve_reps,
+    swept_elements,
+)
 from .linalg import Row
-from .scalars import one, scalar
+from .scalars import IntImage, one, scalar
 from .superalgebra import (
     LieSuperalgebra,
     LModule,
@@ -189,21 +198,29 @@ def _combined_action(x: ExtensionDatum) -> list[list[Row]]:
 def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> None:
     """phi = (x, m) -> (x, m + f(x)) must intertwine the extension brackets,
     phi [u, v]_1 = [phi u, phi v]_2, and commute with every g (checked on
-    the swept elements); both are checked on the sparse columns of phi and
-    g, the first by group_action.morphism_defects."""
+    the swept elements).  Both are checked on the sparse columns of phi and
+    g, added up as ints on an IntImage: the first by
+    group_action.morphism_defects, the second by comparing the columns of
+    phi g and g phi, whose entries are sums of at most dim products of two
+    entries each."""
     br1 = {key: vec.coords for key, vec in build_extension(x1).bracket.components.items()}
     br2 = {key: vec.coords for key, vec in build_extension(x2).bracket.components.items()}
     l2e, m2e = extension_layout(x1.L, x1.M)
-    o = one(x1.L.spec)
-    phi: list[Row] = [{u: o} for u in range(len(l2e) + len(m2e))]
+    spec, dim = x1.L.spec, len(l2e) + len(m2e)
+    o = one(spec)
+    phi: list[Row] = [{u: o} for u in range(dim)]
     for ((i,), k), c in f.coords.items():
         phi[l2e[i]][m2e[k]] = c
     if any(morphism_defects(br1, br2, phi, phi)):
         raise OracleDisagreement("solved certificate does not intertwine the extension brackets")
     if x1.reps is None:
         return
-    for g_cols in _combined_action(x1):
-        if _compose(phi, g_cols) != _compose(g_cols, phi):
+    action = _combined_action(x1)
+    image = IntImage(spec, _scalars(chain(phi, *action)), 2, 2 * dim)
+    phi_int = [image.row(col) for col in phi]
+    for g_cols in action:
+        g_int = [image.row(col) for col in g_cols]
+        if not _same_columns(image, _product_columns(phi_int, g_int), _product_columns(g_int, phi_int)):
             raise OracleDisagreement("solved certificate is not equivariant")
 
 

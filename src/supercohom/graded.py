@@ -165,6 +165,8 @@ class MultilinearMap:
                 raise ValueError(f"component tuple {tup} indexes outside the basis")
             if vec.is_zero():
                 continue
+            if min(vec.coords) < 0 or max(vec.coords) >= len(self.target):
+                raise ValueError(f"component at {tup} indexes outside the target basis")
             want = (self.parity + sum(self.source.parities[i] for i in tup)) % 2
             got = vec.parity_support(self.target)
             if got - {want}:

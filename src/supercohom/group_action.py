@@ -27,6 +27,14 @@ cochains (also in is_equivariant and the gauge transform), morphism_defects
 for bilinear tables (also in the extension certificate).  The element-wise
 checks they replaced are kept in tests/util.py as test oracles.
 
+The checks whose only answer is whether two sparse sums agree, rho(s)rho(h)
+= rho(sh), the equivariance sweeps through morphism_defects (once per
+swept element) and g v = v in the fixed-space certificate, map the columns
+and tables they read once per call to exact integers (scalars.IntImage)
+and add up each sum as Python ints; no Scalar arithmetic runs on their
+success path.  pull_back, the induced action and the Reynolds sums return
+values, so they stay on Scalars.
+
 The fixed subspace is spanned by the pivot columns of the Reynolds operator
 R = (1/|G|) sum_g g, built in one pass over sparse columns.  Every vector
 that all of G fixes satisfies R v = v, so it lies in the image of R.  The
@@ -55,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .errors import (
     BasisMismatch,
@@ -65,8 +73,8 @@ from .errors import (
     ValidationError,
 )
 from .graded import canonicalize_tuple, cochain_parities, superalt_basis
-from .linalg import Matrix, Row, lin_comb, pivot_columns
-from .scalars import FieldSpec, Scalar, one, scalar, zero
+from .linalg import Matrix, Row, pivot_columns
+from .scalars import FieldSpec, IntImage, Scalar, one, scalar, zero
 from .superalgebra import LieSuperalgebra, LModule
 
 
@@ -167,6 +175,8 @@ class ActionRep:
             raise LengthMismatch("need one matrix per group element")
         if any(len(cols) != d for cols in columns):
             raise LengthMismatch("representation columns must match the space")
+        if any(col and not (0 <= min(col) and max(col) < d) for cols in columns for col in cols):
+            raise ValueError("a column has an entry outside the space")
         self.columns: list[list[Row]] = columns
 
     @property
@@ -200,8 +210,6 @@ def trivial_action(group: FiniteGroup, spec: FieldSpec, parities) -> ActionRep:
 
 def permutation_rep(group: FiniteGroup, spec: FieldSpec, parities, perms) -> ActionRep:
     """perms[g][j] = index that basis vector j is sent to by g."""
-    if any(not 0 <= i < len(parities) for perm in perms for i in perm):
-        raise ValueError("a permutation sends a basis vector outside the space")
     o = one(spec)
     return ActionRep(group, spec, tuple(parities), columns=[[{i: o} for i in perm] for perm in perms])
 
@@ -270,9 +278,48 @@ def _acts_as_one(rep: ActionRep, g: int) -> bool:
     return all(len(col) == 1 and col.get(j) == o for j, col in enumerate(rep.columns[g]))
 
 
-def _compose(cols_g: list[Row], cols_h: list[Row]) -> list[Row]:
-    """The sparse columns of g h from those of g and of h."""
-    return [lin_comb((c, cols_g[t]) for t, c in col.items()) for col in cols_h]
+def _scalars(rows):
+    """The entries of an iterable of sparse rows, for an IntImage."""
+    return (c for row in rows for c in row.values())
+
+
+def _product_columns(cols_g: list[dict], cols_h: list[dict]) -> list[dict]:
+    """The columns of g h as image sums, from the image columns of g and of h
+    (cols_g indexed by row, as a list or a dict)."""
+    out = []
+    for col in cols_h:
+        acc: dict[int, int] = {}
+        for t, c in col.items():
+            for s, x in cols_g[t].items():
+                acc[s] = acc.get(s, 0) + c * x
+        out.append(acc)
+    return out
+
+
+def _same_columns(image: IntImage, left: list[dict], right: list[dict], scale: int = 1) -> bool:
+    """Whether the image columns left equal scale times the image columns
+    right; left is used up."""
+    for acc, col in zip(left, right):
+        for s, x in col.items():
+            acc[s] = acc.get(s, 0) - scale * x
+        if not image.vanishes(acc):
+            return False
+    return True
+
+
+def _homomorphism_defects(rep: ActionRep, pairs):
+    """The pairs (g, h), in order, where (g)(h) differs from (g h).
+
+    The columns of every element are mapped once to ints by one IntImage.
+    An entry of (g)(h) is a sum of at most dim products of two entries, and
+    the entry of (g h) is compared times the image of 1.
+    """
+    image = IntImage(rep.spec, _scalars(chain.from_iterable(rep.columns)), 2, rep.dim + 1)
+    cols = [[image.row(col) for col in cols_g] for cols_g in rep.columns]
+    for g, h in pairs:
+        product_gh = _product_columns(cols[g], cols[h])
+        if not _same_columns(image, product_gh, cols[rep.group.mul(g, h)], image.den):
+            yield g, h
 
 
 def is_representation(rep: ActionRep) -> bool:
@@ -284,11 +331,10 @@ def is_representation(rep: ActionRep) -> bool:
     |generators| * |G| compositions instead of |G|^2.
     """
     if rep._is_representation is None:
-        group, cols = rep.group, rep.columns
-        rep._is_representation = _acts_as_one(rep, group.identity) and all(
-            _compose(cols[s], cols[h]) == cols[group.mul(s, h)]
-            for s in group.generators
-            for h in range(group.order)
+        group = rep.group
+        pairs = product(group.generators, range(group.order))
+        rep._is_representation = _acts_as_one(rep, group.identity) and not any(
+            _homomorphism_defects(rep, pairs)
         )
     return rep._is_representation
 
@@ -324,13 +370,9 @@ def _rep_structure_checks(rep: ActionRep, report: ActionReport) -> None:
         if not _acts_as_one(rep, group.identity):
             report.identity_ok = False
             report.counterexamples.append({"kind": "identity", "where": "identity element"})
-        for g, cols_g in enumerate(rep.columns):
-            for h, cols_h in enumerate(rep.columns):
-                if _compose(cols_g, cols_h) != rep.columns[group.mul(g, h)]:
-                    report.homomorphism_ok = False
-                    report.counterexamples.append(
-                        {"kind": "homomorphism", "where": f"pair ({g}, {h})"}
-                    )
+        for g, h in _homomorphism_defects(rep, product(range(group.order), repeat=2)):
+            report.homomorphism_ok = False
+            report.counterexamples.append({"kind": "homomorphism", "where": f"pair ({g}, {h})"})
     par = rep.parities
     for g, cols in enumerate(rep.columns):
         mixed = sorted((i, j) for j, col in enumerate(cols) for i in col if par[i] != par[j])
@@ -361,14 +403,43 @@ def _run_sweep(report: ActionReport, reps, sweep) -> None:
 def morphism_defects(src: dict, dst: dict, cols_x: list[Row], cols_y: list[Row]):
     """The pairs (i, k), in order, where cols_y src(x_i, y_k) differs from
     dst(cols_x x_i, cols_y y_k): bilinear tables {pair: Row} into the y space,
-    and linear maps on the two factors, each side one sparse sum."""
-    for i, gx in enumerate(cols_x):
-        for k, gy in enumerate(cols_y):
-            lhs = lin_comb((c, cols_y[t]) for t, c in src.get((i, k), {}).items())
-            rhs = lin_comb(
-                (x * y, dst[(a, b)]) for a, x in gx.items() for b, y in gy.items() if (a, b) in dst
-            )
-            if lhs != rhs:
+    and linear maps on the two factors.
+
+    The four are mapped once to ints by one IntImage, over the field of
+    their entries.  Each entry of lhs - rhs is one sparse sum: of products
+    of three entries from the right side, at most dim x * dim y of them, and
+    of two entries times the image of 1 from the left, at most dim y.
+    """
+    read = [src.values(), cols_x]
+    if dst is not src:
+        read.append(dst.values())
+    if cols_y is not cols_x:
+        read.append(cols_y)
+    entries = _scalars(chain(*read))
+    first = next(entries, None)
+    if first is None:  # every sum is empty
+        return
+    image = IntImage(first.spec, chain((first,), entries), 3, len(cols_y) * (len(cols_x) + 1))
+    src_int = {key: image.row(row) for key, row in src.items()}
+    dst_int = src_int if dst is src else {key: image.row(row) for key, row in dst.items()}
+    x_int = [image.row(col) for col in cols_x]
+    y_int = x_int if cols_y is cols_x else [image.row(col) for col in cols_y]
+    unit = image.den
+    for i, gx in enumerate(x_int):
+        for k, gy in enumerate(y_int):
+            acc: dict[int, int] = {}
+            for t, c in src_int.get((i, k), {}).items():
+                c *= unit
+                for s, y in y_int[t].items():
+                    acc[s] = acc.get(s, 0) + c * y
+            for a, x in gx.items():
+                for b, y in gy.items():
+                    row = dst_int.get((a, b))
+                    if row:
+                        xy = x * y
+                        for s, z in row.items():
+                            acc[s] = acc.get(s, 0) - xy * z
+            if acc and not image.vanishes(acc):
                 yield i, k
 
 
@@ -532,13 +603,15 @@ def equivariant_subspace(rep: ActionRep) -> list[Row]:
         {i: x * inv_order for i, x in sums[c].items() if not x.is_zero()} for c in pivot_columns(sums)
     ]
 
-    for g in _every_moving_element(rep):
-        cols = rep.columns[g]
-        for v in fixed:
-            if lin_comb((c, cols[j]) for j, c in v.items()) != v:
-                raise OracleDisagreement(
-                    f"group element {g} moves a column of the Reynolds operator"
-                )
+    moving = _every_moving_element(rep)
+    support = set().union(*fixed)  # the columns of g that g v reads
+    read = chain(_scalars(fixed), _scalars(rep.columns[g][j] for g in moving for j in support))
+    image = IntImage(spec, read, 2, rep.dim + 1)
+    fixed_int = [image.row(v) for v in fixed]
+    for g in moving:
+        cols = {j: image.row(rep.columns[g][j]) for j in support}
+        if not _same_columns(image, _product_columns(cols, fixed_int), fixed_int, image.den):
+            raise OracleDisagreement(f"group element {g} moves a column of the Reynolds operator")
 
     if trace_sum != scalar(spec, group.order * len(fixed)):
         raise OracleDisagreement(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .cohomology import Cochain
+from .cohomology import Cochain, _new_cochain
 from .errors import BasisMismatch, DegreeOutOfRange, OracleDisagreement, WrongBidegree
 from .graded import canonicalize_tuple, superalt_basis
 from .scalars import FieldSpec, Scalar, scalar
@@ -73,7 +73,7 @@ def circ(F: Cochain, Fp: Cochain) -> Cochain:
                 key = (tuple(sorted(head + W)), j)
                 prev = out.get(key)
                 out[key] = term if prev is None else prev + term
-    return Cochain(F.arity + Fp.arity - 1, (F.parity + Fp.parity) % 2, space, space, out)
+    return _new_cochain(F.arity + Fp.arity - 1, (F.parity + Fp.parity) % 2, space, space, out)
 
 
 def nr_bracket(F: Cochain, Fp: Cochain) -> Cochain:
@@ -109,7 +109,7 @@ def bracket_to_element(L: LieSuperalgebra) -> Cochain:
         v = L.bracket.at(pair)
         for j, c in v.coords.items():
             coords[(pair, j)] = c
-    return Cochain(2, 0, L.basis, L.basis, coords)
+    return _new_cochain(2, 0, L.basis, L.basis, coords)
 
 
 def bracket_element(L: LieSuperalgebra) -> Cochain:

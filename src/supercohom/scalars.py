@@ -282,6 +282,115 @@ def _high_powers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((t, int(c)) for t, c in enumerate(row) if c) for row in rows)
 
 
+class IntImage:
+    """An exact map to Python ints of the Scalars that one check reads, for
+    the checks whose only answer is whether some sparse sums of products
+    vanish.  Such a check maps its tables once, adds up each sum as ints,
+    and builds Scalars only to report a sum that does not vanish.
+
+    D (den) is the lcm of the denominators of the scalars read, and a scalar
+    with numerators a_k over e maps to its scaled numerators a_k * D / e.
+    A product of f scalars then maps to D^f times the product.  A term with
+    fewer than `factors` factors is multiplied by D, the image of 1, so every
+    term of a sum carries D^factors.
+
+    Over a field of degree 1 (Q, Q(zeta_1), Q(zeta_2)) the image is that one
+    integer: a sum vanishes exactly when its image is 0, with no bound.
+
+    Over Q(zeta_m) of degree d > 1 the image is sum_k (a_k D / e) B^k, with
+    B = 2^bits, and it is read modulo N = Phi_m(B) (modulus).  Sending x to
+    B is a ring map Z[x]/(Phi_m) -> Z/N, so a sum of products maps to r(B)
+    mod N, with r its reduced form: power-basis coefficients, degree < d.
+    Why that is exact: let A be the largest scaled numerator, or D if that
+    is larger, E the largest entry of the _high_powers rows in size, and H
+    the largest coefficient of Phi_m in size.  Reducing the product of two
+    reduced elements with coefficients of size at most P and Q gives
+    coefficients of size at most P Q c, c = d (1 + (d - 1) E): the schoolbook
+    product has at most d P Q, and each of its d - 1 high powers adds that
+    times one _high_powers row.  So one term of f factors reduces to
+    coefficients of size at most A^f c^(f-1), and a sum of at most `terms`
+    of them to coefficients of size at most K = terms A^f c^(f-1).  bits is
+    the least with B > 2K + 2H.  Then N >= B^d - H (B^d - 1)/(B - 1) > 0 and
+    |r(B)| <= K (B^d - 1)/(B - 1) < N/2, since 2K + H <= B - 1.  For r != 0
+    with leading coefficient at B^t, |r(B)| >= B^t - K (B^t - 1)/(B - 1) > 0,
+    since K < B - 1.  So r(B) = 0 mod N exactly when r = 0 (vanishes).
+    The image of one scalar, as an int, has its scaled numerators as signed
+    base-B digits, each less than B/2 in size, so over any field two scalars
+    are equal exactly when their images are equal ints.
+
+    The way back (back): the centred residue of r(B) mod N is r(B) itself,
+    and its signed base-B digits are the coefficients of r, each less than
+    B/2 in size; over D^factors they give the sum as a Scalar.
+
+    A scalar of another field than spec raises FieldMismatch.  The image
+    maps only the scalars it was built from (or others whose denominators
+    divide D and whose numerators stay within A); its tables are dropped
+    when the check returns.
+    """
+
+    __slots__ = ("spec", "den", "factors", "bits", "modulus")
+
+    def __init__(self, spec: FieldSpec, scalars, factors: int, terms: int):
+        tops: dict[int, int] = {}  # denominator -> the largest numerator over it, in size
+        for c in scalars:
+            if c.spec is not spec and c.spec != spec:
+                raise FieldMismatch(f"{c.spec} vs {spec}")
+            top = max(map(abs, c.num))
+            if tops.get(c.den, -1) < top:
+                tops[c.den] = top
+        self.spec, self.factors = spec, factors
+        self.den = den = lcm(*tops)
+        self.bits = self.modulus = 0
+        d = spec.degree
+        if d > 1:
+            m = spec.conductor
+            a = max([den] + [top * (den // e) for e, top in tops.items()])
+            e = max(abs(x) for row in _high_powers(m) for _, x in row)
+            k = terms * a**factors * (d * (1 + (d - 1) * e)) ** (factors - 1)
+            phi = cyclotomic_poly(m)
+            self.bits = bits = (2 * k + 2 * max(map(abs, phi))).bit_length()
+            self.modulus = sum(h << (bits * i) for i, h in enumerate(phi))
+
+    def __call__(self, c: Scalar) -> int:
+        s = self.den // c.den
+        if not self.bits:
+            return c.num[0] * s
+        v = 0
+        for a in reversed(c.num):
+            v = (v << self.bits) + a * s
+        return v
+
+    def row(self, row: dict) -> dict:
+        """A sparse {index: Scalar} row mapped entry by entry."""
+        return {k: self(c) for k, c in row.items()}
+
+    def vanishes(self, acc: dict) -> bool:
+        """Whether every value of acc, a sparse row of image sums, is the
+        image of 0."""
+        n = self.modulus
+        if n:
+            return not any([v % n for v in acc.values()])
+        return not any(acc.values())
+
+    def back(self, v: int) -> Scalar:
+        """The Scalar whose image, as a sum of terms of `factors` factors, is v."""
+        digits = [v]
+        n = self.modulus
+        if n:
+            v %= n
+            if 2 * v > n:
+                v -= n
+            half, mask = 1 << (self.bits - 1), (1 << self.bits) - 1
+            digits = []
+            for _ in range(self.spec.degree):
+                x = v & mask
+                x = x - (mask + 1) if x >= half else x
+                digits.append(x)
+                v = (v - x) >> self.bits
+        scale = self.den**self.factors
+        return Scalar(self.spec, [Fraction(x, scale) for x in digits])
+
+
 @lru_cache(maxsize=None)
 def zero(spec: FieldSpec) -> Scalar:
     return Scalar(spec, [Fraction(0)])

@@ -10,21 +10,25 @@ so no catalog table is written down by hand.
 
 The super-Jacobi identity and the module axiom are checked by sweeps over
 these sparse tables: for each canonical triple (or algebra-algebra-module
-triple) each side of the identity is one sparse sum of table entries, and
-the two sides are compared once.  Only nonzero structure constants are
-touched.  The element-wise checks through bracket_eval and module_act are
-kept in tests/util.py as test oracles.
+triple) lhs - rhs of the identity is one sparse sum of products of two table
+entries, and it must vanish.  The tables are mapped once per check to exact
+integers by scalars.IntImage, so the sums are added up as Python ints, and
+Scalars are built only for the two sides of a failing triple; the
+antisymmetry check compares the mapped entries.  Only nonzero structure
+constants are touched.  The element-wise checks through bracket_eval and
+module_act are kept in tests/util.py as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .errors import BasisMismatch, ValidationError
 from .graded import GradedBasis, MultilinearMap, Vector, superalt_basis, vec_str
 from .linalg import lin_comb, rref_rows
-from .scalars import RATIONAL, FieldSpec, Scalar, cyclo, one, root_of_unity, scalar, zero
+from .scalars import RATIONAL, FieldSpec, IntImage, Scalar, cyclo, one, root_of_unity, scalar, zero
 
 
 @dataclass
@@ -103,14 +107,67 @@ def bracket_eval(L: LieSuperalgebra, x: Vector, y: Vector) -> Vector:
     return out
 
 
-def _leibniz_sides(br: dict, act: dict, i: int, j: int, k: int, odd: int):
-    """Both sides of x_i.(x_j.m_k) = [x_i, x_j].m_k + (-1)^{|i||j|} x_j.(x_i.m_k)
-    as sparse sums over the bracket table br and the action table act (both
-    {pair: Row}).  With act = br this is the super-Jacobi identity."""
-    lhs = lin_comb((c, act[(i, t)]) for t, c in act.get((j, k), {}).items() if (i, t) in act)
-    rhs = [(c, act[(t, k)]) for t, c in br.get((i, j), {}).items() if (t, k) in act]
-    rhs += [(-c if odd else c, act[(j, t)]) for t, c in act.get((i, k), {}).items() if (j, t) in act]
-    return lhs, lin_comb(rhs)
+_NO_TERMS: dict = {}
+
+
+def _leibniz_lhs(act: dict, i: int, j: int, k: int) -> dict:
+    """x_i.(x_j.m_k) as a sparse sum over the action table act, an image
+    table {pair: {index: int}} of IntImage."""
+    acc: dict[int, int] = {}
+    for t, c in act.get((j, k), _NO_TERMS).items():
+        row = act.get((i, t))
+        if row:
+            for s, x in row.items():
+                acc[s] = acc.get(s, 0) + c * x
+    return acc
+
+
+def _leibniz_image(L: LieSuperalgebra, act: dict, dim: int) -> tuple[IntImage, dict, dict]:
+    """The IntImage of the Leibniz sweep of the bracket of L and the action
+    table act ({pair: Vector} into a space of dimension dim), and the two
+    tables mapped by it.  Each side of the identity is a sum of products of
+    two entries, at most dim L + 2 dim of them per coordinate."""
+    br = L.bracket.components
+    tables = (br,) if act is br else (br, act)
+    scalars = (c for table in tables for vec in table.values() for c in vec.coords.values())
+    image = IntImage(L.spec, scalars, 2, len(L.basis) + 2 * dim)
+    br_int = {key: image.row(vec.coords) for key, vec in br.items()}
+    act_int = br_int if act is br else {key: image.row(vec.coords) for key, vec in act.items()}
+    return image, br_int, act_int
+
+
+def _leibniz_failures(image: IntImage, br_int: dict, act_int: dict, par, triples):
+    """The triples (i, j, k), in order, where
+    x_i.(x_j.m_k) = [x_i, x_j].m_k + (-1)^{|i||j|} x_j.(x_i.m_k)
+    fails, each with its two sides as Vectors: br_int and act_int are the
+    bracket and action tables mapped by image (_leibniz_image), and par the
+    parities of the algebra basis.  With act_int the bracket table this is
+    the super-Jacobi identity.
+
+    lhs - rhs is added up as one sparse sum of ints; Scalars are built only
+    for the sides of a failing triple.
+    """
+    for i, j, k in triples:
+        acc = _leibniz_lhs(act_int, i, j, k)
+        for t, c in br_int.get((i, j), _NO_TERMS).items():
+            row = act_int.get((t, k))
+            if row:
+                for s, x in row.items():
+                    acc[s] = acc.get(s, 0) - c * x
+        for t, c in act_int.get((i, k), _NO_TERMS).items():
+            row = act_int.get((j, t))
+            if row:
+                c = c if par[i] and par[j] else -c
+                for s, x in row.items():
+                    acc[s] = acc.get(s, 0) + c * x
+        if not acc or image.vanishes(acc):
+            continue
+        lhs = _leibniz_lhs(act_int, i, j, k)
+        rhs = dict(lhs)
+        for s, v in acc.items():
+            rhs[s] = rhs.get(s, 0) - v
+        lhs, rhs = (Vector({s: image.back(v) for s, v in side.items()}) for side in (lhs, rhs))
+        yield i, j, k, lhs, rhs
 
 
 def validate_superalgebra(L: LieSuperalgebra) -> AlgebraReport:
@@ -131,37 +188,35 @@ def validate_superalgebra(L: LieSuperalgebra) -> AlgebraReport:
                 }
             )
 
+    # A single scalar maps to an int whose signed base-B digits are its
+    # scaled numerators, so entries are equal exactly when their images are.
+    image, br, _ = _leibniz_image(L, L.bracket.components, len(basis))
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            v = L.bracket.at((i, j))
-            w = L.bracket.at((j, i))
-            diff = v + w if (par[i] * par[j]) % 2 == 0 else v - w
-            if not diff.is_zero():
+            v, w = br.get((i, j), _NO_TERMS), br.get((j, i), _NO_TERMS)
+            if v != (w if par[i] and par[j] else {t: -x for t, x in w.items()}):
                 report.antisymmetry_ok = False
                 report.counterexamples.append(
                     {
                         "kind": "antisymmetry",
                         "where": (basis.names[i], basis.names[j]),
-                        "lhs": vec_str(v, basis),
-                        "rhs": vec_str(w, basis),
+                        "lhs": vec_str(L.bracket.at((i, j)), basis),
+                        "rhs": vec_str(L.bracket.at((j, i)), basis),
                     }
                 )
 
     # Given antisymmetry, the Jacobi residual is super-alternating, so the
     # canonical tuples already cover every basis triple.
-    br = {key: vec.coords for key, vec in L.bracket.components.items()}
-    for i, j, k in superalt_basis(basis, 3):
-        lhs, rhs = _leibniz_sides(br, br, i, j, k, par[i] * par[j])
-        if lhs != rhs:
-            report.jacobi_ok = False
-            report.counterexamples.append(
-                {
-                    "kind": "jacobi",
-                    "where": (basis.names[i], basis.names[j], basis.names[k]),
-                    "lhs": vec_str(Vector(lhs), basis),
-                    "rhs": vec_str(Vector(rhs), basis),
-                }
-            )
+    for i, j, k, lhs, rhs in _leibniz_failures(image, br, br, par, superalt_basis(basis, 3)):
+        report.jacobi_ok = False
+        report.counterexamples.append(
+            {
+                "kind": "jacobi",
+                "where": (basis.names[i], basis.names[j], basis.names[k]),
+                "lhs": vec_str(lhs, basis),
+                "rhs": vec_str(rhs, basis),
+            }
+        )
     return report
 
 
@@ -211,6 +266,8 @@ def validate_module(L: LieSuperalgebra, M: LModule) -> ModuleReport:
     for (i, j), vec in M.act.items():
         if not (0 <= i < len(parL) and 0 <= j < len(parM)):
             raise BasisMismatch(f"action key ({i}, {j}) out of range")
+        if any(not 0 <= t < len(parM) for t in vec.coords):
+            raise BasisMismatch(f"action value at ({i}, {j}) indexes outside the module basis")
         want = (parL[i] + parM[j]) % 2
         if vec.parity_support(M.space) - {want}:
             report.homogeneity_ok = False
@@ -223,26 +280,18 @@ def validate_module(L: LieSuperalgebra, M: LModule) -> ModuleReport:
                 }
             )
 
-    br = {key: vec.coords for key, vec in L.bracket.components.items()}
-    act = {key: vec.coords for key, vec in M.act.items()}
-    for i in range(len(parL)):
-        for j in range(len(parL)):
-            for k in range(len(parM)):
-                lhs, rhs = _leibniz_sides(br, act, i, j, k, parL[i] * parL[j])
-                if lhs != rhs:
-                    report.axiom_ok = False
-                    report.counterexamples.append(
-                        {
-                            "kind": "module axiom",
-                            "where": (
-                                L.basis.names[i],
-                                L.basis.names[j],
-                                M.space.names[k],
-                            ),
-                            "lhs": vec_str(Vector(lhs), M.space),
-                            "rhs": vec_str(Vector(rhs), M.space),
-                        }
-                    )
+    image, br, act = _leibniz_image(L, M.act, len(parM))
+    triples = product(range(len(parL)), range(len(parL)), range(len(parM)))
+    for i, j, k, lhs, rhs in _leibniz_failures(image, br, act, parL, triples):
+        report.axiom_ok = False
+        report.counterexamples.append(
+            {
+                "kind": "module axiom",
+                "where": (L.basis.names[i], L.basis.names[j], M.space.names[k]),
+                "lhs": vec_str(lhs, M.space),
+                "rhs": vec_str(rhs, M.space),
+            }
+        )
     return report
 
 

@@ -195,6 +195,34 @@ def test_cochain_refuses_indices_outside_the_basis(key, parity):
         Cochain(1, parity, L.basis, L.basis, {key: one(RATIONAL)})
 
 
+@given(st.integers(0, 2**32 - 1))
+def test_cochains_built_from_canonical_keys_pass_the_public_constructor(seed):
+    # _cochains (cochain_basis, the representatives, coboundary), add, scale,
+    # circ and bracket_to_element skip the key checks of Cochain; each of
+    # their outputs must pass those checks unchanged.
+    from supercohom.nr_bracket import bracket_to_element, circ
+
+    rng = random.Random(seed)
+    L, _ = rand_instance(rng, spec=rng.choice([RATIONAL, cyclo(3), cyclo(4)]))
+    M = adjoint_module(L)
+    n, parity = rng.randrange(1, 3), rng.randrange(2)
+    f, g = (rand_cochain(rng, L, M, n, parity, zero_bias=0.7) for _ in range(2))
+    report = cohomology(n, L, M)
+    built = [coboundary(f, L, M), f.add(g), f.scale(rand_scalar(L.spec, rng)), bracket_to_element(L)]
+    built += cochain_basis(n, L, M)[:6] + report.representatives[0] + report.representatives[1]
+    built += [circ(f, g), circ(bracket_to_element(L), f)]
+    for h in built:
+        assert Cochain(h.arity, h.parity, h.algebra, h.space, dict(h.coords)) == h
+
+
+def test_cochain_add_refuses_another_space():
+    L = make_gl(1, 1)
+    f = Cochain(1, 0, L.basis, L.basis, {((0,), 0): one(RATIONAL)})
+    other = GradedBasis(("m", "n", "p", "q"), (0, 0, 1, 1))
+    with pytest.raises(ValueError, match="same algebra and space"):
+        f.add(Cochain(1, 0, L.basis, other, {((0,), 0): one(RATIONAL)}))
+
+
 def test_cochain_rejects_parity_mismatch():
     L = make_gl(1, 1)
     with pytest.raises(ValueError, match="parity"):

@@ -208,6 +208,16 @@ def test_count_checks_cover_both_input_forms():
         permutation_rep(G, RATIONAL, (0, 0), [(0, 1), (2, 0)])
 
 
+@pytest.mark.parametrize("row", [-1, 2])
+def test_columns_outside_the_space_are_refused(row):
+    # Row -1 used to reach the validation report as "entry (-1, 0)", and row
+    # d raised a raw IndexError.
+    G, o = cyclic_group(2), one(RATIONAL)
+    cols = [[{0: o}, {1: o}], [{row: o}, {1: o}]]
+    with pytest.raises(ValueError, match="outside the space"):
+        ActionRep(G, RATIONAL, (0, 0), columns=cols)
+
+
 def test_validate_swap_action_on_gl11():
     L = make_gl(1, 1)
     rep = z2_swap_rep(L)

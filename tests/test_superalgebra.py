@@ -353,3 +353,18 @@ def test_validate_module_checks_basis_identity():
     other = make_sl(1, 1)
     with pytest.raises(BasisMismatch):
         validate_module(L, adjoint_module(other))
+
+
+@pytest.mark.parametrize("where", ["low", "high"])
+def test_values_outside_the_space_are_refused(where):
+    # Index -1 used to read the last basis vector silently, and one past the
+    # end raised a raw IndexError.
+    xy = GradedBasis(("x", "y"), (0, 0))
+    bad = -1 if where == "low" else len(xy)
+    with pytest.raises(ValueError, match="outside the target basis"):
+        from_pairs(xy, RATIONAL, {(0, 1): Vector({bad: one(RATIONAL)})})
+    L = make_gl(1, 1)
+    M = zero_module(L, xy)
+    M.act[(0, 0)] = Vector({bad: one(RATIONAL)})
+    with pytest.raises(BasisMismatch, match="outside the module basis"):
+        validate_module(L, M)

@@ -1,9 +1,9 @@
 """The sparse validation sweeps against the element-wise oracles in util.py.
 
-Each property draws a random algebra (over Q or Q(zeta_4)), optionally an
-action of a group with one generator (Z/m) or two (Z/2 x Z/m, S3) and a
-module, and then either leaves it valid or breaks it in one
-place: one structure constant, one action-table entry, one matrix entry
+Each property draws a random algebra (over Q or Q(zeta_m), m = 3, 4, 5, 8,
+12), optionally an action of a group with one generator (Z/m) or two
+(Z/2 x Z/m, S3) and a module, and then either leaves it valid or breaks it
+in one place: one structure constant, one action-table entry, one matrix entry
 (which breaks the homomorphism property, degree 0 or equivariance), or one
 cochain coordinate.  The sweep and its oracle must return identical reports,
 counterexample lists and their order included, and identical verdicts.
@@ -69,8 +69,13 @@ def _nonzero(spec, rng):
             return c
 
 
+# Q and five cyclotomic fields: the bound of the integer image and Phi_m
+# differ with m.
+FIELDS = [RATIONAL, cyclo(3), cyclo(4), cyclo(5), cyclo(8), cyclo(12)]
+
+
 def _instance(rng, with_action):
-    spec = rng.choice([RATIONAL, cyclo(4)])
+    spec = rng.choice(FIELDS)
     return rand_instance(rng, spec=spec, with_action=with_action, groups=GROUP_SHAPES)
 
 
@@ -415,3 +420,36 @@ def test_super_poincare_sweeps_match_oracles_broken_and_whole():
     )
     assert is_equivariant(f, rep, twisted, L, M) == elementwise_is_equivariant(f, rep, twisted, L, M)
     assert not is_equivariant(bracket_to_element(L), rep, twisted, L, M)
+
+
+def test_the_identity_sweeps_do_no_scalar_arithmetic_when_they_hold(monkeypatch):
+    # Super-Jacobi, antisymmetry, the module axiom, rho(s)rho(h) = rho(sh),
+    # both equivariance sweeps and the extension certificate add up their
+    # sums as ints; Scalars are built only to report a failure.
+    from supercohom import extension
+    from supercohom.cohomology import coboundary
+    from supercohom.extension import ExtensionDatum, extensions_equivalent
+    from supercohom.scalars import Scalar
+
+    L = make_super_poincare()
+    spec, M = L.spec, adjoint_module(L)
+    diags = [[one(spec)] * 10 + [root_of_unity(spec, q * g) for q in (1, 1, -1, -1)] for g in range(4)]
+    rep = diagonal_rep(cyclic_group(4), spec, L.basis.parities, diags)
+    gl = make_gl(1, 1)
+    M11, swap = adjoint_module(gl), gl11_swap_rep(gl)
+    basis = cochain_basis(1, gl, M11, swap)
+    f0 = next(u for u in basis if u.parity == 0 and not coboundary(u, gl, M11).is_zero())
+    x1 = ExtensionDatum(gl, M11, swap, coboundary(f0, gl, M11))
+    x0 = ExtensionDatum(gl, M11, swap, Cochain(2, 0, gl.basis, gl.basis, {}))
+    f = extensions_equivalent(x1, x0)
+
+    def refuse(*args):
+        raise AssertionError("Scalar arithmetic on the success path of an identity sweep")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse"):
+        monkeypatch.setattr(Scalar, name, refuse)
+    assert validate_superalgebra(L).ok
+    assert validate_module(L, M).ok
+    assert validate_action(rep, L).ok
+    assert validate_module_action(rep, rep, L, M).ok
+    extension._verify_certificate(x1, x0, f)
