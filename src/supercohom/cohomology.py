@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import BasisMismatch, DegreeMismatch, ValidationError
-from .graded import GradedBasis, Vector, cochain_coords, cochain_parities, superalt_basis
+from .graded import GradedBasis, Vector, canonicalize_tuple, cochain_coords, cochain_parities, superalt_basis
 from .group_action import (
     ActionRep,
     _fixed_cochains,
@@ -87,9 +87,7 @@ class Cochain:
                 raise ValueError(f"key {T} does not have arity {self.arity}")
             if j not in idx_M or not idx_L.issuperset(T):
                 raise ValueError(f"coordinate ({T}, {j}) indexes outside the basis")
-            # canonical: no even index repeats, and the tuple is non-decreasing
-            repeats = any(par[i] == 0 and i in T[:k] for k, i in enumerate(T))
-            if repeats or any(a > b for a, b in zip(T, T[1:])):
+            if canonicalize_tuple(T, par) != (T, 1):
                 raise ValueError(f"key {T} is not a canonical index tuple")
             want = (sum(par[i] for i in T) + self.space.parities[j]) % 2
             if want != self.parity % 2:
@@ -220,9 +218,12 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None
     x_i . f(S without i) of delta f(S) is emitted once per tuple S.  The sign
     of f at (t,) + rest comes from inserting t into the canonical tuple rest:
     an even t passes the k entries below it, an odd t passes every even entry
-    (odd past odd is a Koszul swap that cancels the transposition).  A term
-    whose n-tuple T has no column (T, j) in B is dropped before any scalar
-    arithmetic, so one sparse cochain pays only for the terms it meets.
+    (odd past odd is a Koszul swap that cancels the transposition).  This is
+    canonicalize_tuple's sign for one inserted index, written inline because
+    this is the assembly hot loop; tests/util.coboundary_raw, which reads
+    every value through canonicalize_tuple, checks it.  A term whose n-tuple
+    T has no column (T, j) in B is dropped before any scalar arithmetic, so
+    one sparse cochain pays only for the terms it meets.
     """
     B: dict[int, Row] = {}
     for k, col in enumerate(cols):
@@ -660,7 +661,7 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
                             add(row, vpos[((i,), j)], -col[r])
                     rows.append(row)
     der = [
-        Cochain(1, 0, L.basis, M.space, {variables[k]: c for k, c in sorted(sol.items())})
+        _new_cochain(1, 0, L.basis, M.space, {variables[k]: c for k, c in sorted(sol.items())})
         for sol in nullspace_from_rref(*rref_rows(rows), len(variables), spec).values()
     ]
 
@@ -670,6 +671,6 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
         for i in range(len(parL)):
             val = lin_comb((c, M.act[(i, j)].coords) for j, c in m.coords.items() if (i, j) in M.act)
             cs.update({((i,), j): c for j, c in val.items()})
-        inner_cochains.append(Cochain(1, 0, L.basis, M.space, cs))
+        inner_cochains.append(_new_cochain(1, 0, L.basis, M.space, cs))
     inn = [inner_cochains[q] for q in pivot_columns([_column(f, 1, L, M) for f in inner_cochains])]
     return der, inn

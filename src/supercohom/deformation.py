@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .cohomology import (
     Cochain,
+    _new_cochain,
     coboundary,
     coboundary_preimage,
     is_equivariant,
@@ -110,7 +111,7 @@ def _composition_sum(d: Deformation, r: int, low: int) -> Cochain:
         for key, c in circ(d.terms[i], d.terms[r - i]).coords.items():
             prev = acc.get(key)
             acc[key] = c if prev is None else prev + c
-    return Cochain(3, 0, d.base.basis, d.base.basis, acc)
+    return _new_cochain(3, 0, d.base.basis, d.base.basis, acc)
 
 
 def check_order(d: Deformation, r: int) -> OrderReport:
@@ -196,9 +197,7 @@ def obstruction(d: Deformation) -> ObstructionReport:
 
 
 def identity_endo(basis: GradedBasis, spec: FieldSpec) -> Cochain:
-    return Cochain(
-        1, 0, basis, basis, {((i,), i): one(spec) for i in range(len(basis))}
-    )
+    return _new_cochain(1, 0, basis, basis, {((i,), i): one(spec) for i in range(len(basis))})
 
 
 @dataclass
@@ -276,7 +275,7 @@ def gauge_transform(d: Deformation, g: GaugeTransform) -> Deformation:
         for k in range(N + 1):
             value = lin_comb((c, psi[k - r][t]) for r in range(k + 1) for t, c in inner[r].items())
             coords[k].update({((a, b), j): c for j, c in value.items()})
-    return Deformation(L, d.rep, [Cochain(2, 0, L.basis, L.basis, cs) for cs in coords])
+    return Deformation(L, d.rep, [_new_cochain(2, 0, L.basis, L.basis, cs) for cs in coords])
 
 
 def infinitesimals_cohomologous(

@@ -1,9 +1,12 @@
-"""Z2-graded bases, sparse vectors, multilinear maps, and Koszul signs.
+"""Z2-graded bases, sparse vectors, multilinear maps, and the Koszul sign.
 
-Permutations of {1..n} are stored 0-based: sigma[i] is the image of position
-i.  The sign conventions follow the twisted symmetric-group action
-(sigma.F)(X) = eps(sigma, X) * F(X_{sigma(1)}, ..., X_{sigma(n)}) where
-eps(sigma, X) = sign(sigma) * (-1)^{# inverted odd-odd pairs}.
+One sign rule orders every index tuple, canonicalize_tuple: sorting a tuple
+of basis indices costs -1 for each out-of-order pair (positions i < j with
+tup[i] > tup[j]) that is not both odd, since swapping two odd vectors is a
+Koszul swap that cancels the transposition sign of the alternating map.  A
+repeated even index makes a super-alternating map vanish.  The permutation
+form of the same sign, sign(sigma) * (-1)^{# inverted odd-odd pairs}, is
+kept in tests/util.py as a test oracle.
 """
 
 from __future__ import annotations
@@ -113,37 +116,6 @@ def vec_str(v: Vector, basis: GradedBasis) -> str:
     return " + ".join(parts)
 
 
-# -- Koszul machinery --------------------------------------------------------
-
-
-def perm_sign(sigma) -> int:
-    n = len(sigma)
-    inv = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigma[j] < sigma[i]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def koszul_count(sigma, parities) -> int:
-    """Number of pairs i < j with sigma(j) < sigma(i) and both entries odd."""
-    if len(sigma) != len(parities):
-        raise LengthMismatch("permutation and parity tuple differ in length")
-    n = len(sigma)
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigma[j] < sigma[i] and parities[sigma[i]] == 1 and parities[sigma[j]] == 1:
-                count += 1
-    return count
-
-
-def koszul_sign(sigma, parities) -> int:
-    k = koszul_count(sigma, parities)
-    return perm_sign(sigma) * (-1 if k % 2 else 1)
-
-
 # -- multilinear maps --------------------------------------------------------
 
 
@@ -243,17 +215,16 @@ def superalt_count(d0: int, d1: int, n: int) -> int:
 def canonicalize_tuple(tup, parities_by_index):
     """Sort an index tuple into canonical order, tracking the Koszul sign.
 
-    Returns (sorted_tuple, +/-1), or None when the tuple has a repeated even
+    Returns (sorted_tuple, +/-1), the sign -1 to the number of out-of-order
+    pairs that are not both odd, or None when the tuple has a repeated even
     index (the super-alternating component vanishes there).
     """
-    n = len(tup)
-    order = sorted(range(n), key=lambda k: (tup[k], k))
-    seen = set()
-    for i in tup:
-        if parities_by_index[i] == 0:
-            if i in seen:
+    par = parities_by_index
+    inversions = 0
+    for k, i in enumerate(tup):
+        for j in tup[k + 1 :]:
+            if i > j:
+                inversions += not (par[i] and par[j])
+            elif i == j and not par[i]:
                 return None
-            seen.add(i)
-    sigma = tuple(order)
-    parities = tuple(parities_by_index[i] for i in tup)
-    return tuple(tup[k] for k in order), koszul_sign(sigma, parities)
+    return tuple(sorted(tup)), -1 if inversions % 2 else 1

@@ -12,9 +12,11 @@ the verdict of the bracket sweep that validate_action runs.  When every
 action a sweep reads is such a representation, an equation that each
 generator satisfies holds for all of G, so the sweep visits the generators
 only.  Otherwise it visits every element, except an identity that acts as
-the identity.  The action and module-action sweeps re-run over every
-element when a generator fails, so their reports list each failing
-element.
+the identity.  One function, _equivariance_failures, sweeps
+g t(x, y) = t(g x, g y) for the bracket (validate_action,
+acts_by_automorphisms) and the module action (validate_module_action); it
+re-runs over every element when a generator fails, so the reports list
+each failing element.
 
 An action keeps, for each group element, the sparse columns of its matrix
 (the image of each basis vector as a {row: Scalar} dict), computed once or
@@ -381,25 +383,6 @@ def _rep_structure_checks(rep: ActionRep, report: ActionReport) -> None:
             report.counterexamples.append({"kind": "degree", "where": f"g={g}, entry ({i}, {j})"})
 
 
-def _run_sweep(report: ActionReport, reps, sweep) -> None:
-    """sweep(g) over swept_elements(*reps).  When that skipped elements and
-    one of those swept fails, its counterexamples are dropped and the sweep
-    runs again over every element, so the report lists each failing g."""
-    start = len(report.counterexamples)
-    swept = swept_elements(*reps)
-    for g in swept:
-        sweep(g)
-    if report.bracket_ok:
-        return
-    everything = _every_moving_element(*reps)
-    if swept == everything:
-        return
-    del report.counterexamples[start:]
-    report.bracket_ok = True
-    for g in everything:
-        sweep(g)
-
-
 def morphism_defects(src: dict, dst: dict, cols_x: list[Row], cols_y: list[Row]):
     """The pairs (i, k), in order, where cols_y src(x_i, y_k) differs from
     dst(cols_x x_i, cols_y y_k): bilinear tables {pair: Row} into the y space,
@@ -443,27 +426,31 @@ def morphism_defects(src: dict, dst: dict, cols_x: list[Row], cols_y: list[Row])
                 yield i, k
 
 
-def _equivariance_sweep(report, kind, g, table, cols_x, cols_y, names_x, names_y) -> None:
-    """g t(x_i, y_k) = t(g x_i, g y_k) for a bilinear table t (the bracket, or
-    the module action) and the columns of g on the two factors."""
-    for i, k in morphism_defects(table, table, cols_x, cols_y):
-        report.bracket_ok = False
-        where = f"g={g}, pair ({names_x[i]}, {names_y[k]})"
-        report.counterexamples.append({"kind": kind, "where": where})
+def _equivariance_failures(kind: str, table: dict, rep_x: ActionRep, rep_y: ActionRep, basis_x, basis_y) -> list:
+    """The counterexamples to g t(x_i, y_k) = t(g x_i, g y_k), for a bilinear
+    table t, {pair: Vector} (the bracket, or the module action), and the
+    actions on the two factors: one morphism_defects call per swept element.
 
+    It sweeps swept_elements(rep_x, rep_y).  When that finds a failure and
+    skipped elements, it sweeps every moving element instead, so the list
+    names each failing g.
+    """
+    rows = {key: vec.coords for key, vec in table.items()}
 
-def _bracket_sweep(report: ActionReport, rep: ActionRep, L: LieSuperalgebra) -> None:
-    """g [x_i, x_k] = [g x_i, g x_k] over the swept elements, with its
-    verdict recorded on rep for acts_by_automorphisms."""
-    br = {key: vec.coords for key, vec in L.bracket.components.items()}
-    names = L.basis.names
+    def sweep(elements):
+        return [
+            {"kind": kind, "where": f"g={g}, pair ({basis_x.names[i]}, {basis_y.names[k]})"}
+            for g in elements
+            for i, k in morphism_defects(rows, rows, rep_x.columns[g], rep_y.columns[g])
+        ]
 
-    def sweep(g):
-        cols = rep.columns[g]
-        _equivariance_sweep(report, "bracket equivariance", g, br, cols, cols, names, names)
-
-    _run_sweep(report, (rep,), sweep)
-    rep._automorphisms = (L, report.bracket_ok)
+    swept = swept_elements(rep_x, rep_y)
+    failures = sweep(swept)
+    if failures:
+        everything = _every_moving_element(rep_x, rep_y)
+        if swept != everything:
+            failures = sweep(everything)
+    return failures
 
 
 def acts_by_automorphisms(rep: ActionRep, L: LieSuperalgebra) -> bool:
@@ -472,7 +459,8 @@ def acts_by_automorphisms(rep: ActionRep, L: LieSuperalgebra) -> bool:
     rep that never went through it runs the sweep here."""
     memo = rep._automorphisms
     if memo is None or memo[0] is not L:
-        _bracket_sweep(ActionReport(), rep, L)
+        failures = _equivariance_failures("bracket equivariance", L.bracket.components, rep, rep, L.basis, L.basis)
+        rep._automorphisms = (L, not failures)
     return rep._automorphisms[1]
 
 
@@ -481,7 +469,10 @@ def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
         raise BasisMismatch("representation space does not match the algebra basis")
     report = ActionReport()
     _rep_structure_checks(rep, report)
-    _bracket_sweep(report, rep, L)
+    failures = _equivariance_failures("bracket equivariance", L.bracket.components, rep, rep, L.basis, L.basis)
+    rep._automorphisms = (L, not failures)
+    report.bracket_ok = not failures
+    report.counterexamples += failures
     return report
 
 
@@ -491,15 +482,9 @@ def validate_module_action(
     resolve_reps((rep_L, rep_M), L, M)
     report = ActionReport()
     _rep_structure_checks(rep_M, report)
-    act = {key: vec.coords for key, vec in M.act.items()}
-    names_L, names_M = L.basis.names, M.space.names
-
-    def sweep(g):
-        _equivariance_sweep(
-            report, "action equivariance", g, act, rep_L.columns[g], rep_M.columns[g], names_L, names_M
-        )
-
-    _run_sweep(report, (rep_L, rep_M), sweep)
+    failures = _equivariance_failures("action equivariance", M.act, rep_L, rep_M, L.basis, M.space)
+    report.bracket_ok = not failures
+    report.counterexamples += failures
     return report
 
 

@@ -34,7 +34,10 @@ def circ(F: Cochain, Fp: Cochain) -> Cochain:
     One sweep over the nonzero coordinates: a coordinate (V, j) of F and an
     entry k of V give the head V minus one k, which pairs with every
     coordinate (W, k) of F' and lands on S, the canonical merge of head and W
-    (none when an even index repeats).  When an odd index occurs a times in
+    (none when an even index repeats).  Since head and W are each canonical,
+    canonicalize_tuple(head + W) gives S and the shuffle sign: each tail
+    entry passes the head entries above it, and an odd-odd crossing is a
+    Koszul swap with no sign.  When an odd index occurs a times in
     the head and b times in W, C(a+b, a) shuffles of S give this head and
     tail, all with the same sign.  A 0-cochain F has no slot for F', so
     F o F' is zero; a 0-cochain F' is the vector plugged into F.
@@ -59,18 +62,16 @@ def circ(F: Cochain, Fp: Cochain) -> Cochain:
             if Fp.parity and sum(par[h] for h in head) % 2:
                 sign = -sign
             for W, cp in tails[k]:
-                if any(not par[w] and w in head for w in W):
+                merged = canonicalize_tuple(head + W, par)
+                if merged is None:
                     continue
-                # the shuffle passes each tail entry w over the head entries
-                # above it; an odd-odd crossing is a Koszul swap with no sign
-                crossings = sum(1 for h in head for w in W if w < h and not (par[h] and par[w]))
-                f = -sign if crossings % 2 else sign
+                S, f = merged[0], merged[1] * sign
                 for x in set(head).intersection(W):  # both odd
                     f *= comb(head.count(x) + W.count(x), head.count(x))
                 term = c * cp
                 if f != 1:
                     term = -term if f == -1 else term * scalar(term.spec, f)
-                key = (tuple(sorted(head + W)), j)
+                key = (S, j)
                 prev = out.get(key)
                 out[key] = term if prev is None else prev + term
     return _new_cochain(F.arity + Fp.arity - 1, (F.parity + Fp.parity) % 2, space, space, out)

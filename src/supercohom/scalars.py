@@ -455,14 +455,14 @@ def parse_scalar(spec: FieldSpec, text: str) -> Scalar:
 
 def _parse_terms(spec: FieldSpec, text: str) -> Scalar:
     """parse_scalar by splitting the text into signed terms, each matched by
-    _TERM_RE and read as a Fraction."""
+    _TERM_RE and read as a Fraction.  A sign that no term follows, as in
+    "1 - - 2" or "1-", is a bad term."""
     s = "".join(text.split())
     if not s:
         raise ParseError("empty scalar")
     pieces = _SIGNED_TERMS.split(s)
-    pieces = [p for p in pieces if p not in ("", "+", "-")]
-    if not pieces:
-        raise ParseError(f"cannot parse scalar {text!r}")
+    if not pieces[0]:  # the empty piece before a leading sign
+        del pieces[0]
     accum: dict[int, Fraction] = {}
     for piece in pieces:
         mt = _TERM_RE.match(piece)

@@ -114,6 +114,18 @@ def test_boolean_conductor_is_an_input_error(tmp_path, capsys):
     assert "cyclotomic(True)" not in captured.out
 
 
+def test_a_lone_sign_in_a_scalar_is_an_input_error(tmp_path, capsys):
+    with open(fx("fixture_sl11")) as fh:
+        doc = json.load(fh)
+    doc["algebra"]["brackets"]["e12,e21"]["h1"] = "1 - - 2"
+    path = tmp_path / "lone_sign.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad term '-'" in captured.err
+
+
 def test_zero_denominator_is_an_input_error(tmp_path, capsys):
     with open(fx("fixture_sl11")) as fh:
         doc = json.load(fh)

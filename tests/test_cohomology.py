@@ -198,8 +198,10 @@ def test_cochain_refuses_indices_outside_the_basis(key, parity):
 @given(st.integers(0, 2**32 - 1))
 def test_cochains_built_from_canonical_keys_pass_the_public_constructor(seed):
     # _cochains (cochain_basis, the representatives, coboundary), add, scale,
-    # circ and bracket_to_element skip the key checks of Cochain; each of
-    # their outputs must pass those checks unchanged.
+    # circ, bracket_to_element, check_order, derivations and gauge_transform
+    # skip the key checks of Cochain; each of their outputs must pass those
+    # checks unchanged.  The last three run no key check at all.
+    from supercohom.deformation import Deformation, GaugeTransform, check_order, gauge_transform, identity_endo
     from supercohom.nr_bracket import bracket_to_element, circ
 
     rng = random.Random(seed)
@@ -211,6 +213,26 @@ def test_cochains_built_from_canonical_keys_pass_the_public_constructor(seed):
     built = [coboundary(f, L, M), f.add(g), f.scale(rand_scalar(L.spec, rng)), bracket_to_element(L)]
     built += cochain_basis(n, L, M)[:6] + report.representatives[0] + report.representatives[1]
     built += [circ(f, g), circ(bracket_to_element(L), f)]
+
+    d = Deformation(L, None, [bracket_to_element(L), rand_cochain(rng, L, M, 2, 0, zero_bias=0.7)])
+    gauge = GaugeTransform(L.spec, L.basis, [identity_endo(L.basis, L.spec), rand_cochain(rng, L, M, 1, 0)])
+    checked = []
+    real = Cochain.__post_init__
+
+    def checking(h):
+        checked.append(dict(h.coords))
+        real(h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cochain, "__post_init__", checking)
+        residuals = [check_order(d, r).residual for r in range(3)]
+        der, inn = derivations(L, M)
+        terms = gauge_transform(d, gauge).terms
+    assert not any(checked)
+    for residual in residuals:
+        coords = {(T, j): c for T, v in residual.items() for j, c in v.coords.items()}
+        assert Cochain(3, 0, L.basis, L.basis, coords).by_tuple() == residual
+    built += der + inn + terms
     for h in built:
         assert Cochain(h.arity, h.parity, h.algebra, h.space, dict(h.coords)) == h
 

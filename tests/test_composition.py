@@ -88,6 +88,29 @@ def test_circ_counts_the_shuffles_that_move_a_repeated_odd_index():
     assert elementwise_circ(F, Fp).coords == expected
 
 
+def test_circ_matches_the_oracle_on_unit_cochains_that_repeat_an_odd_index():
+    # On (x | q, r), every unit cochain F of arity 2 or 3 against every unit
+    # F' of arity 1 or 2, wherever F or F' repeats an odd index: the merged
+    # key, the shuffle sign and the shuffle count all come from one
+    # canonicalize_tuple of head + tail.
+    basis = GradedBasis(("x", "q", "r"), (0, 1, 1))
+    o = one(RATIONAL)
+
+    def units(n):
+        for T, j in cochain_coords(basis, n, basis):
+            parity = (sum(basis.parities[i] for i in T) + basis.parities[j]) % 2
+            yield len(set(T)) < len(T), Cochain(n, parity, basis, basis, {(T, j): o})
+
+    pairs = 0
+    for a in (2, 3):
+        for repeats, F in units(a):
+            for repeats_p, Fp in units(a - 1):
+                if repeats or repeats_p:
+                    assert circ(F, Fp) == elementwise_circ(F, Fp), (F.coords, Fp.coords)
+                    pairs += 1
+    assert pairs > 100
+
+
 # -- the deformation identity and the obstruction -------------------------------
 
 

@@ -9,9 +9,6 @@ from supercohom.graded import (
     MultilinearMap,
     Vector,
     canonicalize_tuple,
-    koszul_count,
-    koszul_sign,
-    perm_sign,
     superalt_basis,
     superalt_count,
 )
@@ -22,6 +19,10 @@ from util import (
     PermSigns,
     act_permutation,
     invert_perm,
+    koszul_count,
+    koszul_sign,
+    perm_sign,
+    permutation_canonicalize,
     rand_multilinear,
     rand_vector,
     superalt_expand,
@@ -151,6 +152,18 @@ def test_canonicalize_tuple():
     assert canonicalize_tuple((2, 0), par) == ((0, 2), -1)  # odd past even
     assert canonicalize_tuple((0, 1, 0), par) is None  # repeated even
     assert canonicalize_tuple((2, 2), par) == ((2, 2), 1)  # repeated odd ok
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)], ids=["(2|2)", "(3|2)"])
+def test_canonicalize_tuple_matches_the_permutation_oracle(dims):
+    # The closed form (-1)^(out-of-order pairs not both odd) against
+    # sign(sigma) * (-1)^(inverted odd-odd pairs) of the stable sort sigma,
+    # on every tuple of length at most 4.
+    d0, d1 = dims
+    par = (0,) * d0 + (1,) * d1
+    for n in range(5):
+        for tup in product(range(d0 + d1), repeat=n):
+            assert canonicalize_tuple(tup, par) == permutation_canonicalize(tup, par), tup
 
 
 def make_expanded(rng, n, parity=0):

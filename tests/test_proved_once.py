@@ -12,7 +12,6 @@ import re
 
 import pytest
 
-from supercohom import group_action
 from supercohom.cli import run_command
 from supercohom.deformation import Deformation
 from supercohom.errors import ValidationError
@@ -29,16 +28,14 @@ from supercohom.scalars import scalar
 from supercohom.superalgebra import make_gl
 from supercohom.workspace import load
 
-from util import count_calls, gl11_swap_rep
+from util import count_calls, equivariance_sweeps, gl11_swap_rep
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def bracket_sweeps(monkeypatch):
-    """The calls of the per-element bracket-equivariance sweep."""
-    return count_calls(
-        monkeypatch, group_action, "_equivariance_sweep", lambda report, kind, *rest: kind == "bracket equivariance"
-    )
+    """The bracket-equivariance sweeps, each as the elements it visits."""
+    return equivariance_sweeps(monkeypatch, "bracket equivariance")
 
 
 def test_deform_check_proves_each_fact_once(monkeypatch, capsys):
@@ -63,7 +60,7 @@ def test_deform_check_proves_each_fact_once(monkeypatch, capsys):
     assert "deformation valid" in capsys.readouterr().out
     assert len(jacobi) == 1
     assert len(element) == 1
-    assert [args[2] for args in sweeps] == list(generators)
+    assert sweeps == [list(generators)]
     assert equivariant == []  # "flat" has only the order-0 term, read off the sweep
 
 
@@ -85,7 +82,7 @@ def test_validate_action_records_its_verdict(monkeypatch):
     assert sweeps == []
     other = make_gl(1, 1)  # an equal algebra, but not the one that was proved
     assert acts_by_automorphisms(rep, other)
-    assert len(sweeps) == len(rep.group.generators)
+    assert sweeps == [list(rep.group.generators)]
 
 
 def test_an_unvalidated_action_that_breaks_the_bracket_is_still_caught(monkeypatch):
@@ -98,7 +95,7 @@ def test_an_unvalidated_action_that_breaks_the_bracket_is_still_caught(monkeypat
     for _ in range(2):
         with pytest.raises(ValidationError, match="term 0 is not equivariant"):
             Deformation(L, rep, [bracket_to_element(L)])
-    assert len(sweeps) == len(rep.group.generators)  # proved once, read the second time
+    assert sweeps == [list(rep.group.generators)]  # proved once, read the second time
     assert not validate_action(rep, L).ok
 
 

@@ -306,6 +306,14 @@ def test_parser_rejects_garbage():
         parse_scalar(cyclo(4), "1 + q")
 
 
+@pytest.mark.parametrize("text", ["1 - - 2", "z--z", "1-", "--1", "+-1", "1+", "-", "2*z + - 1"])
+def test_parser_refuses_a_sign_that_no_term_follows(text):
+    # Each lone sign used to be dropped, so "1 - - 2" read as -1, "z--z" as
+    # 0, "1-" as 1, and "--1" and "+-1" as -1.
+    with pytest.raises(ParseError, match="bad term"):
+        parse_scalar(cyclo(4), text)
+
+
 @pytest.mark.parametrize("m", [1, 4, 5])
 @pytest.mark.parametrize(
     "text",

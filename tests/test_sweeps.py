@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercohom import cohomology, group_action
+from supercohom import cohomology
 from supercohom.cohomology import Cochain, cochain_basis, is_equivariant
 from supercohom.graded import MultilinearMap, Vector
 from supercohom.group_action import (
@@ -50,6 +50,7 @@ from util import (
     elementwise_validate_module,
     elementwise_validate_module_action,
     elementwise_validate_superalgebra,
+    equivariance_sweeps,
     gl11_swap_rep,
     rand_cochain,
     rand_instance,
@@ -235,33 +236,26 @@ def test_induced_columns_match_dense_oracle(n):
 
 def test_action_sweep_skips_the_identity_only_when_it_acts_as_one(monkeypatch):
     L = make_gl(1, 1)
-    swept = []
-    real = group_action._equivariance_sweep
-
-    def recording(report, kind, g, *rest):
-        swept.append(g)
-        real(report, kind, g, *rest)
-
-    monkeypatch.setattr(group_action, "_equivariance_sweep", recording)
+    sweeps = equivariance_sweeps(monkeypatch)
     rep = gl11_swap_rep(L)
-    assert validate_action(rep, L).ok and swept == [1]
+    assert validate_action(rep, L).ok and sweeps == [[1]]
     mats = [[list(row) for row in mat] for mat in rep.matrices]
     mats[rep.group.identity][0][1] = one(RATIONAL)  # the identity now sends e22 to e11 + e22
     bad = ActionRep(rep.group, RATIONAL, L.basis.parities, mats)
-    swept.clear()
+    sweeps.clear()
     report = validate_action(bad, L)
-    assert not report.identity_ok and swept == [rep.group.identity, 1]
+    assert not report.identity_ok and sweeps == [[rep.group.identity, 1]]
     assert report == elementwise_validate_action(bad, L)
 
     # The module sweep reads the action on L and on M: the identity is swept
     # when it is broken on either.
     M = adjoint_module(L)
-    swept.clear()
-    assert validate_module_action(rep, rep, L, M).ok and swept == [1]
+    sweeps.clear()
+    assert validate_module_action(rep, rep, L, M).ok and sweeps == [[1]]
     for rep_L, rep_M in ((bad, rep), (rep, bad), (bad, bad)):
-        swept.clear()
+        sweeps.clear()
         report = validate_module_action(rep_L, rep_M, L, M)
-        assert not report.ok and swept == [rep.group.identity, 1]
+        assert not report.ok and sweeps == [[rep.group.identity, 1]]
         assert report == elementwise_validate_module_action(rep_L, rep_M, L, M)
 
     # is_equivariant: the bracket is fixed by the swap, but not by a broken
@@ -290,14 +284,7 @@ def test_a_valid_action_sweeps_one_generator_and_a_failing_one_every_element(mon
     # so the report lists every failing element, as the oracle does.
     L = make_super_poincare()
     spec = L.spec
-    swept = []
-    real = group_action._equivariance_sweep
-
-    def recording(report, kind, g, *rest):
-        swept.append(g)
-        real(report, kind, g, *rest)
-
-    monkeypatch.setattr(group_action, "_equivariance_sweep", recording)
+    sweeps = equivariance_sweeps(monkeypatch)
 
     def z4(q, qb):
         return diagonal_rep(
@@ -311,17 +298,17 @@ def test_a_valid_action_sweeps_one_generator_and_a_failing_one_every_element(mon
     # [g Q, g Qb] = -[Q, Qb].
     rep, bad = z4(1, -1), z4(1, 1)
     M = adjoint_module(L)
-    assert validate_action(rep, L).ok and swept == [1]
-    swept.clear()
-    assert validate_module_action(rep, rep, L, M).ok and swept == [1]
+    assert validate_action(rep, L).ok and sweeps == [[1]]
+    sweeps.clear()
+    assert validate_module_action(rep, rep, L, M).ok and sweeps == [[1]]
 
-    swept.clear()
+    sweeps.clear()
     report = validate_action(bad, L)
-    assert report.homomorphism_ok and not report.bracket_ok and swept == [1, 1, 2, 3]
+    assert report.homomorphism_ok and not report.bracket_ok and sweeps == [[1, 1, 2, 3]]
     assert report == elementwise_validate_action(bad, L)
-    swept.clear()
+    sweeps.clear()
     report = validate_module_action(rep, bad, L, M)
-    assert not report.bracket_ok and swept == [1, 1, 2, 3]
+    assert not report.bracket_ok and sweeps == [[1, 1, 2, 3]]
     assert report == elementwise_validate_module_action(rep, bad, L, M)
 
 

@@ -12,9 +12,6 @@ from supercohom.graded import (
     Vector,
     canonicalize_tuple,
     cochain_coords,
-    koszul_count,
-    koszul_sign,
-    perm_sign,
     superalt_basis,
 )
 from supercohom.group_action import (
@@ -671,6 +668,36 @@ def coboundary_matrix_raw(basis_cochains, n, L, M):
     return mat
 
 
+def equivariance_sweeps(monkeypatch, kind=None):
+    """Record each equivariance sweep of group_action (of the given kind, or
+    of every kind) as the list of group elements it visits, in order.  The
+    sweep checks one element per morphism_defects call, and the element is
+    read off the columns that call is handed."""
+    from supercohom import group_action
+
+    sweep, defects = group_action._equivariance_failures, group_action.morphism_defects
+    sweeps, open_sweeps = [], []
+
+    def sweeping(sweep_kind, table, rep_x, *rest):
+        if kind is not None and sweep_kind != kind:
+            return sweep(sweep_kind, table, rep_x, *rest)
+        open_sweeps.append((rep_x, []))
+        try:
+            return sweep(sweep_kind, table, rep_x, *rest)
+        finally:
+            sweeps.append(open_sweeps.pop()[1])
+
+    def visiting(src, dst, cols_x, cols_y):
+        if open_sweeps:
+            rep_x, visited = open_sweeps[-1]
+            visited.append(next(g for g, cols in enumerate(rep_x.columns) if cols is cols_x))
+        return defects(src, dst, cols_x, cols_y)
+
+    monkeypatch.setattr(group_action, "_equivariance_failures", sweeping)
+    monkeypatch.setattr(group_action, "morphism_defects", visiting)
+    return sweeps
+
+
 def count_calls(monkeypatch, module, name, keep=lambda *args: True):
     """Wrap module.name, and every supercohom module that bound it by name,
     with a wrapper that records the arguments of each call kept by keep."""
@@ -839,9 +866,9 @@ def regex_parse_scalar(spec, text):
         return _new(spec, ((-p if s[0] == "-" else p) // g,) + (0,) * (spec.degree - 1), q // g)
     if not s:
         raise ParseError("empty scalar")
-    pieces = [p for p in re.split(r"(?=[+-])", s) if p not in ("", "+", "-")]
-    if not pieces:
-        raise ParseError(f"cannot parse scalar {text!r}")
+    pieces = re.split(r"(?=[+-])", s)
+    if not pieces[0]:
+        del pieces[0]
     accum = {}
     for piece in pieces:
         mt = _TERM_RE.match(piece)
@@ -1283,6 +1310,54 @@ def arith(a, b, op):
     if op not in ops:
         raise ValueError(f"unknown op {op!r}")
     return ops[op](a, b)
+
+
+# -- the permutation oracle of the Koszul sign ---------------------------------
+# Permutations of {1..n} are stored 0-based: sigma[i] is the image of position
+# i.  The sign conventions follow the twisted symmetric-group action
+# (sigma.F)(X) = eps(sigma, X) * F(X_{sigma(1)}, ..., X_{sigma(n)}) where
+# eps(sigma, X) = sign(sigma) * (-1)^{# inverted odd-odd pairs}.  The library
+# keeps only the closed form of graded.canonicalize_tuple.
+
+
+def perm_sign(sigma) -> int:
+    n = len(sigma)
+    inv = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sigma[j] < sigma[i]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def koszul_count(sigma, parities) -> int:
+    """Number of pairs i < j with sigma(j) < sigma(i) and both entries odd."""
+    if len(sigma) != len(parities):
+        raise LengthMismatch("permutation and parity tuple differ in length")
+    n = len(sigma)
+    count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sigma[j] < sigma[i] and parities[sigma[i]] == 1 and parities[sigma[j]] == 1:
+                count += 1
+    return count
+
+
+def koszul_sign(sigma, parities) -> int:
+    k = koszul_count(sigma, parities)
+    return perm_sign(sigma) * (-1 if k % 2 else 1)
+
+
+def permutation_canonicalize(tup, parities_by_index):
+    """canonicalize_tuple through the permutation oracle: sigma the stable
+    sort of tup, the sign koszul_sign(sigma, parities of tup), or None on a
+    repeated even index."""
+    evens = [i for i in tup if parities_by_index[i] == 0]
+    if len(set(evens)) != len(evens):
+        return None
+    sigma = tuple(sorted(range(len(tup)), key=lambda k: (tup[k], k)))
+    parities = tuple(parities_by_index[i] for i in tup)
+    return tuple(tup[k] for k in sigma), koszul_sign(sigma, parities)
 
 
 @dataclass(frozen=True)
