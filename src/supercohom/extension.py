@@ -145,12 +145,12 @@ def jacobi_iff_cocycle(x: ExtensionDatum) -> JacobiCocycleReport:
     """Check the extension's Jacobi identity and the glue term's cocycle
     condition through independent pipelines; they must agree."""
     upstairs = validate_superalgebra(build_extension(x))
-    if not upstairs.antisymmetry_ok or not upstairs.homogeneity_ok:
+    if not upstairs.holds("antisymmetry") or not upstairs.holds("homogeneity"):
         raise OracleDisagreement(
             "extension bracket lost antisymmetry or homogeneity; "
             "the construction itself is broken"
         )
-    jacobi = upstairs.jacobi_ok
+    jacobi = upstairs.holds("jacobi")
     is_cocycle = coboundary(x.h, x.L, x.M).is_zero()
     if jacobi != is_cocycle:
         raise OracleDisagreement(
@@ -211,7 +211,7 @@ def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> N
     phi: list[Row] = [{u: o} for u in range(dim)]
     for ((i,), k), c in f.coords.items():
         phi[l2e[i]][m2e[k]] = c
-    if any(morphism_defects(br1, br2, phi, phi)):
+    if any(morphism_defects(br1, br2, [(phi, phi)])):
         raise OracleDisagreement("solved certificate does not intertwine the extension brackets")
     if x1.reps is None:
         return

@@ -16,7 +16,9 @@ the identity.  One function, _equivariance_failures, sweeps
 g t(x, y) = t(g x, g y) for the bracket (validate_action,
 acts_by_automorphisms) and the module action (validate_module_action); it
 re-runs over every element when a generator fails, so the reports list
-each failing element.
+each failing element.  The validators return superalgebra.Report, the list
+of their counterexamples, each placed by a text where such as
+"g=1, pair (x, y)".
 
 An action keeps, for each group element, the sparse columns of its matrix
 (the image of each basis vector as a {row: Scalar} dict), computed once or
@@ -31,7 +33,7 @@ checks they replaced are kept in tests/util.py as test oracles.
 
 The checks whose only answer is whether two sparse sums agree, rho(s)rho(h)
 = rho(sh), the equivariance sweeps through morphism_defects (once per
-swept element) and g v = v in the fixed-space certificate, map the columns
+sweep) and g v = v in the fixed-space certificate, map the columns
 and tables they read once per call to exact integers (scalars.IntImage)
 and add up each sum as Python ints; no Scalar arithmetic runs on their
 success path.  pull_back, the induced action and the Reynolds sums return
@@ -77,7 +79,7 @@ from .errors import (
 from .graded import canonicalize_tuple, cochain_parities, superalt_basis
 from .linalg import Matrix, Row, pivot_columns
 from .scalars import FieldSpec, IntImage, Scalar, one, scalar, zero
-from .superalgebra import LieSuperalgebra, LModule
+from .superalgebra import LieSuperalgebra, LModule, Report
 
 
 @dataclass(frozen=True)
@@ -222,40 +224,20 @@ def diagonal_rep(group: FiniteGroup, spec: FieldSpec, parities, diags) -> Action
     return ActionRep(group, spec, tuple(parities), columns=columns)
 
 
-@dataclass
-class ActionReport:
-    identity_ok: bool = True
-    homomorphism_ok: bool = True
-    degree0_ok: bool = True
-    bracket_ok: bool = True
-    counterexamples: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.identity_ok
-            and self.homomorphism_ok
-            and self.degree0_ok
-            and self.bracket_ok
-        )
-
-    def describe(self) -> str:
-        if self.ok:
-            return "action axioms hold"
-        return "\n".join(
-            f"{ce['kind']} fails at {ce['where']}" for ce in self.counterexamples
-        )
-
-
 def resolve_reps(rep, L: LieSuperalgebra, M: LModule) -> tuple[ActionRep, ActionRep] | None:
     """The rule for every rep= argument: None means no group, a single
     ActionRep covers L and a module on the algebra basis, and a pair
     (rep_L, rep_M) covers anything else.  Returns None or the pair.
+    Anything else, a tuple or list of another length included, is a
+    TypeError.
 
     It also checks what every (L, M, rep) entry point needs: M is a module
     of L, and the two actions are of one group, over one field, on the
     spaces of L and of M.
     """
+    pair = isinstance(rep, (tuple, list)) and len(rep) == 2 and all(isinstance(r, ActionRep) for r in rep)
+    if not (rep is None or isinstance(rep, ActionRep) or pair):
+        raise TypeError("rep= takes None, an ActionRep, or a tuple or list of two ActionReps (rep_L, rep_M)")
     if M.algebra != L.basis:
         raise BasisMismatch("module is declared over a different algebra basis")
     if rep is None:
@@ -363,73 +345,72 @@ def swept_elements(*reps: ActionRep) -> list[int]:
     return _every_moving_element(*reps)
 
 
-def _rep_structure_checks(rep: ActionRep, report: ActionReport) -> None:
-    """The identity, homomorphism and degree-0 checks.  A verified
-    representation passes the first two; otherwise every pair is compared,
-    so the report lists each failing pair."""
-    group = rep.group
+def _rep_structure_failures(rep: ActionRep) -> list:
+    """The counterexamples to the identity, homomorphism and degree-0 checks.
+    A verified representation passes the first two; otherwise every pair is
+    compared, so the list names each failing pair."""
+    group, failures = rep.group, []
     if not is_representation(rep):
         if not _acts_as_one(rep, group.identity):
-            report.identity_ok = False
-            report.counterexamples.append({"kind": "identity", "where": "identity element"})
+            failures.append({"kind": "identity", "where": "identity element"})
         for g, h in _homomorphism_defects(rep, product(range(group.order), repeat=2)):
-            report.homomorphism_ok = False
-            report.counterexamples.append({"kind": "homomorphism", "where": f"pair ({g}, {h})"})
+            failures.append({"kind": "homomorphism", "where": f"pair ({g}, {h})"})
     par = rep.parities
     for g, cols in enumerate(rep.columns):
         mixed = sorted((i, j) for j, col in enumerate(cols) for i in col if par[i] != par[j])
-        for i, j in mixed:
-            report.degree0_ok = False
-            report.counterexamples.append({"kind": "degree", "where": f"g={g}, entry ({i}, {j})"})
+        failures += ({"kind": "degree", "where": f"g={g}, entry ({i}, {j})"} for i, j in mixed)
+    return failures
 
 
-def morphism_defects(src: dict, dst: dict, cols_x: list[Row], cols_y: list[Row]):
-    """The pairs (i, k), in order, where cols_y src(x_i, y_k) differs from
-    dst(cols_x x_i, cols_y y_k): bilinear tables {pair: Row} into the y space,
-    and linear maps on the two factors.
+def morphism_defects(src: dict, dst: dict, pairs: list[tuple[list[Row], list[Row]]]):
+    """The (position, i, k), in order, where cols_y src(x_i, y_k) differs
+    from dst(cols_x x_i, cols_y y_k) for the pair (cols_x, cols_y) at that
+    position of pairs: bilinear tables {pair: Row} into the y space, and
+    pairs of linear maps on the two factors.
 
-    The four are mapped once to ints by one IntImage, over the field of
-    their entries.  Each entry of lhs - rhs is one sparse sum: of products
-    of three entries from the right side, at most dim x * dim y of them, and
-    of two entries times the image of 1 from the left, at most dim y.
+    The tables and every pair are mapped once to ints by one IntImage, over
+    the field of their entries.  Each entry of lhs - rhs is one sparse sum:
+    of products of three entries from the right side, at most
+    dim x * dim y of them, and of two entries times the image of 1 from the
+    left, at most dim y.
     """
-    read = [src.values(), cols_x]
-    if dst is not src:
-        read.append(dst.values())
-    if cols_y is not cols_x:
-        read.append(cols_y)
+    read = [src.values()] if dst is src else [src.values(), dst.values()]
+    for cols_x, cols_y in pairs:
+        read += [cols_x] if cols_y is cols_x else [cols_x, cols_y]
     entries = _scalars(chain(*read))
     first = next(entries, None)
-    if first is None:  # every sum is empty
+    if first is None or not pairs:  # every sum is empty
         return
-    image = IntImage(first.spec, chain((first,), entries), 3, len(cols_y) * (len(cols_x) + 1))
+    dim_x, dim_y = len(pairs[0][0]), len(pairs[0][1])
+    image = IntImage(first.spec, chain((first,), entries), 3, dim_y * (dim_x + 1))
     src_int = {key: image.row(row) for key, row in src.items()}
     dst_int = src_int if dst is src else {key: image.row(row) for key, row in dst.items()}
-    x_int = [image.row(col) for col in cols_x]
-    y_int = x_int if cols_y is cols_x else [image.row(col) for col in cols_y]
     unit = image.den
-    for i, gx in enumerate(x_int):
-        for k, gy in enumerate(y_int):
-            acc: dict[int, int] = {}
-            for t, c in src_int.get((i, k), {}).items():
-                c *= unit
-                for s, y in y_int[t].items():
-                    acc[s] = acc.get(s, 0) + c * y
-            for a, x in gx.items():
-                for b, y in gy.items():
-                    row = dst_int.get((a, b))
-                    if row:
-                        xy = x * y
-                        for s, z in row.items():
-                            acc[s] = acc.get(s, 0) - xy * z
-            if acc and not image.vanishes(acc):
-                yield i, k
+    for position, (cols_x, cols_y) in enumerate(pairs):
+        x_int = [image.row(col) for col in cols_x]
+        y_int = x_int if cols_y is cols_x else [image.row(col) for col in cols_y]
+        for i, gx in enumerate(x_int):
+            for k, gy in enumerate(y_int):
+                acc: dict[int, int] = {}
+                for t, c in src_int.get((i, k), {}).items():
+                    c *= unit
+                    for s, y in y_int[t].items():
+                        acc[s] = acc.get(s, 0) + c * y
+                for a, x in gx.items():
+                    for b, y in gy.items():
+                        row = dst_int.get((a, b))
+                        if row:
+                            xy = x * y
+                            for s, z in row.items():
+                                acc[s] = acc.get(s, 0) - xy * z
+                if acc and not image.vanishes(acc):
+                    yield position, i, k
 
 
 def _equivariance_failures(kind: str, table: dict, rep_x: ActionRep, rep_y: ActionRep, basis_x, basis_y) -> list:
     """The counterexamples to g t(x_i, y_k) = t(g x_i, g y_k), for a bilinear
     table t, {pair: Vector} (the bracket, or the module action), and the
-    actions on the two factors: one morphism_defects call per swept element.
+    actions on the two factors: one morphism_defects call per sweep.
 
     It sweeps swept_elements(rep_x, rep_y).  When that finds a failure and
     skipped elements, it sweeps every moving element instead, so the list
@@ -438,10 +419,10 @@ def _equivariance_failures(kind: str, table: dict, rep_x: ActionRep, rep_y: Acti
     rows = {key: vec.coords for key, vec in table.items()}
 
     def sweep(elements):
+        pairs = [(rep_x.columns[g], rep_y.columns[g]) for g in elements]
         return [
-            {"kind": kind, "where": f"g={g}, pair ({basis_x.names[i]}, {basis_y.names[k]})"}
-            for g in elements
-            for i, k in morphism_defects(rows, rows, rep_x.columns[g], rep_y.columns[g])
+            {"kind": kind, "where": f"g={elements[p]}, pair ({basis_x.names[i]}, {basis_y.names[k]})"}
+            for p, i, k in morphism_defects(rows, rows, pairs)
         ]
 
     swept = swept_elements(rep_x, rep_y)
@@ -464,27 +445,20 @@ def acts_by_automorphisms(rep: ActionRep, L: LieSuperalgebra) -> bool:
     return rep._automorphisms[1]
 
 
-def validate_action(rep: ActionRep, L: LieSuperalgebra) -> ActionReport:
+def validate_action(rep: ActionRep, L: LieSuperalgebra) -> Report:
     if rep.parities != L.basis.parities:
         raise BasisMismatch("representation space does not match the algebra basis")
-    report = ActionReport()
-    _rep_structure_checks(rep, report)
+    report = Report(_rep_structure_failures(rep))
     failures = _equivariance_failures("bracket equivariance", L.bracket.components, rep, rep, L.basis, L.basis)
     rep._automorphisms = (L, not failures)
-    report.bracket_ok = not failures
     report.counterexamples += failures
     return report
 
 
-def validate_module_action(
-    rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule
-) -> ActionReport:
+def validate_module_action(rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule) -> Report:
     resolve_reps((rep_L, rep_M), L, M)
-    report = ActionReport()
-    _rep_structure_checks(rep_M, report)
-    failures = _equivariance_failures("action equivariance", M.act, rep_L, rep_M, L.basis, M.space)
-    report.bracket_ok = not failures
-    report.counterexamples += failures
+    report = Report(_rep_structure_failures(rep_M))
+    report.counterexamples += _equivariance_failures("action equivariance", M.act, rep_L, rep_M, L.basis, M.space)
     return report
 
 

@@ -140,10 +140,10 @@ def mc_check(F0: Cochain, spec: FieldSpec) -> MCReport:
     candidate = element_to_bracket(F0, spec)
     residual = nr_bracket(F0, F0)
     is_mc = residual.is_zero()
-    report = validate_superalgebra(candidate)
-    if report.jacobi_ok != is_mc:
+    jacobi = validate_superalgebra(candidate).holds("jacobi")
+    if jacobi != is_mc:
         raise OracleDisagreement(
             "Maurer-Cartan verdict and the super-Jacobi sweep disagree: "
-            f"[F,F]=0 is {is_mc}, Jacobi is {report.jacobi_ok}"
+            f"[F,F]=0 is {is_mc}, Jacobi is {jacobi}"
         )
-    return MCReport(is_mc, residual, report.jacobi_ok)
+    return MCReport(is_mc, residual, jacobi)

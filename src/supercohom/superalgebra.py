@@ -17,6 +17,13 @@ Scalars are built only for the two sides of a failing triple; the
 antisymmetry check compares the mapped entries.  Only nonzero structure
 constants are touched.  The element-wise checks through bracket_eval and
 module_act are kept in tests/util.py as test oracles.
+
+Every axiom check, here and in group_action, returns one Report: the list
+of its counterexamples, in the order found, and nothing else.  ok means the
+list is empty, holds(kind) that no counterexample is of that kind (a kind
+no check emits is a ValueError), and describe() prints one line per
+counterexample.  validate_superalgebra and validate_module share one
+homogeneity sweep.
 """
 
 from __future__ import annotations
@@ -31,26 +38,56 @@ from .linalg import lin_comb, rref_rows
 from .scalars import RATIONAL, FieldSpec, IntImage, Scalar, cyclo, one, root_of_unity, scalar, zero
 
 
+# The kinds of counterexample that the checks of this module and of group_action emit.
+KINDS = frozenset(
+    ["homogeneity", "antisymmetry", "jacobi", "module axiom"]
+    + ["identity", "homomorphism", "degree", "bracket equivariance", "action equivariance"]
+)
+
+
 @dataclass
-class AlgebraReport:
-    antisymmetry_ok: bool = True
-    jacobi_ok: bool = True
-    homogeneity_ok: bool = True
+class Report:
+    """The verdict of an axiom check: its counterexamples, in the order
+    found, each a dict with a kind, a where (text) and, for the table
+    checks, the two sides lhs and rhs."""
+
     counterexamples: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.antisymmetry_ok and self.jacobi_ok and self.homogeneity_ok
+        return not self.counterexamples
+
+    def holds(self, kind: str) -> bool:
+        """Whether no counterexample is of kind, one of KINDS."""
+        if kind not in KINDS:
+            raise ValueError(f"no check emits counterexamples of kind {kind!r}")
+        return all(ce["kind"] != kind for ce in self.counterexamples)
 
     def describe(self) -> str:
-        return "all axioms hold" if self.ok else _describe_counterexamples(self.counterexamples)
+        if self.ok:
+            return "all axioms hold"
+        return "\n".join(
+            f"{ce['kind']} fails at {ce['where']}"
+            + (f": lhs = {ce['lhs']}, rhs = {ce['rhs']}" if "lhs" in ce else "")
+            for ce in self.counterexamples
+        )
 
 
-def _describe_counterexamples(counterexamples: list) -> str:
-    return "\n".join(
-        f"{ce['kind']} fails at ({', '.join(ce['where'])}): lhs = {ce['lhs']}, rhs = {ce['rhs']}"
-        for ce in counterexamples
-    )
+def _table_failure(kind: str, names, lhs: str, rhs: str) -> dict:
+    """A counterexample of a table check at the basis vectors names."""
+    return {"kind": kind, "where": f"({', '.join(names)})", "lhs": lhs, "rhs": rhs}
+
+
+def _homogeneity_failures(table: dict, left: GradedBasis, right: GradedBasis) -> list:
+    """The entries of a bilinear table {(i, j): Vector} on left x right, into
+    the space right, whose value is not of parity |i| + |j|, in order."""
+    failures = []
+    for (i, j), vec in table.items():
+        want = (left.parities[i] + right.parities[j]) % 2
+        if vec.parity_support(right) - {want}:
+            names = (left.names[i], right.names[j])
+            failures.append(_table_failure("homogeneity", names, vec_str(vec, right), f"parity {want} expected"))
+    return failures
 
 
 @dataclass(frozen=True)
@@ -170,23 +207,10 @@ def _leibniz_failures(image: IntImage, br_int: dict, act_int: dict, par, triples
         yield i, j, k, lhs, rhs
 
 
-def validate_superalgebra(L: LieSuperalgebra) -> AlgebraReport:
-    report = AlgebraReport()
+def validate_superalgebra(L: LieSuperalgebra) -> Report:
     basis = L.basis
     par = basis.parities
-
-    for tup, vec in L.bracket.components.items():
-        want = (par[tup[0]] + par[tup[1]]) % 2
-        if vec.parity_support(basis) - {want}:
-            report.homogeneity_ok = False
-            report.counterexamples.append(
-                {
-                    "kind": "homogeneity",
-                    "where": (basis.names[tup[0]], basis.names[tup[1]]),
-                    "lhs": vec_str(vec, basis),
-                    "rhs": f"parity {want} expected",
-                }
-            )
+    report = Report(_homogeneity_failures(L.bracket.components, basis, basis))
 
     # A single scalar maps to an int whose signed base-B digits are its
     # scaled numerators, so entries are equal exactly when their images are.
@@ -195,28 +219,14 @@ def validate_superalgebra(L: LieSuperalgebra) -> AlgebraReport:
         for j in range(i, len(basis)):
             v, w = br.get((i, j), _NO_TERMS), br.get((j, i), _NO_TERMS)
             if v != (w if par[i] and par[j] else {t: -x for t, x in w.items()}):
-                report.antisymmetry_ok = False
-                report.counterexamples.append(
-                    {
-                        "kind": "antisymmetry",
-                        "where": (basis.names[i], basis.names[j]),
-                        "lhs": vec_str(L.bracket.at((i, j)), basis),
-                        "rhs": vec_str(L.bracket.at((j, i)), basis),
-                    }
-                )
+                lhs, rhs = (vec_str(L.bracket.at(key), basis) for key in ((i, j), (j, i)))
+                report.counterexamples.append(_table_failure("antisymmetry", (basis.names[i], basis.names[j]), lhs, rhs))
 
     # Given antisymmetry, the Jacobi residual is super-alternating, so the
     # canonical tuples already cover every basis triple.
     for i, j, k, lhs, rhs in _leibniz_failures(image, br, br, par, superalt_basis(basis, 3)):
-        report.jacobi_ok = False
-        report.counterexamples.append(
-            {
-                "kind": "jacobi",
-                "where": (basis.names[i], basis.names[j], basis.names[k]),
-                "lhs": vec_str(lhs, basis),
-                "rhs": vec_str(rhs, basis),
-            }
-        )
+        names = (basis.names[i], basis.names[j], basis.names[k])
+        report.counterexamples.append(_table_failure("jacobi", names, vec_str(lhs, basis), vec_str(rhs, basis)))
     return report
 
 
@@ -243,55 +253,23 @@ class LModule:
         }
 
 
-@dataclass
-class ModuleReport:
-    axiom_ok: bool = True
-    homogeneity_ok: bool = True
-    counterexamples: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.axiom_ok and self.homogeneity_ok
-
-    def describe(self) -> str:
-        return "module axioms hold" if self.ok else _describe_counterexamples(self.counterexamples)
-
-
-def validate_module(L: LieSuperalgebra, M: LModule) -> ModuleReport:
-    report = ModuleReport()
+def validate_module(L: LieSuperalgebra, M: LModule) -> Report:
     if M.algebra != L.basis:
         raise BasisMismatch("module is declared over a different algebra basis")
     parL, parM = L.basis.parities, M.space.parities
-
     for (i, j), vec in M.act.items():
         if not (0 <= i < len(parL) and 0 <= j < len(parM)):
             raise BasisMismatch(f"action key ({i}, {j}) out of range")
         if any(not 0 <= t < len(parM) for t in vec.coords):
             raise BasisMismatch(f"action value at ({i}, {j}) indexes outside the module basis")
-        want = (parL[i] + parM[j]) % 2
-        if vec.parity_support(M.space) - {want}:
-            report.homogeneity_ok = False
-            report.counterexamples.append(
-                {
-                    "kind": "homogeneity",
-                    "where": (L.basis.names[i], M.space.names[j]),
-                    "lhs": vec_str(vec, M.space),
-                    "rhs": f"parity {want} expected",
-                }
-            )
+    report = Report(_homogeneity_failures(M.act, L.basis, M.space))
 
     image, br, act = _leibniz_image(L, M.act, len(parM))
     triples = product(range(len(parL)), range(len(parL)), range(len(parM)))
     for i, j, k, lhs, rhs in _leibniz_failures(image, br, act, parL, triples):
-        report.axiom_ok = False
-        report.counterexamples.append(
-            {
-                "kind": "module axiom",
-                "where": (L.basis.names[i], L.basis.names[j], M.space.names[k]),
-                "lhs": vec_str(lhs, M.space),
-                "rhs": vec_str(rhs, M.space),
-            }
-        )
+        names = (L.basis.names[i], L.basis.names[j], M.space.names[k])
+        lhs, rhs = vec_str(lhs, M.space), vec_str(rhs, M.space)
+        report.counterexamples.append(_table_failure("module axiom", names, lhs, rhs))
     return report
 
 

@@ -166,6 +166,77 @@ def test_malformed_bracket_is_a_validation_failure(tmp_path, capsys, key, value,
     assert (captured.out, captured.err) == ("", err)
 
 
+def _module(basis, action, matrices=None):
+    def edit(doc):
+        doc["modules"] = {"W": {"basis": basis, "action": action}}
+        if matrices is not None:
+            doc["modules"]["W"]["matrices"] = matrices
+    return edit
+
+
+def _swap_action(mat):
+    def edit(doc):
+        doc["action"][1] = mat
+    return edit
+
+
+def _diag(*entries):
+    return [[x if r == c else "0" for c, x in enumerate(entries)] for r in range(len(entries))]
+
+
+ABELIAN_Z2 = {
+    "field": "rational",
+    "algebra": {"basis": [["a", 0], ["x", 1]], "brackets": {}},
+    "group": {"identity": 0, "table": [[0, 1], [1, 0]]},
+    "action": [[["1", "0"], ["0", "1"]], [["-1", "0"], ["1", "1"]]],
+}
+
+
+@pytest.mark.parametrize(
+    "fixture, edit, err",
+    [
+        ("fixture_gl11", _module([["w", 0]], {"e11,w": {"w": "1"}}),
+         "validation failed: modules.W: module axiom fails at (e12, e21, w): lhs = 0, rhs = (1)*w\n"
+         "module axiom fails at (e21, e12, w): lhs = 0, rhs = (1)*w\n"),
+        ("fixture_gl11", _module([["w", 0], ["u", 1]], {"e11,w": {"u": "1"}, "e22,w": {"u": "-1"}}),
+         "validation failed: modules.W: homogeneity fails at (e11, w): lhs = (1)*u, rhs = parity 0 expected\n"
+         "homogeneity fails at (e22, w): lhs = (-1)*u, rhs = parity 0 expected\n"),
+        ("fixture_gl11_z2", lambda doc: doc.update(action=[_diag("0", "0", "0", "0")] * 2),
+         "validation failed: action: identity fails at identity element\n"),
+        ("fixture_gl11_z2", _swap_action(_diag("1", "1", "2", "1/2")),
+         "validation failed: action: homomorphism fails at pair (1, 1)\n"),
+        (None, lambda doc: doc.update(ABELIAN_Z2),
+         "validation failed: action: degree fails at g=1, entry (1, 0)\n"),
+        ("fixture_gl11_z2", _swap_action(_diag("1", "1", "-1", "1")),
+         "validation failed: action: bracket equivariance fails at g=1, pair (e12, e21)\n"
+         "bracket equivariance fails at g=1, pair (e21, e12)\n"),
+        ("fixture_gl11_z2", _module([["w", 0]], {"e11,w": {"w": "1"}, "e22,w": {"w": "-1"}}, [[["1"]], [["1"]]]),
+         "validation failed: modules.W: action equivariance fails at g=1, pair (e11, w)\n"
+         "action equivariance fails at g=1, pair (e22, w)\n"),
+    ],
+    ids=[
+        "module-axiom",
+        "module-homogeneity",
+        "identity",
+        "homomorphism",
+        "degree",
+        "bracket-equivariance",
+        "action-equivariance",
+    ],
+)
+def test_each_validator_failure_text_is_pinned(tmp_path, capsys, fixture, edit, err):
+    doc = {}
+    if fixture is not None:
+        with open(fx(fixture)) as fh:
+            doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 REPEATED_BRACKET = (
     '{"field": "rational", "algebra": {"basis": [["h", 0], ["x", 1]], '
     '"brackets": {"x,x": {"h": "1"}, "x,x": {"h": "0"}}}}'

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supercohom import group_action
+from supercohom.cohomology import cohomology
 from supercohom.errors import BasisMismatch, LengthMismatch, OracleDisagreement, ValidationError
 from supercohom.graded import Vector, superalt_basis
 from supercohom.group_action import (
@@ -39,6 +40,7 @@ from util import (
     direct_product,
     elementwise_validate_action,
     eval_map,
+    gl11_swap_rep,
     pulled_back_induced_columns,
     rand_instance,
     rand_module,
@@ -138,7 +140,7 @@ def test_a_break_off_the_generators_is_still_found():
         bad = _with_entry_moved(rep, 2, i, j)
         assert not is_representation(bad)
         report = validate_action(bad, L)
-        assert not report.homomorphism_ok
+        assert not report.holds("homomorphism")
         assert report == elementwise_validate_action(bad, L)
 
     L = make_gl(1, 1)  # the parity automorphism times the swap of the diagonal blocks
@@ -246,8 +248,8 @@ def test_validate_flags_broken_bracket_equivariance():
     ]
     rep = diagonal_rep(cyclic_group(2), RATIONAL, L.basis.parities, diags)
     report = validate_action(rep, L)
-    assert report.identity_ok and report.homomorphism_ok and report.degree0_ok
-    assert not report.bracket_ok
+    assert report.holds("identity") and report.holds("homomorphism") and report.holds("degree")
+    assert not report.holds("bracket equivariance")
 
 
 def test_validate_flags_broken_homomorphism():
@@ -256,7 +258,7 @@ def test_validate_flags_broken_homomorphism():
     diags = [[one(RATIONAL)] * 4, [two] * 4]
     rep = diagonal_rep(cyclic_group(2), RATIONAL, L.basis.parities, diags)
     report = validate_action(rep, L)
-    assert not report.homomorphism_ok
+    assert not report.holds("homomorphism")
 
 
 def test_validate_flags_parity_mixing():
@@ -267,7 +269,7 @@ def test_validate_flags_parity_mixing():
     mats[1] = bad
     rep = ActionRep(cyclic_group(2), RATIONAL, L.basis.parities, mats)
     report = validate_action(rep, L)
-    assert not report.degree0_ok
+    assert not report.holds("degree")
 
 
 def test_validate_module_action_super_poincare():
@@ -531,3 +533,14 @@ def test_induced_action_rejects_mismatched_basis():
     bad = trivial_action(cyclic_group(2), RATIONAL, (0, 0))
     with pytest.raises(BasisMismatch):
         induced_action_on_cochains(bad, rep, L, M, 1)
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [lambda r: [r], lambda r: (r,), lambda r: "x", lambda r: (r, r, r), lambda r: (r, "x")],
+    ids=["list-of-one", "tuple-of-one", "string", "tuple-of-three", "pair-with-a-string"],
+)
+def test_a_malformed_rep_argument_is_one_type_error(malformed):
+    L = make_gl(1, 1)
+    with pytest.raises(TypeError, match=r"rep= takes None, an ActionRep, or a tuple or list of two ActionReps"):
+        cohomology(1, L, adjoint_module(L), rep=malformed(gl11_swap_rep(L)))

@@ -427,7 +427,7 @@ def test_element_to_bracket_of_non_mc_candidate_fails_jacobi():
     coords[key] = coords[key] + ONE
     bad = Cochain(2, 0, L.basis, L.basis, coords)
     candidate = element_to_bracket(bad, L.spec)
-    assert not validate_superalgebra(candidate).jacobi_ok
+    assert not validate_superalgebra(candidate).holds("jacobi")
 
 
 def test_conversion_preserves_equivariance_verdict():

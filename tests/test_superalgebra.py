@@ -10,7 +10,9 @@ from supercohom.errors import BasisMismatch, ValidationError
 from supercohom.graded import GradedBasis, MultilinearMap, Vector
 from supercohom.scalars import RATIONAL, cyclo, one, root_of_unity, scalar, zero
 from supercohom.superalgebra import (
+    KINDS,
     LieSuperalgebra,
+    Report,
     _matrix_superalgebra,
     adjoint_module,
     adjoint_submodule,
@@ -141,8 +143,8 @@ def test_validate_flags_jacobi_mutation():
         check=False,
     )
     rep = validate_superalgebra(mutated)
-    assert rep.antisymmetry_ok
-    assert not rep.jacobi_ok
+    assert rep.holds("antisymmetry")
+    assert not rep.holds("jacobi")
     assert any(ce["kind"] == "jacobi" for ce in rep.counterexamples)
     with pytest.raises(ValidationError):
         LieSuperalgebra(L.basis, RATIONAL, MultilinearMap(2, 0, L.basis, L.basis, comp))
@@ -157,7 +159,7 @@ def test_validate_flags_antisymmetry_mutation():
         L.basis, RATIONAL, MultilinearMap(2, 0, L.basis, L.basis, comp), check=False
     )
     rep = validate_superalgebra(mutated)
-    assert not rep.antisymmetry_ok
+    assert not rep.holds("antisymmetry")
 
 
 def test_from_pairs_mirrors_each_pair_and_refuses_both_orders():
@@ -344,7 +346,7 @@ def test_validate_module_flags_broken_axiom():
         scalar(RATIONAL, 3)
     )
     rep = validate_module(L, M)
-    assert not rep.axiom_ok
+    assert not rep.holds("module axiom")
     assert any(ce["kind"] == "module axiom" for ce in rep.counterexamples)
 
 
@@ -368,3 +370,30 @@ def test_values_outside_the_space_are_refused(where):
     M.act[(0, 0)] = Vector({bad: one(RATIONAL)})
     with pytest.raises(BasisMismatch, match="outside the module basis"):
         validate_module(L, M)
+
+
+EMITTED_KINDS = [
+    "homogeneity",
+    "antisymmetry",
+    "jacobi",
+    "module axiom",
+    "identity",
+    "homomorphism",
+    "degree",
+    "bracket equivariance",
+    "action equivariance",
+]
+
+
+def test_report_holds_answers_each_emitted_kind():
+    assert KINDS == set(EMITTED_KINDS)
+    for kind in EMITTED_KINDS:
+        report = Report([{"kind": kind, "where": "(x, y)"}])
+        assert Report().holds(kind) and not report.holds(kind) and not report.ok
+        assert all(report.holds(other) for other in EMITTED_KINDS if other != kind)
+
+
+@pytest.mark.parametrize("kind", ["bracket_ok", "Jacobi", "equivariance", ""])
+def test_report_holds_refuses_a_kind_that_no_check_emits(kind):
+    with pytest.raises(ValueError, match="no check emits"):
+        Report().holds(kind)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercohom import cohomology
+from supercohom import cohomology, group_action
 from supercohom.cohomology import Cochain, cochain_basis, is_equivariant
 from supercohom.graded import MultilinearMap, Vector
 from supercohom.group_action import (
@@ -23,6 +23,7 @@ from supercohom.group_action import (
     cyclic_group,
     diagonal_rep,
     induced_action_on_cochains,
+    is_representation,
     validate_action,
     validate_module_action,
 )
@@ -42,6 +43,7 @@ from supercohom.superalgebra import (
 from util import (
     GROUP_SHAPES,
     abelian_algebra,
+    count_calls,
     apply_rep,
     dense_apply_rep,
     dense_induced_matrices,
@@ -244,7 +246,7 @@ def test_action_sweep_skips_the_identity_only_when_it_acts_as_one(monkeypatch):
     bad = ActionRep(rep.group, RATIONAL, L.basis.parities, mats)
     sweeps.clear()
     report = validate_action(bad, L)
-    assert not report.identity_ok and sweeps == [[rep.group.identity, 1]]
+    assert not report.holds("identity") and sweeps == [[rep.group.identity, 1]]
     assert report == elementwise_validate_action(bad, L)
 
     # The module sweep reads the action on L and on M: the identity is swept
@@ -304,12 +306,28 @@ def test_a_valid_action_sweeps_one_generator_and_a_failing_one_every_element(mon
 
     sweeps.clear()
     report = validate_action(bad, L)
-    assert report.homomorphism_ok and not report.bracket_ok and sweeps == [[1, 1, 2, 3]]
+    assert report.holds("homomorphism") and not report.holds("bracket equivariance") and sweeps == [[1, 1, 2, 3]]
     assert report == elementwise_validate_action(bad, L)
     sweeps.clear()
     report = validate_module_action(rep, bad, L, M)
-    assert not report.bracket_ok and sweeps == [[1, 1, 2, 3]]
+    assert not report.holds("action equivariance") and sweeps == [[1, 1, 2, 3]]
     assert report == elementwise_validate_module_action(rep, bad, L, M)
+
+
+
+def test_an_equivariance_sweep_maps_the_table_to_ints_once(monkeypatch):
+    # Z/4 on the super-Poincare algebra, its odd elements negating J01: the
+    # sweep of the generator fails and is re-run over 1, 2 and 3.  Each of
+    # the two sweeps maps the bracket table and its columns once.
+    L = make_super_poincare()
+    o = one(L.spec)
+    diags = [[-o if g % 2 and j == 0 else o for j in range(len(L.basis))] for g in range(4)]
+    rep = diagonal_rep(cyclic_group(4), L.spec, L.basis.parities, diags)
+    assert is_representation(rep)
+    images = count_calls(monkeypatch, group_action, "IntImage")
+    report = validate_action(rep, L)
+    assert len(images) == 2 and len(report.counterexamples) == 48
+    assert report == elementwise_validate_action(rep, L)
 
 
 def test_degree_counterexamples_in_row_major_order():

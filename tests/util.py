@@ -671,8 +671,8 @@ def coboundary_matrix_raw(basis_cochains, n, L, M):
 def equivariance_sweeps(monkeypatch, kind=None):
     """Record each equivariance sweep of group_action (of the given kind, or
     of every kind) as the list of group elements it visits, in order.  The
-    sweep checks one element per morphism_defects call, and the element is
-    read off the columns that call is handed."""
+    sweep hands each morphism_defects call the column pairs of the elements
+    it visits, and each element is read off the columns of its pair."""
     from supercohom import group_action
 
     sweep, defects = group_action._equivariance_failures, group_action.morphism_defects
@@ -687,11 +687,11 @@ def equivariance_sweeps(monkeypatch, kind=None):
         finally:
             sweeps.append(open_sweeps.pop()[1])
 
-    def visiting(src, dst, cols_x, cols_y):
+    def visiting(src, dst, pairs):
         if open_sweeps:
             rep_x, visited = open_sweeps[-1]
-            visited.append(next(g for g, cols in enumerate(rep_x.columns) if cols is cols_x))
-        return defects(src, dst, cols_x, cols_y)
+            visited += (next(g for g, cols in enumerate(rep_x.columns) if cols is cols_x) for cols_x, _ in pairs)
+        return defects(src, dst, pairs)
 
     monkeypatch.setattr(group_action, "_equivariance_failures", sweeping)
     monkeypatch.setattr(group_action, "morphism_defects", visiting)
@@ -948,20 +948,19 @@ def scalar_mul_oracle(x, y):
 
 def elementwise_validate_superalgebra(L):
     from supercohom.graded import vec_str
-    from supercohom.superalgebra import AlgebraReport
+    from supercohom.superalgebra import Report
 
-    report = AlgebraReport()
+    report = Report()
     basis, spec = L.basis, L.spec
     par = basis.parities
 
     for tup, vec in L.bracket.components.items():
         want = (par[tup[0]] + par[tup[1]]) % 2
         if vec.parity_support(basis) - {want}:
-            report.homogeneity_ok = False
             report.counterexamples.append(
                 {
                     "kind": "homogeneity",
-                    "where": (basis.names[tup[0]], basis.names[tup[1]]),
+                    "where": f"({basis.names[tup[0]]}, {basis.names[tup[1]]})",
                     "lhs": vec_str(vec, basis),
                     "rhs": f"parity {want} expected",
                 }
@@ -973,11 +972,10 @@ def elementwise_validate_superalgebra(L):
             w = L.bracket.at((j, i))
             diff = v + w if (par[i] * par[j]) % 2 == 0 else v - w
             if not diff.is_zero():
-                report.antisymmetry_ok = False
                 report.counterexamples.append(
                     {
                         "kind": "antisymmetry",
-                        "where": (basis.names[i], basis.names[j]),
+                        "where": f"({basis.names[i]}, {basis.names[j]})",
                         "lhs": vec_str(v, basis),
                         "rhs": vec_str(w, basis),
                     }
@@ -990,11 +988,10 @@ def elementwise_validate_superalgebra(L):
         inner = bracket_eval(L, eb, bracket_eval(L, ea, ec))
         rhs = rhs + (inner if (par[i] * par[j]) % 2 == 0 else -inner)
         if lhs != rhs:
-            report.jacobi_ok = False
             report.counterexamples.append(
                 {
                     "kind": "jacobi",
-                    "where": (basis.names[i], basis.names[j], basis.names[k]),
+                    "where": f"({basis.names[i]}, {basis.names[j]}, {basis.names[k]})",
                     "lhs": vec_str(lhs, basis),
                     "rhs": vec_str(rhs, basis),
                 }
@@ -1005,9 +1002,9 @@ def elementwise_validate_superalgebra(L):
 def elementwise_validate_module(L, M):
     from supercohom.errors import BasisMismatch
     from supercohom.graded import vec_str
-    from supercohom.superalgebra import ModuleReport
+    from supercohom.superalgebra import Report
 
-    report = ModuleReport()
+    report = Report()
     if M.algebra != L.basis:
         raise BasisMismatch("module is declared over a different algebra basis")
     parL, parM = L.basis.parities, M.space.parities
@@ -1017,11 +1014,10 @@ def elementwise_validate_module(L, M):
             raise BasisMismatch(f"action key ({i}, {j}) out of range")
         want = (parL[i] + parM[j]) % 2
         if vec.parity_support(M.space) - {want}:
-            report.homogeneity_ok = False
             report.counterexamples.append(
                 {
                     "kind": "homogeneity",
-                    "where": (L.basis.names[i], M.space.names[j]),
+                    "where": f"({L.basis.names[i]}, {M.space.names[j]})",
                     "lhs": vec_str(vec, M.space),
                     "rhs": f"parity {want} expected",
                 }
@@ -1040,15 +1036,10 @@ def elementwise_validate_module(L, M):
                 swapped = module_act(M, eb, module_act(M, ea, em))
                 rhs = rhs + (swapped if sign == 1 else -swapped)
                 if lhs != rhs:
-                    report.axiom_ok = False
                     report.counterexamples.append(
                         {
                             "kind": "module axiom",
-                            "where": (
-                                L.basis.names[i],
-                                L.basis.names[j],
-                                M.space.names[k],
-                            ),
+                            "where": f"({L.basis.names[i]}, {L.basis.names[j]}, {M.space.names[k]})",
                             "lhs": vec_str(lhs, M.space),
                             "rhs": vec_str(rhs, M.space),
                         }
@@ -1072,12 +1063,10 @@ def dense_apply_rep(rep, g, v):
 def _dense_rep_structure_checks(rep, report):
     spec, group = rep.spec, rep.group
     if rep.matrices[group.identity] != mat_identity(rep.dim, spec):
-        report.identity_ok = False
         report.counterexamples.append({"kind": "identity", "where": "identity element"})
     for g in range(group.order):
         for h in range(group.order):
             if mat_mul(rep.matrices[g], rep.matrices[h], spec) != rep.matrices[group.mul(g, h)]:
-                report.homomorphism_ok = False
                 report.counterexamples.append(
                     {"kind": "homomorphism", "where": f"pair ({g}, {h})"}
                 )
@@ -1086,7 +1075,6 @@ def _dense_rep_structure_checks(rep, report):
         for i in range(rep.dim):
             for j in range(rep.dim):
                 if rep.parities[i] != rep.parities[j] and not mat[i][j].is_zero():
-                    report.degree0_ok = False
                     report.counterexamples.append(
                         {"kind": "degree", "where": f"g={g}, entry ({i}, {j})"}
                     )
@@ -1094,11 +1082,11 @@ def _dense_rep_structure_checks(rep, report):
 
 def elementwise_validate_action(rep, L):
     from supercohom.errors import BasisMismatch
-    from supercohom.group_action import ActionReport
+    from supercohom.superalgebra import Report
 
     if rep.parities != L.basis.parities:
         raise BasisMismatch("representation space does not match the algebra basis")
-    report = ActionReport()
+    report = Report()
     _dense_rep_structure_checks(rep, report)
     for g in range(rep.group.order):
         images = [dense_apply_rep(rep, g, Vector.basis(i, L.spec)) for i in range(len(L.basis))]
@@ -1107,7 +1095,6 @@ def elementwise_validate_action(rep, L):
                 lhs = dense_apply_rep(rep, g, L.bracket.at((i, j)))
                 rhs = bracket_eval(L, gi, gj)
                 if lhs != rhs:
-                    report.bracket_ok = False
                     report.counterexamples.append(
                         {
                             "kind": "bracket equivariance",
@@ -1119,13 +1106,13 @@ def elementwise_validate_action(rep, L):
 
 def elementwise_validate_module_action(rep_L, rep_M, L, M):
     from supercohom.errors import BasisMismatch, ValidationError
-    from supercohom.group_action import ActionReport
+    from supercohom.superalgebra import Report
 
     if rep_L.parities != L.basis.parities or rep_M.parities != M.space.parities:
         raise BasisMismatch("representation spaces do not match algebra/module bases")
     if rep_L.group is not rep_M.group and rep_L.group != rep_M.group:
         raise ValidationError("algebra and module actions must share the group")
-    report = ActionReport()
+    report = Report()
     _dense_rep_structure_checks(rep_M, report)
     for g in range(rep_L.group.order):
         module_images = [
@@ -1139,7 +1126,6 @@ def elementwise_validate_module_action(rep_L, rep_M, L, M):
                 )
                 rhs = module_act(M, gx, gm)
                 if lhs != rhs:
-                    report.bracket_ok = False
                     report.counterexamples.append(
                         {
                             "kind": "action equivariance",
