@@ -46,7 +46,7 @@ def fixture_gl11_z2():
     rep = permutation_rep(
         cyclic_group(2), L.spec, L.basis.parities, [(0, 1, 2, 3), (1, 0, 3, 2)]
     )
-    ws = Workspace(L.spec, L, group=rep.group, rep=rep)
+    ws = Workspace(L, rep)
     ws.cochains["mu1"] = CochainEntry(mu1_cochain(L), ADJOINT)
     ws.deformations["mu_t"] = (BRACKET_TERM, "mu1")
     return ws
@@ -54,7 +54,7 @@ def fixture_gl11_z2():
 
 def fixture_gl11():
     L = make_gl(1, 1)
-    ws = Workspace(L.spec, L)
+    ws = Workspace(L)
     ws.cochains["mu1"] = CochainEntry(mu1_cochain(L), ADJOINT)
     ws.deformations["mu_t"] = (BRACKET_TERM, "mu1")
     return ws
@@ -77,12 +77,12 @@ def add_probe_targets(ws):
 
 def fixture_gl21():
     L = make_gl(2, 1)
-    return add_probe_targets(Workspace(L.spec, L))
+    return add_probe_targets(Workspace(L))
 
 
 def fixture_sl11():
     L = make_sl(1, 1)
-    return add_probe_targets(Workspace(L.spec, L))
+    return add_probe_targets(Workspace(L))
 
 
 def fixture_super_poincare():
@@ -94,7 +94,7 @@ def fixture_super_poincare():
         qbs = root_of_unity(spec, (4 - g) % 4)
         diags.append([one(spec)] * 10 + [qs, qs, qbs, qbs])
     rep = diagonal_rep(cyclic_group(4), spec, L.basis.parities, diags)
-    return add_probe_targets(Workspace(spec, L, group=rep.group, rep=rep))
+    return add_probe_targets(Workspace(L, rep))
 
 
 FIXTURES = {

@@ -12,12 +12,17 @@ for the format):
     supercohom extend FILE --cocycle NAME
     supercohom extend classify FILE [--module NAME]
 
-The grammar is stated once, in the table COMMANDS.  Plain argv (the command
-words, FILE and full option names with their values) is read against it
-directly; argparse parsers built from the same table read everything else,
-so help, usage and error text are argparse's.  In a fresh process,
-building them took about a fifth of the time of a typical command, so
-plain argv never builds them.
+The grammar is stated once, in the table COMMANDS, and gives every command
+``--emit`` besides its own options.  Plain argv (the command words, FILE and
+full option names with their values) is read against it directly; argparse
+parsers built from the same table read everything else, so help, usage and
+error text are argparse's.  In a fresh process, building them took about a
+fifth of the time of a typical command, so plain argv never builds them.
+
+One frame, run_command, runs every command: it loads the workspace once,
+hands it to the command's handler, which prints nothing and returns its
+exit status, text lines and JSON data, prints the one that ``--emit``
+names, and maps each error to its exit status and stderr line.
 
 Exit status is 0 when every check passes, 1 when a mathematical check
 fails, and 2 for unusable input (malformed file, unknown name, bad
@@ -42,7 +47,7 @@ from typing import Callable, NamedTuple
 from . import deformation as dfm
 from .cohomology import Cochain, cohomology, derivations
 from .errors import NotValidated, OracleDisagreement, ParseError, SupercohomError, ValidationError
-from .extension import ExtensionDatum, build_extension, classify_extensions, jacobi_iff_cocycle
+from .extension import ExtensionDatum, classify_extensions, jacobi_iff_cocycle
 from .graded import GradedBasis, Vector
 from .nr_bracket import bracket_to_element, mc_check
 from .scalars import serialize_scalar
@@ -85,48 +90,31 @@ def _cochain_text(ws: Workspace, f: Cochain, space: GradedBasis) -> list[str]:
     ]
 
 
-class _Emitter:
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.lines: list[str] = []
-        self.data: dict = {}
-
-    def text(self, line: str):
-        self.lines.append(line)
-
-    def flush(self):
-        if self.mode == "json":
-            print(json.dumps(self.data, indent=2, sort_keys=True))
-        else:
-            for line in self.lines:
-                print(line)
+# What a handler returns: the exit status, the text lines and the JSON data.
+Answer = tuple[int, list[str], dict]
 
 
-def _cmd_validate(args) -> int:
-    ws = load(args.file)  # parse runs every check and raises on the first failure
-    out = _Emitter(args.emit)
+def _cmd_validate(ws: Workspace, args) -> Answer:
+    # the load ran every check and raised on the first failure
     L = ws.algebra
     d0, d1 = L.basis.dims
-    out.text(f"field: {_field_str(L.spec)}")
-    out.text(f"algebra: dimension {d0}|{d1}")
+    lines = [f"field: {_field_str(L.spec)}", f"algebra: dimension {d0}|{d1}"]
     checks = ["antisymmetry", "jacobi", "homogeneity"]
-    for check in checks:
-        out.text(f"  {check}: ok")
+    lines += [f"  {check}: ok" for check in checks]
     if ws.group is not None:
-        out.text(f"group: order {ws.group.order}")
-        out.text("  action: ok")
+        lines += [f"group: order {ws.group.order}", "  action: ok"]
         checks.append("action")
     for name in sorted(ws.modules):
         m0, m1 = ws.modules[name].module.space.dims
-        out.text(f"module {name}: dimension {m0}|{m1}, ok")
+        lines.append(f"module {name}: dimension {m0}|{m1}, ok")
         checks.append(f"module {name}")
     for name in sorted(ws.cochains):
         f = ws.cochains[name].cochain
-        out.text(f"cochain {name}: arity {f.arity}, parity {f.parity}, module {ws.cochains[name].module}")
+        lines.append(f"cochain {name}: arity {f.arity}, parity {f.parity}, module {ws.cochains[name].module}")
     for name in sorted(ws.deformations):
-        out.text(f"deformation {name}: order {len(ws.deformations[name]) - 1}")
-    out.text("all checks passed")
-    out.data = {
+        lines.append(f"deformation {name}: order {len(ws.deformations[name]) - 1}")
+    lines.append("all checks passed")
+    return 0, lines, {
         "ok": True,
         "field": _field_str(L.spec),
         "algebra": {"dims": list(L.basis.dims)},
@@ -136,24 +124,20 @@ def _cmd_validate(args) -> int:
         "deformations": sorted(ws.deformations),
         "modules": sorted(ws.modules),
     }
-    out.flush()
-    return 0
 
 
-def _cmd_cohomology(args) -> int:
-    ws = load(args.file)
+def _cmd_cohomology(ws: Workspace, args) -> Answer:
     if args.n < 0:
         raise ParseError("--n must be >= 0")
     module, rep_arg = ws.module_rep_arg(args.module)
     rpt = cohomology(args.n, ws.algebra, module, rep_arg)
-    out = _Emitter(args.emit)
-    out.text(f"cohomology in degree {args.n}, module {args.module}")
-    out.text("parity  cochains  cocycles  coboundaries  H")
+    lines = [
+        f"cohomology in degree {args.n}, module {args.module}",
+        "parity  cochains  cocycles  coboundaries  H",
+    ]
     for p in (0, 1):
-        out.text(
-            f"{p:<7} {rpt.c_dims[p]:<9} {rpt.z_dims[p]:<9} {rpt.b_dims[p]:<13} {rpt.h_dims[p]}"
-        )
-    out.data = {
+        lines.append(f"{p:<7} {rpt.c_dims[p]:<9} {rpt.z_dims[p]:<9} {rpt.b_dims[p]:<13} {rpt.h_dims[p]}")
+    return 0, lines, {
         "n": args.n,
         "module": args.module,
         "cochains": list(rpt.c_dims),
@@ -161,8 +145,6 @@ def _cmd_cohomology(args) -> int:
         "coboundaries": list(rpt.b_dims),
         "h": list(rpt.h_dims),
     }
-    out.flush()
-    return 0
 
 
 def _candidate_element(ws: Workspace, name: str | None) -> Cochain:
@@ -176,55 +158,46 @@ def _candidate_element(ws: Workspace, name: str | None) -> Cochain:
     return f
 
 
-def _cmd_mc_check(args) -> int:
-    ws = load(args.file)
-    elt = _candidate_element(ws, args.candidate)
-    rpt = mc_check(elt, ws.algebra.spec)
-    out = _Emitter(args.emit)
+def _cmd_mc_check(ws: Workspace, args) -> Answer:
+    rpt = mc_check(_candidate_element(ws, args.candidate), ws.algebra.spec)
     label = args.candidate or "bracket"
-    out.text(f"candidate: {label}")
-    out.text(f"[F, F] = 0: {'yes' if rpt.is_mc else 'NO'}")
-    out.text(f"jacobi identity: {'holds' if rpt.jacobi_ok else 'FAILS'}")
+    lines = [
+        f"candidate: {label}",
+        f"[F, F] = 0: {'yes' if rpt.is_mc else 'NO'}",
+        f"jacobi identity: {'holds' if rpt.jacobi_ok else 'FAILS'}",
+    ]
     names = ws.algebra.basis.names
     residual = []
     if not rpt.is_mc:
         for T, vec in rpt.residual.by_tuple().items():
-            out.text(f"  residual at {_tuple_str(names, T)}: {_vec_str(ws.algebra.basis, vec)}")
-            residual.append(
-                {"at": [names[i] for i in T], "value": _vector_doc(ws.algebra.basis, vec)}
-            )
-    out.data = {
-        "candidate": label,
-        "is_mc": rpt.is_mc,
-        "jacobi_ok": rpt.jacobi_ok,
-        "residual": residual,
-    }
-    out.flush()
-    return 0 if rpt.is_mc else 1
+            lines.append(f"  residual at {_tuple_str(names, T)}: {_vec_str(ws.algebra.basis, vec)}")
+            residual.append({"at": [names[i] for i in T], "value": _vector_doc(ws.algebra.basis, vec)})
+    data = {"candidate": label, "is_mc": rpt.is_mc, "jacobi_ok": rpt.jacobi_ok, "residual": residual}
+    return 0 if rpt.is_mc else 1, lines, data
 
 
-def _cmd_deform_check(args) -> int:
-    ws = load(args.file)
+def _cmd_deform_check(ws: Workspace, args) -> Answer:
     d = ws.deformation(args.deformation)
     mode = "strict" if args.strict else "truncated"
     rpt = dfm.validate(d, mode)
-    out = _Emitter(args.emit)
     names = ws.algebra.basis.names
-    out.text(f"deformation {args.deformation}, order {d.order}, mode {mode}")
-    # Deformation proves both at construction; the lines stay for the output format.
-    out.text("terms equivariant: yes")
-    out.text("terms antisymmetric: yes")
+    lines = [
+        f"deformation {args.deformation}, order {d.order}, mode {mode}",
+        # Deformation proves both at construction; the lines stay for the output format.
+        "terms equivariant: yes",
+        "terms antisymmetric: yes",
+    ]
     orders_doc = []
     for order_rpt in rpt.orders:
         if order_rpt.ok:
-            out.text(f"order {order_rpt.r}: ok")
+            lines.append(f"order {order_rpt.r}: ok")
         else:
-            out.text(f"order {order_rpt.r}: FAIL ({len(order_rpt.residual)} triples)")
+            lines.append(f"order {order_rpt.r}: FAIL ({len(order_rpt.residual)} triples)")
             for T, vec in sorted(order_rpt.residual.items()):
-                out.text(f"  {_tuple_str(names, T)} -> {_vec_str(ws.algebra.basis, vec)}")
+                lines.append(f"  {_tuple_str(names, T)} -> {_vec_str(ws.algebra.basis, vec)}")
         orders_doc.append({"r": order_rpt.r, "ok": order_rpt.ok})
-    out.text("deformation valid" if rpt.ok else "deformation NOT valid")
-    out.data = {
+    lines.append("deformation valid" if rpt.ok else "deformation NOT valid")
+    return 0 if rpt.ok else 1, lines, {
         "deformation": args.deformation,
         "mode": mode,
         "order": d.order,
@@ -233,126 +206,98 @@ def _cmd_deform_check(args) -> int:
         "terms_antisymmetric": True,
         "terms_equivariant": True,
     }
-    out.flush()
-    return 0 if rpt.ok else 1
 
 
-def _cmd_deform_obstruct(args) -> int:
-    ws = load(args.file)
+def _cmd_deform_obstruct(ws: Workspace, args) -> Answer:
     d = ws.deformation(args.deformation)
-    out = _Emitter(args.emit)
     try:
         rpt = dfm.obstruction(d)
     except NotValidated as exc:
         at = f"order {exc.report.first_failure().r}"
-        out.text(f"deformation {args.deformation} is not valid through order {d.order} ({at} fails)")
-        out.text("obstruction undefined")
-        out.data = {"deformation": args.deformation, "valid": False, "failing": at}
-        out.flush()
-        return 1
-    out.text(f"obstruction at order {d.order + 1}:")
+        lines = [
+            f"deformation {args.deformation} is not valid through order {d.order} ({at} fails)",
+            "obstruction undefined",
+        ]
+        return 1, lines, {"deformation": args.deformation, "valid": False, "failing": at}
+    basis = ws.algebra.basis
+    lines = [f"obstruction at order {d.order + 1}:"]
     if rpt.cochain.is_zero():
-        out.text("  0")
-    for line in _cochain_text(ws, rpt.cochain, ws.algebra.basis):
-        out.text(line)
-    out.text(f"closed under the differential: {'yes' if rpt.closed else 'NO'}")
-    out.text(f"solvable: {'yes' if rpt.solvable else 'NO'}")
+        lines.append("  0")
+    lines += _cochain_text(ws, rpt.cochain, basis)
+    lines.append(f"closed under the differential: {'yes' if rpt.closed else 'NO'}")
+    lines.append(f"solvable: {'yes' if rpt.solvable else 'NO'}")
     next_doc = None
     if rpt.solvable and rpt.next_term is not None:
-        next_doc = _coords_doc(ws.algebra.basis, ws.algebra.basis, rpt.next_term)
-        out.text(f"a next term extending the deformation to order {d.order + 1}:")
+        next_doc = _coords_doc(basis, basis, rpt.next_term)
+        lines.append(f"a next term extending the deformation to order {d.order + 1}:")
         if rpt.next_term.is_zero():
-            out.text("  0")
-        for line in _cochain_text(ws, rpt.next_term, ws.algebra.basis):
-            out.text(line)
-    out.text(
-        "the deformation extends one order further"
-        if rpt.solvable
-        else "the deformation does NOT extend"
+            lines.append("  0")
+        lines += _cochain_text(ws, rpt.next_term, basis)
+    lines.append(
+        "the deformation extends one order further" if rpt.solvable else "the deformation does NOT extend"
     )
-    out.data = {
+    return 0 if rpt.solvable else 1, lines, {
         "deformation": args.deformation,
         "valid": True,
-        "obstruction": _coords_doc(ws.algebra.basis, ws.algebra.basis, rpt.cochain),
+        "obstruction": _coords_doc(basis, basis, rpt.cochain),
         "closed": rpt.closed,
         "solvable": rpt.solvable,
         "next_term": next_doc,
     }
-    out.flush()
-    return 0 if rpt.solvable else 1
 
 
-def _cmd_derivations(args) -> int:
-    ws = load(args.file)
+def _cmd_derivations(ws: Workspace, args) -> Answer:
     module, rep_arg = ws.module_rep_arg(args.module)
     der, inn = derivations(ws.algebra, module, rep_arg)
-    out = _Emitter(args.emit)
     invariant = " invariant" if ws.group is not None else ""
-    out.text(f"{len(der)}{invariant} derivations into {args.module}, {len(inn)} inner")
-    out.text(f"outer classes: {len(der) - len(inn)}")
-    out.data = {
-        "module": args.module,
-        "derivations": len(der),
-        "inner": len(inn),
-        "outer": len(der) - len(inn),
-    }
-    out.flush()
-    return 0
+    lines = [
+        f"{len(der)}{invariant} derivations into {args.module}, {len(inn)} inner",
+        f"outer classes: {len(der) - len(inn)}",
+    ]
+    data = {"module": args.module, "derivations": len(der), "inner": len(inn), "outer": len(der) - len(inn)}
+    return 0, lines, data
 
 
-def _extension_datum(ws: Workspace, name: str) -> tuple[ExtensionDatum, GradedBasis]:
+def _extension_datum(ws: Workspace, name: str) -> ExtensionDatum:
     h = ws.cochain(name)
     if (h.arity, h.parity) != (2, 0):
         raise ParseError("extend cocycles must have arity 2 and parity 0")
     module, rep_arg = ws.module_rep_arg(ws.cochains[name].module)
-    datum = ExtensionDatum(ws.algebra, module, rep_arg, h)
-    return datum, module.space
+    return ExtensionDatum(ws.algebra, module, rep_arg, h)
 
 
-def _cmd_extend(args) -> int:
-    ws = load(args.file)
-    datum, space = _extension_datum(ws, args.cocycle)
-    rpt = jacobi_iff_cocycle(datum)
-    out = _Emitter(args.emit)
-    out.text(f"glue {args.cocycle} into module {ws.cochains[args.cocycle].module}")
-    out.text(f"2-cocycle: {'yes' if rpt.is_cocycle else 'NO'}")
-    out.text(f"extension satisfies jacobi: {'yes' if rpt.jacobi else 'NO'}")
+def _cmd_extend(ws: Workspace, args) -> Answer:
+    rpt = jacobi_iff_cocycle(_extension_datum(ws, args.cocycle))
+    lines = [
+        f"glue {args.cocycle} into module {ws.cochains[args.cocycle].module}",
+        f"2-cocycle: {'yes' if rpt.is_cocycle else 'NO'}",
+        f"extension satisfies jacobi: {'yes' if rpt.jacobi else 'NO'}",
+    ]
     if rpt.jacobi:
-        E = build_extension(datum)
+        E = rpt.extension
         names = E.basis.names
-        out.text(f"extension basis: {', '.join(names)}")
-        out.text("brackets:")
+        lines += [f"extension basis: {', '.join(names)}", "brackets:"]
         for (i, j), vec in sorted(E.bracket.components.items()):
-            if i > j or vec.is_zero():
-                continue
-            out.text(f"  [{names[i]}, {names[j]}] = {_vec_str(E.basis, vec)}")
-    out.data = {
+            if i <= j and not vec.is_zero():
+                lines.append(f"  [{names[i]}, {names[j]}] = {_vec_str(E.basis, vec)}")
+    return 0 if rpt.is_cocycle and rpt.jacobi else 1, lines, {
         "cocycle": args.cocycle,
         "is_cocycle": rpt.is_cocycle,
         "jacobi": rpt.jacobi,
-        "extension": _brackets_doc(E) if rpt.jacobi else None,
+        "extension": _brackets_doc(rpt.extension) if rpt.jacobi else None,
     }
-    out.flush()
-    return 0 if rpt.is_cocycle and rpt.jacobi else 1
 
 
-def _cmd_extend_classify(args) -> int:
-    ws = load(args.file)
+def _cmd_extend_classify(ws: Workspace, args) -> Answer:
     module, rep_arg = ws.module_rep_arg(args.module)
     classes = classify_extensions(ws.algebra, module, rep_arg)
-    out = _Emitter(args.emit)
-    out.text(
-        f"{len(classes)} nonsplit extension class(es) of the algebra by module {args.module}"
-    )
+    lines = [f"{len(classes)} nonsplit extension class(es) of the algebra by module {args.module}"]
     doc = []
     for k, f in enumerate(classes):
-        out.text(f"class {k + 1}:")
-        for line in _cochain_text(ws, f, module.space):
-            out.text(line)
+        lines.append(f"class {k + 1}:")
+        lines += _cochain_text(ws, f, module.space)
         doc.append(_coords_doc(ws.algebra.basis, module.space, f))
-    out.data = {"module": args.module, "count": len(classes), "classes": doc}
-    out.flush()
-    return 0
+    return 0, lines, {"module": args.module, "count": len(classes), "classes": doc}
 
 
 class Option(NamedTuple):
@@ -374,10 +319,10 @@ class Option(NamedTuple):
 
 class Command(NamedTuple):
     """A command: its words, the handler, the help line and the options that
-    follow its one positional workspace FILE."""
+    follow its one positional workspace FILE, besides --emit."""
 
     words: tuple[str, ...]
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[Workspace, argparse.Namespace], Answer]
     help: str
     options: tuple[Option, ...]
 
@@ -385,41 +330,35 @@ class Command(NamedTuple):
 # The command grammar, stated once.  run_command reads plain argv against it
 # (_parse_plain) and _build_parsers turns it into argparse parsers for the
 # rest.  A two-word command belongs to the group named by its first word.
+# Every command takes _EMIT, the frame's option, before its own.
 GROUPS = {
     "deform": "formal deformation checks",
     "extend": "build or classify abelian extensions",
 }
 _EMIT = Option("--emit", choices=("text", "json"), default="text")
 COMMANDS = (
-    Command(("validate",), _cmd_validate, "check every axiom in a workspace file", (_EMIT,)),
+    Command(("validate",), _cmd_validate, "check every axiom in a workspace file", ()),
     Command(("cohomology",), _cmd_cohomology, "parity-split cohomology dimensions", (
-        _EMIT,
         Option("--n", type=int, required=True, help="cochain degree"),
         Option("--module", default=ADJOINT),
     )),
     Command(("mc-check",), _cmd_mc_check, "test [F, F] = 0 for a structure candidate", (
-        _EMIT,
         Option("--candidate", help="cochain name (default: the bracket)"),
     )),
     Command(("deform", "check"), _cmd_deform_check, "validate a deformation order by order", (
-        _EMIT,
         Option("--deformation", required=True),
         Option("--strict", default=False, flag=True, help="also check orders above the truncation"),
     )),
     Command(("deform", "obstruct"), _cmd_deform_obstruct, "next-order obstruction and solvability", (
-        _EMIT,
         Option("--deformation", required=True),
     )),
     Command(("derivations",), _cmd_derivations, "derivation and inner-derivation counts", (
-        _EMIT,
         Option("--module", default=ADJOINT),
     )),
     Command(("extend", "build"), _cmd_extend, "build the extension attached to a 2-cochain", (
-        _EMIT,
         Option("--cocycle", required=True),
     )),
     Command(("extend", "classify"), _cmd_extend_classify, "representatives of every extension class", (
-        _EMIT,
         Option("--module", default=ADJOINT),
     )),
 )
@@ -441,7 +380,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
             break
     else:
         return None
-    options = {opt.name: opt for opt in cmd.options}
+    options = {opt.name: opt for opt in (_EMIT, *cmd.options)}
     values: dict[str, object] = {}
     files = []
     rest = iter(argv[len(cmd.words) :])
@@ -465,12 +404,12 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         if opt.choices is not None and value not in opt.choices:
             return None
         values[opt.dest] = value
-    if len(files) != 1 or any(opt.required and opt.dest not in values for opt in cmd.options):
+    if len(files) != 1 or any(opt.required and opt.dest not in values for opt in options.values()):
         return None
     args = argparse.Namespace(command=cmd.words[0], file=files[0], handler=cmd.handler)
     if len(cmd.words) == 2:
         args.subcommand = cmd.words[1]
-    for opt in cmd.options:
+    for opt in options.values():
         setattr(args, opt.dest, values.get(opt.dest, opt.default))
     return args
 
@@ -494,7 +433,7 @@ def _build_parsers() -> argparse.ArgumentParser:
             parent = groups[group]
         p = parent.add_parser(cmd.words[-1], help=cmd.help)
         p.add_argument("file", help="workspace file")
-        for opt in cmd.options:
+        for opt in (_EMIT, *cmd.options):
             if opt.flag:
                 p.add_argument(opt.name, action="store_true", default=opt.default, help=opt.help)
             else:
@@ -524,7 +463,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def run_command(argv: list[str]) -> int:
-    """Run one CLI invocation; returns the exit status without exiting."""
+    """Run one CLI invocation: read argv, load the workspace, run the
+    handler and print its answer.  Returns the exit status without exiting."""
     threads = os.environ.get("SUPERCOHOM_THREADS")
     if threads is not None:
         try:
@@ -539,7 +479,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, lines, data = args.handler(load(args.file), args)
     except OSError as exc:
         print(f"cannot read workspace: {exc}", file=sys.stderr)
         return 2
@@ -555,6 +495,8 @@ def run_command(argv: list[str]) -> int:
     except SupercohomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(data, indent=2, sort_keys=True) if args.emit == "json" else "\n".join(lines))
+    return code
 
 
 def main() -> int:

@@ -137,26 +137,27 @@ def build_extension(x: ExtensionDatum) -> LieSuperalgebra:
 
 @dataclass
 class JacobiCocycleReport:
+    """extension is the algebra that build_extension read off the datum."""
+
     jacobi: bool
     is_cocycle: bool
+    extension: LieSuperalgebra
 
 
 def jacobi_iff_cocycle(x: ExtensionDatum) -> JacobiCocycleReport:
     """Check the extension's Jacobi identity and the glue term's cocycle
     condition through independent pipelines; they must agree."""
-    upstairs = validate_superalgebra(build_extension(x))
-    if not upstairs.holds("antisymmetry") or not upstairs.holds("homogeneity"):
-        raise OracleDisagreement(
-            "extension bracket lost antisymmetry or homogeneity; "
-            "the construction itself is broken"
-        )
+    extension = build_extension(x)
+    upstairs = validate_superalgebra(extension)
+    if not upstairs.holds("antisymmetry"):
+        raise OracleDisagreement("extension bracket lost antisymmetry; the construction itself is broken")
     jacobi = upstairs.holds("jacobi")
     is_cocycle = coboundary(x.h, x.L, x.M).is_zero()
     if jacobi != is_cocycle:
         raise OracleDisagreement(
             f"Jacobi upstairs is {jacobi} but the cocycle condition is {is_cocycle}"
         )
-    return JacobiCocycleReport(jacobi, is_cocycle)
+    return JacobiCocycleReport(jacobi, is_cocycle, extension)
 
 
 def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | None:

@@ -22,8 +22,9 @@ Every axiom check, here and in group_action, returns one Report: the list
 of its counterexamples, in the order found, and nothing else.  ok means the
 list is empty, holds(kind) that no counterexample is of that kind (a kind
 no check emits is a ValueError), and describe() prints one line per
-counterexample.  validate_superalgebra and validate_module share one
-homogeneity sweep.
+counterexample.  The bracket of an algebra is homogeneous by construction:
+the graded.MultilinearMap constructor refuses an entry of the wrong parity,
+so only validate_module sweeps its table for homogeneity.
 """
 
 from __future__ import annotations
@@ -76,18 +77,6 @@ class Report:
 def _table_failure(kind: str, names, lhs: str, rhs: str) -> dict:
     """A counterexample of a table check at the basis vectors names."""
     return {"kind": kind, "where": f"({', '.join(names)})", "lhs": lhs, "rhs": rhs}
-
-
-def _homogeneity_failures(table: dict, left: GradedBasis, right: GradedBasis) -> list:
-    """The entries of a bilinear table {(i, j): Vector} on left x right, into
-    the space right, whose value is not of parity |i| + |j|, in order."""
-    failures = []
-    for (i, j), vec in table.items():
-        want = (left.parities[i] + right.parities[j]) % 2
-        if vec.parity_support(right) - {want}:
-            names = (left.names[i], right.names[j])
-            failures.append(_table_failure("homogeneity", names, vec_str(vec, right), f"parity {want} expected"))
-    return failures
 
 
 @dataclass(frozen=True)
@@ -210,7 +199,7 @@ def _leibniz_failures(image: IntImage, br_int: dict, act_int: dict, par, triples
 def validate_superalgebra(L: LieSuperalgebra) -> Report:
     basis = L.basis
     par = basis.parities
-    report = Report(_homogeneity_failures(L.bracket.components, basis, basis))
+    report = Report()
 
     # A single scalar maps to an int whose signed base-B digits are its
     # scaled numerators, so entries are equal exactly when their images are.
@@ -262,7 +251,13 @@ def validate_module(L: LieSuperalgebra, M: LModule) -> Report:
             raise BasisMismatch(f"action key ({i}, {j}) out of range")
         if any(not 0 <= t < len(parM) for t in vec.coords):
             raise BasisMismatch(f"action value at ({i}, {j}) indexes outside the module basis")
-    report = Report(_homogeneity_failures(M.act, L.basis, M.space))
+    report = Report()
+    for (i, j), vec in M.act.items():
+        want = (parL[i] + parM[j]) % 2
+        if vec.parity_support(M.space) - {want}:
+            names = (L.basis.names[i], M.space.names[j])
+            lhs = vec_str(vec, M.space)
+            report.counterexamples.append(_table_failure("homogeneity", names, lhs, f"parity {want} expected"))
 
     image, br, act = _leibniz_image(L, M.act, len(parM))
     triples = product(range(len(parL)), range(len(parL)), range(len(parM)))

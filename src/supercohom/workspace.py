@@ -75,9 +75,7 @@ class CochainEntry:
 
 @dataclass
 class Workspace:
-    spec: FieldSpec
     algebra: LieSuperalgebra
-    group: FiniteGroup | None = None
     rep: ActionRep | None = None
     modules: dict[str, ModuleEntry] = field(default_factory=dict)
     cochains: dict[str, CochainEntry] = field(default_factory=dict)
@@ -90,6 +88,14 @@ class Workspace:
 
     def __post_init__(self):
         self.adjoint = adjoint_module(self.algebra)
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.algebra.spec
+
+    @property
+    def group(self) -> FiniteGroup | None:
+        return None if self.rep is None else self.rep.group
 
     def module_names(self) -> list[str]:
         return [ADJOINT] + sorted(self.modules)
@@ -404,12 +410,12 @@ def parse(text: str) -> Workspace:
     except ValidationError as exc:
         raise ValidationError(f"algebra: {exc}") from exc
 
-    ws = Workspace(spec, algebra)
+    ws = Workspace(algebra)
 
     if "group" in body:
-        ws.group = _parse_group(body["group"])
+        group = _parse_group(body["group"])
         _expect("action" in body, "top level", 'a workspace with a "group" needs an "action"')
-        ws.rep = _parse_action(read, ws.group, basis, body["action"], "action")
+        ws.rep = _parse_action(read, group, basis, body["action"], "action")
         report = validate_action(ws.rep, algebra)
         if not report.ok:
             raise ValidationError(f"action: {report.describe()}")

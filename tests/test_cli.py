@@ -499,26 +499,3 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, got.out.encode(), got.err.encode())
     assert rc == 1 and b"deformation NOT valid" in proc.stdout
 
-
-# -- the recorded output of the command matrix ------------------------------------
-
-
-def test_cli_output_matches_the_recorded_bytes(monkeypatch, capsys):
-    """Each of the 42 (fixture, command) pairs, run in process, gives the exit
-    code, stdout and stderr recorded in bench/expected_cli.json (read only)."""
-    with open(os.path.join(ROOT, "bench", "expected_cli.json"), encoding="utf-8") as fh:
-        records = json.load(fh)
-    monkeypatch.chdir(ROOT)  # the recorded argvs name fixtures relative to the root
-    monkeypatch.delenv("SUPERCOHOM_THREADS", raising=False)
-    differ = []
-    for rec in records:
-        rc = run_command(rec["argv"])
-        got = capsys.readouterr()
-        if (rc, got.out.encode(), got.err.encode()) != (
-            rec["exit"],
-            rec["stdout"].encode(),
-            rec["stderr"].encode(),
-        ):
-            differ.append(" ".join(rec["argv"]))
-    assert len(records) == 42
-    assert differ == []

@@ -163,7 +163,7 @@ def argvs(draw):
     if words == ["extend", "build"] and draw(st.booleans()):
         words = ["extend"]  # the documented spelling
     parts = [[draw(st.sampled_from(FILES))]]
-    for opt in cmd.options:
+    for opt in (cli._EMIT, *cmd.options):
         if opt.required or draw(st.booleans()):
             value = [] if opt.flag else [draw(st.sampled_from(VALUES.get(opt.name, NAMES)))]
             parts.append([opt.name] + value)

@@ -201,8 +201,10 @@ def test_random_cocycles_give_true_true():
     hits = 0
     for _ in range(10):
         h = rand_cocycle(rng, L, M)
-        rpt = jacobi_iff_cocycle(ExtensionDatum(L, M, None, h))
+        x = ExtensionDatum(L, M, None, h)
+        rpt = jacobi_iff_cocycle(x)
         assert rpt.jacobi and rpt.is_cocycle
+        assert rpt.extension == build_extension(x)  # the algebra the check read
         if not h.is_zero():
             hits += 1
     assert hits >= 5

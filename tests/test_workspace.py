@@ -62,7 +62,7 @@ MU1_COORDS = {
 def gl11_workspace():
     L = make_gl(1, 1)
     rep = gl11_swap_rep(L)
-    ws = Workspace(L.spec, L, group=rep.group, rep=rep)
+    ws = Workspace(L, rep)
     ws.cochains["mu1"] = CochainEntry(gl11_mu1(L), ADJOINT)
     ws.deformations["mu_t"] = (BRACKET_TERM, "mu1")
     return ws
@@ -111,7 +111,7 @@ def test_noncanonical_input_parses_to_same_workspace():
 
 def test_round_trip_with_module_and_cyclotomic_field():
     L = make_super_poincare()
-    ws = Workspace(L.spec, L)
+    ws = Workspace(L)
     space = GradedBasis(("w",), (0,))
     ws.modules["W"] = ModuleEntry(LModule(L.basis, space, {}), None)
     again = parse(serialize(ws))
@@ -122,7 +122,7 @@ def test_round_trip_with_module_and_cyclotomic_field():
 def test_module_with_group_round_trips_matrices():
     L = make_gl(1, 1)
     rep = gl11_swap_rep(L)
-    ws = Workspace(L.spec, L, group=rep.group, rep=rep)
+    ws = Workspace(L, rep)
     space = GradedBasis(("w",), (0,))
     rep_w = trivial_action(rep.group, L.spec, space.parities)
     ws.modules["W"] = ModuleEntry(LModule(L.basis, space, {}), rep_w)

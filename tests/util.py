@@ -954,18 +954,6 @@ def elementwise_validate_superalgebra(L):
     basis, spec = L.basis, L.spec
     par = basis.parities
 
-    for tup, vec in L.bracket.components.items():
-        want = (par[tup[0]] + par[tup[1]]) % 2
-        if vec.parity_support(basis) - {want}:
-            report.counterexamples.append(
-                {
-                    "kind": "homogeneity",
-                    "where": f"({basis.names[tup[0]]}, {basis.names[tup[1]]})",
-                    "lhs": vec_str(vec, basis),
-                    "rhs": f"parity {want} expected",
-                }
-            )
-
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             v = L.bracket.at((i, j))
