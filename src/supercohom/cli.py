@@ -61,8 +61,6 @@ def _field_str(spec) -> str:
 
 
 def _vec_str(space: GradedBasis, vec: Vector) -> str:
-    if vec.is_zero():
-        return "0"
     parts = []
     for j, c in sorted(vec.coords.items()):
         s = serialize_scalar(c)
@@ -83,11 +81,9 @@ def _tuple_str(names, T) -> str:
 
 
 def _cochain_text(ws: Workspace, f: Cochain, space: GradedBasis) -> list[str]:
+    """One line per nonzero value of f, or one line "  0"."""
     names = ws.algebra.basis.names
-    return [
-        f"  {_tuple_str(names, T)} -> {_vec_str(space, vec)}"
-        for T, vec in f.by_tuple().items()
-    ]
+    return [f"  {_tuple_str(names, T)} -> {_vec_str(space, vec)}" for T, vec in f.by_tuple().items()] or ["  0"]
 
 
 # What a handler returns: the exit status, the text lines and the JSON data.
@@ -220,18 +216,13 @@ def _cmd_deform_obstruct(ws: Workspace, args) -> Answer:
         ]
         return 1, lines, {"deformation": args.deformation, "valid": False, "failing": at}
     basis = ws.algebra.basis
-    lines = [f"obstruction at order {d.order + 1}:"]
-    if rpt.cochain.is_zero():
-        lines.append("  0")
-    lines += _cochain_text(ws, rpt.cochain, basis)
+    lines = [f"obstruction at order {d.order + 1}:", *_cochain_text(ws, rpt.cochain, basis)]
     lines.append(f"closed under the differential: {'yes' if rpt.closed else 'NO'}")
     lines.append(f"solvable: {'yes' if rpt.solvable else 'NO'}")
     next_doc = None
     if rpt.solvable and rpt.next_term is not None:
         next_doc = _coords_doc(basis, basis, rpt.next_term)
         lines.append(f"a next term extending the deformation to order {d.order + 1}:")
-        if rpt.next_term.is_zero():
-            lines.append("  0")
         lines += _cochain_text(ws, rpt.next_term, basis)
     lines.append(
         "the deformation extends one order further" if rpt.solvable else "the deformation does NOT extend"

@@ -191,6 +191,15 @@ def _column(f: Cochain, n: int, L: LieSuperalgebra, M: LModule) -> Row:
     return {tpos[T] * len(M.space) + j: c for (T, j), c in f.coords.items()}
 
 
+def _map_columns(f: Cochain) -> list[Row]:
+    """The 1-cochain f read as a linear map: its sparse columns, the image of
+    each basis vector of the algebra."""
+    cols: list[Row] = [{} for _ in f.algebra.names]
+    for ((t,), r), c in f.coords.items():
+        cols[t][r] = c
+    return cols
+
+
 def _cochains(cols: list[Row], parities: list[int], n: int, L: LieSuperalgebra, M: LModule) -> list[Cochain]:
     """The sparse columns cols over the raw indices of C^n as n-cochains of
     the given parities."""
@@ -588,7 +597,9 @@ def annihilator(L: LieSuperalgebra, M: LModule, rep=None) -> list[Vector]:
 
 
 def _fixed_even_vectors(M: LModule, rep_M: ActionRep | None, spec, acting=()) -> list[Vector]:
-    """Basis of the even m with g.m = m for every g, and x_i.m = 0 for i in acting."""
+    """Basis of the even m with g.m = m for every g, and x_i.m = 0 for i in
+    acting.  A vector m is the map 1 -> m from a point on which G acts
+    trivially, so g.m = m is its _commuting_rows."""
     evens = [j for j, p in enumerate(M.space.parities) if p == 0]
     rows: list[Row] = []
     for i in acting:
@@ -596,24 +607,43 @@ def _fixed_even_vectors(M: LModule, rep_M: ActionRep | None, spec, acting=()) ->
         for r in range(len(M.space)):
             rows.append({k: v.coords[r] for k, v in acts if v is not None and r in v.coords})
     if rep_M is not None:
-        o = one(spec)
-        for g in swept_elements(rep_M):  # the rows of g - 1 on the even columns
-            cols = rep_M.columns[g]
-            g_rows: list[Row] = [{} for _ in M.space.names]
-            for k, j in enumerate(evens):
-                for r, x in cols[j].items():
-                    g_rows[r][k] = x
-                g_rows[j][k] = g_rows[j][k] - o if k in g_rows[j] else -o
-            rows.extend(g_rows)
+        point, vpos = [{0: one(spec)}], {(0, j): k for k, j in enumerate(evens)}
+        for g in swept_elements(rep_M):
+            rows += _commuting_rows(point, rep_M.columns[g], vpos)
     kernel = nullspace_from_rref(*rref_rows(rows), len(evens), spec)
     return [Vector({evens[k]: c for k, c in sorted(v.items())}) for v in kernel.values()]
+
+
+def _add(row: Row, k: int, c: Scalar) -> None:
+    row[k] = row[k] + c if k in row else c
+
+
+def _commuting_rows(cols_x: list[Row], cols_y: list[Row], vpos: dict[tuple[int, int], int]) -> list[Row]:
+    """The linear conditions D(g e_i) = g D(e_i) on a degree-0 map D from X
+    to Y, for the columns of g on X and on Y, whose unknown coordinate
+    D(e_i)_j is variable vpos[(i, j)] (a coordinate not in vpos is 0): per
+    basis vector e_i of X and coordinate r of Y, the row of
+    sum_t g_ti D(e_t)_r - sum_j g_rj D(e_i)_j."""
+    rows: list[Row] = []
+    for i, gi in enumerate(cols_x):
+        for r in range(len(cols_y)):
+            row: Row = {}
+            for t, x in gi.items():
+                if (t, r) in vpos:
+                    _add(row, vpos[(t, r)], x)
+            for j, col in enumerate(cols_y):
+                if (i, j) in vpos and r in col:
+                    _add(row, vpos[(i, j)], -col[r])
+            rows.append(row)
+    return rows
 
 
 def derivations(L: LieSuperalgebra, M: LModule, rep=None):
     """(basis of Der^G, basis of Der^G_Inn) as degree-0 1-cochains.
 
     The derivation constraints, and x -> x.m for the inner derivations, are
-    read off the tables here; only the elimination kernel is shared with the
+    read off the tables here, and D g = g D for each swept g is
+    _commuting_rows; only the elimination kernel is shared with the
     coboundary path.
     """
     reps = resolve_reps(rep, L, M)
@@ -621,10 +651,7 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
     parL, parM = L.basis.parities, M.space.parities
     # the even coordinates ((i,), j) of C^1, the unknowns of the constraints
     variables = [((i,), j) for i in range(len(parL)) for j in range(len(parM)) if parL[i] == parM[j]]
-    vpos = {v: k for k, v in enumerate(variables)}
-
-    def add(row: Row, k: int, c: Scalar):
-        row[k] = row[k] + c if k in row else c
+    vpos = {(i, j): k for k, ((i,), j) in enumerate(variables)}
 
     rows: list[Row] = []
     for a in range(len(parL)):
@@ -634,32 +661,22 @@ def derivations(L: LieSuperalgebra, M: LModule, rep=None):
             for r in range(len(parM)):
                 row: Row = {}
                 for t, c in br.coords.items():
-                    k = vpos.get(((t,), r))
+                    k = vpos.get((t, r))
                     if k is not None:
-                        add(row, k, c)
+                        _add(row, k, c)
                 for j in range(len(parM)):
                     act_a = M.act.get((a, j))
-                    if act_a is not None and ((b,), j) in vpos and r in act_a.coords:
-                        add(row, vpos[((b,), j)], -act_a.coords[r])
+                    if act_a is not None and (b, j) in vpos and r in act_a.coords:
+                        _add(row, vpos[(b, j)], -act_a.coords[r])
                     act_b = M.act.get((b, j))
-                    if act_b is not None and ((a,), j) in vpos and r in act_b.coords:
+                    if act_b is not None and (a, j) in vpos and r in act_b.coords:
                         x = act_b.coords[r]
-                        add(row, vpos[((a,), j)], -x if odd_ab else x)
+                        _add(row, vpos[(a, j)], -x if odd_ab else x)
                 rows.append(row)
     if reps is not None:
         rep_L, rep_M = reps
         for g in swept_elements(rep_L, rep_M):
-            cols_M = rep_M.columns[g]
-            for i, gi in enumerate(rep_L.columns[g]):
-                for r in range(len(parM)):
-                    row = {}
-                    for t, x in gi.items():
-                        if ((t,), r) in vpos:
-                            add(row, vpos[((t,), r)], x)
-                    for j, col in enumerate(cols_M):
-                        if ((i,), j) in vpos and r in col:
-                            add(row, vpos[((i,), j)], -col[r])
-                    rows.append(row)
+            rows += _commuting_rows(rep_L.columns[g], rep_M.columns[g], vpos)
     der = [
         _new_cochain(1, 0, L.basis, M.space, {variables[k]: c for k, c in sorted(sol.items())})
         for sol in nullspace_from_rref(*rref_rows(rows), len(variables), spec).values()

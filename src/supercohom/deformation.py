@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .cohomology import (
     Cochain,
+    _map_columns,
     _new_cochain,
     coboundary,
     coboundary_preimage,
@@ -106,12 +107,10 @@ class OrderReport:
 
 def _composition_sum(d: Deformation, r: int, low: int) -> Cochain:
     """The sum of mu_i o mu_j over i + j = r with i, j >= low."""
-    acc: dict = {}
+    acc = _new_cochain(3, 0, d.base.basis, d.base.basis, {})
     for i in range(max(low, r - d.order), min(r - low, d.order) + 1):
-        for key, c in circ(d.terms[i], d.terms[r - i]).coords.items():
-            prev = acc.get(key)
-            acc[key] = c if prev is None else prev + c
-    return _new_cochain(3, 0, d.base.basis, d.base.basis, acc)
+        acc = acc.add(circ(d.terms[i], d.terms[r - i]))
+    return acc
 
 
 def check_order(d: Deformation, r: int) -> OrderReport:
@@ -237,14 +236,6 @@ class GaugeTransform:
         return phi
 
 
-def _columns(f: Cochain) -> list[Row]:
-    """The sparse columns of an endomorphism: the image of each basis vector."""
-    cols: list[Row] = [{} for _ in f.algebra.names]
-    for ((t,), r), c in f.coords.items():
-        cols[t][r] = c
-    return cols
-
-
 def gauge_transform(d: Deformation, g: GaugeTransform) -> Deformation:
     """Conjugate the deformation by the formal series, truncated at its order:
     term k at a canonical pair (a, b) is the sum of psi_i mu_j(phi_l a, phi_p b)
@@ -258,8 +249,8 @@ def gauge_transform(d: Deformation, g: GaugeTransform) -> Deformation:
             if not is_equivariant(psi, d.rep, d.rep, L, d.adjoint):
                 raise ValidationError(f"gauge map {k} is not equivariant")
     N = d.order
-    psi = [_columns(g.map_at(i)) for i in range(N + 1)]
-    phi = [_columns(f) for f in g._inverse_maps(N)]
+    psi = [_map_columns(g.map_at(i)) for i in range(N + 1)]
+    phi = [_map_columns(f) for f in g._inverse_maps(N)]
     mu = [{T: v.coords for T, v in f.by_tuple().items()} for f in d.terms]
     o, memo = one(L.spec), {}
     coords: list[dict] = [{} for _ in range(N + 1)]

@@ -7,8 +7,9 @@ The extension algebra is read off the bracket, glue and action tables.  An
 equivalence comes with a certificate, phi = (x, m) -> (x, m + f(x)), checked
 on sparse columns: phi intertwines the two brackets (by the sweep
 group_action.morphism_defects, which also checks an action against a
-bracket) and commutes with the columns of each g on L + M.  The rep argument
-follows group_action.resolve_reps and is resolved once, by ExtensionDatum.
+bracket), and f g_L = g_M f for each swept g, which is phi g = g phi since
+g acts on L + M block by block.  The rep argument follows
+group_action.resolve_reps and is resolved once, by ExtensionDatum.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import chain
 
 from .cohomology import (
     Cochain,
+    _map_columns,
     coboundary,
     coboundary_preimage,
     cohomology,
@@ -90,22 +92,19 @@ def extension_layout(L: LieSuperalgebra, M: LModule):
 
 
 def _combined_basis(L: LieSuperalgebra, M: LModule) -> GradedBasis:
+    """One (name, parity) slot per combined index; a module name that is
+    taken gets primes."""
     l2e, m2e = extension_layout(L, M)
-    size = len(L.basis) + len(M.space)
-    names = [""] * size
-    parities = [0] * size
+    slots = [None] * (len(l2e) + len(m2e))
     taken = set(L.basis.names)
     for i, name in enumerate(L.basis.names):
-        names[l2e[i]] = name
-        parities[l2e[i]] = L.basis.parities[i]
+        slots[l2e[i]] = (name, L.basis.parities[i])
     for j, name in enumerate(M.space.names):
-        fresh = name
-        while fresh in taken:
-            fresh = fresh + "'"
-        taken.add(fresh)
-        names[m2e[j]] = fresh
-        parities[m2e[j]] = M.space.parities[j]
-    return GradedBasis(tuple(names), tuple(parities))
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        slots[m2e[j]] = (name, M.space.parities[j])
+    return GradedBasis(tuple(name for name, _ in slots), tuple(p for _, p in slots))
 
 
 def _push(row: Row, where: dict[int, int]) -> Row:
@@ -182,46 +181,36 @@ def extensions_equivalent(x1: ExtensionDatum, x2: ExtensionDatum) -> Cochain | N
     return f
 
 
-def _combined_action(x: ExtensionDatum) -> list[list[Row]]:
-    """For each swept g (swept_elements), its columns on L + M: its columns
-    on L and on M, pushed through extension_layout."""
-    l2e, m2e = extension_layout(x.L, x.M)
-    rep_L, rep_M = x.reps
-    action = []
-    for g in swept_elements(rep_L, rep_M):
-        cols_L, cols_M = rep_L.columns[g], rep_M.columns[g]
-        pushed = {l2e[i]: _push(col, l2e) for i, col in enumerate(cols_L)}
-        pushed.update({m2e[k]: _push(col, m2e) for k, col in enumerate(cols_M)})
-        action.append([pushed[u] for u in range(len(pushed))])
-    return action
-
-
 def _verify_certificate(x1: ExtensionDatum, x2: ExtensionDatum, f: Cochain) -> None:
     """phi = (x, m) -> (x, m + f(x)) must intertwine the extension brackets,
     phi [u, v]_1 = [phi u, phi v]_2, and commute with every g (checked on
-    the swept elements).  Both are checked on the sparse columns of phi and
-    g, added up as ints on an IntImage: the first by
+    the swept elements).  phi = id + f and g acts on L + M block by block,
+    so phi g = g phi exactly when f g_L = g_M f.  Both are checked on sparse
+    columns, built from the one column form of f (_map_columns) and added up
+    as ints on an IntImage: the first on the columns of phi by
     group_action.morphism_defects, the second by comparing the columns of
-    phi g and g phi, whose entries are sums of at most dim products of two
-    entries each."""
+    f g_L and g_M f, whose entries are sums of at most dim L and dim M
+    products of two entries each."""
     br1 = {key: vec.coords for key, vec in build_extension(x1).bracket.components.items()}
     br2 = {key: vec.coords for key, vec in build_extension(x2).bracket.components.items()}
     l2e, m2e = extension_layout(x1.L, x1.M)
-    spec, dim = x1.L.spec, len(l2e) + len(m2e)
-    o = one(spec)
-    phi: list[Row] = [{u: o} for u in range(dim)]
-    for ((i,), k), c in f.coords.items():
-        phi[l2e[i]][m2e[k]] = c
+    f_cols, o = _map_columns(f), one(x1.L.spec)
+    phi: list[Row] = [{u: o} for u in range(len(l2e) + len(m2e))]
+    for i, col in enumerate(f_cols):
+        phi[l2e[i]].update(_push(col, m2e))
     if any(morphism_defects(br1, br2, [(phi, phi)])):
         raise OracleDisagreement("solved certificate does not intertwine the extension brackets")
     if x1.reps is None:
         return
-    action = _combined_action(x1)
-    image = IntImage(spec, _scalars(chain(phi, *action)), 2, 2 * dim)
-    phi_int = [image.row(col) for col in phi]
-    for g_cols in action:
-        g_int = [image.row(col) for col in g_cols]
-        if not _same_columns(image, _product_columns(phi_int, g_int), _product_columns(g_int, phi_int)):
+    rep_L, rep_M = x1.reps
+    swept = swept_elements(rep_L, rep_M)
+    read = [f_cols] + [rep.columns[g] for g in swept for rep in (rep_L, rep_M)]
+    image = IntImage(x1.L.spec, _scalars(chain(*read)), 2, len(phi))
+    f_int = [image.row(col) for col in f_cols]
+    for g in swept:
+        g_L = [image.row(col) for col in rep_L.columns[g]]
+        g_M = [image.row(col) for col in rep_M.columns[g]]
+        if not _same_columns(image, _product_columns(f_int, g_L), _product_columns(g_M, f_int)):
             raise OracleDisagreement("solved certificate is not equivariant")
 
 

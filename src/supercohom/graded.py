@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from types import MappingProxyType
 
 from .errors import LengthMismatch
 from .scalars import FieldSpec, Scalar, one, zero
@@ -121,6 +122,10 @@ def vec_str(v: Vector, basis: GradedBasis) -> str:
 
 @dataclass
 class MultilinearMap:
+    """A multilinear map by its nonzero components, tuple -> Vector.  The
+    constructor checks every component and stores them read-only, so a
+    built map keeps what it checked."""
+
     arity: int
     parity: int
     source: GradedBasis
@@ -146,7 +151,7 @@ class MultilinearMap:
                     f"component at {tup} not homogeneous: parity {want} expected"
                 )
             clean[tup] = vec
-        self.components = clean
+        self.components = MappingProxyType(clean)
 
     def at(self, tup) -> Vector:
         vec = self.components.get(tuple(tup))

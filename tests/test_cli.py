@@ -417,6 +417,19 @@ def test_extend_wrong_shape_cochain_is_an_input_error(tmp_path, capsys, arity, p
     assert capsys.readouterr().err == "input error: mc-check candidates must have arity 2 and parity 0\n"
 
 
+def test_extend_prints_a_coefficient_with_a_space_in_parentheses(tmp_path, capsys):
+    doc = {
+        "field": {"cyclotomic": 4},
+        "algebra": {"basis": [["a", 0], ["b", 0]], "brackets": {}},
+        "modules": {"triv": {"basis": [["m", 0]], "action": {}}},
+        "cochains": {"h": {"arity": 2, "parity": 0, "module": "triv", "coords": {"a,b|m": "1 + z"}}},
+    }
+    path = tmp_path / "abelian_z4.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["extend", str(path), "--cocycle", "h"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["brackets:", "  [a, b] = (1 + z)*m"]
+
+
 def test_extend_classify_finds_the_gl11_class(capsys):
     rc, doc = run_json(capsys, ["extend", "classify", fx("fixture_gl11")])
     assert rc == 0
@@ -425,6 +438,25 @@ def test_extend_classify_finds_the_gl11_class(capsys):
     rc, doc = run_json(capsys, ["extend", "classify", fx("fixture_gl11_z2")])
     assert rc == 0
     assert doc["count"] == 0
+
+
+def test_mc_check_refuses_a_candidate_of_another_module(capsys):
+    assert run_command(["mc-check", fx("fixture_gl21"), "--candidate", "zero2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input error: mc-check candidates must be adjoint-valued\n")
+
+
+def test_any_other_library_error_is_an_error_line(capsys, monkeypatch):
+    import supercohom.cli as cli
+    from supercohom.errors import FieldMismatch
+
+    def refuse(*args):
+        raise FieldMismatch("rational vs cyclotomic(4)")
+
+    monkeypatch.setattr(cli, "derivations", refuse)
+    assert run_command(["derivations", fx("fixture_gl11")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: rational vs cyclotomic(4)\n")
 
 
 def test_oracle_disagreement_has_its_own_prefix(capsys, monkeypatch):

@@ -23,6 +23,7 @@ from supercohom.errors import (
     AllZero,
     BasisMismatch,
     NotValidated,
+    OracleDisagreement,
     ValidationError,
     WrongBidegree,
 )
@@ -442,6 +443,21 @@ def test_gauge_pairs_have_cohomologous_infinitesimals(gl11):
         dt = gauge_transform(d, g)
         assert infinitesimals_cohomologous(d, dt, g)
         assert infinitesimals_cohomologous(d, dt)
+
+
+def test_a_gauge_certificate_that_the_solve_misses_is_an_oracle_disagreement(gl11, monkeypatch):
+    from supercohom import deformation
+
+    L, rep, M = gl11
+    d = displayed_deformation(L, rep)
+    psi = rand_equivariant_endo(random.Random(46), L, M, rep)
+    assert not coboundary(psi, L, M).is_zero()
+    g = GaugeTransform(RATIONAL, L.basis, [identity_endo(L.basis, RATIONAL), psi])
+    dt = gauge_transform(d, g)
+    monkeypatch.setattr(deformation, "coboundary_preimage", lambda *args: None)
+    with pytest.raises(OracleDisagreement, match="^gauge certificate solves the coboundary equation"):
+        infinitesimals_cohomologous(d, dt, g)
+    assert not infinitesimals_cohomologous(d, dt)
 
 
 def test_equal_deformations_are_cohomologous(gl11):

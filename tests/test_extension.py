@@ -30,9 +30,11 @@ from supercohom.extension import (
     extensions_equivalent,
     jacobi_iff_cocycle,
 )
-from supercohom.graded import GradedBasis, Vector, cochain_coords
+from supercohom.graded import GradedBasis, MultilinearMap, Vector, cochain_coords
 from supercohom.scalars import RATIONAL, cyclo, one, scalar, zero
 from supercohom.superalgebra import (
+    LieSuperalgebra,
+    LModule,
     adjoint_module,
     make_gl,
     validate_superalgebra,
@@ -111,6 +113,14 @@ def test_datum_rejects_non_equivariant_glue():
     assert ExtensionDatum(L, M, None, skew).h is skew
 
 
+def test_datum_refuses_a_module_that_breaks_the_module_axiom():
+    # z = [q, q] must act as 2 q.q = 0 on an even module, so z acting as one fails
+    H = heisenberg_algebra()
+    M = LModule(H.basis, GradedBasis(("m",), (0,)), {(0, 0): Vector({0: ONE})})
+    with pytest.raises(ValidationError, match="^module axioms fail for the coefficient space$"):
+        ExtensionDatum(H, M, None, zero_glue(H, M))
+
+
 def test_combined_basis_interleaves_evens_first():
     H = heisenberg_algebra()
     W = GradedBasis(("w0", "w1"), (0, 1))
@@ -121,6 +131,13 @@ def test_combined_basis_interleaves_evens_first():
     l2e, m2e = extension_layout(H, M)
     assert l2e == {0: 0, 1: 2}
     assert m2e == {0: 1, 1: 3}
+
+
+def test_the_extension_of_the_zero_algebra_is_zero():
+    B = GradedBasis((), ())
+    L = LieSuperalgebra(B, RATIONAL, MultilinearMap(2, 0, B, B, {}))
+    M = adjoint_module(L)
+    assert build_extension(ExtensionDatum(L, M, None, zero_glue(L, M))).basis == B
 
 
 def test_combined_basis_renames_collisions():
@@ -421,3 +438,56 @@ def test_extensions_equivalent_matches_a_dense_parity0_solve(seed, with_action, 
         assert got is None and not shifted
     else:
         assert got == _sum_of(basis1, sol, 1, L, M)
+
+
+# -- a second route that disagrees is reported, not passed over ---------------
+
+
+def _split_gl11():
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    return ExtensionDatum(L, M, None, zero_glue(L, M))
+
+
+def test_an_extension_bracket_without_its_mirror_is_an_oracle_disagreement(monkeypatch):
+    x = _split_gl11()
+    E = build_extension(x)
+    comp = dict(E.bracket.components)
+    i, j = next((i, j) for i, j in comp if i < j)
+    del comp[(j, i)]
+    lopsided = LieSuperalgebra(E.basis, E.spec, MultilinearMap(2, 0, E.basis, E.basis, comp), check=False)
+    monkeypatch.setattr(extension, "build_extension", lambda datum: lopsided)
+    with pytest.raises(OracleDisagreement, match="^extension bracket lost antisymmetry"):
+        jacobi_iff_cocycle(x)
+
+
+@pytest.mark.parametrize("glue", ["cocycle", "non-cocycle"])
+def test_jacobi_and_the_cocycle_condition_must_agree(monkeypatch, glue):
+    x = _split_gl11()
+    L, M = x.L, x.M
+    non_cocycle = extension.coboundary(gl11_mu1(L), L, M)
+    assert not non_cocycle.is_zero()
+    if glue == "cocycle":  # Jacobi holds; the planted coboundary says it is not a cocycle
+        verdict, planted = True, non_cocycle
+    else:
+        x, verdict, planted = ExtensionDatum(L, M, None, gl11_mu1(L)), False, Cochain(3, 0, L.basis, M.space, {})
+    monkeypatch.setattr(extension, "coboundary", lambda *args: planted)
+    want = f"^Jacobi upstairs is {verdict} but the cocycle condition is {not verdict}$"
+    with pytest.raises(OracleDisagreement, match=want):
+        jacobi_iff_cocycle(x)
+
+
+def test_classify_refuses_a_representative_count_off_the_dimension(monkeypatch):
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    assert len(classify_extensions(L, M)) == 1
+    real = extension.cohomology
+
+    def one_short(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.representatives[0] = report.representatives[0][:-1]
+        return report
+
+    monkeypatch.setattr(extension, "cohomology", one_short)
+    with pytest.raises(OracleDisagreement, match="^representative count disagrees with the computed dimension$"):
+        classify_extensions(L, M)

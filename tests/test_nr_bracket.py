@@ -15,6 +15,7 @@ from supercohom.cohomology import Cochain, cochain_basis, coboundary, is_equivar
 from supercohom.errors import (
     BasisMismatch,
     DegreeOutOfRange,
+    OracleDisagreement,
     WrongBidegree,
 )
 from supercohom.graded import Vector, superalt_basis
@@ -358,6 +359,17 @@ def test_mc_check_accepts_zero_bracket():
     L = abelian_algebra(2, 1)
     report = mc_check(Cochain(2, 0, L.basis, L.basis, {}), RATIONAL)
     assert report.is_mc
+
+
+def test_mc_check_reports_a_verdict_that_the_jacobi_sweep_contradicts(monkeypatch):
+    from supercohom import nr_bracket as nr
+
+    L = make_gl(1, 1)
+    F0 = bracket_to_element(L)
+    # [F, F] planted nonzero for a bracket whose Jacobi identity holds
+    monkeypatch.setattr(nr, "nr_bracket", lambda f, g: coboundary(gl11_mu1(L), L, adjoint_module(L)))
+    with pytest.raises(OracleDisagreement, match="^Maurer-Cartan verdict and the super-Jacobi sweep disagree"):
+        mc_check(F0, L.spec)
 
 
 def test_mc_check_rejects_perturbed_bracket():

@@ -89,26 +89,23 @@ def _reps(rng, L, rep):
 
 
 def _broken_bracket(L, rng):
-    """L with one structure constant moved; sometimes its mirror too, so that
-    antisymmetry survives, and sometimes to a coordinate of the wrong parity."""
+    """L with one structure constant moved, to a coordinate of the right
+    parity (the MultilinearMap constructor refuses any other), and sometimes
+    its mirror too, so that antisymmetry survives.  L itself when no
+    coordinate has the right parity (a single odd vector)."""
     n, par = len(L.basis), L.basis.parities
-    i, j = rng.randrange(n), rng.randrange(n)
-    want = (par[i] + par[j]) % 2
-    keep = rng.random() < 0.8
-    t = rng.choice([t for t in range(n) if (par[t] == want) == keep] or list(range(n)))
-    homogeneous = par[t] == want
+    pairs = [(i, j) for i in range(n) for j in range(n) if (par[i] + par[j]) % 2 in par]
+    if not pairs:
+        return L
+    i, j = rng.choice(pairs)
+    t = rng.choice([t for t in range(n) if par[t] == (par[i] + par[j]) % 2])
     delta = Vector({t: _nonzero(L.spec, rng)})
     comp = dict(L.bracket.components)
     comp[(i, j)] = comp.get((i, j), Vector()) + delta
     if rng.random() < 0.6 and i != j:
         mirror = delta if par[i] * par[j] else -delta
         comp[(j, i)] = comp.get((j, i), Vector()) + mirror
-    if homogeneous:
-        bracket = MultilinearMap(2, 0, L.basis, L.basis, comp)
-    else:  # the constructor refuses an inhomogeneous table, so plant it
-        bracket = MultilinearMap(2, 0, L.basis, L.basis, dict(L.bracket.components))
-        bracket.components.update({k: v for k, v in comp.items() if not v.is_zero()})
-    return LieSuperalgebra(L.basis, L.spec, bracket, check=False)
+    return LieSuperalgebra(L.basis, L.spec, MultilinearMap(2, 0, L.basis, L.basis, comp), check=False)
 
 
 def _broken_module(M, L, rng):
