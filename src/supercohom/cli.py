@@ -49,7 +49,7 @@ from .cohomology import Cochain, cohomology, derivations
 from .errors import NotValidated, OracleDisagreement, ParseError, SupercohomError, ValidationError
 from .extension import ExtensionDatum, classify_extensions, jacobi_iff_cocycle
 from .graded import GradedBasis, Vector
-from .nr_bracket import bracket_to_element, mc_check
+from .nr_bracket import bracket_element, mc_check
 from .scalars import serialize_scalar
 from .workspace import ADJOINT, Workspace, _brackets_doc, _coords_doc, _vector_doc, load
 
@@ -145,7 +145,7 @@ def _cmd_cohomology(ws: Workspace, args) -> Answer:
 
 def _candidate_element(ws: Workspace, name: str | None) -> Cochain:
     if name is None:
-        return bracket_to_element(ws.algebra)
+        return bracket_element(ws.algebra)
     f = ws.cochain(name)
     if ws.cochains[name].module != ADJOINT:
         raise ParseError("mc-check candidates must be adjoint-valued")
@@ -268,9 +268,8 @@ def _cmd_extend(ws: Workspace, args) -> Answer:
         E = rpt.extension
         names = E.basis.names
         lines += [f"extension basis: {', '.join(names)}", "brackets:"]
-        for (i, j), vec in sorted(E.bracket.components.items()):
-            if i <= j and not vec.is_zero():
-                lines.append(f"  [{names[i]}, {names[j]}] = {_vec_str(E.basis, vec)}")
+        for (i, j), vec in bracket_element(E).by_tuple().items():
+            lines.append(f"  [{names[i]}, {names[j]}] = {_vec_str(E.basis, vec)}")
     return 0 if rpt.is_cocycle and rpt.jacobi else 1, lines, {
         "cocycle": args.cocycle,
         "is_cocycle": rpt.is_cocycle,

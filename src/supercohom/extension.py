@@ -43,6 +43,7 @@ from .group_action import (
     swept_elements,
 )
 from .linalg import Row
+from .nr_bracket import bracket_element
 from .scalars import IntImage, one, scalar
 from .superalgebra import (
     LieSuperalgebra,
@@ -115,19 +116,18 @@ def build_extension(x: ExtensionDatum) -> LieSuperalgebra:
     """The algebra on L + M with the module acting through L, M abelian, and
     the glue term feeding the module component of brackets of algebra lifts.
 
-    Read off the bracket table, the glue term's coordinates and the action
-    table.  The result is intentionally unvalidated: the Jacobi identity
-    upstairs is equivalent to the glue term being a cocycle, which is checked
-    separately.
+    Read off mu, the bracket of L as an even 2-cochain and so its canonical
+    half (nr_bracket.bracket_element), and the glue term's coordinates in one
+    loop, then the action table.  The result is intentionally unvalidated:
+    the Jacobi identity upstairs is equivalent to the glue term being a
+    cocycle, which is checked separately.
     """
     L, M = x.L, x.M
     l2e, m2e = extension_layout(L, M)
     pairs: dict[tuple[int, int], Row] = {}
-    for (i, j), vec in L.bracket.components.items():
-        if i <= j:
-            pairs[(l2e[i], l2e[j])] = _push(vec.coords, l2e)
-    for ((i, j), k), c in x.h.coords.items():
-        pairs.setdefault((l2e[i], l2e[j]), {})[m2e[k]] = c
+    for f, into in ((bracket_element(L), l2e), (x.h, m2e)):
+        for ((i, j), k), c in f.coords.items():
+            pairs.setdefault((l2e[i], l2e[j]), {})[into[k]] = c
     for (i, k), vec in M.act.items():
         pairs[(l2e[i], m2e[k])] = _push(vec.coords, m2e)
     vectors = {key: Vector(row) for key, row in pairs.items()}

@@ -53,7 +53,8 @@ class GradedBasis:
 
 
 class Vector:
-    """Sparse coordinate vector: basis index -> nonzero Scalar."""
+    """Sparse coordinate vector: basis index -> nonzero Scalar.  The
+    constructor drops zero coordinates, so no method below needs to."""
 
     __slots__ = ("coords",)
 
@@ -70,14 +71,7 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         out = dict(self.coords)
         for i, c in other.coords.items():
-            if i in out:
-                s = out[i] + c
-                if s.is_zero():
-                    del out[i]
-                else:
-                    out[i] = s
-            else:
-                out[i] = c
+            out[i] = out[i] + c if i in out else c
         return Vector(out)
 
     def __sub__(self, other: "Vector") -> "Vector":
@@ -87,8 +81,6 @@ class Vector:
         return Vector({i: -c for i, c in self.coords.items()})
 
     def scale(self, a: Scalar) -> "Vector":
-        if a.is_zero():
-            return Vector()
         return Vector({i: a * c for i, c in self.coords.items()})
 
     def __eq__(self, other):
@@ -123,8 +115,9 @@ def vec_str(v: Vector, basis: GradedBasis) -> str:
 @dataclass
 class MultilinearMap:
     """A multilinear map by its nonzero components, tuple -> Vector.  The
-    constructor checks every component and stores them read-only, so a
-    built map keeps what it checked."""
+    constructor checks every component and stores a read-only copy of each
+    (its coords a MappingProxyType) in a read-only table, so a built map
+    keeps what it checked."""
 
     arity: int
     parity: int
@@ -150,7 +143,8 @@ class MultilinearMap:
                 raise ValueError(
                     f"component at {tup} not homogeneous: parity {want} expected"
                 )
-            clean[tup] = vec
+            clean[tup] = read_only = object.__new__(Vector)
+            read_only.coords = MappingProxyType(dict(vec.coords))
         self.components = MappingProxyType(clean)
 
     def at(self, tup) -> Vector:
@@ -186,18 +180,13 @@ def superalt_basis(basis: GradedBasis, n: int) -> list[tuple[int, ...]]:
     """
     if n < 0:
         raise ValueError("arity must be >= 0")
-    if n == 0:
-        return [()]
     d0, d1 = basis.dims
     evens = range(d0)
     odds = range(d0, d0 + d1)
     out = []
     for k in range(min(n, d0) + 1):
-        r = n - k
-        if r > 0 and d1 == 0:
-            continue
         for ev in combinations(evens, k):
-            for od in combinations_with_replacement(odds, r):
+            for od in combinations_with_replacement(odds, n - k):
                 out.append(ev + od)
     out.sort()
     return out

@@ -287,8 +287,6 @@ def adjoint_submodule(L: LieSuperalgebra, labels: list[str]) -> LModule:
     for i in range(len(L.basis)):
         for a, b in enumerate(idx):
             vec = L.bracket.at((i, b))
-            if vec.is_zero():
-                continue
             coords = {}
             for t, c in vec.coords.items():
                 if t not in pos:

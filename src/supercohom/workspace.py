@@ -302,9 +302,7 @@ def _parse_module(ws: Workspace, read: _ScalarReader, name: str, raw) -> ModuleE
         _expect(len(parts) == 2, f"{path}.action[{key!r}]", 'keys look like "x,m"')
         i = _label_index(L.basis, parts[0], f"{path}.action[{key!r}]")
         j = _label_index(space, parts[1], f"{path}.action[{key!r}]")
-        vec = _parse_vector(read, space, val, f"{path}.action[{key!r}]")
-        if not vec.is_zero():
-            act[(i, j)] = vec
+        act[(i, j)] = _parse_vector(read, space, val, f"{path}.action[{key!r}]")
     module = LModule(L.basis, space, act)
     report = validate_module(L, module)
     if not report.ok:
@@ -455,13 +453,11 @@ def _vector_doc(space: GradedBasis, vec: Vector) -> dict:
 
 
 def _brackets_doc(L: LieSuperalgebra) -> dict:
+    """The canonical half of the bracket: the values of mu, the bracket as
+    an even 2-cochain (nr_bracket.bracket_element)."""
     names = L.basis.names
-    out = {}
-    for (i, j), vec in L.bracket.components.items():
-        if i > j or vec.is_zero():
-            continue
-        out[f"{names[i]},{names[j]}"] = _vector_doc(L.basis, vec)
-    return out
+    mu = bracket_element(L).by_tuple()
+    return {f"{names[i]},{names[j]}": _vector_doc(L.basis, vec) for (i, j), vec in mu.items()}
 
 
 def _matrix_doc(mat) -> list:
@@ -506,7 +502,6 @@ def serialize(ws: Workspace) -> str:
             action = {
                 f"{names[i]},{space.names[j]}": _vector_doc(space, vec)
                 for (i, j), vec in sorted(entry.module.act.items())
-                if not vec.is_zero()
             }
             mod_doc = {"basis": _basis_doc(space), "action": action}
             if entry.rep is not None:

@@ -213,6 +213,12 @@ ABELIAN_Z2 = {
         ("fixture_gl11_z2", _module([["w", 0]], {"e11,w": {"w": "1"}, "e22,w": {"w": "-1"}}, [[["1"]], [["1"]]]),
          "validation failed: modules.W: action equivariance fails at g=1, pair (e11, w)\n"
          "action equivariance fails at g=1, pair (e22, w)\n"),
+        ("fixture_gl11", lambda doc: doc["algebra"]["basis"].append(["e11", 1]),
+         "validation failed: algebra.basis: basis labels must be unique\n"),
+        ("fixture_gl11_z2", lambda doc: doc["group"].update(table=[[0, 1], [1]]),
+         "validation failed: group: Cayley table must be order x order\n"),
+        ("fixture_gl11_z2", lambda doc: doc["group"].update(table=[[0, 1], [0, 1]]),
+         "validation failed: group: column 0 of the Cayley table is not a permutation\n"),
     ],
     ids=[
         "module-axiom",
@@ -222,6 +228,9 @@ ABELIAN_Z2 = {
         "degree",
         "bracket-equivariance",
         "action-equivariance",
+        "repeated-label",
+        "ragged-cayley-table",
+        "cayley-column",
     ],
 )
 def test_each_validator_failure_text_is_pinned(tmp_path, capsys, fixture, edit, err):
@@ -235,6 +244,23 @@ def test_each_validator_failure_text_is_pinned(tmp_path, capsys, fixture, edit, 
     assert run_command(["validate", str(path)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.parametrize(
+    "doc, code, err",
+    [
+        ({"field": "real", "algebra": {"basis": [], "brackets": {}}}, 2,
+         'input error: field: expected "rational" or {"cyclotomic": m}\n'),
+        # the zero entry is dropped before the even-self-bracket check
+        ({"field": "rational", "algebra": {"basis": [["h", 0]], "brackets": {"h,h": {"h": "0"}}}}, 0, ""),
+    ],
+    ids=["unknown-field", "zero-even-self-bracket"],
+)
+def test_field_and_zero_self_bracket_exit_status_is_pinned(tmp_path, capsys, doc, code, err):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == code
+    assert capsys.readouterr().err == err
 
 
 REPEATED_BRACKET = (

@@ -124,6 +124,8 @@ def brute_force_canonical(basis, n):
         (("a", "b", "x", "y"), (0, 0, 1, 1), 1, 4),
         (("a", "b", "x", "y"), (0, 0, 1, 1), 2, 8),
         (("a",), (0,), 2, 0),
+        (("a", "x"), (0, 1), 0, 1),
+        (("a", "b", "c"), (0, 0, 0), 4, 0),
     ],
 )
 def test_superalt_basis_counts(names, parities, n, count):
@@ -133,6 +135,13 @@ def test_superalt_basis_counts(names, parities, n, count):
     assert tuples == brute_force_canonical(basis, n)
     d0, d1 = basis.dims
     assert superalt_count(d0, d1, n) == count
+
+
+def test_vector_results_that_vanish_have_no_coordinates():
+    v = Vector({0: one(RATIONAL), 2: scalar(RATIONAL, -3)})
+    assert v.scale(scalar(RATIONAL, 0)) == Vector()
+    assert (v + (-v)).coords == {}
+    assert (v + Vector({0: -one(RATIONAL)})).coords == {2: scalar(RATIONAL, -3)}
 
 
 def test_superalt_basis_larger_dims_match_formula():

@@ -112,6 +112,28 @@ def test_root_of_unity_rational_spec():
     assert root_of_unity(RATIONAL, 7) == one(RATIONAL)
 
 
+def test_the_rational_field_is_the_conductor_one_case():
+    # Phi_1 = x - 1 has degree 1 and zeta_1^k = 1, so Q needs no branch of
+    # its own for either.
+    assert FieldSpec("rational").degree == 1
+    for k in (-3, 0, 5):
+        assert root_of_unity(RATIONAL, k) == one(RATIONAL)
+
+
+@given(st.fractions())
+def test_a_rational_prints_as_its_fraction(q):
+    assert serialize_scalar(scalar(RATIONAL, q)) == str(q)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 12])
+def test_a_power_of_z_parses_to_that_root_of_unity(m):
+    # Exponents at and above the degree, and at and above m, reduce as the
+    # constructor reduces them.
+    spec = cyclo(m)
+    for k in range(3 * m):
+        assert parse_scalar(spec, f"z^{k}") == root_of_unity(spec, k)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12])
 def test_mth_power_of_every_root_is_one(m):
     spec = cyclo(m)

@@ -325,6 +325,17 @@ def test_adjoint_and_zero_modules():
     assert validate_module(L, zero_module(L, space)).ok
 
 
+def test_a_built_bracket_keeps_its_component_vectors_read_only():
+    # [e11, e12] = e12 is odd; writing an even coordinate into it must fail.
+    L = make_gl(1, 1)
+    with pytest.raises(TypeError):
+        L.bracket.components[(0, 2)].coords[0] = one(RATIONAL)
+    assert L.bracket.at((0, 2)) == Vector({2: one(RATIONAL)})
+    act = adjoint_module(L).act
+    assert act.keys() == L.bracket.components.keys()
+    assert all(act[key] is vec for key, vec in L.bracket.components.items())
+
+
 def test_super_poincare_translation_supercharge_module():
     L = make_super_poincare()
     M = adjoint_submodule(L, ["P0", "P1", "P2", "P3", "Q1", "Q2", "Qb1", "Qb2"])
