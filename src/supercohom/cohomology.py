@@ -6,7 +6,8 @@ _family, sparse columns over the raw cochain_coords indices with one parity
 per column (the unit coordinates, or the certified Reynolds columns of
 group_action.equivariant_subspace).  Only _family builds it; cochain_basis
 wraps its columns as Cochains, and cohomology builds Cochains only for the
-representatives.
+representatives, per parity and only when that parity is first read
+(_Representatives).
 
 The coboundary is assembled by one sweep over the canonical (n+1)-tuples
 (_delta_rows): each bracket and module-action term goes straight into a
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import lcm
 
@@ -494,7 +496,53 @@ class CohomologyReport:
     z_dims: tuple[int, int]
     b_dims: tuple[int, int]
     h_dims: tuple[int, int]
-    representatives: dict[int, list[Cochain]] = field(default_factory=dict)
+    representatives: Mapping[int, list[Cochain]] = field(default_factory=dict)
+
+
+class _Representatives(Mapping):
+    """The representatives of H^n by parity, each parity built the first
+    time it is read, or assigned.
+
+    A parity's representatives are the kernel vectors of delta^n of that
+    parity, in free-column order, that extend the pivot columns of
+    delta^(n-1) of that parity to a basis of its cocycles: the greedy rule,
+    one pivot_columns per parity.  Until both parities are built the mapping
+    holds what they read: the reduced rows and pivots of delta^n, replaced
+    on the first read by its kernel split by parity; the weight-0 _family
+    of C^n with its parities; and the record's pivot images of delta^(n-1).
+    Then it drops them.
+    """
+
+    def __init__(self, n: int, L, M, dom: list[Row], dom_par: list[int], rref, images):
+        self._built: dict[int, list[Cochain]] = {}
+        self._rref, self._kernel = rref, None
+        self._inputs = (n, L, M, dom, dom_par, images)
+
+    def __getitem__(self, p: int) -> list[Cochain]:
+        if p not in self._built:
+            if p not in (0, 1):
+                raise KeyError(p)
+            n, L, M, dom, dom_par, images = self._inputs
+            if self._kernel is None:  # the first read
+                kernel = nullspace_from_rref(*self._rref, len(dom), L.spec)
+                self._kernel = {q: [v for fc, v in kernel.items() if dom_par[fc] == q] for q in (0, 1)}
+                self._rref = None
+            img = images[p]
+            ker = [lin_comb((c, dom[k]) for k, c in v.items()) for v in self._kernel.pop(p)]
+            chosen = [ker[q - len(img)] for q in pivot_columns(img + ker) if q >= len(img)]
+            self[p] = _cochains(chosen, [p] * len(chosen), n, L, M)
+        return self._built[p]
+
+    def __setitem__(self, p: int, cochains: list[Cochain]) -> None:
+        self._built[p] = cochains
+        if self._built.keys() >= {0, 1}:
+            self._rref = self._kernel = self._inputs = None
+
+    def __iter__(self):
+        return iter((0, 1))
+
+    def __len__(self) -> int:
+        return 2
 
 
 def _pivot_images(rows: dict[int, Row], pivots: list[int], parities: list[int]) -> tuple[list[Row], list[Row]]:
@@ -542,11 +590,15 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
     _family of its domain (the unit coordinates, or the fixed-space columns
     under a group) and one reduction; the two parities are the two diagonal
     blocks of that reduced form.  The blocks of nonzero weight are acyclic,
-    so only their dimensions are counted (_off_rank).  The representatives
-    of H^n are the kernel vectors, in free-column order, that extend the
-    pivot columns of delta^(n-1) to a basis of the cocycles; only they
-    become Cochains.  With h empty, or every weight 0, the block is the
-    whole complex.
+    so only their dimensions are counted (_off_rank).  With h empty, or
+    every weight 0, the block is the whole complex.
+
+    The call stops at the dimensions.  The representatives of H^n are built
+    per parity the first time report.representatives[p] is read
+    (_Representatives): the kernel vectors, in free-column order, that
+    extend the pivot columns of delta^(n-1) to a basis of the cocycles;
+    only they become Cochains.  Until then the report holds the reduced
+    rows of delta^n.
 
     B^n is all that degree n needs of delta^(n-1), so the step keeps the
     pivot columns of each delta^k it reduces, with its rank off weight 0, in
@@ -561,28 +613,22 @@ def cohomology(n: int, L: LieSuperalgebra, M: LModule, rep=None) -> CohomologyRe
     if n > 0 and n - 1 not in cx.images:
         _reduce(n - 1, L, M, rep, cx, wt)
     dom, dom_par, left_out, reduced, pivots = _reduce(n, L, M, rep, cx, wt)
-    kernel = nullspace_from_rref(reduced, pivots, len(dom), L.spec)
     images = cx.images[n - 1] if n > 0 else ([], [])
     counted = _off_rank(n - 1, L, M, rep, cx, wt)
 
     c_dims, z_dims, b_dims, h_dims = [0, 0], [0, 0], [0, 0], [0, 0]
-    reps_out: dict[int, list[Cochain]] = {}
     for p in (0, 1):
         c_dims[p] = dom_par.count(p) + left_out[p]
         z_dims[p] = dom_par.count(p) - sum(1 for k in pivots if dom_par[k] == p) + counted[p]
-        img = images[p]
-        b_dims[p] = len(img) + counted[p]
+        b_dims[p] = len(images[p]) + counted[p]
         h_dims[p] = z_dims[p] - b_dims[p]
-        ker = [lin_comb((c, dom[k]) for k, c in v.items()) for fc, v in kernel.items() if dom_par[fc] == p]
-        chosen = [ker[q - len(img)] for q in pivot_columns(img + ker) if q >= len(img)]
-        reps_out[p] = _cochains(chosen, [p] * len(chosen), n, L, M)
     return CohomologyReport(
         n,
         tuple(c_dims),
         tuple(z_dims),
         tuple(b_dims),
         tuple(h_dims),
-        reps_out,
+        _Representatives(n, L, M, dom, dom_par, (reduced, pivots), images),
     )
 
 

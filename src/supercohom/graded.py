@@ -99,6 +99,19 @@ class Vector:
         return "Vector(" + " + ".join(parts) + ")"
 
 
+class _ReadOnlyVector(Vector):
+    """A Vector whose coords cannot be rebound or deleted: the copies that
+    MultilinearMap stores.  Its slot is set through the Vector.coords
+    descriptor, and its arithmetic returns plain Vectors."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError("a stored component vector is read-only")
+
+    __delattr__ = __setattr__
+
+
 def vec_str(v: Vector, basis: GradedBasis) -> str:
     if v.is_zero():
         return "0"
@@ -116,8 +129,8 @@ def vec_str(v: Vector, basis: GradedBasis) -> str:
 class MultilinearMap:
     """A multilinear map by its nonzero components, tuple -> Vector.  The
     constructor checks every component and stores a read-only copy of each
-    (its coords a MappingProxyType) in a read-only table, so a built map
-    keeps what it checked."""
+    (a _ReadOnlyVector, its coords a MappingProxyType) in a read-only table,
+    so a built map keeps what it checked."""
 
     arity: int
     parity: int
@@ -143,8 +156,8 @@ class MultilinearMap:
                 raise ValueError(
                     f"component at {tup} not homogeneous: parity {want} expected"
                 )
-            clean[tup] = read_only = object.__new__(Vector)
-            read_only.coords = MappingProxyType(dict(vec.coords))
+            clean[tup] = read_only = object.__new__(_ReadOnlyVector)
+            Vector.coords.__set__(read_only, MappingProxyType(dict(vec.coords)))
         self.components = MappingProxyType(clean)
 
     def at(self, tup) -> Vector:

@@ -8,10 +8,13 @@ branch of _family make a record.  These tests count the torus passes
 (_torus), the sweeps (_delta_rows) and the reductions of their rows
 (rref_rows), check what the record keeps alive, and compare every report
 with the oracle util.full_cohomology, which reads no record; they do not
-time anything.
+time anything.  A report builds the representatives of a parity only when
+they are first read (one pivot_columns each), so the last tests count those
+builds and check what a report holds until then.
 """
 
 import gc
+import os
 import random
 import weakref
 
@@ -20,7 +23,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supercohom import cohomology as cohomology_module
-from supercohom import linalg
+from supercohom import extension, linalg
+from supercohom.cli import run_command
 from supercohom.cohomology import (
     _complex,
     _torus,
@@ -31,12 +35,15 @@ from supercohom.cohomology import (
     cohomology,
 )
 from supercohom.errors import BasisMismatch
+from supercohom.extension import classify_extensions
 from supercohom.graded import GradedBasis
 from supercohom.group_action import cyclic_group, diagonal_rep, resolve_reps, trivial_action
 from supercohom.scalars import RATIONAL, one, scalar
 from supercohom.superalgebra import adjoint_module, from_pairs, make_gl, zero_module
 
 from util import GROUP_SHAPES, count_calls, full_cohomology, gl11_swap_rep, rand_instance, rand_module
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def parity_rep(L):
@@ -109,15 +116,25 @@ def test_the_torus_is_found_once_per_complex(monkeypatch, make_rep):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_cold_call_reduces_as_often_as_before(monkeypatch, n):
-    # delta^n and delta^(n-1) are each swept and reduced once, and each parity
-    # picks its representatives with one pivot_columns: four rref_rows calls.
-    L = make_gl(1, 1)
-    M = adjoint_module(L)
+    # delta^n and delta^(n-1) are each swept and reduced once: two rref_rows
+    # calls.  Each parity picks its representatives with one pivot_columns
+    # when it is first read, so reading both makes four rref_rows calls.
     sweeps, reductions, every = watch(monkeypatch)
-    cohomology(n, L, M)
-    assert sorted(args[0] for args in sweeps) == [n - 1, n]
-    assert len(reductions) == 2
-    assert len(every) == 4
+    picks = count_calls(monkeypatch, cohomology_module, "pivot_columns")
+    for first in (0, 1):
+        L = make_gl(1, 1)
+        M = adjoint_module(L)
+        for calls in (sweeps, reductions, every, picks):
+            calls.clear()
+        report = cohomology(n, L, M)
+        assert sorted(args[0] for args in sweeps) == [n - 1, n]
+        assert len(reductions) == 2
+        assert len(every) == 2 and picks == []
+        for p, calls in ((first, 3), (1 - first, 4)):
+            report.representatives[p]
+            report.representatives[p]  # a second read builds nothing
+            assert len(every) == calls and len(picks) == calls - 2
+        assert len(sweeps) == len(reductions) == 2
 
 
 def test_no_group_calls_off_cohomology_make_no_record():
@@ -273,3 +290,107 @@ def test_the_memo_keeps_nothing_alive(pair):
         assert gone["M"]() is None
     finally:
         gc.enable()
+
+
+# -- representatives on demand ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "fixture_gl11", "--n", "1"],
+        ["cohomology", "fixture_super_poincare", "--n", "1", "--module", "triv"],
+    ],
+    ids=["gl11", "super-poincare-triv"],
+)
+def test_the_cohomology_command_builds_no_representatives(monkeypatch, capsys, argv):
+    kernels = count_calls(monkeypatch, linalg, "nullspace_from_rref")
+    real = cohomology_module.pivot_columns
+    picks = []
+    monkeypatch.setattr(cohomology_module, "pivot_columns", lambda cols: picks.append(cols) or real(cols))
+    command, fixture, *options = argv
+    assert run_command([command, os.path.join(FIXTURES, fixture + ".json"), *options]) == 0
+    assert "parity  cochains  cocycles  coboundaries  H" in capsys.readouterr().out
+    assert kernels == [] and picks == []
+
+
+def test_classify_extensions_builds_parity_zero_only(monkeypatch):
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    reports = []
+
+    def kept(*args, **kwargs):
+        reports.append(cohomology(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(extension, "cohomology", kept)
+    picks = count_calls(monkeypatch, cohomology_module, "pivot_columns")
+    found = classify_extensions(L, M)
+    assert len(found) == reports[0].h_dims[0] == 1 and len(picks) == 1
+    assert reports[0].representatives[0] == found and len(picks) == 1
+    reports[0].representatives[1]  # parity 1 was not built
+    assert len(picks) == 2
+
+
+def assert_either_order_gives_the_full_lists(n, L, M, rep):
+    want = full_cohomology(n, L, M, rep).representatives
+    even_first = cohomology(n, L, M, rep).representatives
+    odd_first = cohomology(n, L, M, rep).representatives
+    assert [even_first[p] for p in (0, 1)] == [want[0], want[1]]
+    assert [odd_first[p] for p in (1, 0)] == [want[1], want[0]]
+
+
+@pytest.mark.parametrize("shape", (None,) + GROUP_SHAPES)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_either_parity_may_be_read_first(shape, seed, n):
+    rng = random.Random(seed)
+    L, rep = rand_instance(rng, with_action=shape is not None, groups=(shape,) if shape else ("cyclic",))
+    M, reps = rand_module(rng, L, rep)
+    assert_either_order_gives_the_full_lists(n, L, M, reps)
+
+
+@given(
+    st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+    st.sampled_from(sorted(REPS.keys() - {"swap"})),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_either_parity_may_be_read_first_on_a_torus(mn, group, adjoint, n):
+    L = make_gl(*mn)
+    rep = REPS[group](L)
+    if adjoint:
+        M = adjoint_module(L)
+    else:
+        M = zero_module(L, GradedBasis(("m",), (0,)))
+        rep = None if rep is None else (rep, trivial_action(rep.group, RATIONAL, M.space.parities))
+    assert_either_order_gives_the_full_lists(n if mn == (1, 1) else min(n, 2), L, M, rep)
+
+
+class Reduced(list):
+    """Reduced rows that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_report_lets_go_of_the_reduced_rows_once_read(monkeypatch, first):
+    real = cohomology_module.rref_rows
+    held = []
+
+    def reduce(rows):
+        reduced, pivots = real(rows)
+        reduced = Reduced(reduced)
+        held.append(weakref.ref(reduced))
+        return reduced, pivots
+
+    monkeypatch.setattr(cohomology_module, "rref_rows", reduce)
+    L = make_gl(1, 1)
+    report = cohomology(2, L, adjoint_module(L))
+    delta_below, delta_n = held
+    assert delta_below() is None and delta_n() is not None
+    reps = report.representatives
+    assert len(reps) == 2 and list(reps) == [0, 1]
+    assert reps.get(2) is None and 2 not in reps
+    reps[first]
+    assert delta_n() is None  # the first read keeps the kernel instead
+    reps[1 - first]
+    assert delta_n() is None
+    assert dict(reps) == full_cohomology(2, L, adjoint_module(L)).representatives

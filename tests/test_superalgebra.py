@@ -330,7 +330,12 @@ def test_a_built_bracket_keeps_its_component_vectors_read_only():
     L = make_gl(1, 1)
     with pytest.raises(TypeError):
         L.bracket.components[(0, 2)].coords[0] = one(RATIONAL)
+    with pytest.raises(AttributeError):  # nor can its mapping be rebound
+        L.bracket.components[(0, 2)].coords = {0: one(RATIONAL)}
+    with pytest.raises(AttributeError):
+        del L.bracket.components[(0, 2)].coords
     assert L.bracket.at((0, 2)) == Vector({2: one(RATIONAL)})
+    assert validate_superalgebra(L).ok
     act = adjoint_module(L).act
     assert act.keys() == L.bracket.components.keys()
     assert all(act[key] is vec for key, vec in L.bracket.components.items())
