@@ -5,17 +5,19 @@ only the frames whose code lives in the package, then prints each statement
 that never ran as `module:line: source`.  Docstrings and other constant
 expressions, `def` and `class` lines, imports and `global`/`nonlocal`
 declarations are left out: they run at import or compile to nothing.  The
-package's parent directory goes first on sys.path, so the tests import the
-traced source.  Code that tests run only in a child process (such as
-`python -m supercohom`) is not seen.
+package's parent directory goes first on sys.path and on PYTHONPATH, so the
+tests and the child processes they start (such as `python -m supercohom`)
+import the traced source.  Code that runs only in a child process is not
+seen.
 
 Usage: python3 scripts/untested_lines.py [--package DIR] [PYTEST_ARG ...]
-(default: src/supercohom, and pytest -q with the repository's test paths).
-The exit status is pytest's.
+(default: src/supercohom, and pytest -q with the repository's test paths;
+PYTHONPATH=src is not needed).  The exit status is pytest's.
 """
 
 import argparse
 import ast
+import os
 import pathlib
 import sys
 import threading
@@ -103,6 +105,7 @@ def main(argv: list[str]) -> int:
     args, pytest_args = parser.parse_known_args(argv)
     root = args.package.resolve()
     sys.path.insert(0, str(root.parent))
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root.parent), os.environ.get("PYTHONPATH")]))
     tracer = LineTracer(root)
     tracer.start()
     try:

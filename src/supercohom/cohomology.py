@@ -47,6 +47,12 @@ delta^k by parity and its rank off weight 0.  Since B^n is the image of
 delta^(n-1), walking n = 0, 1, 2, ... sweeps and reduces each delta^k once.
 The unit family, sweep rows and reduced rows are not kept, and the oracle
 full_cohomology reads no record.
+
+The record is keyed by identity, so it relies on values that cannot
+change: L, M (LModule) and every Cochain are frozen, their tables and
+coordinates read-only mappings.  The actions are the exception: an
+ActionRep writes its memos after construction and can still be changed in
+place, which the record would not see.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import lcm
+from types import MappingProxyType
 
 from .errors import BasisMismatch, DegreeMismatch, ValidationError
 from .graded import GradedBasis, Vector, canonicalize_tuple, cochain_coords, cochain_parities, superalt_basis
@@ -71,13 +78,16 @@ from .scalars import Scalar, one, zero
 from .superalgebra import LieSuperalgebra, LModule
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cochain:
+    """A super-alternating map by its nonzero coordinates (T, j), T a
+    canonical tuple, in a read-only mapping: a frozen value."""
+
     arity: int
     parity: int
     algebra: GradedBasis
     space: GradedBasis
-    coords: dict[tuple[tuple[int, ...], int], Scalar]
+    coords: Mapping[tuple[tuple[int, ...], int], Scalar]
 
     def __post_init__(self):
         clean = {}
@@ -98,7 +108,7 @@ class Cochain:
                 )
             if not c.is_zero():
                 clean[(T, j)] = c
-        self.coords = clean
+        object.__setattr__(self, "coords", MappingProxyType(clean))
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -136,8 +146,8 @@ def _new_cochain(arity: int, parity: int, algebra: GradedBasis, space: GradedBas
     range, canonical and of the given parity: only the zero values are
     dropped.  The public constructor checks every key."""
     f = object.__new__(Cochain)
-    f.arity, f.parity, f.algebra, f.space = arity, parity, algebra, space
-    f.coords = {key: c for key, c in coords.items() if not c.is_zero()}
+    coords = MappingProxyType({key: c for key, c in coords.items() if not c.is_zero()})
+    vars(f).update(arity=arity, parity=parity, algebra=algebra, space=space, coords=coords)
     return f
 
 
@@ -244,6 +254,7 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None
         return {}
     par, parM = L.basis.parities, M.space.parities
     dimM = len(parM)
+    acts = dict(M.act)  # a plain dict reads faster than the read-only table
     tpos = {T: t for t, T in enumerate(superalt_basis(L.basis, n))}
     live = {t // dimM for t in B}  # the n-tuples T with a column (T, j) in B
     if wt is not None:
@@ -292,7 +303,7 @@ def _delta_rows(n: int, L: LieSuperalgebra, M: LModule, cols: list[Row], wt=None
             T = tpos[S[:i] + S[i + 1 :]]
             par_T = pre[n + 1] - pars[i]
             for jp in range(dimM):
-                act = M.act.get((S[i], jp))
+                act = acts.get((S[i], jp))
                 col = T * dimM + jp
                 if act is None or col not in B:
                     continue

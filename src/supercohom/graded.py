@@ -7,10 +7,16 @@ Koszul swap that cancels the transposition sign of the alternating map.  A
 repeated even index makes a super-alternating map vanish.  The permutation
 form of the same sign, sign(sigma) * (-1)^{# inverted odd-odd pairs}, is
 kept in tests/util.py as a test oracle.
+
+Vector and MultilinearMap are frozen values, as GradedBasis is: the coords
+of a Vector and the components of a map are read-only mappings that cannot
+be rebound.  So a map stores the vectors it is given, and what its
+constructor checked stays true for as long as the map lives.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -52,14 +58,16 @@ class GradedBasis:
             raise KeyError(f"no basis vector named {name!r}") from None
 
 
+@dataclass(frozen=True, slots=True)
 class Vector:
-    """Sparse coordinate vector: basis index -> nonzero Scalar.  The
-    constructor drops zero coordinates, so no method below needs to."""
+    """Sparse coordinate vector: basis index -> nonzero Scalar, in a
+    read-only mapping.  The constructor drops zero coordinates, so no method
+    below needs to."""
 
-    __slots__ = ("coords",)
+    coords: Mapping[int, Scalar]
 
-    def __init__(self, coords: dict[int, Scalar] | None = None):
-        self.coords = {i: c for i, c in (coords or {}).items() if not c.is_zero()}
+    def __init__(self, coords: Mapping[int, Scalar] | None = None):
+        object.__setattr__(self, "coords", MappingProxyType({i: c for i, c in (coords or {}).items() if not c.is_zero()}))
 
     @staticmethod
     def basis(i: int, spec: FieldSpec) -> "Vector":
@@ -83,9 +91,6 @@ class Vector:
     def scale(self, a: Scalar) -> "Vector":
         return Vector({i: a * c for i, c in self.coords.items()})
 
-    def __eq__(self, other):
-        return isinstance(other, Vector) and self.coords == other.coords
-
     def get(self, i: int, spec: FieldSpec) -> Scalar:
         return self.coords.get(i, zero(spec))
 
@@ -99,17 +104,7 @@ class Vector:
         return "Vector(" + " + ".join(parts) + ")"
 
 
-class _ReadOnlyVector(Vector):
-    """A Vector whose coords cannot be rebound or deleted: the copies that
-    MultilinearMap stores.  Its slot is set through the Vector.coords
-    descriptor, and its arithmetic returns plain Vectors."""
-
-    __slots__ = ()
-
-    def __setattr__(self, *args):
-        raise AttributeError("a stored component vector is read-only")
-
-    __delattr__ = __setattr__
+_ZERO = Vector()  # a Vector cannot change, so every missing component is this one
 
 
 def vec_str(v: Vector, basis: GradedBasis) -> str:
@@ -125,18 +120,18 @@ def vec_str(v: Vector, basis: GradedBasis) -> str:
 # -- multilinear maps --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultilinearMap:
     """A multilinear map by its nonzero components, tuple -> Vector.  The
-    constructor checks every component and stores a read-only copy of each
-    (a _ReadOnlyVector, its coords a MappingProxyType) in a read-only table,
-    so a built map keeps what it checked."""
+    constructor checks every component and stores the nonzero ones in a
+    read-only table; a Vector cannot change, so a built map keeps what it
+    checked."""
 
     arity: int
     parity: int
     source: GradedBasis
     target: GradedBasis
-    components: dict[tuple[int, ...], Vector] = field(default_factory=dict)
+    components: Mapping[tuple[int, ...], Vector] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
@@ -156,13 +151,11 @@ class MultilinearMap:
                 raise ValueError(
                     f"component at {tup} not homogeneous: parity {want} expected"
                 )
-            clean[tup] = read_only = object.__new__(_ReadOnlyVector)
-            Vector.coords.__set__(read_only, MappingProxyType(dict(vec.coords)))
-        self.components = MappingProxyType(clean)
+            clean[tup] = vec
+        object.__setattr__(self, "components", MappingProxyType(clean))
 
     def at(self, tup) -> Vector:
-        vec = self.components.get(tuple(tup))
-        return Vector() if vec is None else vec
+        return self.components.get(tuple(tup), _ZERO)
 
 
 def cochain_coords(basis: GradedBasis, n: int, target: GradedBasis):

@@ -93,7 +93,7 @@ def nr_bracket(F: Cochain, Fp: Cochain) -> Cochain:
         return left.add(left)
     right = circ(Fp, F)
     if even:
-        right.coords = {key: -c for key, c in right.coords.items()}
+        right = _new_cochain(right.arity, right.parity, right.algebra, right.space, {key: -c for key, c in right.coords.items()})
     return left.add(right)
 
 

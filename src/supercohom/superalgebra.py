@@ -29,9 +29,11 @@ so only validate_module sweeps its table for homogeneity.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 from .errors import BasisMismatch, ValidationError
 from .graded import GradedBasis, MultilinearMap, Vector, superalt_basis, vec_str
@@ -222,24 +224,25 @@ def validate_superalgebra(L: LieSuperalgebra) -> Report:
 # -- modules ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LModule:
-    """Module data: act[(i, j)] = action of algebra basis i on module basis j.
+    """Module data: act[(i, j)] = action of algebra basis i on module basis j,
+    a read-only mapping without zero entries.
 
-    _complexes holds one cohomology._Complex per cochain complex with
-    coefficients in this module: its torus, its G-fixed families and what
-    cohomology keeps of each coboundary.  It takes no part in equality.
+    A module is a frozen value, so what is computed from it stays true.
+    _complexes, the one writable part, holds one cohomology._Complex per
+    cochain complex with coefficients in this module: its torus, its
+    G-fixed families and what cohomology keeps of each coboundary.  It takes
+    no part in equality.
     """
 
     algebra: GradedBasis
     space: GradedBasis
-    act: dict[tuple[int, int], Vector]
+    act: Mapping[tuple[int, int], Vector]
     _complexes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.act = {
-            tuple(k): v for k, v in self.act.items() if not v.is_zero()
-        }
+        object.__setattr__(self, "act", MappingProxyType({tuple(k): v for k, v in self.act.items() if not v.is_zero()}))
 
 
 def validate_module(L: LieSuperalgebra, M: LModule) -> Report:
@@ -269,8 +272,7 @@ def validate_module(L: LieSuperalgebra, M: LModule) -> Report:
 
 
 def adjoint_module(L: LieSuperalgebra) -> LModule:
-    act = {tup: vec for tup, vec in L.bracket.components.items()}
-    return LModule(L.basis, L.basis, act)
+    return LModule(L.basis, L.basis, L.bracket.components)
 
 
 def adjoint_submodule(L: LieSuperalgebra, labels: list[str]) -> LModule:

@@ -408,6 +408,35 @@ def test_h0_gl11_adjoint():
     assert not v.get(0, RATIONAL).is_zero()
 
 
+def test_built_values_refuse_writes_and_keep_their_cohomology():
+    # Writing into the shared bracket element, the module table or a Vector
+    # used to change what later calls read, while the record of the complex
+    # kept what it had found from the old values: clearing M.act read
+    # H^1 = (1, 0), neither the old answer nor that of a fresh module.
+    from supercohom.nr_bracket import bracket_element
+
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    assert cohomology(1, L, M).h_dims == (2, 0)
+    mu, v = bracket_element(L), Vector({0: one(RATIONAL)})
+    writes = [
+        (mu.coords, ((0, 1), 1), one(RATIONAL)),
+        (M.act, (0, 0), Vector({0: one(RATIONAL)})),
+        (v.coords, 1, one(RATIONAL)),
+    ]
+    for table, key, value in writes:
+        with pytest.raises(TypeError):
+            table[key] = value
+        with pytest.raises(AttributeError):
+            table.clear()
+    for obj, name in ((mu, "coords"), (M, "act"), (v, "coords"), (L.bracket, "components")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, {})
+    assert mu.coords and M.act and v.coords and L.bracket.components
+    assert cohomology(1, L, M).h_dims == (2, 0)
+    assert cohomology(1, L, adjoint_module(L)).h_dims == (2, 0)
+
+
 def test_gl11_annihilator_is_the_identity_line():
     L = make_gl(1, 1)
     M = adjoint_module(L)

@@ -249,7 +249,7 @@ def test_a_would_be_hit_still_checks_the_action_spaces():
     # longer lives on the space of M.
     rep_M.parities = (0, 0)
     reads = []
-    M._complexes = WatchedMemo(M._complexes, reads)
+    object.__setattr__(M, "_complexes", WatchedMemo(M._complexes, reads))  # M is frozen
     with pytest.raises(BasisMismatch):
         cohomology(3, L, M, (rep_L, rep_M))
     assert reads == []

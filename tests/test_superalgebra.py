@@ -12,6 +12,7 @@ from supercohom.scalars import RATIONAL, cyclo, one, root_of_unity, scalar, zero
 from supercohom.superalgebra import (
     KINDS,
     LieSuperalgebra,
+    LModule,
     Report,
     _matrix_superalgebra,
     adjoint_module,
@@ -334,11 +335,18 @@ def test_a_built_bracket_keeps_its_component_vectors_read_only():
         L.bracket.components[(0, 2)].coords = {0: one(RATIONAL)}
     with pytest.raises(AttributeError):
         del L.bracket.components[(0, 2)].coords
+    with pytest.raises(AttributeError):  # nor the table of the map
+        L.bracket.components = {}
     assert L.bracket.at((0, 2)) == Vector({2: one(RATIONAL)})
     assert validate_superalgebra(L).ok
     act = adjoint_module(L).act
     assert act.keys() == L.bracket.components.keys()
     assert all(act[key] is vec for key, vec in L.bracket.components.items())
+    # A Vector cannot change, so the map stores the caller's vectors as given.
+    xy = GradedBasis(("x", "y"), (0, 0))
+    given = Vector({1: one(RATIONAL)})
+    K = from_pairs(xy, RATIONAL, {(0, 1): given})
+    assert K.bracket.components[(0, 1)] is given
 
 
 def test_super_poincare_translation_supercharge_module():
@@ -356,11 +364,12 @@ def test_adjoint_submodule_rejects_open_span():
 
 def test_validate_module_flags_broken_axiom():
     L = make_gl(1, 1)
-    M = adjoint_module(L)
     ix = L.basis.index
-    M.act[(ix("e11"), ix("e12"))] = Vector.basis(ix("e12"), RATIONAL).scale(
+    act = dict(adjoint_module(L).act)
+    act[(ix("e11"), ix("e12"))] = Vector.basis(ix("e12"), RATIONAL).scale(
         scalar(RATIONAL, 3)
     )
+    M = LModule(L.basis, L.basis, act)
     rep = validate_module(L, M)
     assert not rep.holds("module axiom")
     assert any(ce["kind"] == "module axiom" for ce in rep.counterexamples)
@@ -382,8 +391,7 @@ def test_values_outside_the_space_are_refused(where):
     with pytest.raises(ValueError, match="outside the target basis"):
         from_pairs(xy, RATIONAL, {(0, 1): Vector({bad: one(RATIONAL)})})
     L = make_gl(1, 1)
-    M = zero_module(L, xy)
-    M.act[(0, 0)] = Vector({bad: one(RATIONAL)})
+    M = LModule(L.basis, xy, {(0, 0): Vector({bad: one(RATIONAL)})})
     with pytest.raises(BasisMismatch, match="outside the module basis"):
         validate_module(L, M)
 

@@ -40,21 +40,32 @@ def unused(y):
     return total
 '''
 
-TEST = '''from pkg.mod import Box
+TEST = '''import subprocess
+import sys
+
+from pkg.mod import Box
 
 
 def test_box():
     assert Box(3).get() == 3
+
+
+def test_a_child_process_imports_the_package():
+    subprocess.run([sys.executable, "-c", "import pkg"], check=True)
 '''
 
 
 def test_untested_lines_lists_the_statements_no_test_runs(tmp_path):
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "__init__.py").write_text('"""A tiny package."""\n')
-    (tmp_path / "pkg" / "mod.py").write_text(MODULE)
+    # The package sits under src/ and PYTHONPATH is unset, so the child
+    # process of the tiny test finds it only through the script.
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text('"""A tiny package."""\n')
+    (pkg / "mod.py").write_text(MODULE)
     (tmp_path / "test_tiny.py").write_text(TEST)
-    argv = [sys.executable, SCRIPT, "--package", "pkg", "test_tiny.py", "-q", "-p", "no:cacheprovider"]
-    run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
+    argv = [sys.executable, SCRIPT, "--package", "src/pkg", "test_tiny.py", "-q", "-p", "no:cacheprovider"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
     # imports, def and class lines, docstrings and global run at import or
     # compile to nothing; a multi-line statement is listed by its first line
