@@ -3,8 +3,9 @@
 Cochains are stored by their coordinates on canonical index tuples only.  A
 basis of C^n, or of its G-fixed subspace under a group, has one form: the
 _family, sparse columns over the raw cochain_coords indices with one parity
-per column (the unit coordinates, or the certified Reynolds columns of
-group_action.equivariant_subspace).  Only _family builds it; cochain_basis
+per column: the unit coordinates, or the certified Reynolds columns that
+group_action._fixed_cochains adds up on exact ints (scalars.IntImage) and
+brings back to Scalars.  Only _family builds it; cochain_basis
 wraps its columns as Cochains, and cohomology builds Cochains only for the
 representatives, per parity and only when that parity is first read
 (_Representatives).
@@ -416,7 +417,7 @@ def _family(
 
     Without a group the members are the coordinate unit vectors, built on
     each call and kept nowhere.  With one they are the certified Reynolds
-    columns of equivariant_subspace (group_action._fixed_cochains); each is
+    columns of group_action._fixed_cochains; each is
     homogeneous, since the action is even, and lies in one weight, since G
     fixes h.  They are built once per degree and kept in the record of the
     complex (_complex), whose lists and column dicts must not be mutated.

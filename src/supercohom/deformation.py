@@ -45,7 +45,7 @@ from .scalars import FieldSpec, one, scalar
 from .superalgebra import LieSuperalgebra, LModule, adjoint_module
 
 
-@dataclass
+@dataclass(frozen=True)
 class Deformation:
     """A truncated deformation mu_0 + t mu_1 + ... + t^N mu_N of base.
 
@@ -57,15 +57,17 @@ class Deformation:
     group_action.acts_by_automorphisms keeps per (rep, algebra).  Under a
     rep that is not a representation every term goes through is_equivariant.
     Every function here reads the one adjoint module, so they share its
-    cochain complexes (cohomology._Complex).
+    cochain complexes (cohomology._Complex).  It is frozen, and it keeps its
+    terms as a tuple, so no term joins or changes without these checks.
     """
 
     base: LieSuperalgebra
     rep: ActionRep | None
-    terms: list[Cochain]
+    terms: tuple[Cochain, ...]
     adjoint: LModule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("a deformation needs at least the order-0 term")
         for k, f in enumerate(self.terms):
@@ -78,7 +80,7 @@ class Deformation:
         mu = bracket_element(self.base)
         if self.terms[0] is not mu and self.terms[0] != mu:
             raise ValidationError("order-0 term must equal the base bracket")
-        self.adjoint = adjoint_module(self.base)
+        object.__setattr__(self, "adjoint", adjoint_module(self.base))
         if self.rep is not None:
             for k, f in enumerate(self.terms):
                 if k == 0 and is_representation(self.rep):

@@ -32,12 +32,15 @@ for bilinear tables (also in the extension certificate).  The element-wise
 checks they replaced are kept in tests/util.py as test oracles.
 
 The checks whose only answer is whether two sparse sums agree, rho(s)rho(h)
-= rho(sh), the equivariance sweeps through morphism_defects (once per
-sweep) and g v = v in the fixed-space certificate, map the columns
-and tables they read once per call to exact integers (scalars.IntImage)
-and add up each sum as Python ints; no Scalar arithmetic runs on their
-success path.  pull_back, the induced action and the Reynolds sums return
-values, so they stay on Scalars.
+= rho(sh) and the equivariance sweeps through morphism_defects (once per
+sweep), map the columns and tables they read once per call to exact
+integers (scalars.IntImage) and add up each sum as Python ints; no Scalar
+arithmetic runs on their success path.  The G-fixed cochain family runs on
+one IntImage too, although its sums are values: the induced action, the
+orbit sums, the trace and the certificate g v = v are int sums, and
+IntImage.back makes Scalars only for the orbit sums that pivot_columns
+reads and for the returned columns.  pull_back only multiplies and adds, so
+it runs on Scalars (is_equivariant, the gauge transform) and on those ints.
 
 The fixed subspace is spanned by the pivot columns of the Reynolds operator
 R = (1/|G|) sum_g g, built in one pass over sparse columns.  Every vector
@@ -52,22 +55,31 @@ in an induced action, or matrices that do not form a representation, show
 up here as an OracleDisagreement rather than as a silently wrong cohomology
 dimension.  The certified columns are returned as they are, sparse, and
 become the columns of cohomology._family.  The pivots are chosen on the
-unscaled orbit sums sum_g g, and only the returned columns are scaled.
+orbit sums sum_g g, up to one common factor, and only the returned columns
+are scaled, by 1/|G|.
 
-The induced action on C^n hands over unit columns for the identity when it
-acts as one on both L and M, instead of pulling back every tuple.
-_fixed_cochains builds the certified family of G-fixed n-cochains and the
-parity of each column; it keeps nothing.  The family is kept once per
-degree in the record of its complex (cohomology._Complex), read only after
-resolve_reps has checked that the two actions are of one group, over one
-field, on the spaces of L and of M.
+Two int cores build the family, and the public entries are thin wrappers
+over them.  _induced_images is the induced action on C^n on one IntImage;
+it hands over unit columns for the identity when it acts as one on both L
+and M, instead of pulling back every tuple.  _certified_fixed takes the
+pivots, the certificate and the trace.  induced_action_on_cochains brings
+the first back to an ActionRep, equivariant_subspace runs the second on the
+columns of an ActionRep, and _fixed_cochains runs both on one IntImage
+without making the induced ActionRep: it returns the certified family of
+G-fixed n-cochains and the parity of each column, and keeps nothing.  The
+family is kept once per degree in the record of its complex
+(cohomology._Complex), read only after resolve_reps has checked that the
+two actions are of one group, over one field, on the spaces of L and of M.
+Scalar routes to both are kept in tests/util.py as oracles
+(pulled_back_induced_columns, dense_induced_matrices,
+dense_equivariant_subspace).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, product
+from math import factorial
 
 from .errors import (
     BasisMismatch,
@@ -78,7 +90,7 @@ from .errors import (
 )
 from .graded import canonicalize_tuple, cochain_parities, superalt_basis
 from .linalg import Matrix, Row, pivot_columns
-from .scalars import FieldSpec, IntImage, Scalar, one, scalar, zero
+from .scalars import FieldSpec, IntImage, Scalar, one, zero
 from .superalgebra import LieSuperalgebra, LModule, Report
 
 
@@ -462,18 +474,19 @@ def validate_module_action(rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebr
     return report
 
 
-def pull_back(
-    A: list[Row], S: tuple[int, ...], parities, o: Scalar, memo: dict
-) -> dict[tuple[int, ...], Scalar]:
+def pull_back(A: list[dict], S: tuple[int, ...], parities, o, memo: dict) -> dict[tuple[int, ...], Scalar | int]:
     """f(A[s_1], ..., A[s_n]) as sum_T coeff[T] f(e_T), for any
     super-alternating f, with A[s] the sparse image of argument s (the columns
-    of one map h, or images under different maps) and o the field's 1.
+    of one map h, or images under different maps) and o the 1 of its values.
+    It only multiplies and adds, so the values are Scalars (o the field's 1)
+    or the images of an IntImage (o = 1, each coefficient a signed product
+    of n images).
 
     Each index tuple picked from the columns is canonicalized with its Koszul
     sign (memo caches that across calls); coefficients that cancel stay in
     the result as zeros.
     """
-    acc: dict[tuple[int, ...], Scalar] = {}
+    acc: dict = {}
     for picks in product(*[A[s].items() for s in S]):
         K = tuple(i for i, _ in picks)
         if K not in memo:
@@ -489,107 +502,169 @@ def pull_back(
     return acc
 
 
-def induced_action_on_cochains(
-    rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
-) -> ActionRep:
-    """Action (g.f)(x_1..x_n) = g f(g^{-1}x_1, ..., g^{-1}x_n) on coordinates.
+def _certificate_image(spec: FieldSpec, scalars, order: int, dim: int, factors: int, terms: int) -> IntImage:
+    """The IntImage on which _certified_fixed runs, for one column of
+    dimension dim per element of a group of the given order, each entry a
+    sum of at most k = terms products of f = factors of the scalars read.
 
-    Built column by column from the sparse columns of g^{-1} on L and of g on
-    M; the result is handed over as columns, so no dense matrix is filled.
-    When the identity acts as one on both L and M, its columns are the unit
-    columns, handed over without pulling back any tuple.
+    It is sized for 2f factors and |G| k (dim k + 1) terms.  Why that covers
+    every sum _certified_fixed reads, over a field of degree > 1 (over Q
+    every image is exact): by the IntImage bound, a sum of at most t
+    products of at most F factors reduces to coefficients of size at most
+    t A^F c^(F-1) (A, c >= 1 as there), which is at most K = |G| k (dim k
+    + 1) A^(2f) c^(2f-1) when t <= |G| k (dim k + 1) and F <= 2f; and a
+    polynomial whose coefficients are at most K < B/2 in size is 0, or
+    equal to another such, exactly when its value at B is.
+    - An orbit sum entry sum_g g_st adds |G| entries: at most |G| k
+      products of f factors.  It is a sum of centred images, so it is
+      r(B) for r its reduced form, and back reads it.
+    - The trace adds |G| dim entries, at most |G| dim k products; it is
+      compared as an int with |G| len(fixed) D^f, a constant of size at
+      most |G| dim A^f, since D <= A.
+    - An entry of g v - D^f v, sum_t g_st v_t - D^f v_s, expands into at
+      most dim k |G| k products of 2f factors from the first sum and
+      |G| k from the second, D^f being a product of f factors D.  Its int
+      is r(B) mod N, so vanishes decides it.
     """
-    resolve_reps((rep_L, rep_M), L, M)
-    spec = rep_L.spec
-    group = rep_L.group
+    return IntImage(spec, scalars, 2 * factors, order * terms * (dim * terms + 1))
+
+
+def _induced_images(
+    rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
+) -> tuple[IntImage, int, list[list[dict]]]:
+    """The induced action (g.f)(x_1..x_n) = g f(g^{-1}x_1, ..., g^{-1}x_n) on
+    C^n, on one IntImage: (image, unit, columns), columns[g][t] the image of
+    column t of g as a sparse {row: int} dict without zeros, centred
+    (IntImage.reduce), and unit = D^(n+1) the image of 1 there.
+
+    The columns of g^{-1} on L and of g on M are mapped to ints once, and
+    each canonical tuple S is pulled back through pull_back.  The entry at
+    row (S, r) of column (T, j) is the pulled-back coefficient of T, a sum
+    over the orderings of T (at most n! of them) of a signed product of n
+    entries of g^{-1}, times the entry of g on M at (r, j): at most n!
+    products of n + 1 entries, so the image is that of _certificate_image
+    for n + 1 factors and n! terms.  When the identity acts as one on both
+    L and M, its columns are the unit columns, built without pulling back
+    any tuple.
+    """
+    group, spec = rep_L.group, rep_L.spec
     canon = superalt_basis(L.basis, n)
     where = {T: k for k, T in enumerate(canon)}
     dimM = len(M.space)
-    # cochain_coords order is tuple-major: (T, j) sits at where[T] * dimM + j.
-    parities = tuple(cochain_parities(L.basis, n, M.space))
-    o = one(spec)
-    unit = _acts_as_one(rep_L, group.identity) and _acts_as_one(rep_M, group.identity)
+    dim = len(canon) * dimM  # cochain_coords order is tuple-major: (T, j) sits at where[T] * dimM + j.
+    read = _scalars(chain.from_iterable(chain(rep_L.columns, rep_M.columns)))
+    image = _certificate_image(spec, read, group.order, dim, n + 1, factorial(n))
+    unit = image.den ** (n + 1)
+    e = group.identity
+    skip_e = _acts_as_one(rep_L, e) and _acts_as_one(rep_M, e)
     memo: dict = {}
     columns = []
     for g in range(group.order):
-        if unit and g == group.identity:
-            columns.append([{t: o} for t in range(len(parities))])
+        if skip_e and g == e:
+            columns.append([{t: unit} for t in range(dim)])
             continue
-        A = rep_L.columns[group.inverse(g)]
-        B = rep_M.columns[g]
-        cols: list[Row] = [{} for _ in parities]
+        A = [image.row(col) for col in rep_L.columns[group.inverse(g)]]
+        B = [image.row(col) for col in rep_M.columns[g]]
+        cols: list[dict] = [{} for _ in range(dim)]
         for k, S in enumerate(canon):
-            for T, c in pull_back(A, S, L.basis.parities, o, memo).items():
-                if c.is_zero():
+            for T, c in pull_back(A, S, L.basis.parities, 1, memo).items():
+                if not c:
                     continue
-                for j, image in enumerate(B):
-                    col = cols[where[T] * dimM + j]
-                    for r, b in image.items():
+                base = where[T] * dimM
+                for j, image_j in enumerate(B):
+                    col = cols[base + j]
+                    for r, b in image_j.items():
                         dst = k * dimM + r
-                        prev = col.get(dst)
-                        col[dst] = c * b if prev is None else prev + c * b
-        columns.append([{i: x for i, x in col.items() if not x.is_zero()} for col in cols])
-    return ActionRep(group, spec, parities, columns=columns)
+                        col[dst] = col.get(dst, 0) + c * b
+        columns.append([image.reduce(col) for col in cols])
+    return image, unit, columns
 
 
-def equivariant_subspace(rep: ActionRep) -> list[Row]:
-    """Basis of the vectors fixed by every group element, as sparse columns.
+def _certified_fixed(image: IntImage, unit: int, columns: list[list[dict]], group: FiniteGroup) -> list[Row]:
+    """The certified basis of the vectors fixed by every group element, from
+    the columns of each element on an IntImage (centred, unit the image of
+    1 there), as sparse {row: Scalar} columns without zeros.
 
     The basis is the pivot columns of the Reynolds operator
-    R = (1/|G|) sum_g g, read left to right, each a {row: Scalar} dict
-    without zeros, returned as certified.  The pivots are chosen on the
-    orbit sums sum_g g, which have the same pivot columns, and only the
-    returned columns are scaled by 1/|G|.  Certificate: each returned
-    column v has g v = v for every g (an identity that acts as the identity
-    is not multiplied out), so the columns, independent by
-    construction, span exactly the fixed space (any fixed v has R v = v);
-    and their count must equal the character formula (1/|G|) sum_g tr g.
-    Either failure raises OracleDisagreement.
+    R = (1/|G|) sum_g g, read left to right.  The orbit sums sum_g g, whose
+    pivot columns those are, the trace and the certificate are int sums.
+    Scalars are made only for the orbit sums that pivot_columns reads,
+    brought back over 1 as unit sum_g g, which has the same pivot columns,
+    and for the returned columns, brought back over unit |G|.
+    Certificate: each returned column v has g v = v for every g (an
+    identity that acts as the identity is not multiplied out), so the
+    columns, independent by construction, span exactly the fixed space (any
+    fixed v has R v = v); and their count must equal the character formula
+    (1/|G|) sum_g tr g.  Either failure raises OracleDisagreement.
+
+    A sum of centred images is r(B) for r the reduced sum, so the orbit
+    sums and the trace need no reduction: one is 0, or two are equal,
+    exactly when the Scalars are.
     """
-    spec, group = rep.spec, rep.group
-    sums: list[Row] = [{} for _ in range(rep.dim)]
-    trace_sum = zero(spec)
-    for cols in rep.columns:
+    dim = len(columns[0])
+    sums: list[dict] = [{} for _ in range(dim)]
+    trace = 0
+    for cols in columns:
         for j, col in enumerate(cols):
             acc = sums[j]
             for i, x in col.items():
-                prev = acc.get(i)
-                acc[i] = x if prev is None else prev + x
-            if j in col:
-                trace_sum = trace_sum + col[j]
-    inv_order = scalar(spec, Fraction(1, group.order))
+                acc[i] = acc.get(i, 0) + x
+            trace += col.get(j, 0)
+    back = image.back
     fixed = [
-        {i: x * inv_order for i, x in sums[c].items() if not x.is_zero()} for c in pivot_columns(sums)
+        {i: x for i, x in sums[c].items() if x}
+        for c in pivot_columns([{i: back(x, 1) for i, x in acc.items() if x} for acc in sums])
     ]
 
-    moving = _every_moving_element(rep)
+    e = group.identity
+    moving = [g for g in range(group.order) if g != e or any(col != {j: unit} for j, col in enumerate(columns[e]))]
     support = set().union(*fixed)  # the columns of g that g v reads
-    read = chain(_scalars(fixed), _scalars(rep.columns[g][j] for g in moving for j in support))
-    image = IntImage(spec, read, 2, rep.dim + 1)
-    fixed_int = [image.row(v) for v in fixed]
     for g in moving:
-        cols = {j: image.row(rep.columns[g][j]) for j in support}
-        if not _same_columns(image, _product_columns(cols, fixed_int), fixed_int, image.den):
+        cols = {j: columns[g][j] for j in support}
+        if not _same_columns(image, _product_columns(cols, fixed), fixed, unit):
             raise OracleDisagreement(f"group element {g} moves a column of the Reynolds operator")
 
-    if trace_sum != scalar(spec, group.order * len(fixed)):
+    if trace != group.order * len(fixed) * unit:
         raise OracleDisagreement(
-            f"character formula gives {trace_sum}, but the fixed space has "
+            f"character formula gives {back(trace, unit)}, but the fixed space has "
             f"dimension {len(fixed)}"
         )
-    return fixed
+    scale = unit * group.order
+    return [{i: back(x, scale) for i, x in v.items()} for v in fixed]
+
+
+def induced_action_on_cochains(
+    rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
+) -> ActionRep:
+    """Action (g.f)(x_1..x_n) = g f(g^{-1}x_1, ..., g^{-1}x_n) on coordinates:
+    the columns of _induced_images, brought back to Scalars and handed over
+    as columns, so no dense matrix is filled."""
+    resolve_reps((rep_L, rep_M), L, M)
+    image, unit, columns = _induced_images(rep_L, rep_M, L, M, n)
+    back = image.back
+    columns = [[{i: back(x, unit) for i, x in col.items()} for col in cols] for cols in columns]
+    return ActionRep(rep_L.group, rep_L.spec, cochain_parities(L.basis, n, M.space), columns=columns)
+
+
+def equivariant_subspace(rep: ActionRep) -> list[Row]:
+    """Basis of the vectors fixed by every group element, as sparse columns:
+    _certified_fixed on the columns of rep, each entry one scalar."""
+    image = _certificate_image(rep.spec, _scalars(chain.from_iterable(rep.columns)), rep.group.order, rep.dim, 1, 1)
+    columns = [[image.row(col) for col in cols] for cols in rep.columns]
+    return _certified_fixed(image, image.den, columns, rep.group)
 
 
 def _fixed_cochains(
     rep_L: ActionRep, rep_M: ActionRep, L: LieSuperalgebra, M: LModule, n: int
 ) -> tuple[list[Row], list[int]]:
-    """The certified basis of the G-fixed n-cochains (equivariant_subspace of
-    the induced action on C^n) and the parity of each column."""
-    induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
-    cols = equivariant_subspace(induced)
+    """The certified basis of the G-fixed n-cochains (_certified_fixed on
+    _induced_images, one IntImage) and the parity of each column."""
+    image, unit, columns = _induced_images(rep_L, rep_M, L, M, n)
+    cols = _certified_fixed(image, unit, columns, rep_L.group)
+    all_par = cochain_parities(L.basis, n, M.space)
     parities = []
     for col in cols:
-        found = {induced.parities[t] for t in col}
+        found = {all_par[t] for t in col}
         if len(found) != 1:
             raise ValidationError("fixed-space basis vector mixes parities")
         parities.append(found.pop())

@@ -281,10 +281,11 @@ def _high_powers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 class IntImage:
-    """An exact map to Python ints of the Scalars that one check reads, for
+    """An exact map to Python ints of the Scalars that one computation reads:
     the checks whose only answer is whether some sparse sums of products
-    vanish.  Such a check maps its tables once, adds up each sum as ints,
-    and builds Scalars only to report a sum that does not vanish.
+    vanish, and the G-fixed cochain family (group_action), whose sums are
+    also values.  Such a computation maps its tables once, adds up each sum
+    as ints, and builds Scalars only for a sum it reports or returns.
 
     D (den) is the lcm of the denominators of the scalars read, and a scalar
     with numerators a_k over e maps to its scaled numerators a_k * D / e.
@@ -318,7 +319,11 @@ class IntImage:
 
     The way back (back): the centred residue of r(B) mod N is r(B) itself,
     and its signed base-B digits are the coefficients of r, each less than
-    B/2 in size; over D^factors they give the sum as a Scalar.
+    B/2 in size.  They are the numerators of the sum in the power basis,
+    over D^f for terms of f factors (or any scale given), so one gcd
+    (_reduced) gives the Scalar.  reduce keeps sums as such centred
+    residues: a sum of them is r(B) for the sum of their reduced forms, so
+    it needs no reduction while the bound covers it.
 
     A scalar of another field than spec raises FieldMismatch.  The image
     maps only the scalars it was built from (or others whose denominators
@@ -370,23 +375,41 @@ class IntImage:
             return not any([v % n for v in acc.values()])
         return not any(acc.values())
 
-    def back(self, v: int) -> Scalar:
-        """The Scalar whose image, as a sum of terms of `factors` factors, is v."""
-        digits = [v]
+    def reduce(self, acc: dict) -> dict:
+        """acc, a sparse row of image sums, with each value replaced by its
+        centred residue modulo N and the zeros dropped.  Each value is then
+        r(B) for r the reduced sum, so two of them are equal, and one is 0,
+        exactly when the sums are, and a sum of them is again r(B) for the
+        reduced sum of the sums."""
         n = self.modulus
-        if n:
+        if not n:
+            return {k: v for k, v in acc.items() if v}
+        out = {}
+        for k, v in acc.items():
             v %= n
-            if 2 * v > n:
-                v -= n
-            half, mask = 1 << (self.bits - 1), (1 << self.bits) - 1
-            digits = []
-            for _ in range(self.spec.degree):
-                x = v & mask
-                x = x - (mask + 1) if x >= half else x
-                digits.append(x)
-                v = (v - x) >> self.bits
-        scale = self.den**self.factors
-        return Scalar(self.spec, [Fraction(x, scale) for x in digits])
+            if v:
+                out[k] = v - n if 2 * v > n else v
+        return out
+
+    def back(self, v: int, scale: int | None = None) -> Scalar:
+        """The Scalar r / scale, for r the reduced sum whose image is v.  A
+        sum of terms of f factors carries scale D^f: D^factors by default."""
+        if scale is None:
+            scale = self.den**self.factors
+        n = self.modulus
+        if not n:
+            return _reduced1(self.spec, v, scale)
+        v %= n
+        if 2 * v > n:
+            v -= n
+        half, mask = 1 << (self.bits - 1), (1 << self.bits) - 1
+        digits = []
+        for _ in range(self.spec.degree):
+            x = v & mask
+            x = x - (mask + 1) if x >= half else x
+            digits.append(x)
+            v = (v - x) >> self.bits
+        return _reduced(self.spec, digits, scale)
 
 
 @lru_cache(maxsize=None)

@@ -80,7 +80,7 @@ class Workspace:
     modules: dict[str, ModuleEntry] = field(default_factory=dict)
     cochains: dict[str, CochainEntry] = field(default_factory=dict)
     deformations: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    _deformation_cache: dict[str, Deformation] = field(
+    _deformation_cache: dict[str, tuple[tuple[str, ...], Deformation]] = field(
         default_factory=dict, compare=False, repr=False
     )
     # the one adjoint module of the workspace, so its complexes are built once
@@ -122,19 +122,24 @@ class Workspace:
         return entry.cochain
 
     def deformation(self, name: str) -> Deformation:
+        """The deformation named name, built from its term names, the
+        cochains they name and the action.  A built one is reused only while
+        all three are the objects it was built from."""
         if name not in self.deformations:
             raise ParseError(
                 f"unknown deformation {name!r}; have {sorted(self.deformations)}"
             )
-        if name not in self._deformation_cache:
-            terms = []
-            for term in self.deformations[name]:
-                if term == BRACKET_TERM:
-                    terms.append(bracket_element(self.algebra))
-                else:
-                    terms.append(self.cochains[term].cochain)
-            self._deformation_cache[name] = Deformation(self.algebra, self.rep, terms)
-        return self._deformation_cache[name]
+        names = self.deformations[name]
+        terms = [
+            bracket_element(self.algebra) if term == BRACKET_TERM else self.cochains[term].cochain
+            for term in names
+        ]
+        built_from, d = self._deformation_cache.get(name, (None, None))
+        if built_from is names and d.rep is self.rep and [*map(id, d.terms)] == [*map(id, terms)]:
+            return d
+        d = Deformation(self.algebra, self.rep, terms)
+        self._deformation_cache[name] = (names, d)
+        return d
 
 
 def _expect(cond: bool, path: str, msg: str):

@@ -232,7 +232,7 @@ def test_cochains_built_from_canonical_keys_pass_the_public_constructor(seed):
     for residual in residuals:
         coords = {(T, j): c for T, v in residual.items() for j, c in v.coords.items()}
         assert Cochain(3, 0, L.basis, L.basis, coords).by_tuple() == residual
-    built += der + inn + terms
+    built += [*der, *inn, *terms]
     for h in built:
         assert Cochain(h.arity, h.parity, h.algebra, h.space, dict(h.coords)) == h
 

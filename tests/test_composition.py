@@ -161,7 +161,7 @@ def test_obstruction_matches_the_triple_loop_and_dense_solve(seed, cyclotomic, w
         )
         if not rpt.solvable:
             break
-        d = Deformation(L, rep, d.terms + [rpt.next_term])
+        d = Deformation(L, rep, [*d.terms, rpt.next_term])
         assert validate(d, "truncated").ok
 
 

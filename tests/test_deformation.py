@@ -110,6 +110,21 @@ def test_rejects_non_equivariant_term(gl11):
         Deformation(L, rep, [bracket_to_element(L), skew])
 
 
+def test_a_term_cannot_join_after_the_checks(gl11):
+    # e11 ^ e22 -> e11 is not equivariant under the swap: the constructor
+    # refuses it, and a built deformation keeps its checked terms as a tuple.
+    L, rep, M = gl11
+    bad = Cochain(2, 0, L.basis, L.basis, {((0, 1), 0): ONE})
+    with pytest.raises(ValidationError, match="term 1 is not equivariant"):
+        Deformation(L, rep, [bracket_to_element(L), bad])
+    d = Deformation(L, rep, [bracket_to_element(L)])
+    with pytest.raises(AttributeError):
+        d.terms.append(bad)
+    with pytest.raises(AttributeError):
+        d.terms = (d.terms[0], bad)
+    assert d.order == 0 and d.terms == (bracket_to_element(L),)
+
+
 def test_order_and_term_padding(gl11):
     L, rep, M = gl11
     d = displayed_deformation(L, rep)

@@ -1,11 +1,12 @@
 """Each G-fixed cochain family is built once per complex and degree.
 
-cohomology._family keeps the certified columns of equivariant_subspace
-(group_action._fixed_cochains) in the record of its complex,
+cohomology._family keeps the certified columns of
+group_action._fixed_cochains in the record of its complex,
 cohomology._Complex, kept on the module per L and actions
 (tests/test_complex_memo.py checks its reductions and lifetime).  The unit
 columns of the complex without a group are kept nowhere.  These tests count
-the builds; they do not time them.
+the builds, as calls of the two int cores that _fixed_cochains runs
+(_induced_images and _certified_fixed); they do not time them.
 """
 
 import gc
@@ -53,9 +54,9 @@ def copy_of(rep):
 
 
 def builds(monkeypatch):
-    """The degree of each induced action built, and the equivariant_subspace calls."""
-    induced = count_calls(monkeypatch, group_action, "induced_action_on_cochains")
-    fixed = count_calls(monkeypatch, group_action, "equivariant_subspace")
+    """The degree of each induced action built, and the certified fixed bases."""
+    induced = count_calls(monkeypatch, group_action, "_induced_images")
+    fixed = count_calls(monkeypatch, group_action, "_certified_fixed")
     return induced, fixed
 
 

@@ -1,9 +1,10 @@
 """Cayley-table groups, action validation, induced cochain actions."""
 
+import os
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercohom import group_action
@@ -19,11 +20,12 @@ from supercohom.group_action import (
     induced_action_on_cochains,
     is_representation,
     permutation_rep,
+    resolve_reps,
     trivial_action,
     validate_action,
     validate_module_action,
 )
-from supercohom.linalg import mat_identity
+from supercohom.linalg import mat_identity, mat_mul
 from supercohom.scalars import RATIONAL, cyclo, one, root_of_unity, scalar, zero
 from supercohom.superalgebra import (
     adjoint_module,
@@ -31,10 +33,13 @@ from supercohom.superalgebra import (
     make_gl,
     make_super_poincare,
 )
+from supercohom.workspace import ADJOINT, load
 
 from util import (
     GROUP_SHAPES,
     apply_rep,
+    cold_family,
+    count_calls,
     dense_equivariant_subspace,
     densify,
     direct_product,
@@ -47,6 +52,7 @@ from util import (
     rand_vector,
     s3_group,
     superalt_expand,
+    twist_algebra,
 )
 
 
@@ -383,17 +389,13 @@ def test_induced_action_is_homomorphism_z4_super_poincare():
             assert sparse_mul(cached[g], cached[h]) == cached[(g + h) % 4]
 
 
-def _pulled_back_arguments(monkeypatch):
-    """The first argument (the columns of g^-1 on L) of each pull_back call."""
-    pulled = []
-    real = group_action.pull_back
-
-    def recording(A, *rest):
-        pulled.append(A)
-        return real(A, *rest)
-
-    monkeypatch.setattr(group_action, "pull_back", recording)
-    return pulled
+def _pulls(monkeypatch, L, n):
+    """The pull_back calls of group_action, and the number of them that
+    pulling back k group elements makes: the induced action on C^n pulls
+    back each canonical n-tuple once per element, through the int images of
+    the columns of g^-1."""
+    tuples = len(superalt_basis(L.basis, n))
+    return count_calls(monkeypatch, group_action, "pull_back"), lambda k: k * tuples
 
 
 @pytest.mark.parametrize("shape", GROUP_SHAPES)
@@ -406,12 +408,12 @@ def test_an_identity_that_acts_as_one_is_handed_over_as_unit_columns(monkeypatch
         rep_L, rep_M = reps if isinstance(reps, tuple) else (reps, reps)
         e = rep_L.group.identity
         want = pulled_back_induced_columns(rep_L, rep_M, L, M, n)
-        pulled = _pulled_back_arguments(monkeypatch)
+        pulled, elements = _pulls(monkeypatch, L, n)
         induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
         monkeypatch.undo()
         assert induced.columns == want
         assert induced.columns[e] == [{t: one(L.spec)} for t in range(induced.dim)]
-        assert not any(A is rep_L.columns[e] for A in pulled)
+        assert len(pulled) == elements(rep_L.group.order - 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -428,13 +430,15 @@ def test_an_identity_that_does_not_act_as_one_is_pulled_back(monkeypatch, n):
     bad = ActionRep(rep.group, RATIONAL, L.basis.parities, mats)
     for rep_L, rep_M in ((bad, rep), (rep, bad), (bad, bad)):
         want = pulled_back_induced_columns(rep_L, rep_M, L, M, n)
-        pulled = _pulled_back_arguments(monkeypatch)
+        pulled, elements = _pulls(monkeypatch, L, n)
         induced = induced_action_on_cochains(rep_L, rep_M, L, M, n)
         monkeypatch.undo()
         assert induced.columns == want
-        assert any(A is rep_L.columns[e] for A in pulled)
+        assert len(pulled) == elements(rep.group.order)
         with pytest.raises(OracleDisagreement, match="group element 0"):
             equivariant_subspace(induced)
+        with pytest.raises(OracleDisagreement, match="group element 0"):
+            group_action._fixed_cochains(rep_L, rep_M, L, M, n)
 
 
 def test_equivariant_subspace_trivial_and_regular():
@@ -492,6 +496,66 @@ def test_equivariant_subspace_matches_dense_oracle(n):
         assert fixed == dense_equivariant_subspace(induced)
 
     prop()
+
+
+def root_twisted(rng, L, rep):
+    """L and rep carried through a change of basis by roots of unity, a
+    diagonal one and a shear by zeta inside one parity block, so that over
+    Q(zeta_m) the bracket and a nontrivial action have entries off Q."""
+    spec, par = L.spec, L.basis.parities
+    d = len(par)
+    ks = [rng.randrange(spec.conductor) for _ in range(d)]
+    z = zero(spec)
+    S = [[root_of_unity(spec, ks[i]) if i == j else z for j in range(d)] for i in range(d)]
+    S_inv = [[root_of_unity(spec, -ks[i]) if i == j else z for j in range(d)] for i in range(d)]
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j and par[i] == par[j]]
+    if pairs:
+        i, j = rng.choice(pairs)
+        shear, unshear = mat_identity(d, spec), mat_identity(d, spec)
+        shear[i][j], unshear[i][j] = root_of_unity(spec, 1), -root_of_unity(spec, 1)
+        S, S_inv = mat_mul(S, shear, spec), mat_mul(unshear, S_inv, spec)
+    mats = [mat_mul(mat_mul(S, g, spec), S_inv, spec) for g in rep.matrices]
+    return twist_algebra(L, S, S_inv), ActionRep(rep.group, spec, par, mats)
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, cyclo(3), cyclo(4), cyclo(5), cyclo(8), cyclo(12)], ids=str)
+@pytest.mark.parametrize("shape", GROUP_SHAPES)
+def test_the_fixed_family_equals_the_oracle_route(spec, shape):
+    # _fixed_cochains adds up the induced action, the orbit sums and the
+    # certificate on one IntImage; cold_family takes the pulled-back columns
+    # and the dense Reynolds oracle on Scalars.
+    @settings(max_examples=6)
+    @given(st.integers(0, 2**32 - 1))
+    def prop(seed):
+        rng = random.Random(seed)
+        L, rep = rand_instance(rng, spec=spec, with_action=True, groups=(shape,))
+        L, rep = root_twisted(rng, L, rep)
+        M, reps = rand_module(rng, L, rep)
+        rep_L, rep_M = resolve_reps(reps, L, M)
+        for n in (0, 1, 2):
+            assert group_action._fixed_cochains(rep_L, rep_M, L, M, n) == cold_family(n, L, M, reps)
+
+    prop()
+
+
+def test_planted_defects_keep_their_messages_on_the_family_path(monkeypatch):
+    # The family runs on ints; its OracleDisagreement messages, the value
+    # of the character formula included, are those of the Scalar route.
+    L = make_gl(1, 1)
+    M = adjoint_module(L)
+    o = one(RATIONAL)
+    twice = diagonal_rep(  # g^2 scales e12 by 4: not a representation of Z/2
+        cyclic_group(2), RATIONAL, L.basis.parities, [[o] * 4, [o, o, scalar(RATIONAL, 2), scalar(RATIONAL, "1/2")]]
+    )
+    for n in (0, 1, 2):
+        with pytest.raises(OracleDisagreement, match="^group element 1 moves a column of the Reynolds operator$"):
+            group_action._fixed_cochains(twice, twice, L, M, n)
+    ws = load(os.path.join(os.path.dirname(__file__), "..", "fixtures", "fixture_super_poincare.json"))
+    M, rep = ws.resolve_module(ADJOINT)
+    real = group_action.pivot_columns
+    monkeypatch.setattr(group_action, "pivot_columns", lambda cols: real(cols)[:-1])  # drop one Reynolds pivot
+    with pytest.raises(OracleDisagreement, match="^character formula gives 2280, but the fixed space has dimension 569$"):
+        group_action._fixed_cochains(rep, rep, ws.algebra, M, 2)
 
 
 def test_equivariant_cochains_gl11_z2_dimension_and_probes():

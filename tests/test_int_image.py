@@ -1,5 +1,5 @@
 """The integer image of scalars (scalars.IntImage) on which the identity
-sweeps add up their sums.
+sweeps and the G-fixed cochain family add up their sums.
 
 Over Q(zeta_m) a scalar maps to sum_k a_k B^k, read modulo N = Phi_m(B): a
 ring map, exact while B exceeds the bound of its docstring.  The properties
@@ -8,9 +8,11 @@ Phi_m differ.
 """
 
 import copy
+from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercohom.errors import FieldMismatch
@@ -67,6 +69,62 @@ def test_the_way_back_returns_the_scalar(spec):
         assert single.back(single(a)) == a
         image = IntImage(spec, [a, b, c], 2, 2)
         assert image.back(image(a) * image(b) + image.den * image(c)) == a * b + c
+
+    prop()
+
+
+def sum_of_products(products):
+    """The sum of the Scalar products of the lists in products."""
+    terms = [prod(p[1:], start=p[0]) for p in products]
+    return sum(terms[1:], terms[0])
+
+
+def fraction_back(image, v, scale):
+    """The way back through Fractions: the centred residue of v modulo N,
+    read as signed base-B digits, each over scale, into the Scalar
+    constructor."""
+    n = image.modulus
+    if not n:
+        return Scalar(image.spec, [Fraction(v, scale)])
+    v %= n
+    v = v - n if 2 * v > n else v
+    B, digits = 1 << image.bits, []
+    for _ in range(image.spec.degree):
+        x = v % B
+        x = x - B if 2 * x >= B else x
+        digits.append(Fraction(x, scale))
+        v = (v - x) // B
+    return Scalar(image.spec, digits)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_the_way_back_equals_the_fraction_route(spec):
+    @given(st.lists(scalars_over(spec), min_size=1, max_size=4), st.integers(1, 3), st.integers(1, 12))
+    def prop(xs, factors, over):
+        image = IntImage(spec, xs, factors, len(xs))
+        v = sum(image(x) * image.den ** (factors - 1) for x in xs)
+        assert image.back(v) == fraction_back(image, v, image.den**factors) == sum(xs[1:], xs[0])
+        scale = image.den**factors * over
+        assert image.back(v, scale) == fraction_back(image, v, scale)
+
+    prop()
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_a_sum_of_products_of_2n_plus_2_factors_comes_back_exact(spec, n):
+    # The certificate of the G-fixed n-cochains adds up products of 2n + 2
+    # scalars; the orbit sums it reads are products of n + 1.
+    f = 2 * n + 2
+
+    @settings(max_examples=10)
+    @given(st.lists(st.lists(scalars_over(spec), min_size=f, max_size=f), min_size=1, max_size=3))
+    def prop(products):
+        scalars = [x for p in products for x in p]
+        image = IntImage(spec, scalars, f, len(products) + 1)
+        assert image.back(sum(prod(map(image, p)) for p in products)) == sum_of_products(products)
+        half = [p[: n + 1] for p in products]
+        assert image.back(sum(prod(map(image, p)) for p in half), image.den ** (n + 1)) == sum_of_products(half)
 
     prop()
 

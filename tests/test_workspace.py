@@ -1,6 +1,7 @@
 """Workspace files: round trips, mirror inference, and rejection paths."""
 
 import json
+import os
 
 import pytest
 
@@ -16,10 +17,13 @@ from supercohom.workspace import (
     CochainEntry,
     ModuleEntry,
     Workspace,
+    load,
     parse,
     serialize,
 )
 from util import gl11_mu1, gl11_swap_rep
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 # -- document builders, independent of the serializer -------------------------
 
@@ -137,6 +141,33 @@ def test_deformation_accessor_builds_and_caches():
     assert d.order == 1
     assert ws.deformation("mu_t") is d
     assert d.term(1) == gl11_mu1(make_gl(1, 1))
+
+
+def test_a_cached_deformation_is_rebuilt_when_its_terms_change():
+    ws = load(os.path.join(FIXTURES, "fixture_gl11_z2.json"))
+    d = ws.deformation("mu_t")
+    assert d.order == 1 and d.rep is ws.rep
+    ws.deformations["mu_t"] = ("bracket",)
+    again = ws.deformation("mu_t")
+    assert again.order == 0 and again.rep is ws.rep
+    assert ws.deformation("mu_t") is again
+    # The same term names, as a new object, build a new deformation too.
+    ws.deformations["mu_t"] = tuple([BRACKET_TERM])
+    assert ws.deformation("mu_t") is not again
+
+
+def test_a_cached_deformation_is_rebuilt_when_its_action_or_cochain_changes():
+    ws = load(os.path.join(FIXTURES, "fixture_gl11_z2.json"))
+    d = ws.deformation("mu_t")
+    ws.rep = None
+    plain = ws.deformation("mu_t")
+    assert plain is not d and plain.rep is None and plain.order == 1
+    assert ws.deformation("mu_t") is plain
+    name = ws.deformations["mu_t"][1]
+    entry = ws.cochains[name]
+    ws.cochains[name] = CochainEntry(entry.cochain.scale(scalar(ws.spec, 2)), entry.module)
+    doubled = ws.deformation("mu_t")
+    assert doubled is not plain and doubled.term(1) == ws.cochains[name].cochain
 
 
 def test_fixture_files_match_their_generators(tmp_path):

@@ -18,8 +18,6 @@ from supercohom.group_action import (
     ActionRep,
     FiniteGroup,
     cyclic_group,
-    equivariant_subspace,
-    induced_action_on_cochains,
     pull_back,
     resolve_reps,
 )
@@ -577,7 +575,8 @@ def dense_equivariant_subspace(rep):
         mat = rep.matrices[g]
         for i in range(dim):
             for j in range(dim):
-                reynolds[i][j] = reynolds[i][j] + mat[i][j]
+                if not mat[i][j].is_zero():
+                    reynolds[i][j] = reynolds[i][j] + mat[i][j]
     reynolds = [[x * inv_order for x in row] for row in reynolds]
 
     if mat_mul(reynolds, reynolds, spec) != reynolds:
@@ -585,12 +584,13 @@ def dense_equivariant_subspace(rep):
 
     fixed = column_space_basis(reynolds, spec)
 
-    stacked = []
-    ident = mat_identity(dim, spec)
+    stacked = []  # the rows of g - 1: only the diagonal entries change
+    o = one(spec)
     for g in range(group.order):
-        mat = rep.matrices[g]
-        for i in range(dim):
-            stacked.append([mat[i][j] - ident[i][j] for j in range(dim)])
+        for i, row in enumerate(rep.matrices[g]):
+            row = list(row)
+            row[i] = row[i] - o
+            stacked.append(row)
     kernel = nullspace(stacked, dim, spec)
 
     if not span_equal(fixed, kernel, spec):
@@ -716,21 +716,23 @@ def count_calls(monkeypatch, module, name, keep=lambda *args: True):
 
 
 def cold_family(n, L, M, rep=None):
-    """The columns and parities of the _family of C^n, built afresh: the unit
-    coordinates, or the certified columns of equivariant_subspace on the
-    induced action, without reading or filling the record of the complex
-    (cohomology._Complex in M._complexes)."""
+    """The columns and parities of the _family of C^n, built afresh by the
+    oracles, without reading or filling the record of the complex
+    (cohomology._Complex in M._complexes): the unit coordinates, or the
+    columns of dense_equivariant_subspace on the induced action of
+    pulled_back_induced_columns, made sparse."""
     reps = resolve_reps(rep, L, M)
+    coords = cochain_coords(L.basis, n, M.space)
+    all_par = [(sum(L.basis.parities[i] for i in T) + M.space.parities[j]) % 2 for T, j in coords]
     if reps is None:
         o = one(L.spec)
-        coords = cochain_coords(L.basis, n, M.space)
-        parities = [(sum(L.basis.parities[i] for i in T) + M.space.parities[j]) % 2 for T, j in coords]
-        return [{t: o} for t in range(len(coords))], parities
-    induced = induced_action_on_cochains(reps[0], reps[1], L, M, n)
-    cols = equivariant_subspace(induced)
+        return [{t: o} for t in range(len(coords))], all_par
+    columns = pulled_back_induced_columns(reps[0], reps[1], L, M, n)
+    induced = ActionRep(reps[0].group, L.spec, all_par, columns=columns)
+    cols = [{t: x for t, x in enumerate(col) if not x.is_zero()} for col in dense_equivariant_subspace(induced)]
     parities = []
     for col in cols:
-        found = {induced.parities[t] for t in col}
+        found = {all_par[t] for t in col}
         assert len(found) == 1, "a fixed column mixes parities"
         parities.append(found.pop())
     return cols, parities
